@@ -7,7 +7,8 @@ from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
                      SingularInformationError, XiVector, ZetaSet, cd_matrix,
                      crb_theta, fim, mcrb_sandwich, mcrb_theta_closed,
-                     theta_a, theta_a_paper_form, zeta_set)
+                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
+                     zeta_set)
 from .estimation import (EstimatorConfig, RmseCurve, RmsePoint,
                          ml_reference_doa, mml_doa, monte_carlo_rmse)
 from .ground import (GroundScenario, RangePoint, indirect_geometry,

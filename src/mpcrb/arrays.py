@@ -87,7 +87,7 @@ def virtual_positions(geom: ArrayGeometry) -> np.ndarray:
     return np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
 
 
-def _steer_one(positions: np.ndarray, theta: float):
+def _steer_one(positions: np.ndarray, theta):
     m = positions.size
     phase = TWO_PI * positions * np.sin(theta)
     a = np.exp(1j * phase) / np.sqrt(m)
@@ -97,17 +97,25 @@ def _steer_one(positions: np.ndarray, theta: float):
     return a, da, dda
 
 
-def steering(geom: ArrayGeometry, theta: float) -> SteeringSet:
+def steering(geom: ArrayGeometry, theta) -> SteeringSet:
     """Steering vectors at ``theta`` (radians from broadside) with derivatives.
 
     Element m of a is exp(j*2*pi*p_m*sin(theta))/sqrt(M); first and second
-    angular derivatives are analytic.
+    angular derivatives are analytic.  A 1-D array of angles gives stacked
+    sets, one row per angle (shape (n, M)), each row equal to the set at
+    that angle alone.
     """
-    if not abs(theta) < np.pi / 2:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.abs(theta) < np.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2")
-    a_r, da_r, dda_r = _steer_one(geom.rx_positions, theta)
-    a_t, da_t, dda_t = _steer_one(geom.tx_positions, theta)
+    col = theta[..., None]
+    a_r, da_r, dda_r = _steer_one(geom.rx_positions, col)
+    a_t, da_t, dda_t = _steer_one(geom.tx_positions, col)
     return SteeringSet(a_r=a_r, a_t=a_t, da_r=da_r, da_t=da_t, dda_r=dda_r, dda_t=dda_t)
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
 
 
 def mimo_matrices(s_target: SteeringSet, s_reflect: SteeringSet):
@@ -115,21 +123,26 @@ def mimo_matrices(s_target: SteeringSet, s_reflect: SteeringSet):
 
     Returns ``(A_d, A_i, dA_d, ddA_d)`` where ``A_d = a_r(theta) a_t(theta)^T``,
     ``A_i = a_r(psi) a_t(theta)^T + a_r(theta) a_t(psi)^T`` and the derivative
-    matrices are with respect to the target angle.
+    matrices are with respect to the target angle.  Stacked sets from
+    :func:`steering` give one matrix per row, shape (n, M_r, M_t).
     """
     a_r, a_t = s_target.a_r, s_target.a_t
     da_r, da_t = s_target.da_r, s_target.da_t
     dda_r, dda_t = s_target.dda_r, s_target.dda_t
-    A_d = np.outer(a_r, a_t)
-    A_i = np.outer(s_reflect.a_r, a_t) + np.outer(a_r, s_reflect.a_t)
-    dA_d = np.outer(da_r, a_t) + np.outer(a_r, da_t)
-    ddA_d = np.outer(dda_r, a_t) + 2.0 * np.outer(da_r, da_t) + np.outer(a_r, dda_t)
+    A_d = _outer(a_r, a_t)
+    A_i = _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
+    dA_d = _outer(da_r, a_t) + _outer(a_r, da_t)
+    ddA_d = _outer(dda_r, a_t) + 2.0 * _outer(da_r, da_t) + _outer(a_r, dda_t)
     return A_d, A_i, dA_d, ddA_d
 
 
-def e_adot(s: SteeringSet) -> float:
-    """Array information scalar: squared norm of both steering derivatives."""
-    return float(np.sum(np.abs(s.da_r) ** 2) + np.sum(np.abs(s.da_t) ** 2))
+def e_adot(s: SteeringSet):
+    """Array information scalar: squared norm of both steering derivatives.
+
+    A float for one angle; an array with one value per row for stacked sets.
+    """
+    e = np.sum(np.abs(s.da_r) ** 2, axis=-1) + np.sum(np.abs(s.da_t) ** 2, axis=-1)
+    return float(e) if e.ndim == 0 else e
 
 
 def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -9,16 +9,16 @@ conventional FIM/CRB for the matched (multipath-free) model lives here too.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, SteeringSet, e_adot, mimo_matrices,
-                     steering, virtual_hpbw)
-from .scene import MultipathScene, delta_phi, smr, snr
+from .arrays import (ArrayGeometry, e_adot, mimo_matrices, steering,
+                     virtual_hpbw)
+from .scene import MultipathScene, snr
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -187,6 +187,10 @@ def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
     return scale * z
 
 
+_BLOCK = 512   # statistics per argmax block, the Monte-Carlo trial chunk
+_EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
+
+
 @lru_cache(maxsize=32)
 def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
     tx = np.asarray(geom_key[0])
@@ -196,11 +200,6 @@ def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
     a_r = np.exp(2j * np.pi * np.outer(rx, s)) / np.sqrt(rx.size)
     a_t = np.exp(2j * np.pi * np.outer(tx, s)) / np.sqrt(tx.size)
     return angles, a_r, a_t
-
-
-def _correlations(geom: ArrayGeometry, a_r_grid, a_t_grid, angle: float):
-    s = steering(geom, angle)
-    return a_r_grid.conj().T @ s.a_r, a_t_grid.conj().T @ s.a_t
 
 
 def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchConfig:
@@ -213,57 +212,73 @@ def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchC
     return search
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _projection(geom: ArrayGeometry, y: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """|tr(A^H(angle_t) Y_t)|^2 per statistic, one angle per statistic."""
+    s = np.sin(angles)
+    a_r = np.exp(2j * np.pi * np.outer(s, geom.rx_positions)) / math.sqrt(geom.m_r)
+    a_t = np.exp(2j * np.pi * np.outer(s, geom.tx_positions)) / math.sqrt(geom.m_t)
+    proj = np.einsum("tm,tmn,tn->t", a_r.conj(), y, a_t.conj())
+    return np.abs(proj) ** 2
 
 
-def _argmax_grid_then_golden(geom: ArrayGeometry, weights_fun, scalar_fun,
-                             search: SearchConfig, prefer: float) -> float:
-    """Maximize a projection objective: coarse grid, ties toward ``prefer``,
-    then golden-section refinement around the winning cell."""
+def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
+                       prefer: np.ndarray | None = None) -> np.ndarray:
+    """Angle maximizing |tr(A^H(phi) Y_t)|^2 for each statistic Y_t of ``y``.
+
+    ``y`` has shape (n, M_r, M_t); ``search`` carries the span, a resolved
+    coarse step and the refinement tolerance.  The coarse grid's winner is
+    the first maximum, or with ``prefer`` the grid angle nearest
+    ``prefer[t]`` among values within 1e-12 (relative) of the maximum.  A
+    golden-section shrink of the two cells around the winner, both interior
+    points evaluated per sweep, then runs for the fixed number of sweeps that
+    brings the bracket below the tolerance.  Statistics are processed
+    ``_BLOCK`` at a time.
+    """
     lo, hi = search.span
-    n = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
-    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n)
-    vals = weights_fun(a_r_grid, a_t_grid, angles)
-    vmax = vals.max()
-    ties = np.flatnonzero(vals >= vmax * (1.0 - 1e-12))
-    best = ties[np.argmin(np.abs(angles[ties] - prefer))]
+    n_grid = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
+    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n_grid)
     step = angles[1] - angles[0]
-    bracket_lo = max(lo, angles[best] - step)
-    bracket_hi = min(hi, angles[best] + step)
-    return _golden_max(scalar_fun, bracket_lo, bracket_hi, search.refine_tol)
+    iters = max(0, int(math.ceil(math.log(search.refine_tol / (2.0 * step))
+                                 / math.log(GOLDEN))))
+    out = np.empty(len(y))
+    for start in range(0, len(y), _BLOCK):
+        stop = min(start + _BLOCK, len(y))
+        yb = y[start:stop]
+        vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), yb,
+                                a_t_grid.conj())) ** 2
+        if prefer is None:
+            best = np.argmax(vals, axis=1)
+        else:
+            ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+            dist = np.where(ties, np.abs(angles - prefer[start:stop, None]), np.inf)
+            best = np.argmin(dist, axis=1)
+        a = np.maximum(lo, angles[best] - step)
+        b = np.minimum(hi, angles[best] + step)
+        c = b - GOLDEN * (b - a)
+        d = a + GOLDEN * (b - a)
+        for _ in range(iters):
+            keep_left = _projection(geom, yb, c) >= _projection(geom, yb, d)
+            b = np.where(keep_left, d, b)
+            a = np.where(keep_left, a, c)
+            c = b - GOLDEN * (b - a)
+            d = a + GOLDEN * (b - a)
+        out[start:stop] = 0.5 * (a + b)
+    return out
 
 
-def _projection_terms(geom: ArrayGeometry, theta: float, psi: float,
-                      a_r_grid, a_t_grid):
-    cr_t, ct_t = _correlations(geom, a_r_grid, a_t_grid, theta)
-    cr_p, ct_p = _correlations(geom, a_r_grid, a_t_grid, psi)
-    c_d = cr_t * ct_t
-    c_i = cr_p * ct_t + cr_t * ct_p
-    return c_d, c_i
-
-
-def _scalar_projection_terms(geom: ArrayGeometry, st: SteeringSet,
-                             sp: SteeringSet, angle: float):
-    s = steering(geom, angle)
-    cr_t = np.vdot(s.a_r, st.a_r)
-    ct_t = np.vdot(s.a_t, st.a_t)
-    cr_p = np.vdot(s.a_r, sp.a_r)
-    ct_p = np.vdot(s.a_t, sp.a_t)
-    return cr_t * ct_t, cr_p * ct_t + cr_t * ct_p
+def _pseudo_true(scene: MultipathScene, w_d: complex, w_i: complex,
+                 search: SearchConfig | None) -> float:
+    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i, ties
+    toward the true theta."""
+    search = _resolve_search(scene.geom, search)
+    lo, hi = search.span
+    if not (lo <= scene.theta <= hi):
+        raise ValueError("search span must contain the true theta")
+    A_d, A_i, _, _ = mimo_matrices(steering(scene.geom, scene.theta),
+                                   steering(scene.geom, scene.psi))
+    y = (w_d * A_d + w_i * A_i)[None]
+    return float(_argmax_projection(y, scene.geom, search,
+                                    np.array([scene.theta]))[0])
 
 
 def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
@@ -273,25 +288,7 @@ def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     Deterministic grid-then-golden-section argmax; coarse ties are broken
     toward the true theta.
     """
-    search = _resolve_search(scene.geom, search)
-    lo, hi = search.span
-    if not (lo <= scene.theta <= hi):
-        raise ValueError("search span must contain the true theta")
-    ad, ai = scene.alpha_d, scene.alpha_i
-    st = steering(scene.geom, scene.theta)
-    sp = steering(scene.geom, scene.psi)
-
-    def grid_vals(a_r_grid, a_t_grid, angles):
-        c_d, c_i = _projection_terms(scene.geom, scene.theta, scene.psi,
-                                     a_r_grid, a_t_grid)
-        return np.abs(ad * c_d + ai * c_i) ** 2
-
-    def scalar_val(angle):
-        c_d, c_i = _scalar_projection_terms(scene.geom, st, sp, angle)
-        return abs(ad * c_d + ai * c_i) ** 2
-
-    return _argmax_grid_then_golden(scene.geom, grid_vals, scalar_val,
-                                    search, scene.theta)
+    return _pseudo_true(scene, scene.alpha_d, scene.alpha_i, search)
 
 
 def theta_a_paper_form(scene: MultipathScene,
@@ -301,63 +298,97 @@ def theta_a_paper_form(scene: MultipathScene,
     Kept as a secondary definition for comparison against :func:`theta_a`;
     undefined when alpha_d + alpha_i ~ 0.
     """
-    search = _resolve_search(scene.geom, search)
-    lo, hi = search.span
-    if not (lo <= scene.theta <= hi):
-        raise ValueError("search span must contain the true theta")
     ad, ai = scene.alpha_d, scene.alpha_i
     denom = ad + ai
     if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
         raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
                          "alpha_d + alpha_i ~ 0")
-    w = ai / denom
-    st = steering(scene.geom, scene.theta)
-    sp = steering(scene.geom, scene.psi)
+    return _pseudo_true(scene, 1.0, ai / denom, search)
 
-    def grid_vals(a_r_grid, a_t_grid, angles):
-        c_d, c_i = _projection_terms(scene.geom, scene.theta, scene.psi,
-                                     a_r_grid, a_t_grid)
-        return np.abs(c_d + w * c_i) ** 2
 
-    def scalar_val(angle):
-        c_d, c_i = _scalar_projection_terms(scene.geom, st, sp, angle)
-        return abs(c_d + w * c_i) ** 2
+def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None,
+                  eps_den_factor: float):
+    """Closed-form breakdowns (None where degenerate) plus the denominators
+    and thresholds of the degeneracy test, all scenes on one geometry."""
+    if not scenes:
+        return [], np.empty(0), np.empty(0)
+    geom = scenes[0].geom
+    key = geom.key()
+    if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
+        raise ValueError("all scenes of a batch must share one array geometry")
+    theta = np.array([sc.theta for sc in scenes])
+    ad = np.array([sc.alpha_d for sc in scenes], dtype=complex)
+    ai = np.array([sc.alpha_i for sc in scenes], dtype=complex)
+    s_t = steering(geom, theta)
+    s_r = steering(geom, [sc.psi for sc in scenes])
+    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
+    e_dot = e_adot(s_t)
+    if np.any(e_dot <= 0.0):
+        raise SingularInformationError(
+            "single-element arrays carry no DOA information (E_Adot = 0)")
+    k = np.array([sc.k_pulses for sc in scenes], dtype=float)
+    e_p = np.array([sc.e_p for sc in scenes])
+    sigma_w2 = np.array([sc.sigma_w2 for sc in scenes])
+    p_d = np.abs(ad) ** 2
+    crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+    free = ai == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smr_v = p_d / np.abs(ai) ** 2
+        dphi = np.angle(ad) - np.angle(ai)       # enters only as exp(-j dphi)
+        t1 = np.einsum("tmn,tmn->t", dA_d.conj(), A_i)
+        t2 = np.einsum("tmn,tmn->t", ddA_d.conj(), A_i)
+        den_base = (t2 * np.exp(-1j * dphi)).real - np.sqrt(smr_v) * e_dot
+        den = den_base * den_base
+        threshold = eps_den_factor * smr_v * e_dot * e_dot
+        m = crb * e_dot * (np.abs(t1) ** 2 + smr_v * e_dot) / den
+    degenerate = ~free & (den < threshold)
+    m = np.where(free, crb, m)                   # the infinite-SMR limit
+    th_a = theta.copy()
+    rows = np.flatnonzero(~free & ~degenerate)
+    if rows.size:
+        search = _resolve_search(geom, search)
+        lo, hi = search.span
+        if not np.all((lo <= theta[rows]) & (theta[rows] <= hi)):
+            raise ValueError("search span must contain the true theta")
+        y = (ad[rows, None, None] * A_d[rows] + ai[rows, None, None] * A_i[rows])
+        th_a[rows] = _argmax_projection(y, geom, search, prefer=theta[rows])
+    b = (theta - th_a) ** 2
+    out = [None if deg else BoundBreakdown(crb_theta=c, m_theta_theta=m_i,
+                                           theta_a=t_a, b_theta_theta=b_i,
+                                           mcrb_theta=m_i + b_i)
+           for deg, c, m_i, t_a, b_i in zip(degenerate.tolist(), crb.tolist(),
+                                            m.tolist(), th_a.tolist(), b.tolist())]
+    return out, den, threshold
 
-    return _argmax_grid_then_golden(scene.geom, grid_vals, scalar_val,
-                                    search, scene.theta)
+
+def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
+                           search: SearchConfig | None = None,
+                           ) -> list[BoundBreakdown | None]:
+    """:func:`mcrb_theta_closed` for every scene of a batch on one geometry.
+
+    Everything is evaluated over the whole batch at once and the pseudo-true
+    angles come from one batched argmax.  Degenerate scenes give None instead
+    of raising; a theta outside the search span raises ValueError.
+    """
+    return _closed_batch(list(scenes), search, _EPS_DEN_FACTOR)[0]
 
 
 def mcrb_theta_closed(scene: MultipathScene, search: SearchConfig | None = None,
-                      eps_den_factor: float = 1e-9) -> BoundBreakdown:
+                      eps_den_factor: float = _EPS_DEN_FACTOR) -> BoundBreakdown:
     """Closed-form misspecified bound on the target DOA.
 
     M component: CRB(theta) * E_Adot*(|tr(dA_d^H A_i)|^2 + SMR*E_Adot) /
     (Re{tr(ddA_d^H A_i) e^{-j dphi}} - sqrt(SMR)*E_Adot)^2.  The bias
     component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
-    For alpha_i = 0 the infinite-SMR limit is taken analytically.
+    For alpha_i = 0 the infinite-SMR limit is taken analytically.  A batch
+    of one for :func:`mcrb_theta_closed_many`.
     """
-    crb = crb_theta(scene)
-    if scene.alpha_i == 0:
-        return BoundBreakdown(crb_theta=crb, m_theta_theta=crb,
-                              theta_a=scene.theta, b_theta_theta=0.0,
-                              mcrb_theta=crb)
-    _, A_i, dA_d, ddA_d, e_dot = _scene_matrices(scene)
-    smr_v = smr(scene)
-    dphi = delta_phi(scene)
-    t1 = np.trace(dA_d.conj().T @ A_i)
-    t2 = np.trace(ddA_d.conj().T @ A_i)
-    den_base = (t2 * cmath.exp(-1j * dphi)).real - math.sqrt(smr_v) * e_dot
-    den = den_base * den_base
-    threshold = eps_den_factor * smr_v * e_dot * e_dot
-    if den < threshold:
+    (bb,), den, threshold = _closed_batch([scene], search, eps_den_factor)
+    if bb is None:
         raise DegenerateBoundError(
             "near-destructive paths: closed-form denominator below threshold",
-            denominator=den, threshold=threshold)
-    m = crb * e_dot * (abs(t1) ** 2 + smr_v * e_dot) / den
-    th_a = theta_a(scene, search)
-    b = (scene.theta - th_a) ** 2
-    return BoundBreakdown(crb_theta=crb, m_theta_theta=m, theta_a=th_a,
-                          b_theta_theta=b, mcrb_theta=m + b)
+            denominator=float(den[0]), threshold=float(threshold[0]))
+    return bb
 
 
 def mcrb_sandwich(scene: MultipathScene, f_tau: float | None = None,

@@ -18,10 +18,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry, virtual_hpbw
-from .bounds import GOLDEN, _steering_grid
+from .bounds import _BLOCK, _argmax_projection
 from .scene import MultipathScene, compressed_mean, multipath_free
 
-_TRIAL_CHUNK = 512
+_TRIAL_CHUNK = _BLOCK      # one argmax block per chunk of trials
 
 
 @dataclass(frozen=True)
@@ -71,48 +71,6 @@ def _resolve_cfg(geom: ArrayGeometry, cfg: EstimatorConfig | None) -> EstimatorC
     return cfg
 
 
-def _batch_objective(geom: ArrayGeometry, y_batch: np.ndarray,
-                     angles: np.ndarray) -> np.ndarray:
-    """|tr(A^H(angle_t) Y_t)|^2 per trial, one angle per trial."""
-    s = np.sin(angles)
-    a_r = np.exp(2j * np.pi * np.outer(s, geom.rx_positions)) / math.sqrt(geom.m_r)
-    a_t = np.exp(2j * np.pi * np.outer(s, geom.tx_positions)) / math.sqrt(geom.m_t)
-    proj = np.einsum("tm,tmn,tn->t", a_r.conj(), y_batch, a_t.conj())
-    return np.abs(proj) ** 2
-
-
-def _mml_doa_batch(y_batch: np.ndarray, geom: ArrayGeometry,
-                   cfg: EstimatorConfig) -> np.ndarray:
-    """Vectorized grid-then-golden-section argmax over a batch of statistics."""
-    cfg = _resolve_cfg(geom, cfg)
-    lo, hi = cfg.span
-    n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
-    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n)
-    vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y_batch,
-                            a_t_grid.conj())) ** 2
-    best = np.argmax(vals, axis=1)
-    step = angles[1] - angles[0]
-    a = np.maximum(lo, angles[best] - step)
-    b = np.minimum(hi, angles[best] + step)
-
-    # golden-section shrink with both interior points evaluated per sweep;
-    # batched evaluation makes the extra point essentially free
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc = _batch_objective(geom, y_batch, c)
-    fd = _batch_objective(geom, y_batch, d)
-    iters = int(math.ceil(math.log(cfg.refine_tol / (2.0 * step)) / math.log(GOLDEN)))
-    for _ in range(max(iters, 0)):
-        keep_left = fc >= fd
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        fc = _batch_objective(geom, y_batch, c)
-        fd = _batch_objective(geom, y_batch, d)
-    return 0.5 * (a + b)
-
-
 def mml_doa(y: np.ndarray, geom: ArrayGeometry,
             cfg: EstimatorConfig | None = None) -> float:
     """DOA estimate maximizing the direct-only projection of one statistic."""
@@ -120,7 +78,7 @@ def mml_doa(y: np.ndarray, geom: ArrayGeometry,
         raise ValueError(f"statistic shape {y.shape} does not match geometry "
                          f"({geom.m_r}, {geom.m_t})")
     cfg = _resolve_cfg(geom, cfg)
-    return float(_mml_doa_batch(y[None, :, :], geom, cfg)[0])
+    return float(_argmax_projection(y[None, :, :], geom, cfg)[0])
 
 
 def _trial_rng(base_seed: int, scene_index: int, trial_index: int) -> np.random.Generator:
@@ -140,7 +98,7 @@ def _scene_errors(scene: MultipathScene, cfg: EstimatorConfig, trials: int,
             rng = _trial_rng(base_seed, scene_index, t)
             w = rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape)
             y[t - start] = mean + scale * w
-        errors[start:stop] = _mml_doa_batch(y, scene.geom, cfg) - scene.theta
+        errors[start:stop] = _argmax_projection(y, scene.geom, cfg) - scene.theta
     return errors
 
 

@@ -23,7 +23,8 @@ from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
 from .bounds import (ConditioningError, DegenerateBoundError, SearchConfig,
                      cd_matrix, crb_theta, mcrb_sandwich, mcrb_theta_closed,
-                     theta_a, theta_a_paper_form, zeta_set)
+                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
+                     zeta_set)
 from .estimation import EstimatorConfig, monte_carlo_rmse
 from .ground import GroundScenario, range_sweep, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -66,16 +67,40 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None) -> int:
     return val
 
 
-def _grid(cfg: dict, path: str) -> list[float]:
+# Sweep size caps.  The largest packaged axis is the 1,781-point beampattern
+# grid and the largest sweep the 97 x 81 fig5 map; every point of a bound
+# sweep is held in one batch.
+MAX_AXIS_POINTS = 4096
+MAX_SWEEP_POINTS = 65536
+
+
+def _axis(cfg: dict, path: str) -> tuple[float, float, int]:
+    """(start, step, point count) of a sweep axis, counted without building it."""
     start = _get_num(cfg, f"{path}.start")
     stop = _get_num(cfg, f"{path}.stop")
     step = _get_num(cfg, f"{path}.step", positive=True)
     if stop < start:
         raise ConfigError(f"{path}: stop must be >= start")
-    n = int(round((stop - start) / step)) + 1
-    if n < 1:
-        raise ConfigError(f"{path}: empty sweep axis")
-    return [start + i * step for i in range(n)]
+    cells = (stop - start) / step
+    n = int(round(cells)) + 1 if cells < MAX_AXIS_POINTS else math.inf
+    if n > MAX_AXIS_POINTS:
+        raise ConfigError(f"{path}: {cells + 1:.4g} points exceed the cap of "
+                          f"{MAX_AXIS_POINTS} per axis")
+    return start, step, n
+
+
+def _grids(cfg: dict, *paths: str) -> list[list[float]]:
+    """The sweep axes at ``paths``; their point counts and product are capped."""
+    axes = [_axis(cfg, path) for path in paths]
+    total = math.prod(n for _, _, n in axes)
+    if total > MAX_SWEEP_POINTS:
+        raise ConfigError(f"{' x '.join(paths)}: {total} points exceed the "
+                          f"cap of {MAX_SWEEP_POINTS} per sweep")
+    return [[start + i * step for i in range(n)] for start, step, n in axes]
+
+
+def _grid(cfg: dict, path: str) -> list[float]:
+    return _grids(cfg, path)[0]
 
 
 def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
@@ -223,11 +248,10 @@ def _root_deg(var_rad2: float | None) -> float | None:
     return math.degrees(math.sqrt(var_rad2))
 
 
-def _closed_or_none(scene: MultipathScene, search: SearchConfig | None):
-    try:
-        return mcrb_theta_closed(scene, search=search)
-    except DegenerateBoundError:
-        return None
+def _bound_counts(bounds: list) -> dict:
+    """Manifest counts of closed-form evaluations and degenerate (None) ones."""
+    return {"bound_points": len(bounds),
+            "degenerate_points": sum(bb is None for bb in bounds)}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +266,7 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
-    bounds = [_closed_or_none(sc, search) for sc in scenes]
+    bounds = mcrb_theta_closed_many(scenes, search)
     mml = monte_carlo_rmse(scenes, est, trials, seed, sweep_name="snr_db",
                            sweep_values=snrs, workers=workers)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
@@ -271,7 +295,8 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
              ("RMSE ML", snrs, [r[4] for r in rows])],
             "SNR [dB]", "root bound / RMSE [deg]", "DOA RMSE vs SNR", ylog=True)
         outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig2", config, outputs)
+    manifest = _write_manifest(out, "fig2", config, outputs,
+                               _bound_counts(bounds))
     return {"csv": csv_path, "manifest": manifest}
 
 
@@ -282,16 +307,17 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
-    rows = []
+    scenes = []
     for dth in dthetas:
         psi = theta - math.radians(dth)
         if abs(psi) >= math.pi / 2:
             raise ConfigError("sweep.delta_theta_deg: psi leaves (-90, 90) deg")
-        scene = scene_from_config(config, geom, psi_rad=psi)
-        bb = _closed_or_none(scene, search)
-        rows.append([dth,
-                     _root_deg(bb.crb_theta) if bb else None,
-                     _root_deg(bb.mcrb_theta) if bb else None])
+        scenes.append(scene_from_config(config, geom, psi_rad=psi))
+    bounds = mcrb_theta_closed_many(scenes, search)
+    rows = [[dth,
+             _root_deg(bb.crb_theta) if bb else None,
+             _root_deg(bb.mcrb_theta) if bb else None]
+            for dth, bb in zip(dthetas, bounds)]
     out = _prepare(out_dir)
     csv_path = out / "fig3.csv"
     _write_csv(csv_path, ["delta_theta_deg", "rcrb_deg", "rmcrb_deg"], rows)
@@ -311,7 +337,8 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
             "delta theta [deg]", "root bound [deg]",
             "Bounds vs DOA separation", ylog=True)
         outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig3", config, outputs)
+    manifest = _write_manifest(out, "fig3", config, outputs,
+                               _bound_counts(bounds))
     return {"csv": csv_path, "beampattern_csv": bp_path, "manifest": manifest}
 
 
@@ -326,14 +353,14 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
             or not all(isinstance(p, (int, float)) for p in phases)):
         raise ConfigError("delta_phis_rad: expected a list of two numbers")
     smrs = _grid(config, "sweep.smr_db")
+    bounds = mcrb_theta_closed_many(
+        [scene_from_config(config, geom, smr_db=s, dphi=float(dphi), psi_rad=psi)
+         for s in smrs for dphi in phases], search)
     rows = []
-    for s in smrs:
+    for i, s in enumerate(smrs):
         cells = [s]
         rcrb = None
-        for dphi in phases:
-            scene = scene_from_config(config, geom, smr_db=s, dphi=float(dphi),
-                                      psi_rad=psi)
-            bb = _closed_or_none(scene, search)
+        for bb in bounds[2 * i:2 * i + 2]:
             cells.append(_root_deg(bb.mcrb_theta) if bb else None)
             if bb is not None:
                 rcrb = _root_deg(bb.crb_theta)
@@ -357,7 +384,8 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
              ("RCRB", smrs, [r[3] for r in rows])],
             "SMR [dB]", "root bound [deg]", "Bounds vs SMR", ylog=True)
         outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig4", config, outputs)
+    manifest = _write_manifest(out, "fig4", config, outputs,
+                               _bound_counts(bounds))
     return {"csv": csv_path, "manifest": manifest}
 
 
@@ -366,23 +394,21 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     geom = geometry_from_config(config)
     search = search_from_config(config)
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
-    dphis = _grid(config, "grid.delta_phi_rad")
-    dthetas = _grid(config, "grid.delta_theta_deg")
-    rows = []
-    z_rows = []
+    dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
+    scenes = []
     for dth in dthetas:
         psi = theta - math.radians(dth)
         if abs(psi) >= math.pi / 2:
             raise ConfigError("grid.delta_theta_deg: psi leaves (-90, 90) deg")
-        z_line = []
-        for dphi in dphis:
-            scene = scene_from_config(config, geom, dphi=dphi, psi_rad=psi)
-            bb = _closed_or_none(scene, search)
-            ratio = (math.sqrt(bb.mcrb_theta / bb.crb_theta)
-                     if bb is not None else None)
-            rows.append([dphi, dth, ratio])
-            z_line.append(ratio)
-        z_rows.append(z_line)
+        scenes += [scene_from_config(config, geom, dphi=dphi, psi_rad=psi)
+                   for dphi in dphis]
+    bounds = mcrb_theta_closed_many(scenes, search)
+    ratios = [math.sqrt(bb.mcrb_theta / bb.crb_theta) if bb is not None else None
+              for bb in bounds]
+    rows = [[dphi, dth, ratios[i * len(dphis) + j]]
+            for i, dth in enumerate(dthetas) for j, dphi in enumerate(dphis)]
+    z_rows = [ratios[i * len(dphis):(i + 1) * len(dphis)]
+              for i in range(len(dthetas))]
     out = _prepare(out_dir)
     csv_path = out / "fig5.csv"
     _write_csv(csv_path, ["delta_phi_rad", "delta_theta_deg", "rmcrb_over_rcrb"],
@@ -394,7 +420,8 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
                         "delta phi [rad]", "delta theta [deg]",
                         "RMCRB / RCRB (contour at 1)", contour_level=1.0)
         outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig5", config, outputs)
+    manifest = _write_manifest(out, "fig5", config, outputs,
+                               _bound_counts(bounds))
     return {"csv": csv_path, "manifest": manifest}
 
 
@@ -470,7 +497,10 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
         svgplot.line_plot(svg_path, series, "range [m]", "root bound [deg]",
                           "Ground multipath vs range", ylog=True)
         outputs.append(svg_path)
-    manifest = _write_manifest(out, "scenario", config, outputs)
+    points = [p for name in names for p in sweeps[name]]
+    counts = _bound_counts([p.bound for p in points if p.same_cell])
+    counts["out_of_cell_points"] = sum(not p.same_cell for p in points)
+    manifest = _write_manifest(out, "scenario", config, outputs, counts)
     return {"csv": csv_path, "manifest": manifest}
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry
 from .bounds import (BoundBreakdown, DegenerateBoundError, SearchConfig,
-                     mcrb_theta_closed)
+                     mcrb_theta_closed, mcrb_theta_closed_many)
 from .scene import (MultipathScene, PathGeometryInputs, delta_phi,
                     path_coefficients, smr, snr)
 
@@ -106,8 +106,13 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
 
 def range_point(scn: GroundScenario, r_d: float,
                 search: SearchConfig | None = None,
-                geom: ArrayGeometry | None = None) -> RangePoint:
-    """Evaluate geometry, path physics and (when in-cell) the bound at one range."""
+                geom: ArrayGeometry | None = None, *,
+                with_bound: bool = True) -> RangePoint:
+    """Evaluate geometry, path physics and (when in-cell) the bound at one range.
+
+    With ``with_bound=False`` the bound is left for the caller to fill in
+    (``bound`` is None and ``degenerate`` False).
+    """
     geom = scn.geom if geom is None else geom
     r_i, psi = indirect_geometry(r_d, scn.theta, scn.h_r)
     grazing = -psi
@@ -127,7 +132,7 @@ def range_point(scn: GroundScenario, r_d: float,
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
     bound = None
     degenerate = False
-    if same_cell:
+    if same_cell and with_bound:
         try:
             bound = mcrb_theta_closed(scene, search=search)
         except DegenerateBoundError:
@@ -147,17 +152,19 @@ def range_sweep(scn: GroundScenario,
                 ) -> dict[str, list[RangePoint]]:
     """Evaluate every grid range for one or more array configurations.
 
-    Path physics per range is shared; the bound is re-evaluated per geometry.
+    The bounds of each geometry's in-cell points come from one batched call.
     Output lists follow the range grid order.
     """
     if geoms is None:
         geoms = {"default": scn.geom}
     out: dict[str, list[RangePoint]] = {}
     for name, geom in geoms.items():
-        out[name] = [range_point(scn, float(r), search=search, geom=geom)
-                     for r in scn.range_grid]
+        points = [range_point(scn, float(r), geom=geom, with_bound=False)
+                  for r in scn.range_grid]
+        in_cell = [i for i, p in enumerate(points) if p.same_cell]
+        bounds = mcrb_theta_closed_many([points[i].scene for i in in_cell],
+                                        search=search)
+        for i, bb in zip(in_cell, bounds):
+            points[i] = replace(points[i], bound=bb, degenerate=bb is None)
+        out[name] = points
     return out
-
-
-def with_geometry(scn: GroundScenario, geom: ArrayGeometry) -> GroundScenario:
-    return replace(scn, geom=geom)

@@ -143,13 +143,13 @@ def test_criterion_04_closed_form_vs_sandwich():
                   "only when the DOA-amplitude coupling trace is zero")
 
 
-def test_criterion_05_mml_asymptotic_tightness():
+def test_criterion_05_mml_asymptotic_tightness(tmp_path):
     """Fig-2-style sweep with the shipped preset (2000 trials per SNR,
     -10..40 dB in 5 dB steps): (a) high-SNR RMSE within [RMCRB, 1.15 RMCRB],
     (b) RMCRB below RCRB up to 15 dB, (c) plateau within 5% of the
     pseudo-true offset.  About two seconds."""
     cfg = load_preset("fig2")
-    result = run_fig2(cfg, "out/acceptance_fig2")
+    result = run_fig2(cfg, tmp_path)
     data = _read(result["csv"])
     snr = data["snr_db"]
 
@@ -177,11 +177,11 @@ def test_criterion_05_mml_asymptotic_tightness():
                 "percent below RMCRB")
 
 
-def test_criterion_06_separation_sweep_structure():
+def test_criterion_06_separation_sweep_structure(tmp_path):
     """Fig-3-style sweep: bound ratio exactly 1/3 at zero separation
     (root units, 1e-9) and local minima within 0.5 deg of +-30 deg."""
     cfg = load_preset("fig3")
-    result = run_fig3(cfg, "out/acceptance_fig3")
+    result = run_fig3(cfg, tmp_path)
     data = _read(result["csv"])
     dth = data["delta_theta_deg"]
     rmcrb = data["rmcrb_deg"]
@@ -213,12 +213,12 @@ def test_criterion_06_separation_sweep_structure():
                 "sits 1.5 deg inside the grating-lobe angle")
 
 
-def test_criterion_07_smr_sweep_structure():
+def test_criterion_07_smr_sweep_structure(tmp_path):
     """Fig-4-style sweep: the destructive-phase curve peaks within 2 dB of
     SMR = 0 dB; both curves converge to the matched bound within 1% at
     SMR = 40 dB."""
     cfg = load_preset("fig4")
-    result = run_fig4(cfg, "out/acceptance_fig4")
+    result = run_fig4(cfg, tmp_path)
     data = _read(result["csv"])
     smr = data["smr_db"]
     des = data["rmcrb_dphi_2pi3_deg"]
@@ -242,7 +242,7 @@ def test_criterion_07_smr_sweep_structure():
                 "40 dB for near-coincident angles, independent of geometry")
 
 
-def test_criterion_08_phase_separation_map():
+def test_criterion_08_phase_separation_map(tmp_path):
     """Fig-5-style ratio map at SNR 10 dB, SMR 10 dB: below unity at
     (dphi=0, dtheta=1 deg), above unity at (dphi=pi, dtheta=1 deg), and
     rows at |dtheta| >= 3 beamwidths flat within 10% across dphi."""
@@ -252,7 +252,7 @@ def test_criterion_08_phase_separation_map():
                           "step": math.pi / 24.0},
         "delta_theta_deg": {"start": 0.0, "stop": 40.0, "step": 0.5},
     }
-    result = run_fig5(cfg, "out/acceptance_fig5")
+    result = run_fig5(cfg, tmp_path)
     data = _read(result["csv"])
     dphi = data["delta_phi_rad"]
     dth = data["delta_theta_deg"]
@@ -328,7 +328,7 @@ def test_criterion_09_scenario_physics():
     assert ok
 
 
-def test_criterion_10_two_array_range_sweep():
+def test_criterion_10_two_array_range_sweep(tmp_path):
     """Range sweep for 3x8 vs 3x16 vertical arrays.
 
     Checks: (a) the matched-bound ratio between the arrays is constant in
@@ -344,7 +344,7 @@ def test_criterion_10_two_array_range_sweep():
     ratio, so an everywhere-within-1-dB reading would contradict clause
     (d); the agreement clause is therefore evaluated outside the windows."""
     cfg = load_preset("scenario")
-    result = run_scenario(cfg, "out/acceptance_scenario")
+    result = run_scenario(cfg, tmp_path)
     data = _read(result["csv"])
     r_d = data["r_d_m"]
     same = data["same_cell"].astype(bool)
@@ -392,7 +392,7 @@ def test_criterion_10_two_array_range_sweep():
     assert ok
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(tmp_path):
     """Re-running any Monte-Carlo experiment with the same config reproduces
     the CSV byte-for-byte, for any worker-pool size."""
     from mpcrb.experiments import run_montecarlo
@@ -400,22 +400,22 @@ def test_criterion_11_determinism():
     fig2 = load_preset("fig2")
     fig2["trials"] = 50
     fig2["sweep"] = {"snr_db": {"start": 0.0, "stop": 20.0, "step": 10.0}}
-    a = run_fig2(fig2, "out/acc11_a", workers=1)
-    b = run_fig2(fig2, "out/acc11_b", workers=4)
-    c = run_fig2(fig2, "out/acc11_c", workers=2)
+    a = run_fig2(fig2, tmp_path / "a", workers=1)
+    b = run_fig2(fig2, tmp_path / "b", workers=4)
+    c = run_fig2(fig2, tmp_path / "c", workers=2)
     fig2_ok = (a["csv"].read_bytes() == b["csv"].read_bytes()
                == c["csv"].read_bytes())
 
     mc = load_preset("montecarlo")
     mc["trials"] = 30
-    d = run_montecarlo(mc, "out/acc11_d", workers=1)
-    e = run_montecarlo(mc, "out/acc11_e", workers=3)
+    d = run_montecarlo(mc, tmp_path / "d", workers=1)
+    e = run_montecarlo(mc, tmp_path / "e", workers=3)
     mc_ok = d["csv"].read_bytes() == e["csv"].read_bytes()
 
     scen = load_preset("scenario")
     scen["range_grid_m"] = {"start": 30.0, "stop": 50.0, "step": 0.5}
-    f = run_scenario(scen, "out/acc11_f")
-    g = run_scenario(scen, "out/acc11_g")
+    f = run_scenario(scen, tmp_path / "f")
+    g = run_scenario(scen, tmp_path / "g")
     scen_ok = f["csv"].read_bytes() == g["csv"].read_bytes()
 
     ok = _report(11, "byte-identical reruns", fig2_ok and mc_ok and scen_ok,

@@ -9,7 +9,7 @@ from mpcrb import (ArrayGeometry, ConditioningError, DegenerateBoundError,
                    MultipathScene, SearchConfig, SingularInformationError,
                    XiVector, ZetaSet, cd_matrix, compressed_mean, crb_theta,
                    e_adot, fim, mcrb_sandwich, mcrb_theta_closed,
-                   scene_from_ratios, standard_virtual_ula, steering, theta_a,
+                   mcrb_theta_closed_many, scene_from_ratios, standard_virtual_ula, steering, theta_a,
                    theta_a_paper_form, zeta_set)
 
 GEOM = standard_virtual_ula(3, 4)
@@ -337,3 +337,94 @@ def test_sandwich_conditioning_error():
 def test_xi_vector_ordering():
     xi = XiVector(alpha_re=1.0, alpha_im=2.0, tau_d=3.0, omega_dd=4.0, theta=5.0)
     np.testing.assert_array_equal(xi.as_array(), [1, 2, 3, 4, 5])
+
+
+# ---------------------------------------------------------------------------
+# batched closed form
+
+def _mixed_scenes():
+    """Multipath-free, degenerate, coherent CRB/9, fig2 regression, plus a
+    spread of ordinary scenes, all on one geometry."""
+    rng = np.random.default_rng(2305)
+    scenes = [
+        MultipathScene(geom=GEOM, theta=0.07, psi=0.5, alpha_d=1.4 - 0.2j,
+                       alpha_i=0.0, sigma_w2=0.25),
+        scene_from_ratios(GEOM, 0.0, 0.0, 10.0, 0.0, 2.0 * math.pi / 3.0),
+        scene_from_ratios(GEOM, 0.0, 0.0, 10.0, 0.0, 0.0),
+        fig2_scene(),
+    ]
+    scenes += [scene_from_ratios(GEOM, float(rng.uniform(-0.4, 0.4)),
+                                 float(rng.uniform(-0.6, 0.6)),
+                                 float(rng.uniform(-5, 25)),
+                                 float(rng.uniform(-10, 20)),
+                                 float(rng.uniform(-math.pi, math.pi)),
+                                 int(rng.integers(1, 9)))
+               for _ in range(40)]
+    return scenes
+
+
+def _scalar_or_none(scene):
+    try:
+        return mcrb_theta_closed(scene)
+    except DegenerateBoundError:
+        return None
+
+
+def _assert_same_bounds(got, want):
+    """theta_A within the search tolerance, every other field within 1e-12."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is None:
+            continue
+        assert abs(g.theta_a - w.theta_a) <= SearchConfig().refine_tol
+        for field in ("crb_theta", "m_theta_theta", "b_theta_theta", "mcrb_theta"):
+            assert getattr(g, field) == pytest.approx(getattr(w, field), rel=1e-12)
+
+
+def test_closed_many_matches_scalar_calls():
+    scenes = _mixed_scenes()
+    got = mcrb_theta_closed_many(scenes)
+    want = [_scalar_or_none(sc) for sc in scenes]
+    assert got[1] is None and want[1] is None          # the degenerate scene
+    assert sum(bb is None for bb in got) == sum(bb is None for bb in want)
+    _assert_same_bounds(got, want)
+    free = got[0]
+    assert free.mcrb_theta == free.crb_theta and free.theta_a == scenes[0].theta
+    coh = got[2]
+    assert coh.m_theta_theta == pytest.approx(coh.crb_theta / 9.0, rel=1e-10)
+    assert got[3].theta_a == pytest.approx(2.9079547702e-3, abs=1e-7)
+
+
+def test_closed_many_order_and_split_invariant():
+    scenes = _mixed_scenes()
+    whole = mcrb_theta_closed_many(scenes)
+    reverse = mcrb_theta_closed_many(scenes[::-1])[::-1]
+    cut = 17
+    split = (mcrb_theta_closed_many(scenes[:cut])
+             + mcrb_theta_closed_many(scenes[cut:]))
+    _assert_same_bounds(reverse, whole)
+    _assert_same_bounds(split, whole)
+
+
+def test_closed_many_out_of_span_theta_raises():
+    outside = scene_from_ratios(GEOM, 1.2, 1.1, 10.0, 3.0, 0.5)   # span is +-60 deg
+    with pytest.raises(ValueError, match="span"):
+        mcrb_theta_closed(outside)
+    with pytest.raises(ValueError, match="span"):
+        mcrb_theta_closed_many(_mixed_scenes() + [outside])
+
+
+def test_closed_many_rejects_mixed_geometries_and_takes_empty():
+    other = scene_from_ratios(standard_virtual_ula(3, 8), 0.0, 0.1, 10.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="geometry"):
+        mcrb_theta_closed_many([fig2_scene(), other])
+    assert mcrb_theta_closed_many([]) == []
+
+
+def test_closed_many_blocks_past_one_argmax_block():
+    # more statistics than one argmax block: the block seam changes nothing
+    base = _mixed_scenes()[3:]
+    scenes = (base * (600 // len(base) + 1))[:600]
+    got = mcrb_theta_closed_many(scenes)
+    _assert_same_bounds(got[len(base) * 12:len(base) * 13], got[:len(base)])

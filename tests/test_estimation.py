@@ -7,7 +7,8 @@ from mpcrb import (EstimatorConfig, crb_theta, compressed_mean,
                    mcrb_theta_closed, ml_reference_doa, mml_doa,
                    monte_carlo_rmse, multipath_free, scene_from_ratios,
                    standard_virtual_ula, synthesize_compressed, theta_a)
-from mpcrb.estimation import _scene_errors, _resolve_cfg
+from mpcrb.bounds import _argmax_projection
+from mpcrb.estimation import _TRIAL_CHUNK, _scene_errors, _resolve_cfg
 
 GEOM = standard_virtual_ula(3, 4)
 
@@ -122,3 +123,55 @@ def test_sweep_values_length_checked():
         monte_carlo_rmse([fig2_scene()], None, 2, 1, sweep_values=[1, 2])
     with pytest.raises(ValueError):
         monte_carlo_rmse([fig2_scene()], None, 0, 1)
+
+
+def _legacy_mml_doa_batch(y_batch, geom, cfg):
+    """The estimator's own vectorized search before it moved into the shared
+    bounds kernel, kept verbatim as a bit-for-bit oracle."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    cfg = _resolve_cfg(geom, cfg)
+    lo, hi = cfg.span
+    n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
+    angles = np.linspace(lo, hi, n)
+    s = np.sin(angles)
+    a_r_grid = np.exp(2j * np.pi * np.outer(geom.rx_positions, s)) / np.sqrt(geom.m_r)
+    a_t_grid = np.exp(2j * np.pi * np.outer(geom.tx_positions, s)) / np.sqrt(geom.m_t)
+
+    def objective(ang):
+        s = np.sin(ang)
+        a_r = np.exp(2j * np.pi * np.outer(s, geom.rx_positions)) / math.sqrt(geom.m_r)
+        a_t = np.exp(2j * np.pi * np.outer(s, geom.tx_positions)) / math.sqrt(geom.m_t)
+        return np.abs(np.einsum("tm,tmn,tn->t", a_r.conj(), y_batch, a_t.conj())) ** 2
+
+    vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y_batch,
+                            a_t_grid.conj())) ** 2
+    best = np.argmax(vals, axis=1)
+    step = angles[1] - angles[0]
+    a = np.maximum(lo, angles[best] - step)
+    b = np.minimum(hi, angles[best] + step)
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = objective(c), objective(d)
+    iters = int(math.ceil(math.log(cfg.refine_tol / (2.0 * step)) / math.log(golden)))
+    for _ in range(max(iters, 0)):
+        keep_left = fc >= fd
+        b = np.where(keep_left, d, b)
+        a = np.where(keep_left, a, c)
+        c = b - golden * (b - a)
+        d = a + golden * (b - a)
+        fc, fd = objective(c), objective(d)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
+def test_kernel_mml_path_bit_for_bit(snr_db):
+    sc = fig2_scene(snr_db)
+    rng = np.random.default_rng(2305)
+    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
+    shape = (_TRIAL_CHUNK, GEOM.m_r, GEOM.m_t)
+    y = compressed_mean(sc) + scale * (rng.standard_normal(shape)
+                                       + 1j * rng.standard_normal(shape))
+    cfg = _resolve_cfg(GEOM, None)
+    want = _legacy_mml_doa_batch(y, GEOM, cfg)
+    assert np.array_equal(_argmax_projection(y, GEOM, cfg), want)
+    assert mml_doa(y[7], GEOM) == _legacy_mml_doa_batch(y[7:8], GEOM, cfg)[0]

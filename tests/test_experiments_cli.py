@@ -11,6 +11,7 @@ from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
                                run_selftest)
 import mpcrb
+import mpcrb.experiments as ex
 
 
 def read_csv(path):
@@ -218,3 +219,74 @@ def test_svg_deterministic(tmp_path):
     b = run_fig2(cfg, tmp_path / "b", svg=True)
     assert (tmp_path / "a" / "fig2.svg").read_bytes() == \
         (tmp_path / "b" / "fig2.svg").read_bytes()
+
+
+def test_sweep_axis_cap_by_size_arithmetic():
+    # a billion-point axis is refused from its size alone, before any list
+    # is built; the message names the field path
+    cfg = {"sweep": {"snr_db": {"start": 0.0, "stop": 1.0, "step": 1e-9}}}
+    with pytest.raises(ConfigError, match=r"sweep\.snr_db: .*cap"):
+        ex._grid(cfg, "sweep.snr_db")
+    cfg["sweep"]["snr_db"] = {"start": -1e308, "stop": 1e308, "step": 1e-300}
+    with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
+        ex._grid(cfg, "sweep.snr_db")
+    top = ex.MAX_AXIS_POINTS - 1
+    cfg["sweep"]["snr_db"] = {"start": 0.0, "stop": float(top), "step": 1.0}
+    assert ex._axis(cfg, "sweep.snr_db")[2] == ex.MAX_AXIS_POINTS
+    cfg["sweep"]["snr_db"]["stop"] = float(top + 1)
+    with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
+        ex._axis(cfg, "sweep.snr_db")
+    fig3 = load_preset("fig3")
+    fig3["sweep"]["delta_theta_deg"]["step"] = 1e-6
+    with pytest.raises(ConfigError, match=r"sweep\.delta_theta_deg"):
+        ex.run_fig3(fig3, "unused")
+
+
+def test_sweep_product_cap_and_presets_fit():
+    cfg = load_preset("fig5")
+    per_axis = math.isqrt(ex.MAX_SWEEP_POINTS) + 1    # each axis under its cap
+    cfg["grid"]["delta_phi_rad"]["step"] = 2 * math.pi / (per_axis - 1)
+    cfg["grid"]["delta_theta_deg"]["step"] = 40.0 / (per_axis - 1)
+    with pytest.raises(ConfigError, match=r"grid\.delta_phi_rad x grid\.delta_theta_deg"):
+        run_fig5(cfg, "unused")
+    axes = {"beampattern": ["grid_deg"], "fig2": ["sweep.snr_db"],
+            "fig3": ["sweep.delta_theta_deg", "beampattern_grid_deg"],
+            "fig4": ["sweep.smr_db"], "montecarlo": ["sweep.snr_db"],
+            "scenario": ["range_grid_m"]}
+    for name, paths in axes.items():
+        for path in paths:
+            ex._grid(load_preset(name), path)
+    ex._grids(load_preset("fig5"), "grid.delta_phi_rad", "grid.delta_theta_deg")
+
+
+def test_manifests_count_bound_and_degenerate_points(tmp_path):
+    cfg = load_preset("fig4")
+    cfg["scene"]["delta_theta_deg"] = 0.0
+    cfg["sweep"] = {"smr_db": {"start": -1.0, "stop": 1.0, "step": 1.0}}
+    result = run_fig4(cfg, tmp_path / "fig4")
+    manifest = json.loads(result["manifest"].read_text())
+    # 3 SMRs x 2 phases; only SMR 0 dB at dphi = 2pi/3 cancels exactly
+    assert manifest["bound_points"] == 6
+    assert manifest["degenerate_points"] == 1
+    again = run_fig4(cfg, tmp_path / "again")
+    assert result["manifest"].read_bytes() == again["manifest"].read_bytes()
+
+    fig5 = load_preset("fig5")
+    fig5["grid"] = {
+        "delta_phi_rad": {"start": 0.0, "stop": 2.0 * math.pi / 3.0,
+                          "step": math.pi / 3.0},
+        "delta_theta_deg": {"start": 0.0, "stop": 1.0, "step": 1.0},
+    }
+    fig5["scene"]["smr_db"] = 0.0
+    manifest = json.loads(run_fig5(fig5, tmp_path / "fig5")["manifest"].read_text())
+    assert (manifest["bound_points"], manifest["degenerate_points"]) == (6, 1)
+
+    scen = load_preset("scenario")
+    scen["range_grid_m"] = {"start": 2.0, "stop": 60.0, "step": 2.0}
+    result = ex.run_scenario(scen, tmp_path / "scenario")
+    manifest = json.loads(result["manifest"].read_text())
+    _, rows = read_csv(result["csv"])
+    out_of_cell = 2 * sum(row[4] == "false" for row in rows)
+    assert manifest["out_of_cell_points"] == out_of_cell > 0
+    assert manifest["bound_points"] == 2 * len(rows) - out_of_cell
+    assert manifest["degenerate_points"] == 0

@@ -129,3 +129,19 @@ def test_scenario_validation():
         asphalt([5.0], eps_r=0.5)
     with pytest.raises(ValueError):
         asphalt([5.0], h_r=-1.0)
+
+
+def test_range_sweep_batch_matches_range_point():
+    scn = asphalt(np.arange(8.0, 100.01, 4.0))
+    geom = standard_virtual_ula(3, 16)
+    swept = range_sweep(scn, geoms={"g": geom})["g"]
+    assert any(p.same_cell for p in swept) and not all(p.same_cell for p in swept)
+    for p in swept:
+        q = range_point(scn, p.r_d, geom=geom)
+        assert (p.same_cell, p.degenerate, p.bound is None) == \
+            (q.same_cell, q.degenerate, q.bound is None)
+        assert p.scene == q.scene
+        if p.bound is not None:
+            assert abs(p.bound.theta_a - q.bound.theta_a) <= 1e-7
+            assert p.bound.m_theta_theta == pytest.approx(q.bound.m_theta_theta,
+                                                          rel=1e-12)
