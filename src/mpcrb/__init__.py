@@ -5,12 +5,11 @@ from .arrays import (ArrayGeometry, SteeringSet, beampattern, e_adot,
                      virtual_hpbw, virtual_positions)
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
-                     SingularInformationError, XiVector, ZetaSet, cd_matrix,
-                     crb_theta, fim, mcrb_sandwich, mcrb_theta_closed,
+                     SingularInformationError, ZetaSet, cd_matrix, crb_theta,
+                     fim, mcrb_sandwich, mcrb_theta_closed,
                      mcrb_theta_closed_many, theta_a, theta_a_paper_form,
                      zeta_set)
-from .estimation import (EstimatorConfig, RmseCurve, RmsePoint,
-                         ml_reference_doa, mml_doa, monte_carlo_rmse)
+from .estimation import RmseCurve, mml_doa, monte_carlo_rmse
 from .ground import (GroundScenario, RangePoint, indirect_geometry,
                      range_point, range_sweep, reflection_coefficient)
 from .scene import (MultipathScene, PathGeometryInputs, compressed_mean,

@@ -10,7 +10,7 @@ conventional FIM/CRB for the matched (multipath-free) model lives here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,21 +49,6 @@ class ConditioningError(BoundsError):
 
 
 @dataclass(frozen=True)
-class XiVector:
-    """Unknown-parameter vector; field order is the fixed row/column order."""
-
-    alpha_re: float
-    alpha_im: float
-    tau_d: float
-    omega_dd: float
-    theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha_re, self.alpha_im, self.tau_d,
-                         self.omega_dd, self.theta])
-
-
-@dataclass(frozen=True)
 class ZetaSet:
     """Reduced curvature-matrix entries.
 
@@ -97,7 +82,8 @@ class BoundBreakdown:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-then-golden-section argmax settings for the pseudo-true angle."""
+    """Grid-then-golden-section argmax settings, shared by the pseudo-true
+    angle and the MML estimator."""
 
     span: tuple[float, float] = (-math.pi / 3, math.pi / 3)
     coarse_step: float | None = None   # None: virtual-array beamwidth / 20
@@ -107,8 +93,9 @@ class SearchConfig:
         lo, hi = self.span
         if not (-math.pi / 2 < lo < hi < math.pi / 2):
             raise ValueError("span must be an interval inside (-pi/2, pi/2)")
-        if self.coarse_step is not None and self.coarse_step <= 0.0:
-            raise ValueError("coarse_step must be positive")
+        if self.coarse_step is not None:
+            if self.coarse_step <= 0.0 or self.refine_tol >= self.coarse_step:
+                raise ValueError("require coarse_step > refine_tol > 0")
         if self.refine_tol <= 0.0:
             raise ValueError("refine_tol must be positive")
 
@@ -206,9 +193,7 @@ def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchC
     if search is None:
         search = SearchConfig()
     if search.coarse_step is None:
-        step = virtual_hpbw(geom) / 20.0
-        search = SearchConfig(span=search.span, coarse_step=step,
-                              refine_tol=search.refine_tol)
+        search = replace(search, coarse_step=virtual_hpbw(geom) / 20.0)
     return search
 
 
@@ -266,19 +251,25 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
     return out
 
 
+def _pseudo_true_angles(y: np.ndarray, geom: ArrayGeometry, theta: np.ndarray,
+                        search: SearchConfig | None) -> np.ndarray:
+    """Argmax of the direct-only projection of each mean in ``y``, coarse
+    ties toward the true ``theta`` of its row, which the span must contain."""
+    search = _resolve_search(geom, search)
+    lo, hi = search.span
+    if not np.all((lo <= theta) & (theta <= hi)):
+        raise ValueError("search span must contain the true theta")
+    return _argmax_projection(y, geom, search, prefer=theta)
+
+
 def _pseudo_true(scene: MultipathScene, w_d: complex, w_i: complex,
                  search: SearchConfig | None) -> float:
-    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i, ties
-    toward the true theta."""
-    search = _resolve_search(scene.geom, search)
-    lo, hi = search.span
-    if not (lo <= scene.theta <= hi):
-        raise ValueError("search span must contain the true theta")
+    """Pseudo-true angle of w_d*A_d + w_i*A_i for one scene."""
     A_d, A_i, _, _ = mimo_matrices(steering(scene.geom, scene.theta),
                                    steering(scene.geom, scene.psi))
     y = (w_d * A_d + w_i * A_i)[None]
-    return float(_argmax_projection(y, scene.geom, search,
-                                    np.array([scene.theta]))[0])
+    return float(_pseudo_true_angles(y, scene.geom, np.array([scene.theta]),
+                                     search)[0])
 
 
 def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
@@ -346,12 +337,8 @@ def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None,
     th_a = theta.copy()
     rows = np.flatnonzero(~free & ~degenerate)
     if rows.size:
-        search = _resolve_search(geom, search)
-        lo, hi = search.span
-        if not np.all((lo <= theta[rows]) & (theta[rows] <= hi)):
-            raise ValueError("search span must contain the true theta")
         y = (ad[rows, None, None] * A_d[rows] + ai[rows, None, None] * A_i[rows])
-        th_a[rows] = _argmax_projection(y, geom, search, prefer=theta[rows])
+        th_a[rows] = _pseudo_true_angles(y, geom, theta[rows], search)
     b = (theta - th_a) ** 2
     out = [None if deg else BoundBreakdown(crb_theta=c, m_theta_theta=m_i,
                                            theta_a=t_a, b_theta_theta=b_i,

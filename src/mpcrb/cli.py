@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override base seed")
         p.add_argument("--svg", action="store_true", help="also write SVG plots")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker pool size for sweep points")
+                       help="accepted for compatibility and ignored: "
+                            "runs are single-threaded")
     p = sub.add_parser("selftest", help="run the analytic invariant checks")
     p.add_argument("--inject-fault", choices=["dda"],
                    help="perturb the steering curvature to prove the check trips")

@@ -4,7 +4,8 @@ Each runner takes a JSON-style config dict, writes CSV (canonical output,
 RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
 versions, and optionally a standalone SVG.  Angles are degrees in all
 human-facing columns and radians internally; degenerate bound points are
-emitted as empty cells.
+emitted as empty cells.  Every runner accepts a ``workers`` keyword for
+interface compatibility and ignores it: all work runs in one thread.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (ConditioningError, DegenerateBoundError, SearchConfig,
-                     cd_matrix, crb_theta, mcrb_sandwich, mcrb_theta_closed,
-                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
-                     zeta_set)
-from .estimation import EstimatorConfig, monte_carlo_rmse
+from .bounds import (BoundBreakdown, ConditioningError, DegenerateBoundError,
+                     SearchConfig, cd_matrix, crb_theta, mcrb_sandwich,
+                     mcrb_theta_closed, mcrb_theta_closed_many, theta_a,
+                     theta_a_paper_form, zeta_set)
+from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import GroundScenario, range_sweep, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
                     synthesize_compressed)
@@ -50,7 +51,10 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
 
 
 def _get_num(cfg: dict, path: str, default=_REQUIRED, positive=False) -> float:
-    val = _get(cfg, path, default)
+    return _num(_get(cfg, path, default), path, positive)
+
+
+def _num(val, path: str, positive=False) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     if positive and val <= 0:
@@ -121,29 +125,15 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
     raise ConfigError(f"{path}: give m_t/m_r or explicit positions")
 
 
-def estimator_from_config(cfg: dict, path: str = "estimator") -> EstimatorConfig:
+def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
+    """Search settings at ``path``; ``refine_tol`` is the default tolerance."""
     node = _get(cfg, path, default={})
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
     span_deg = _get_num(cfg, f"{path}.span_deg", default=60.0, positive=True)
     step_deg = _get_num(cfg, f"{path}.coarse_step_deg", default=0.0)
-    tol = _get_num(cfg, f"{path}.refine_tol_rad", default=1e-6, positive=True)
-    try:
-        return EstimatorConfig(
-            span=(-math.radians(span_deg), math.radians(span_deg)),
-            coarse_step=math.radians(step_deg) if step_deg > 0 else None,
-            refine_tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
-    node = _get(cfg, path, default={})
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object")
-    span_deg = _get_num(cfg, f"{path}.span_deg", default=60.0, positive=True)
-    step_deg = _get_num(cfg, f"{path}.coarse_step_deg", default=0.0)
-    tol = _get_num(cfg, f"{path}.refine_tol_rad", default=1e-7, positive=True)
+    tol = _get_num(cfg, f"{path}.refine_tol_rad", default=refine_tol,
+                   positive=True)
     try:
         return SearchConfig(
             span=(-math.radians(span_deg), math.radians(span_deg)),
@@ -151,6 +141,14 @@ def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
             refine_tol=tol)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def estimator_from_config(cfg: dict, path: str = "estimator") -> SearchConfig:
+    return _search_config(cfg, path, MML_SEARCH.refine_tol)
+
+
+def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
+    return _search_config(cfg, path, SearchConfig().refine_tol)
 
 
 def scene_from_config(cfg: dict, geom: ArrayGeometry, path: str = "scene",
@@ -232,26 +230,76 @@ def _write_manifest(out_dir: Path, name: str, config: dict,
     return path
 
 
-def _prepare(out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _rdeg(x) -> float:
-    return math.degrees(x)
-
-
-def _root_deg(var_rad2: float | None) -> float | None:
-    if var_rad2 is None:
-        return None
+def _root_deg(var_rad2: float) -> float:
     return math.degrees(math.sqrt(var_rad2))
+
+
+def _root_bounds(bb: BoundBreakdown | None) -> list:
+    """RCRB and RMCRB in degrees; empty cells for a degenerate point."""
+    if bb is None:
+        return [None, None]
+    return [_root_deg(bb.crb_theta), _root_deg(bb.mcrb_theta)]
+
+
+def _ratio(bb: BoundBreakdown | None) -> float | None:
+    return math.sqrt(bb.mcrb_theta / bb.crb_theta) if bb is not None else None
 
 
 def _bound_counts(bounds: list) -> dict:
     """Manifest counts of closed-form evaluations and degenerate (None) ones."""
     return {"bound_points": len(bounds),
             "degenerate_points": sum(bb is None for bb in bounds)}
+
+
+def _psi(theta: float, delta_theta_deg: float, path: str) -> float:
+    """Indirect-path angle theta - delta_theta, kept inside (-90, 90) deg."""
+    psi = theta - math.radians(delta_theta_deg)
+    if abs(psi) >= math.pi / 2:
+        raise ConfigError(f"{path}: psi leaves (-90, 90) deg")
+    return psi
+
+
+_BEAMPATTERN_HEADER = ["phi_deg", "tx_gain_db", "rx_gain_db"]
+
+
+def _beampattern_rows(geom: ArrayGeometry, steer: float,
+                      grid_deg: list[float]) -> list[list]:
+    tx_db, rx_db = beampattern(geom, steer, np.radians(grid_deg))
+    return [[p, t, r] for p, t, r in zip(grid_deg, tx_db, rx_db)]
+
+
+def _lines(rows: list[list], series: list[tuple[str, int]], xlabel: str,
+           ylabel: str, title: str, ylog: bool = True):
+    """SVG writer plotting each (label, column) of ``series`` against column 0."""
+    def plot(path):
+        xs = [row[0] for row in rows]
+        svgplot.line_plot(path, [(label, xs, [row[col] for row in rows])
+                                 for label, col in series],
+                          xlabel, ylabel, title, ylog=ylog)
+    return plot
+
+
+def _write_outputs(name: str, config: dict, out_dir, svg: bool,
+                   header: list[str], rows: list[list], plot=None,
+                   extra: dict | None = None,
+                   beampattern_rows: list[list] | None = None) -> dict:
+    """Write ``<name>.csv``, ``<name>_beampattern.csv`` when its rows are
+    given, ``<name>.svg`` through ``plot`` when ``svg`` is set, and the
+    manifest over all of them.  Returns the runner's result paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result = {"csv": out / f"{name}.csv"}
+    _write_csv(result["csv"], header, rows)
+    if beampattern_rows is not None:
+        result["beampattern_csv"] = out / f"{name}_beampattern.csv"
+        _write_csv(result["beampattern_csv"], _BEAMPATTERN_HEADER,
+                   beampattern_rows)
+    outputs = list(result.values())
+    if svg and plot is not None:
+        outputs.append(out / f"{name}.svg")
+        plot(outputs[-1])
+    result["manifest"] = _write_manifest(out, name, config, outputs, extra)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -267,37 +315,18 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     snrs = _grid(config, "sweep.snr_db")
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
     bounds = mcrb_theta_closed_many(scenes, search)
-    mml = monte_carlo_rmse(scenes, est, trials, seed, sweep_name="snr_db",
-                           sweep_values=snrs, workers=workers)
+    mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
-                          seed + 1, sweep_name="snr_db", sweep_values=snrs,
-                          workers=workers)
-    rows = []
-    for i, s in enumerate(snrs):
-        bb = bounds[i]
-        rows.append([s,
-                     _root_deg(bb.crb_theta) if bb else None,
-                     _root_deg(bb.mcrb_theta) if bb else None,
-                     _rdeg(mml.rmse_rad[i]),
-                     _rdeg(ml.rmse_rad[i])])
-    out = _prepare(out_dir)
-    csv_path = out / "fig2.csv"
-    _write_csv(csv_path, ["snr_db", "rcrb_deg", "rmcrb_deg", "rmse_mml_deg",
-                          "rmse_ml_deg"], rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "fig2.svg"
-        svgplot.line_plot(
-            svg_path,
-            [("RCRB", snrs, [r[1] for r in rows]),
-             ("RMCRB", snrs, [r[2] for r in rows]),
-             ("RMSE MML", snrs, [r[3] for r in rows]),
-             ("RMSE ML", snrs, [r[4] for r in rows])],
-            "SNR [dB]", "root bound / RMSE [deg]", "DOA RMSE vs SNR", ylog=True)
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig2", config, outputs,
-                               _bound_counts(bounds))
-    return {"csv": csv_path, "manifest": manifest}
+                          seed + 1)
+    rows = [[s, *_root_bounds(bb), math.degrees(e_mml), math.degrees(e_ml)]
+            for s, bb, e_mml, e_ml in zip(snrs, bounds, mml.rmse_rad,
+                                          ml.rmse_rad)]
+    plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2), ("RMSE MML", 3),
+                         ("RMSE ML", 4)],
+                  "SNR [dB]", "root bound / RMSE [deg]", "DOA RMSE vs SNR")
+    return _write_outputs("fig2", config, out_dir, svg,
+                          ["snr_db", "rcrb_deg", "rmcrb_deg", "rmse_mml_deg",
+                           "rmse_ml_deg"], rows, plot, _bound_counts(bounds))
 
 
 def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -307,39 +336,18 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
-    scenes = []
-    for dth in dthetas:
-        psi = theta - math.radians(dth)
-        if abs(psi) >= math.pi / 2:
-            raise ConfigError("sweep.delta_theta_deg: psi leaves (-90, 90) deg")
-        scenes.append(scene_from_config(config, geom, psi_rad=psi))
+    scenes = [scene_from_config(
+                  config, geom,
+                  psi_rad=_psi(theta, dth, "sweep.delta_theta_deg"))
+              for dth in dthetas]
     bounds = mcrb_theta_closed_many(scenes, search)
-    rows = [[dth,
-             _root_deg(bb.crb_theta) if bb else None,
-             _root_deg(bb.mcrb_theta) if bb else None]
-            for dth, bb in zip(dthetas, bounds)]
-    out = _prepare(out_dir)
-    csv_path = out / "fig3.csv"
-    _write_csv(csv_path, ["delta_theta_deg", "rcrb_deg", "rmcrb_deg"], rows)
-
-    bp_grid = np.radians(bp_grid_deg)
-    tx_db, rx_db = beampattern(geom, theta, bp_grid)
-    bp_path = out / "fig3_beampattern.csv"
-    _write_csv(bp_path, ["phi_deg", "tx_gain_db", "rx_gain_db"],
-               [[p, t, r] for p, t, r in zip(bp_grid_deg, tx_db, rx_db)])
-    outputs = [csv_path, bp_path]
-    if svg:
-        svg_path = out / "fig3.svg"
-        svgplot.line_plot(
-            svg_path,
-            [("RCRB", dthetas, [r[1] for r in rows]),
-             ("RMCRB", dthetas, [r[2] for r in rows])],
-            "delta theta [deg]", "root bound [deg]",
-            "Bounds vs DOA separation", ylog=True)
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig3", config, outputs,
-                               _bound_counts(bounds))
-    return {"csv": csv_path, "beampattern_csv": bp_path, "manifest": manifest}
+    rows = [[dth, *_root_bounds(bb)] for dth, bb in zip(dthetas, bounds)]
+    plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2)], "delta theta [deg]",
+                  "root bound [deg]", "Bounds vs DOA separation")
+    return _write_outputs("fig3", config, out_dir, svg,
+                          ["delta_theta_deg", "rcrb_deg", "rmcrb_deg"], rows,
+                          plot, _bound_counts(bounds),
+                          _beampattern_rows(geom, theta, bp_grid_deg))
 
 
 def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -349,12 +357,12 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     psi = theta - math.radians(_get_num(config, "scene.delta_theta_deg"))
     phases = _get(config, "delta_phis_rad", default=[0.0, 2.0 * math.pi / 3.0])
-    if (not isinstance(phases, list) or len(phases) != 2
-            or not all(isinstance(p, (int, float)) for p in phases)):
+    if not isinstance(phases, list) or len(phases) != 2:
         raise ConfigError("delta_phis_rad: expected a list of two numbers")
+    phases = [_num(p, f"delta_phis_rad[{k}]") for k, p in enumerate(phases)]
     smrs = _grid(config, "sweep.smr_db")
     bounds = mcrb_theta_closed_many(
-        [scene_from_config(config, geom, smr_db=s, dphi=float(dphi), psi_rad=psi)
+        [scene_from_config(config, geom, smr_db=s, dphi=dphi, psi_rad=psi)
          for s in smrs for dphi in phases], search)
     rows = []
     for i, s in enumerate(smrs):
@@ -369,24 +377,12 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
                 config, geom, smr_db=s, dphi=0.0, psi_rad=psi)))
         cells.append(rcrb)
         rows.append(cells)
-    out = _prepare(out_dir)
-    csv_path = out / "fig4.csv"
-    _write_csv(csv_path,
-               ["smr_db", "rmcrb_dphi_0_deg", "rmcrb_dphi_2pi3_deg", "rcrb_deg"],
-               rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "fig4.svg"
-        svgplot.line_plot(
-            svg_path,
-            [("RMCRB constructive", smrs, [r[1] for r in rows]),
-             ("RMCRB destructive", smrs, [r[2] for r in rows]),
-             ("RCRB", smrs, [r[3] for r in rows])],
-            "SMR [dB]", "root bound [deg]", "Bounds vs SMR", ylog=True)
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig4", config, outputs,
-                               _bound_counts(bounds))
-    return {"csv": csv_path, "manifest": manifest}
+    plot = _lines(rows, [("RMCRB constructive", 1), ("RMCRB destructive", 2),
+                         ("RCRB", 3)],
+                  "SMR [dB]", "root bound [deg]", "Bounds vs SMR")
+    return _write_outputs("fig4", config, out_dir, svg,
+                          ["smr_db", "rmcrb_dphi_0_deg", "rmcrb_dphi_2pi3_deg",
+                           "rcrb_deg"], rows, plot, _bound_counts(bounds))
 
 
 def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -395,34 +391,25 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     search = search_from_config(config)
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
-    scenes = []
-    for dth in dthetas:
-        psi = theta - math.radians(dth)
-        if abs(psi) >= math.pi / 2:
-            raise ConfigError("grid.delta_theta_deg: psi leaves (-90, 90) deg")
-        scenes += [scene_from_config(config, geom, dphi=dphi, psi_rad=psi)
-                   for dphi in dphis]
-    bounds = mcrb_theta_closed_many(scenes, search)
-    ratios = [math.sqrt(bb.mcrb_theta / bb.crb_theta) if bb is not None else None
-              for bb in bounds]
+    psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
+    bounds = mcrb_theta_closed_many(
+        [scene_from_config(config, geom, dphi=dphi, psi_rad=psi)
+         for psi in psis for dphi in dphis], search)
+    ratios = [_ratio(bb) for bb in bounds]
     rows = [[dphi, dth, ratios[i * len(dphis) + j]]
             for i, dth in enumerate(dthetas) for j, dphi in enumerate(dphis)]
     z_rows = [ratios[i * len(dphis):(i + 1) * len(dphis)]
               for i in range(len(dthetas))]
-    out = _prepare(out_dir)
-    csv_path = out / "fig5.csv"
-    _write_csv(csv_path, ["delta_phi_rad", "delta_theta_deg", "rmcrb_over_rcrb"],
-               rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "fig5.svg"
-        svgplot.heatmap(svg_path, dphis, dthetas, z_rows,
-                        "delta phi [rad]", "delta theta [deg]",
-                        "RMCRB / RCRB (contour at 1)", contour_level=1.0)
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "fig5", config, outputs,
-                               _bound_counts(bounds))
-    return {"csv": csv_path, "manifest": manifest}
+
+    def plot(path):
+        svgplot.heatmap(path, dphis, dthetas, z_rows, "delta phi [rad]",
+                        "delta theta [deg]", "RMCRB / RCRB (contour at 1)",
+                        contour_level=1.0)
+
+    return _write_outputs("fig5", config, out_dir, svg,
+                          ["delta_phi_rad", "delta_theta_deg",
+                           "rmcrb_over_rcrb"], rows, plot,
+                          _bound_counts(bounds))
 
 
 def scenario_from_config(config: dict) -> GroundScenario:
@@ -467,41 +454,27 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     for name in names:
         header += [f"rcrb_deg_{name}", f"rmcrb_deg_{name}", f"ratio_{name}"]
     rows = []
-    base = sweeps[names[0]]
-    for i, pt in enumerate(base):
-        row = [pt.r_d, _rdeg(pt.psi),
+    for i, pt in enumerate(sweeps[names[0]]):
+        row = [pt.r_d, math.degrees(pt.psi),
                pt.smr_db if math.isfinite(pt.smr_db) else None,
                pt.delta_phi, pt.same_cell]
         for name in names:
             p = sweeps[name][i]
             if p.bound is not None:
-                row += [_root_deg(p.bound.crb_theta),
-                        _root_deg(p.bound.mcrb_theta),
-                        math.sqrt(p.bound.mcrb_theta / p.bound.crb_theta)]
+                row += [*_root_bounds(p.bound), _ratio(p.bound)]
             else:
                 row += [_root_deg(crb_theta(p.scene)), None, None]
         rows.append(row)
-    out = _prepare(out_dir)
-    csv_path = out / "scenario.csv"
-    _write_csv(csv_path, header, rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "scenario.svg"
-        series = []
-        ranges = [pt.r_d for pt in base]
-        for k, name in enumerate(names):
-            series.append((f"RMCRB {name}", ranges,
-                           [row[5 + 3 * k + 1] for row in rows]))
-            series.append((f"RCRB {name}", ranges,
-                           [row[5 + 3 * k] for row in rows]))
-        svgplot.line_plot(svg_path, series, "range [m]", "root bound [deg]",
-                          "Ground multipath vs range", ylog=True)
-        outputs.append(svg_path)
+    series = [(f"{kind} {name}", 5 + 3 * k + offset)
+              for k, name in enumerate(names)
+              for kind, offset in (("RMCRB", 1), ("RCRB", 0))]
+    plot = _lines(rows, series, "range [m]", "root bound [deg]",
+                  "Ground multipath vs range")
     points = [p for name in names for p in sweeps[name]]
     counts = _bound_counts([p.bound for p in points if p.same_cell])
     counts["out_of_cell_points"] = sum(not p.same_cell for p in points)
-    manifest = _write_manifest(out, "scenario", config, outputs, counts)
-    return {"csv": csv_path, "manifest": manifest}
+    return _write_outputs("scenario", config, out_dir, svg, header, rows, plot,
+                          counts)
 
 
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
@@ -513,43 +486,25 @@ def run_montecarlo(config: dict, out_dir, svg: bool = False,
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
-    curve = monte_carlo_rmse(scenes, est, trials, seed, sweep_name="snr_db",
-                             sweep_values=snrs, workers=workers)
-    rows = [[s, _rdeg(curve.rmse_rad[i]), _rdeg(curve.bias_rad[i])]
-            for i, s in enumerate(snrs)]
-    out = _prepare(out_dir)
-    csv_path = out / "montecarlo.csv"
-    _write_csv(csv_path, ["snr_db", "rmse_mml_deg", "bias_mml_deg"], rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "montecarlo.svg"
-        svgplot.line_plot(svg_path, [("RMSE MML", snrs, [r[1] for r in rows])],
-                          "SNR [dB]", "RMSE [deg]", "Monte-Carlo RMSE", ylog=True)
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "montecarlo", config, outputs)
-    return {"csv": csv_path, "manifest": manifest}
+    curve = monte_carlo_rmse(scenes, est, trials, seed)
+    rows = [[s, math.degrees(rmse), math.degrees(bias)]
+            for s, rmse, bias in zip(snrs, curve.rmse_rad, curve.bias_rad)]
+    plot = _lines(rows, [("RMSE MML", 1)], "SNR [dB]", "RMSE [deg]",
+                  "Monte-Carlo RMSE")
+    return _write_outputs("montecarlo", config, out_dir, svg,
+                          ["snr_db", "rmse_mml_deg", "bias_mml_deg"], rows,
+                          plot)
 
 
 def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
     geom = geometry_from_config(config)
     steer = math.radians(_get_num(config, "steer_deg", default=0.0))
-    grid_deg = _grid(config, "grid_deg")
-    tx_db, rx_db = beampattern(geom, steer, np.radians(grid_deg))
-    rows = [[p, t, r] for p, t, r in zip(grid_deg, tx_db, rx_db)]
-    out = _prepare(out_dir)
-    csv_path = out / "beampattern.csv"
-    _write_csv(csv_path, ["phi_deg", "tx_gain_db", "rx_gain_db"], rows)
-    outputs = [csv_path]
-    if svg:
-        svg_path = out / "beampattern.svg"
-        svgplot.line_plot(svg_path,
-                          [("tx", grid_deg, tx_db.tolist()),
-                           ("rx", grid_deg, rx_db.tolist())],
-                          "phi [deg]", "gain [dB]", "Beampatterns")
-        outputs.append(svg_path)
-    manifest = _write_manifest(out, "beampattern", config, outputs)
-    return {"csv": csv_path, "manifest": manifest}
+    rows = _beampattern_rows(geom, steer, _grid(config, "grid_deg"))
+    plot = _lines(rows, [("tx", 1), ("rx", 2)], "phi [deg]", "gain [dB]",
+                  "Beampatterns", ylog=False)
+    return _write_outputs("beampattern", config, out_dir, svg,
+                          _BEAMPATTERN_HEADER, rows, plot)
 
 
 def run_bounds(config: dict, out_dir, svg: bool = False,
@@ -559,16 +514,12 @@ def run_bounds(config: dict, out_dir, svg: bool = False,
     search = search_from_config(config)
     scene = scene_from_config(config, geom)
     bb = mcrb_theta_closed(scene, search=search)
-    out = _prepare(out_dir)
-    csv_path = out / "bounds.csv"
-    _write_csv(csv_path,
-               ["crb_rad2", "m_rad2", "b_rad2", "mcrb_rad2", "theta_a_deg",
-                "rcrb_deg", "rmcrb_deg"],
-               [[bb.crb_theta, bb.m_theta_theta, bb.b_theta_theta,
-                 bb.mcrb_theta, _rdeg(bb.theta_a), _root_deg(bb.crb_theta),
-                 _root_deg(bb.mcrb_theta)]])
-    manifest = _write_manifest(out, "bounds", config, [csv_path])
-    return {"csv": csv_path, "manifest": manifest}
+    return _write_outputs("bounds", config, out_dir, svg,
+                          ["crb_rad2", "m_rad2", "b_rad2", "mcrb_rad2",
+                           "theta_a_deg", "rcrb_deg", "rmcrb_deg"],
+                          [[bb.crb_theta, bb.m_theta_theta, bb.b_theta_theta,
+                            bb.mcrb_theta, math.degrees(bb.theta_a),
+                            *_root_bounds(bb)]])
 
 
 # ---------------------------------------------------------------------------

@@ -104,16 +104,9 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
     return (eps * math.sin(psi) - root) / (eps * math.sin(psi) + root)
 
 
-def range_point(scn: GroundScenario, r_d: float,
-                search: SearchConfig | None = None,
-                geom: ArrayGeometry | None = None, *,
-                with_bound: bool = True) -> RangePoint:
-    """Evaluate geometry, path physics and (when in-cell) the bound at one range.
-
-    With ``with_bound=False`` the bound is left for the caller to fill in
-    (``bound`` is None and ``degenerate`` False).
-    """
-    geom = scn.geom if geom is None else geom
+def _range_physics(scn: GroundScenario, r_d: float,
+                   geom: ArrayGeometry) -> RangePoint:
+    """Geometry and path physics at one range, before any bound."""
     r_i, psi = indirect_geometry(r_d, scn.theta, scn.h_r)
     grazing = -psi
     gamma_r = reflection_coefficient(grazing, scn.eps_r, scn.gamma_cond,
@@ -130,20 +123,26 @@ def range_point(scn: GroundScenario, r_d: float,
                            sigma_w2=sigma_w2)
     same_cell = ((r_i - r_d) < scn.r_res
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
-    bound = None
-    degenerate = False
-    if same_cell and with_bound:
-        try:
-            bound = mcrb_theta_closed(scene, search=search)
-        except DegenerateBoundError:
-            degenerate = True
     smr_v = smr(scene)
     return RangePoint(
         r_d=r_d, r_i=r_i, psi=psi, gamma_r=gamma_r,
         smr_db=10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
         delta_phi=delta_phi(scene),
         snr_db=10.0 * math.log10(snr(scene)),
-        same_cell=same_cell, scene=scene, bound=bound, degenerate=degenerate)
+        same_cell=same_cell, scene=scene, bound=None)
+
+
+def range_point(scn: GroundScenario, r_d: float,
+                search: SearchConfig | None = None,
+                geom: ArrayGeometry | None = None) -> RangePoint:
+    """Evaluate geometry, path physics and (when in-cell) the bound at one range."""
+    point = _range_physics(scn, r_d, scn.geom if geom is None else geom)
+    if not point.same_cell:
+        return point
+    try:
+        return replace(point, bound=mcrb_theta_closed(point.scene, search=search))
+    except DegenerateBoundError:
+        return replace(point, degenerate=True)
 
 
 def range_sweep(scn: GroundScenario,
@@ -152,16 +151,18 @@ def range_sweep(scn: GroundScenario,
                 ) -> dict[str, list[RangePoint]]:
     """Evaluate every grid range for one or more array configurations.
 
-    The bounds of each geometry's in-cell points come from one batched call.
-    Output lists follow the range grid order.
+    The path physics of each range is computed once; only the scene's
+    geometry differs between configurations.  The bounds of each geometry's
+    in-cell points come from one batched call.  Output lists follow the
+    range grid order.
     """
     if geoms is None:
         geoms = {"default": scn.geom}
+    base = [_range_physics(scn, float(r), scn.geom) for r in scn.range_grid]
+    in_cell = [i for i, p in enumerate(base) if p.same_cell]
     out: dict[str, list[RangePoint]] = {}
     for name, geom in geoms.items():
-        points = [range_point(scn, float(r), geom=geom, with_bound=False)
-                  for r in scn.range_grid]
-        in_cell = [i for i, p in enumerate(points) if p.same_cell]
+        points = [replace(p, scene=replace(p.scene, geom=geom)) for p in base]
         bounds = mcrb_theta_closed_many([points[i].scene for i in in_cell],
                                         search=search)
         for i, bb in zip(in_cell, bounds):

@@ -7,7 +7,7 @@ from conftest import dense_grid_argmax, raw_mimo, raw_steering
 
 from mpcrb import (ArrayGeometry, ConditioningError, DegenerateBoundError,
                    MultipathScene, SearchConfig, SingularInformationError,
-                   XiVector, ZetaSet, cd_matrix, compressed_mean, crb_theta,
+                   ZetaSet, cd_matrix, compressed_mean, crb_theta,
                    e_adot, fim, mcrb_sandwich, mcrb_theta_closed,
                    mcrb_theta_closed_many, scene_from_ratios, standard_virtual_ula, steering, theta_a,
                    theta_a_paper_form, zeta_set)
@@ -332,11 +332,6 @@ def test_sandwich_conditioning_error():
     with pytest.raises(ConditioningError) as err:
         mcrb_sandwich(sc, cond_threshold=1.0)
     assert err.value.condition > 1.0
-
-
-def test_xi_vector_ordering():
-    xi = XiVector(alpha_re=1.0, alpha_im=2.0, tau_d=3.0, omega_dd=4.0, theta=5.0)
-    np.testing.assert_array_equal(xi.as_array(), [1, 2, 3, 4, 5])
 
 
 # ---------------------------------------------------------------------------

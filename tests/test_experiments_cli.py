@@ -28,6 +28,17 @@ def small_fig2_config(**overrides):
     return cfg
 
 
+# the sweep axes of every recipe's preset
+RECIPE_AXES = {
+    "bounds": [], "fig2": ["sweep.snr_db"],
+    "fig3": ["sweep.delta_theta_deg", "beampattern_grid_deg"],
+    "fig4": ["sweep.smr_db"],
+    "fig5": ["grid.delta_phi_rad", "grid.delta_theta_deg"],
+    "scenario": ["range_grid_m"], "montecarlo": ["sweep.snr_db"],
+    "beampattern": ["grid_deg"],
+}
+
+
 def test_missing_field_reports_path():
     cfg = load_preset("fig2")
     del cfg["scene"]["smr_db"]
@@ -249,11 +260,7 @@ def test_sweep_product_cap_and_presets_fit():
     cfg["grid"]["delta_theta_deg"]["step"] = 40.0 / (per_axis - 1)
     with pytest.raises(ConfigError, match=r"grid\.delta_phi_rad x grid\.delta_theta_deg"):
         run_fig5(cfg, "unused")
-    axes = {"beampattern": ["grid_deg"], "fig2": ["sweep.snr_db"],
-            "fig3": ["sweep.delta_theta_deg", "beampattern_grid_deg"],
-            "fig4": ["sweep.smr_db"], "montecarlo": ["sweep.snr_db"],
-            "scenario": ["range_grid_m"]}
-    for name, paths in axes.items():
+    for name, paths in RECIPE_AXES.items():
         for path in paths:
             ex._grid(load_preset(name), path)
     ex._grids(load_preset("fig5"), "grid.delta_phi_rad", "grid.delta_theta_deg")
@@ -290,3 +297,44 @@ def test_manifests_count_bound_and_degenerate_points(tmp_path):
     assert manifest["out_of_cell_points"] == out_of_cell > 0
     assert manifest["bound_points"] == 2 * len(rows) - out_of_cell
     assert manifest["degenerate_points"] == 0
+
+
+@pytest.mark.parametrize("phases, entry", [
+    ([True, math.nan], r"delta_phis_rad\[0\]"),
+    ([0.0, math.nan], r"delta_phis_rad\[1\]"),
+    ([0.0, -math.inf], r"delta_phis_rad\[1\]"),
+])
+def test_fig4_rejects_non_finite_or_bool_phases(tmp_path, phases, entry):
+    cfg = load_preset("fig4")
+    cfg["delta_phis_rad"] = phases
+    with pytest.raises(ConfigError, match=entry):
+        run_fig4(cfg, tmp_path)
+
+
+def thinned_preset(name):
+    """The packaged preset with five points per sweep axis and 10 trials."""
+    cfg = load_preset(name)
+    for path in RECIPE_AXES[name]:
+        axis = cfg
+        for part in path.split("."):
+            axis = axis[part]
+        axis["step"] = (axis["stop"] - axis["start"]) / 4
+    if "trials" in cfg:
+        cfg["trials"] = 10
+    return cfg
+
+
+@pytest.mark.parametrize("svg", [False, True])
+@pytest.mark.parametrize("name", list(RECIPE_AXES))
+def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
+    result = getattr(ex, f"run_{name}")(thinned_preset(name), tmp_path, svg=svg)
+    keys = ["csv", "manifest"]
+    if name == "fig3":
+        keys.insert(1, "beampattern_csv")
+    assert list(result) == keys
+    manifest = json.loads(result["manifest"].read_text())
+    written = {p.name for p in tmp_path.iterdir()} - {result["manifest"].name}
+    assert set(manifest["outputs"]) == written
+    for file_name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
+    assert (tmp_path / f"{name}.svg").exists() == (svg and name != "bounds")
