@@ -174,7 +174,7 @@ def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
     return scale * z
 
 
-_BLOCK = 512   # statistics per argmax block, the Monte-Carlo trial chunk
+_BLOCK = 64    # statistics per coarse-grid block of the argmax kernel
 _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 
 
@@ -202,8 +202,34 @@ def _projection(geom: ArrayGeometry, y: np.ndarray, angles: np.ndarray) -> np.nd
     s = np.sin(angles)
     a_r = np.exp(2j * np.pi * np.outer(s, geom.rx_positions)) / math.sqrt(geom.m_r)
     a_t = np.exp(2j * np.pi * np.outer(s, geom.tx_positions)) / math.sqrt(geom.m_t)
-    proj = np.einsum("tm,tmn,tn->t", a_r.conj(), y, a_t.conj())
-    return np.abs(proj) ** 2
+    proj = (a_r.conj()[:, None, :] @ y @ a_t.conj()[:, :, None])[:, 0, 0]
+    return proj.real ** 2 + proj.imag ** 2
+
+
+def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
+                   prefer: np.ndarray | None = None):
+    """Coarse grid and the index of each statistic's winner on it.
+
+    The winner is the first maximum of |tr(A^H(phi) Y_t)|^2 over the grid,
+    or with ``prefer`` the grid angle nearest ``prefer[t]`` among values
+    within 1e-12 (relative) of the maximum.  The grid is scanned ``_BLOCK``
+    statistics at a time, which bounds its (block, grid) intermediate.
+    """
+    lo, hi = search.span
+    n_grid = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
+    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n_grid)
+    best = np.empty(len(y), dtype=np.intp)
+    for start in range(0, len(y), _BLOCK):
+        stop = min(start + _BLOCK, len(y))
+        vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y[start:stop],
+                                a_t_grid.conj())) ** 2
+        if prefer is None:
+            best[start:stop] = np.argmax(vals, axis=1)
+        else:
+            ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+            dist = np.where(ties, np.abs(angles - prefer[start:stop, None]), np.inf)
+            best[start:stop] = np.argmin(dist, axis=1)
+    return angles, best
 
 
 def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
@@ -211,44 +237,35 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
     """Angle maximizing |tr(A^H(phi) Y_t)|^2 for each statistic Y_t of ``y``.
 
     ``y`` has shape (n, M_r, M_t); ``search`` carries the span, a resolved
-    coarse step and the refinement tolerance.  The coarse grid's winner is
-    the first maximum, or with ``prefer`` the grid angle nearest
-    ``prefer[t]`` among values within 1e-12 (relative) of the maximum.  A
-    golden-section shrink of the two cells around the winner, both interior
-    points evaluated per sweep, then runs for the fixed number of sweeps that
-    brings the bracket below the tolerance.  Statistics are processed
-    ``_BLOCK`` at a time.
+    coarse step and the refinement tolerance.  After the coarse scan of
+    :func:`_coarse_winner`, a classic golden-section shrink of the two cells
+    around each winner runs over all statistics at once, for the fixed
+    number of sweeps that brings the bracket below the tolerance.  Each
+    sweep evaluates one new interior point and keeps the other's value.
     """
     lo, hi = search.span
-    n_grid = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
-    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n_grid)
+    angles, best = _coarse_winner(y, geom, search, prefer)
     step = angles[1] - angles[0]
     iters = max(0, int(math.ceil(math.log(search.refine_tol / (2.0 * step))
                                  / math.log(GOLDEN))))
-    out = np.empty(len(y))
-    for start in range(0, len(y), _BLOCK):
-        stop = min(start + _BLOCK, len(y))
-        yb = y[start:stop]
-        vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), yb,
-                                a_t_grid.conj())) ** 2
-        if prefer is None:
-            best = np.argmax(vals, axis=1)
-        else:
-            ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-            dist = np.where(ties, np.abs(angles - prefer[start:stop, None]), np.inf)
-            best = np.argmin(dist, axis=1)
-        a = np.maximum(lo, angles[best] - step)
-        b = np.minimum(hi, angles[best] + step)
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        for _ in range(iters):
-            keep_left = _projection(geom, yb, c) >= _projection(geom, yb, d)
-            b = np.where(keep_left, d, b)
-            a = np.where(keep_left, a, c)
-            c = b - GOLDEN * (b - a)
-            d = a + GOLDEN * (b - a)
-        out[start:stop] = 0.5 * (a + b)
-    return out
+    a = np.maximum(lo, angles[best] - step)
+    b = np.minimum(hi, angles[best] + step)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc = _projection(geom, y, c)
+    fd = _projection(geom, y, d)
+    for sweep in range(iters):
+        keep_left = fc >= fd
+        b = np.where(keep_left, d, b)
+        a = np.where(keep_left, a, c)
+        if sweep == iters - 1:
+            break
+        # the kept interior point becomes the other one of the new bracket
+        new = np.where(keep_left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        f_new = _projection(geom, y, new)
+        c, d = np.where(keep_left, new, d), np.where(keep_left, c, new)
+        fc, fd = np.where(keep_left, f_new, fd), np.where(keep_left, fc, f_new)
+    return 0.5 * (a + b)
 
 
 def _pseudo_true_angles(y: np.ndarray, geom: ArrayGeometry, theta: np.ndarray,

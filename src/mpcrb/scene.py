@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -130,19 +131,27 @@ def compressed_mean(scene: MultipathScene) -> np.ndarray:
     return scene.k_pulses * scene.e_p * (scene.alpha_d * A_d + scene.alpha_i * A_i)
 
 
-def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
-    """One realization of the compressed statistic Y (shape M_r x M_t).
+def synthesize_compressed(scene: MultipathScene, noise_seed,
+                          n: int | None = None) -> np.ndarray:
+    """One realization of the compressed statistic Y (shape M_r x M_t), or
+    with ``n`` a stack of ``n`` consecutive realizations (n, M_r, M_t).
 
     ``noise_seed`` may be an int (or tuple of ints) fed to a counter-style
     SeedSequence, or an already-constructed numpy Generator; the same seed
     always yields the same noise.  Noise entries are independent circular
-    complex Gaussians with variance K*E_p*sigma_w2.
+    complex Gaussians with variance K*E_p*sigma_w2.  Each realization draws
+    its real, then its imaginary parts from the stream, so ``n`` statistics
+    are the ``n`` single ones drawn in turn from the same Generator.
     """
+    if n is not None and (isinstance(n, bool) or not isinstance(n, Integral)
+                          or n < 1):
+        raise ValueError(f"n must be an int >= 1 or None, got {n!r}")
     if isinstance(noise_seed, np.random.Generator):
         rng = noise_seed
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(noise_seed)))
     mean = compressed_mean(scene)
     scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
-    w = rng.standard_normal(mean.shape) + 1j * rng.standard_normal(mean.shape)
-    return mean + scale * w
+    w = rng.standard_normal((1 if n is None else n, 2) + mean.shape)
+    y = mean + scale * (w[:, 0] + 1j * w[:, 1])
+    return y[0] if n is None else y

@@ -7,8 +7,9 @@ from mpcrb import (SearchConfig, crb_theta, compressed_mean,
                    mcrb_theta_closed, mml_doa, monte_carlo_rmse,
                    multipath_free, scene_from_ratios, standard_virtual_ula,
                    synthesize_compressed, theta_a)
-from mpcrb.bounds import _BLOCK, _argmax_projection, _resolve_search
-from mpcrb.estimation import MML_SEARCH, _scene_errors
+from mpcrb import estimation
+from mpcrb.bounds import _argmax_projection, _coarse_winner, _resolve_search
+from mpcrb.estimation import MML_SEARCH
 
 GEOM = standard_virtual_ula(3, 4)
 
@@ -68,10 +69,19 @@ def test_curve_determinism_and_worker_independence():
     assert c4.rmse_rad != c1.rmse_rad
 
 
-def test_reduction_is_order_independent():
+def _engine_errors(monkeypatch, scenes, trials, base_seed):
+    """Per-scene trial errors as the Monte-Carlo engine reduces them."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(estimation, "_reduce",
+                  lambda errors: seen.append(errors) or (0.0, 0.0))
+        monte_carlo_rmse(scenes, None, trials, base_seed)
+    return seen
+
+
+def test_reduction_is_order_independent(monkeypatch):
     sc = fig2_scene(5.0)
-    cfg = _resolve_search(GEOM, MML_SEARCH)
-    errors = _scene_errors(sc, cfg, 64, 777, 0)
+    (errors,) = _engine_errors(monkeypatch, [sc], 64, 777)
     rmse = math.sqrt(math.fsum((errors ** 2).tolist()) / errors.size)
     shuffled = errors.copy()
     np.random.default_rng(1).shuffle(shuffled)
@@ -122,9 +132,46 @@ def test_trial_count_checked():
         monte_carlo_rmse([fig2_scene()], None, 0, 1)
 
 
+def test_empty_sweep_gives_empty_curve():
+    curve = monte_carlo_rmse([], None, 10, 1)
+    assert curve.rmse_rad == () and curve.bias_rad == ()
+
+
+def test_trials_follow_the_single_statistic_path(monkeypatch):
+    # trial t of scene i is mml_doa on statistic t of scene i's stream
+    scenes = [fig2_scene(s) for s in (-5.0, 10.0, 25.0)]
+    trials = 70          # past one coarse block of the kernel
+    got = _engine_errors(monkeypatch, scenes, trials, 4242)
+    for i, sc in enumerate(scenes):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4242, i))))
+        ys = synthesize_compressed(sc, rng, trials)
+        want = [mml_doa(ys[t], GEOM) - sc.theta for t in range(trials)]
+        assert got[i].tolist() == want
+
+
+def test_shorter_run_is_a_prefix_of_a_longer_one(monkeypatch):
+    scenes = [fig2_scene(0.0), fig2_scene(20.0)]
+    (short_0, short_1) = _engine_errors(monkeypatch, scenes, 40, 99)
+    (long_0, long_1) = _engine_errors(monkeypatch, scenes, 300, 99)   # past the block seam
+    assert np.array_equal(short_0, long_0[:40])
+    assert np.array_equal(short_1, long_1[:40])
+
+
+def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
+    # a 3x4 and a 3x8 geometry interleaved, with runs of equal geometry
+    other = standard_virtual_ula(3, 8)
+    scenes = [scene_from_ratios(g, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8, 1.0)
+              for g, s in ((GEOM, 0.0), (GEOM, 10.0), (other, 5.0),
+                           (GEOM, 20.0), (other, 15.0), (other, 25.0))]
+    whole = monte_carlo_rmse(scenes, None, 10, 31337)
+    monkeypatch.setattr(estimation, "_MC_CHUNK", 7)
+    assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
+
+
 def _legacy_mml_doa_batch(y_batch, geom, cfg):
     """The estimator's own vectorized search before it moved into the shared
-    bounds kernel, kept verbatim as a bit-for-bit oracle."""
+    bounds kernel, kept verbatim as an oracle: two interior points evaluated
+    per golden sweep, three-operand einsum."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     cfg = _resolve_search(geom, cfg)
     lo, hi = cfg.span
@@ -160,15 +207,32 @@ def _legacy_mml_doa_batch(y_batch, geom, cfg):
     return 0.5 * (a + b)
 
 
+def _legacy_coarse_winner(y_batch, geom, cfg):
+    """The oracle's coarse scan on its own: index of the first grid maximum."""
+    lo, hi = cfg.span
+    n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
+    s = np.sin(np.linspace(lo, hi, n))
+    a_r_grid = np.exp(2j * np.pi * np.outer(geom.rx_positions, s)) / np.sqrt(geom.m_r)
+    a_t_grid = np.exp(2j * np.pi * np.outer(geom.tx_positions, s)) / np.sqrt(geom.m_t)
+    vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y_batch,
+                            a_t_grid.conj())) ** 2
+    return np.argmax(vals, axis=1)
+
+
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
-def test_kernel_mml_path_bit_for_bit(snr_db):
+def test_kernel_mml_path_matches_legacy_search(snr_db):
+    # same coarse winner; the refinement reuses one interior point per sweep
+    # and sums in another order, so the estimates agree to refine_tol
     sc = fig2_scene(snr_db)
     rng = np.random.default_rng(2305)
     scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
-    shape = (_BLOCK, GEOM.m_r, GEOM.m_t)
+    shape = (512, GEOM.m_r, GEOM.m_t)
     y = compressed_mean(sc) + scale * (rng.standard_normal(shape)
                                        + 1j * rng.standard_normal(shape))
     cfg = _resolve_search(GEOM, MML_SEARCH)
+    assert np.array_equal(_coarse_winner(y, GEOM, cfg)[1],
+                          _legacy_coarse_winner(y, GEOM, cfg))
     want = _legacy_mml_doa_batch(y, GEOM, cfg)
-    assert np.array_equal(_argmax_projection(y, GEOM, cfg), want)
-    assert mml_doa(y[7], GEOM) == _legacy_mml_doa_batch(y[7:8], GEOM, cfg)[0]
+    assert np.max(np.abs(_argmax_projection(y, GEOM, cfg) - want)) <= cfg.refine_tol
+    assert abs(mml_doa(y[7], GEOM)
+               - _legacy_mml_doa_batch(y[7:8], GEOM, cfg)[0]) <= cfg.refine_tol

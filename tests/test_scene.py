@@ -140,13 +140,28 @@ def test_synthesis_moments():
     mean = compressed_mean(sc)
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026)))
-    acc = np.zeros_like(mean)
-    acc2 = np.zeros(mean.shape)
-    for _ in range(n):
-        y = synthesize_compressed(sc, rng)
-        acc += y
-        acc2 += np.abs(y - mean) ** 2
+    y = synthesize_compressed(sc, rng, n)
     var_expected = sc.k_pulses * sc.e_p * sc.sigma_w2
     se = math.sqrt(var_expected / n)
-    assert np.abs(acc / n - mean).max() < 4.0 * se
-    np.testing.assert_allclose(acc2 / n, var_expected, rtol=0.05)
+    assert np.abs(y.mean(axis=0) - mean).max() < 4.0 * se
+    np.testing.assert_allclose((np.abs(y - mean) ** 2).mean(axis=0),
+                               var_expected, rtol=0.05)
+
+
+def test_stacked_synthesis_is_the_single_stream():
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4, 2.0)
+    np.testing.assert_array_equal(synthesize_compressed(sc, 42),
+                                  synthesize_compressed(sc, 42, 1)[0])
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+    singles = [synthesize_compressed(sc, stream) for _ in range(3)]
+    stacked = synthesize_compressed(sc, 5, 3)
+    assert stacked.shape == (3, GEOM.m_r, GEOM.m_t)
+    np.testing.assert_array_equal(stacked, np.array(singles))
+    np.testing.assert_array_equal(synthesize_compressed(sc, 5, np.int64(3)), stacked)
+
+
+@pytest.mark.parametrize("n", [0, -2, 2.0, True, "3"])
+def test_stacked_synthesis_rejects_bad_counts(n):
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4)
+    with pytest.raises(ValueError, match="n must be"):
+        synthesize_compressed(sc, 1, n)
