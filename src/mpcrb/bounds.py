@@ -1,15 +1,17 @@
 """Estimation error bounds for the target DOA under ignored multipath.
 
-Two routes to the misspecified bound are provided and kept independent on
-purpose: a closed-form expression for the DOA diagonal element, and a
-numerical sandwich built from the full 5x5 curvature matrix (parameter
-ordering ``[Re alpha_d, Im alpha_d, tau_d, omega_Dd, theta]``).  The
-conventional FIM/CRB for the matched (multipath-free) model lives here too.
+Both routes to the misspecified bound read the CRB and the reduced curvature
+entries zeta3..zeta5 from one batched model builder and differ only in the
+reduction: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
+I = |alpha_d|^2 E_Adot, versus the inverse of the full 5x5 curvature matrix
+(ordering ``[Re alpha_d, Im alpha_d, tau_d, omega_Dd, theta]``) in the
+sandwich.  The conventional FIM/CRB of the matched model lives here too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -32,7 +34,10 @@ class SingularInformationError(BoundsError):
 
 
 class DegenerateBoundError(BoundsError):
-    """Closed-form denominator too close to zero: bound numerically invalid."""
+    """Closed-form denominator too close to zero: bound numerically invalid.
+
+    ``denominator`` holds zeta3^2 and ``threshold`` 1e-9 * I^2, with
+    I = |alpha_d|^2 E_Adot; the point is degenerate when the first is smaller."""
 
     def __init__(self, message: str, denominator: float, threshold: float):
         super().__init__(message)
@@ -100,11 +105,42 @@ class SearchConfig:
             raise ValueError("refine_tol must be positive")
 
 
-def _scene_matrices(scene: MultipathScene):
-    s_t = steering(scene.geom, scene.theta)
-    s_r = steering(scene.geom, scene.psi)
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
-    return A_d, A_i, dA_d, ddA_d, e_adot(s_t)
+# Model arrays of scenes on one geometry, one row per scene; s is the
+# physical prefactor 2 K E_p / sigma_w2.
+_Model = namedtuple("_Model", "geom theta alpha_d alpha_i A_d A_i e_dot s crb "
+                              "zeta3 zeta4 zeta5")
+
+
+def _model(scenes: Sequence[MultipathScene]) -> _Model:
+    """Steering, CRB and zeta3..zeta5 of every scene, two steering calls in
+    all.  Does not check E_Adot; callers that need it use :func:`_informative`."""
+    geom = scenes[0].geom
+    key = geom.key()
+    if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
+        raise ValueError("all scenes of a batch must share one array geometry")
+    theta = np.array([sc.theta for sc in scenes])
+    ad, ai = np.array([(sc.alpha_d, sc.alpha_i) for sc in scenes], dtype=complex).T
+    s_t = steering(geom, theta)
+    A_d, A_i, dA_d, ddA_d = mimo_matrices(
+        s_t, steering(geom, [sc.psi for sc in scenes]))
+    e_dot = e_adot(s_t)
+    k, e_p, sigma_w2 = np.array([(sc.k_pulses, sc.e_p, sc.sigma_w2)
+                                 for sc in scenes], dtype=float).T
+    p_d = np.abs(ad) ** 2
+    with np.errstate(divide="ignore"):
+        crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+    t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
+                  for x in (ddA_d, A_d, dA_d))
+    return _Model(geom, theta, ad, ai, A_d, A_i, e_dot, 2.0 * k * e_p / sigma_w2,
+                  crb, p_d * e_dot - (np.conj(ad) * ai * t2).real,
+                  ai * t0, ai * t1)              # zeta4: slow-time scale folded to 1
+
+
+def _informative(e_dot):
+    if np.any(np.asarray(e_dot) <= 0.0):
+        raise SingularInformationError(
+            "single-element arrays carry no DOA information (E_Adot = 0)")
+    return e_dot
 
 
 def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.ndarray:
@@ -113,26 +149,26 @@ def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.n
     |a|^2 F_tau, |a|^2 F_omega, E_p |a|^2 E_Adot)."""
     if f_tau <= 0.0 or f_omega <= 0.0:
         raise ValueError("f_tau and f_omega must be positive")
-    s_t = steering(scene.geom, scene.theta)
-    e_dot = e_adot(s_t)
-    if e_dot <= 0.0:
-        raise SingularInformationError(
-            "single-element arrays carry no DOA information (E_Adot = 0)")
-    a2 = abs(scene.alpha_d) ** 2
-    k = scene.k_pulses
-    ep = scene.e_p
-    pref = 2.0 * k / scene.sigma_w2
+    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
+    a2, ep = abs(scene.alpha_d) ** 2, scene.e_p
+    pref = 2.0 * scene.k_pulses / scene.sigma_w2
     return np.diag(pref * np.array([ep, ep, a2 * f_tau, a2 * f_omega, ep * a2 * e_dot]))
 
 
 def crb_theta(scene: MultipathScene) -> float:
     """Matched-model DOA bound 1/(2*SNR*K*E_p*E_Adot), rad^2."""
-    s_t = steering(scene.geom, scene.theta)
-    e_dot = e_adot(s_t)
-    if e_dot <= 0.0:
-        raise SingularInformationError(
-            "single-element arrays carry no DOA information (E_Adot = 0)")
+    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
     return 1.0 / (2.0 * snr(scene) * scene.k_pulses * scene.e_p * e_dot)
+
+
+def _one_scene(scene: MultipathScene, f_tau, f_omega) -> tuple[_Model, ZetaSet]:
+    """The model of one scene and its :class:`ZetaSet`."""
+    model = _model([scene])
+    a2 = abs(scene.alpha_d) ** 2
+    z1 = 1.0 if f_tau is None else a2 * f_tau / scene.e_p
+    z2 = 1.0 if f_omega is None else a2 * f_omega / scene.e_p
+    return model, ZetaSet(float(z1), float(z2), float(model.zeta3[0]),
+                          complex(model.zeta4[0]), complex(model.zeta5[0]))
 
 
 def zeta_set(scene: MultipathScene, f_tau: float | None = None,
@@ -143,17 +179,7 @@ def zeta_set(scene: MultipathScene, f_tau: float | None = None,
     information scalars are out of scope and cancel from the DOA element for
     symmetric geometries); otherwise zeta = |alpha_d|^2 * F / E_p.
     """
-    A_d, A_i, dA_d, ddA_d, e_dot = _scene_matrices(scene)
-    ad, ai = scene.alpha_d, scene.alpha_i
-    a2 = abs(ad) ** 2
-    z1 = 1.0 if f_tau is None else a2 * f_tau / scene.e_p
-    z2 = 1.0 if f_omega is None else a2 * f_omega / scene.e_p
-    t2 = np.trace(ddA_d.conj().T @ A_i)
-    z3 = a2 * e_dot - (np.conj(ad) * ai * t2).real
-    z4 = ai * np.trace(A_d.conj().T @ A_i)          # slow-time scale folded to 1
-    z5 = ai * np.trace(dA_d.conj().T @ A_i)
-    return ZetaSet(zeta1=float(z1), zeta2=float(z2), zeta3=float(z3),
-                   zeta4=complex(z4), zeta5=complex(z5))
+    return _one_scene(scene, f_tau, f_omega)[1]
 
 
 def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
@@ -268,25 +294,19 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
     return 0.5 * (a + b)
 
 
-def _pseudo_true_angles(y: np.ndarray, geom: ArrayGeometry, theta: np.ndarray,
-                        search: SearchConfig | None) -> np.ndarray:
-    """Argmax of the direct-only projection of each mean in ``y``, coarse
-    ties toward the true ``theta`` of its row, which the span must contain."""
-    search = _resolve_search(geom, search)
+def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
+                 rows=slice(None)) -> np.ndarray:
+    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i for the
+    model's ``rows``, coarse ties toward each row's true theta, which the
+    span must contain.  Weights are scalars or one entry per selected row."""
+    y = (np.asarray(w_d)[..., None, None] * model.A_d[rows]
+         + np.asarray(w_i)[..., None, None] * model.A_i[rows])
+    theta = model.theta[rows]
+    search = _resolve_search(model.geom, search)
     lo, hi = search.span
     if not np.all((lo <= theta) & (theta <= hi)):
         raise ValueError("search span must contain the true theta")
-    return _argmax_projection(y, geom, search, prefer=theta)
-
-
-def _pseudo_true(scene: MultipathScene, w_d: complex, w_i: complex,
-                 search: SearchConfig | None) -> float:
-    """Pseudo-true angle of w_d*A_d + w_i*A_i for one scene."""
-    A_d, A_i, _, _ = mimo_matrices(steering(scene.geom, scene.theta),
-                                   steering(scene.geom, scene.psi))
-    y = (w_d * A_d + w_i * A_i)[None]
-    return float(_pseudo_true_angles(y, scene.geom, np.array([scene.theta]),
-                                     search)[0])
+    return _argmax_projection(y, model.geom, search, prefer=theta)
 
 
 def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
@@ -296,7 +316,8 @@ def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     Deterministic grid-then-golden-section argmax; coarse ties are broken
     toward the true theta.
     """
-    return _pseudo_true(scene, scene.alpha_d, scene.alpha_i, search)
+    return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i,
+                              search)[0])
 
 
 def theta_a_paper_form(scene: MultipathScene,
@@ -311,56 +332,25 @@ def theta_a_paper_form(scene: MultipathScene,
     if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
         raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
                          "alpha_d + alpha_i ~ 0")
-    return _pseudo_true(scene, 1.0, ai / denom, search)
+    return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
 
 
-def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None,
-                  eps_den_factor: float):
-    """Closed-form breakdowns (None where degenerate) plus the denominators
-    and thresholds of the degeneracy test, all scenes on one geometry."""
-    if not scenes:
-        return [], np.empty(0), np.empty(0)
-    geom = scenes[0].geom
-    key = geom.key()
-    if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
-        raise ValueError("all scenes of a batch must share one array geometry")
-    theta = np.array([sc.theta for sc in scenes])
-    ad = np.array([sc.alpha_d for sc in scenes], dtype=complex)
-    ai = np.array([sc.alpha_i for sc in scenes], dtype=complex)
-    s_t = steering(geom, theta)
-    s_r = steering(geom, [sc.psi for sc in scenes])
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
-    e_dot = e_adot(s_t)
-    if np.any(e_dot <= 0.0):
-        raise SingularInformationError(
-            "single-element arrays carry no DOA information (E_Adot = 0)")
-    k = np.array([sc.k_pulses for sc in scenes], dtype=float)
-    e_p = np.array([sc.e_p for sc in scenes])
-    sigma_w2 = np.array([sc.sigma_w2 for sc in scenes])
-    p_d = np.abs(ad) ** 2
-    crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
-    free = ai == 0
+def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None):
+    """Closed-form breakdowns (None where degenerate) plus zeta3^2 and the
+    threshold 1e-9 * I^2 of the degeneracy test, all scenes on one geometry."""
+    mod = _model(scenes)
+    _informative(mod.e_dot)
+    info = np.abs(mod.alpha_d) ** 2 * mod.e_dot          # I = |alpha_d|^2 E_Adot
+    den, threshold = mod.zeta3 * mod.zeta3, _EPS_DEN_FACTOR * info * info
+    degenerate = den < threshold
     with np.errstate(divide="ignore", invalid="ignore"):
-        smr_v = p_d / np.abs(ai) ** 2
-        dphi = np.angle(ad) - np.angle(ai)       # enters only as exp(-j dphi)
-        t1 = np.einsum("tmn,tmn->t", dA_d.conj(), A_i)
-        t2 = np.einsum("tmn,tmn->t", ddA_d.conj(), A_i)
-        den_base = (t2 * np.exp(-1j * dphi)).real - np.sqrt(smr_v) * e_dot
-        den = den_base * den_base
-        threshold = eps_den_factor * smr_v * e_dot * e_dot
-        m = crb * e_dot * (np.abs(t1) ** 2 + smr_v * e_dot) / den
-    degenerate = ~free & (den < threshold)
-    m = np.where(free, crb, m)                   # the infinite-SMR limit
-    th_a = theta.copy()
-    rows = np.flatnonzero(~free & ~degenerate)
-    if rows.size:
-        y = (ad[rows, None, None] * A_d[rows] + ai[rows, None, None] * A_i[rows])
-        th_a[rows] = _pseudo_true_angles(y, geom, theta[rows], search)
-    b = (theta - th_a) ** 2
-    out = [None if deg else BoundBreakdown(crb_theta=c, m_theta_theta=m_i,
-                                           theta_a=t_a, b_theta_theta=b_i,
-                                           mcrb_theta=m_i + b_i)
-           for deg, c, m_i, t_a, b_i in zip(degenerate.tolist(), crb.tolist(),
+        m = mod.crb * (info * (np.abs(mod.zeta5) ** 2 + info) / den)
+    th_a = mod.theta.copy()
+    rows = np.flatnonzero((mod.alpha_i != 0) & ~degenerate)
+    th_a[rows] = _pseudo_true(mod, mod.alpha_d[rows], mod.alpha_i[rows], search, rows)
+    b = (mod.theta - th_a) ** 2
+    out = [None if deg else BoundBreakdown(c, m_i, t_a, b_i, m_i + b_i)
+           for deg, c, m_i, t_a, b_i in zip(degenerate.tolist(), mod.crb.tolist(),
                                             m.tolist(), th_a.tolist(), b.tolist())]
     return out, den, threshold
 
@@ -374,20 +364,20 @@ def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
     angles come from one batched argmax.  Degenerate scenes give None instead
     of raising; a theta outside the search span raises ValueError.
     """
-    return _closed_batch(list(scenes), search, _EPS_DEN_FACTOR)[0]
+    scenes = list(scenes)
+    return _closed_batch(scenes, search)[0] if scenes else []
 
 
-def mcrb_theta_closed(scene: MultipathScene, search: SearchConfig | None = None,
-                      eps_den_factor: float = _EPS_DEN_FACTOR) -> BoundBreakdown:
+def mcrb_theta_closed(scene: MultipathScene,
+                      search: SearchConfig | None = None) -> BoundBreakdown:
     """Closed-form misspecified bound on the target DOA.
 
-    M component: CRB(theta) * E_Adot*(|tr(dA_d^H A_i)|^2 + SMR*E_Adot) /
-    (Re{tr(ddA_d^H A_i) e^{-j dphi}} - sqrt(SMR)*E_Adot)^2.  The bias
+    M component: CRB(theta) * I (|zeta5|^2 + I) / zeta3^2 with
+    I = |alpha_d|^2 E_Adot, which equals CRB at alpha_i = 0.  The bias
     component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
-    For alpha_i = 0 the infinite-SMR limit is taken analytically.  A batch
-    of one for :func:`mcrb_theta_closed_many`.
+    A batch of one for :func:`mcrb_theta_closed_many`.
     """
-    (bb,), den, threshold = _closed_batch([scene], search, eps_den_factor)
+    (bb,), den, threshold = _closed_batch([scene], search)
     if bb is None:
         raise DegenerateBoundError(
             "near-destructive paths: closed-form denominator below threshold",
@@ -396,8 +386,7 @@ def mcrb_theta_closed(scene: MultipathScene, search: SearchConfig | None = None,
 
 
 def mcrb_sandwich(scene: MultipathScene, f_tau: float | None = None,
-                  f_omega: float | None = None,
-                  search: SearchConfig | None = None,
+                  f_omega: float | None = None, search: SearchConfig | None = None,
                   cond_threshold: float = 1e12):
     """Numerical sandwich C_D^{-1} J C_D^{-1} and its DOA breakdown.
 
@@ -405,30 +394,20 @@ def mcrb_sandwich(scene: MultipathScene, f_tau: float | None = None,
     covariance term and the breakdown's M component is its (theta, theta)
     element.  This is the oracle the closed form is compared against.
     """
-    zetas = zeta_set(scene, f_tau, f_omega)
-    scale = 2.0 * scene.k_pulses * scene.e_p / scene.sigma_w2
+    model, zetas = _one_scene(scene, f_tau, f_omega)
     z = cd_matrix(zetas, scale=1.0)
     cond = float(np.linalg.cond(z))
     if not np.isfinite(cond) or cond > cond_threshold:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",
             condition=cond)
-    a2 = abs(scene.alpha_d) ** 2
-    s_t = steering(scene.geom, scene.theta)
-    e_dot = e_adot(s_t)
-    if e_dot <= 0.0:
-        raise SingularInformationError(
-            "single-element arrays carry no DOA information (E_Adot = 0)")
-    j_diag = np.array([1.0, 1.0, zetas.zeta1, zetas.zeta2, a2 * e_dot])
+    _informative(model.e_dot)
+    info = abs(scene.alpha_d) ** 2 * model.e_dot[0]
+    j_diag = np.array([1.0, 1.0, zetas.zeta1, zetas.zeta2, info])
     z_inv = np.linalg.inv(z)
-    m_matrix = (z_inv * j_diag) @ z_inv / scale
+    m_matrix = (z_inv * j_diag) @ z_inv / model.s[0]
     m_tt = float(m_matrix[4, 4])
-    crb = crb_theta(scene)
-    if scene.alpha_i == 0:
-        th_a, b = scene.theta, 0.0
-    else:
-        th_a = theta_a(scene, search)
-        b = (scene.theta - th_a) ** 2
-    breakdown = BoundBreakdown(crb_theta=crb, m_theta_theta=m_tt, theta_a=th_a,
-                               b_theta_theta=b, mcrb_theta=m_tt + b)
-    return m_matrix, breakdown
+    th_a = scene.theta if scene.alpha_i == 0 else float(
+        _pseudo_true(model, scene.alpha_d, scene.alpha_i, search)[0])
+    b = (scene.theta - th_a) ** 2
+    return m_matrix, BoundBreakdown(float(model.crb[0]), m_tt, th_a, b, m_tt + b)

@@ -62,12 +62,15 @@ def _num(val, path: str, positive=False) -> float:
     return float(val)
 
 
-def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None) -> int:
+def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
+             maximum=None) -> int:
     val = _get(cfg, path, default)
     if not isinstance(val, int) or isinstance(val, bool):
         raise ConfigError(f"{path}: expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {val}")
     return val
 
 
@@ -76,6 +79,8 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None) -> int:
 # sweep is held in one batch.
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
+# Monte-Carlo trials per sweep point; the largest preset runs 2,000.
+_MAX_TRIALS = 100_000
 
 
 def _axis(cfg: dict, path: str) -> tuple[float, float, int]:
@@ -131,13 +136,14 @@ def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
     if not isinstance(node, dict):
         raise ConfigError(f"{path}: expected an object")
     span_deg = _get_num(cfg, f"{path}.span_deg", default=60.0, positive=True)
-    step_deg = _get_num(cfg, f"{path}.coarse_step_deg", default=0.0)
+    step_deg = (_get_num(cfg, f"{path}.coarse_step_deg", positive=True)
+                if "coarse_step_deg" in node else None)
     tol = _get_num(cfg, f"{path}.refine_tol_rad", default=refine_tol,
                    positive=True)
     try:
         return SearchConfig(
             span=(-math.radians(span_deg), math.radians(span_deg)),
-            coarse_step=math.radians(step_deg) if step_deg > 0 else None,
+            coarse_step=None if step_deg is None else math.radians(step_deg),
             refine_tol=tol)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -310,7 +316,7 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     geom = geometry_from_config(config)
     est = estimator_from_config(config)
     search = search_from_config(config)
-    trials = _get_int(config, "trials", minimum=1)
+    trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
@@ -364,19 +370,12 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     bounds = mcrb_theta_closed_many(
         [scene_from_config(config, geom, smr_db=s, dphi=dphi, psi_rad=psi)
          for s in smrs for dphi in phases], search)
-    rows = []
-    for i, s in enumerate(smrs):
-        cells = [s]
-        rcrb = None
-        for bb in bounds[2 * i:2 * i + 2]:
-            cells.append(_root_deg(bb.mcrb_theta) if bb else None)
-            if bb is not None:
-                rcrb = _root_deg(bb.crb_theta)
-        if rcrb is None:
-            rcrb = _root_deg(crb_theta(scene_from_config(
-                config, geom, smr_db=s, dphi=0.0, psi_rad=psi)))
-        cells.append(rcrb)
-        rows.append(cells)
+    # the CRB depends on neither SMR nor the phase difference
+    rcrb = _root_deg(crb_theta(scene_from_config(config, geom, smr_db=smrs[0],
+                                                 dphi=0.0, psi_rad=psi)))
+    rows = [[s, *(_root_deg(bb.mcrb_theta) if bb else None
+                  for bb in bounds[2 * i:2 * i + 2]), rcrb]
+            for i, s in enumerate(smrs)]
     plot = _lines(rows, [("RMCRB constructive", 1), ("RMCRB destructive", 2),
                          ("RCRB", 3)],
                   "SMR [dB]", "root bound [deg]", "Bounds vs SMR")
@@ -482,7 +481,7 @@ def run_montecarlo(config: dict, out_dir, svg: bool = False,
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
     geom = geometry_from_config(config)
     est = estimator_from_config(config)
-    trials = _get_int(config, "trials", minimum=1)
+    trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]

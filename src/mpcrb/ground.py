@@ -21,8 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import (BoundBreakdown, DegenerateBoundError, SearchConfig,
-                     mcrb_theta_closed, mcrb_theta_closed_many)
+from .bounds import BoundBreakdown, SearchConfig, mcrb_theta_closed_many
 from .scene import (MultipathScene, PathGeometryInputs, delta_phi,
                     path_coefficients, smr, snr)
 
@@ -73,7 +72,6 @@ class RangePoint:
     same_cell: bool
     scene: MultipathScene
     bound: BoundBreakdown | None    # None when out of model or degenerate
-    degenerate: bool = False
 
 
 def indirect_geometry(r_d: float, theta: float, h_r: float) -> tuple[float, float]:
@@ -135,14 +133,10 @@ def _range_physics(scn: GroundScenario, r_d: float,
 def range_point(scn: GroundScenario, r_d: float,
                 search: SearchConfig | None = None,
                 geom: ArrayGeometry | None = None) -> RangePoint:
-    """Evaluate geometry, path physics and (when in-cell) the bound at one range."""
-    point = _range_physics(scn, r_d, scn.geom if geom is None else geom)
-    if not point.same_cell:
-        return point
-    try:
-        return replace(point, bound=mcrb_theta_closed(point.scene, search=search))
-    except DegenerateBoundError:
-        return replace(point, degenerate=True)
+    """Evaluate geometry, path physics and (when in-cell) the bound at one
+    range: a one-range :func:`range_sweep`."""
+    one = replace(scn, range_grid=[r_d], geom=scn.geom if geom is None else geom)
+    return range_sweep(one, search=search)["default"][0]
 
 
 def range_sweep(scn: GroundScenario,
@@ -166,6 +160,6 @@ def range_sweep(scn: GroundScenario,
         bounds = mcrb_theta_closed_many([points[i].scene for i in in_cell],
                                         search=search)
         for i, bb in zip(in_cell, bounds):
-            points[i] = replace(points[i], bound=bb, degenerate=bb is None)
+            points[i] = replace(points[i], bound=bb)
         out[name] = points
     return out

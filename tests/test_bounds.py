@@ -9,7 +9,8 @@ from mpcrb import (ArrayGeometry, ConditioningError, DegenerateBoundError,
                    MultipathScene, SearchConfig, SingularInformationError,
                    ZetaSet, cd_matrix, compressed_mean, crb_theta,
                    e_adot, fim, mcrb_sandwich, mcrb_theta_closed,
-                   mcrb_theta_closed_many, scene_from_ratios, standard_virtual_ula, steering, theta_a,
+                   mcrb_theta_closed_many, mimo_matrices, scene_from_ratios,
+                   standard_virtual_ula, steering, theta_a,
                    theta_a_paper_form, zeta_set)
 
 GEOM = standard_virtual_ula(3, 4)
@@ -423,3 +424,94 @@ def test_closed_many_blocks_past_one_argmax_block():
     scenes = (base * (600 // len(base) + 1))[:600]
     got = mcrb_theta_closed_many(scenes)
     _assert_same_bounds(got[len(base) * 12:len(base) * 13], got[:len(base)])
+
+
+# ---------------------------------------------------------------------------
+# closed form in zeta terms against the SMR / delta-phi form it replaced
+
+def _legacy_closed_m(scenes, eps_den_factor=1e-9):
+    """The closed form's M and degeneracy test as they were written in SMR /
+    delta-phi terms, with a special case for multipath-free rows, before the
+    closed form moved onto the shared zeta builder; kept verbatim as an
+    oracle.  Returns (M, degenerate) per scene."""
+    geom = scenes[0].geom
+    theta = np.array([sc.theta for sc in scenes])
+    ad = np.array([sc.alpha_d for sc in scenes], dtype=complex)
+    ai = np.array([sc.alpha_i for sc in scenes], dtype=complex)
+    s_t = steering(geom, theta)
+    s_r = steering(geom, [sc.psi for sc in scenes])
+    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
+    e_dot = e_adot(s_t)
+    k = np.array([sc.k_pulses for sc in scenes], dtype=float)
+    e_p = np.array([sc.e_p for sc in scenes])
+    sigma_w2 = np.array([sc.sigma_w2 for sc in scenes])
+    p_d = np.abs(ad) ** 2
+    crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+    free = ai == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smr_v = p_d / np.abs(ai) ** 2
+        dphi = np.angle(ad) - np.angle(ai)       # enters only as exp(-j dphi)
+        t1 = np.einsum("tmn,tmn->t", dA_d.conj(), A_i)
+        t2 = np.einsum("tmn,tmn->t", ddA_d.conj(), A_i)
+        den_base = (t2 * np.exp(-1j * dphi)).real - np.sqrt(smr_v) * e_dot
+        den = den_base * den_base
+        threshold = eps_den_factor * smr_v * e_dot * e_dot
+        m = crb * e_dot * (np.abs(t1) ** 2 + smr_v * e_dot) / den
+    degenerate = ~free & (den < threshold)
+    m = np.where(free, crb, m)                   # the infinite-SMR limit
+    return m, degenerate
+
+
+def _oracle_scenes(geom, rng, n):
+    """n random scenes on ``geom``: ordinary ones, multipath-free ones, and
+    phase differences placed around the exact cancellation of the closed
+    form's denominator, on both sides of the degeneracy threshold."""
+    scenes = []
+    while len(scenes) < n:
+        theta = float(rng.uniform(-0.5, 0.5))
+        psi = float(rng.uniform(-0.8, 0.8))
+        snr_db, smr_db = float(rng.uniform(-5, 25)), float(rng.uniform(-10, 20))
+        k, e_p = int(rng.integers(1, 9)), float(rng.uniform(0.5, 3.0))
+        kind = len(scenes) % 4
+        dphis = [float(rng.uniform(-math.pi, math.pi))]
+        if kind == 3:
+            # Re{t2 e^{-j dphi}} = sqrt(SMR) E_Adot at dphi = arg t2 -+ acos(.)
+            s_t = steering(geom, theta)
+            _, a_i, _, dda_d = mimo_matrices(s_t, steering(geom, psi))
+            t2 = np.sum(dda_d.conj() * a_i)
+            c = 10 ** (smr_db / 20) * e_adot(s_t) / abs(t2)
+            if c >= 1.0:
+                continue
+            root = cmath.phase(t2) + math.copysign(math.acos(c), rng.uniform(-1, 1))
+            dphis = [root + sign * 10 ** float(rng.uniform(-8, -2))
+                     for sign in (-1.0, 1.0)]
+        for dphi in dphis:
+            sc = scene_from_ratios(geom, theta, psi, snr_db, smr_db, dphi, k, e_p)
+            if kind == 1:
+                sc = MultipathScene(geom=geom, theta=theta, psi=psi,
+                                    alpha_d=sc.alpha_d, alpha_i=0.0,
+                                    k_pulses=k, e_p=e_p, sigma_w2=sc.sigma_w2)
+            scenes.append(sc)
+    return scenes[:n]
+
+
+def test_closed_form_matches_legacy_smr_dphi_form():
+    rng = np.random.default_rng(515)
+    geoms = [standard_virtual_ula(3, 4), standard_virtual_ula(3, 16)]
+    geoms += [ArrayGeometry(tx_positions=np.sort(rng.uniform(-4, 4, int(m_t))),
+                            rx_positions=np.sort(rng.uniform(-3, 3, int(m_r))))
+              for m_t, m_r in zip(rng.integers(1, 5, 6), rng.integers(2, 9, 6))]
+    counts = {"scenes": 0, "degenerate": 0}
+    for geom, n in zip(geoms, [800, 800] + [100] * 6):
+        scenes = _oracle_scenes(geom, rng, n)
+        want_m, want_deg = _legacy_closed_m(scenes)
+        got = mcrb_theta_closed_many(scenes)
+        assert [bb is None for bb in got] == want_deg.tolist()
+        for bb, m in zip(got, want_m):
+            if bb is not None:
+                assert bb.m_theta_theta == pytest.approx(m, rel=1e-9)
+        counts["scenes"] += len(scenes)
+        counts["degenerate"] += int(want_deg.sum())
+    # both sides of the threshold are exercised
+    assert counts["scenes"] >= 2000
+    assert 50 <= counts["degenerate"] <= counts["scenes"] - 1000

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mpcrb import cli
 from mpcrb.cli import load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
@@ -187,9 +188,18 @@ def test_selftest_passes_and_fault_injection_trips():
                for line in lines)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
-    assert main(["selftest"]) == 0
-    assert main(["selftest", "--inject-fault", "dda"]) == 1
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    # selftest: exit 0 iff the checks pass, and the fault flag is forwarded
+    # (the real checks run in test_selftest_passes_and_fault_injection_trips)
+    seen = []
+    for ok in (True, False):
+        def stub(inject_fault=None, ok=ok):
+            seen.append(inject_fault)
+            return ok, ["PASS stub: stubbed check"]
+        monkeypatch.setattr(cli, "run_selftest", stub)
+        assert main(["selftest"]) == (0 if ok else 1)
+        assert main(["selftest", "--inject-fault", "dda"]) == (0 if ok else 1)
+    assert seen == [None, "dda", None, "dda"]
     capsys.readouterr()
 
     # single-point degenerate bound -> exit 2
@@ -338,3 +348,34 @@ def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
     for file_name, digest in manifest["outputs"].items():
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
     assert (tmp_path / f"{name}.svg").exists() == (svg and name != "bounds")
+
+
+@pytest.mark.parametrize("path", ["search", "estimator"])
+@pytest.mark.parametrize("step", [-3, 0, 0.0, -1e-9, None, True, math.nan])
+def test_coarse_step_must_be_positive_when_given(path, step):
+    parse = ex.search_from_config if path == "search" else ex.estimator_from_config
+    with pytest.raises(ConfigError, match=rf"^{path}\.coarse_step_deg: "):
+        parse({path: {"coarse_step_deg": step}})
+    assert parse({path: {}}).coarse_step is None
+    assert parse({path: {"coarse_step_deg": 0.5}}).coarse_step == math.radians(0.5)
+
+
+@pytest.mark.parametrize("name", ["fig2", "montecarlo"])
+def test_trials_cap_is_checked_before_any_scene(tmp_path, monkeypatch, capsys,
+                                                name):
+    assert all(load_preset(n).get("trials", 0) < ex._MAX_TRIALS
+               for n in RECIPE_AXES)
+    cfg = load_preset(name)
+    cfg["sweep"]["snr_db"] = {"start": 10.0, "stop": 10.0, "step": 1.0}
+    cfg["trials"] = ex._MAX_TRIALS + 1
+
+    def no_scenes(*args, **kwargs):
+        raise AssertionError("a scene was built before the trials check")
+
+    monkeypatch.setattr(ex, "scene_from_config", no_scenes)
+    with pytest.raises(ConfigError, match=r"^trials: must be <= "):
+        getattr(ex, f"run_{name}")(cfg, tmp_path)
+    # the CLI override goes through the same check
+    assert main([name, "--trials", str(ex._MAX_TRIALS + 1),
+                 "--out", str(tmp_path)]) == 1
+    assert "trials" in capsys.readouterr().err

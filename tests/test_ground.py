@@ -138,8 +138,7 @@ def test_range_sweep_batch_matches_range_point():
     assert any(p.same_cell for p in swept) and not all(p.same_cell for p in swept)
     for p in swept:
         q = range_point(scn, p.r_d, geom=geom)
-        assert (p.same_cell, p.degenerate, p.bound is None) == \
-            (q.same_cell, q.degenerate, q.bound is None)
+        assert (p.same_cell, p.bound is None) == (q.same_cell, q.bound is None)
         assert p.scene == q.scene
         if p.bound is not None:
             assert abs(p.bound.theta_a - q.bound.theta_a) <= 1e-7
