@@ -87,6 +87,11 @@ def virtual_positions(geom: ArrayGeometry) -> np.ndarray:
     return np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
 
 
+def _phasors(positions: np.ndarray, sines) -> np.ndarray:
+    """exp(j*2*pi*p_m*sin(phi))/sqrt(M), one column per entry of ``sines``."""
+    return np.exp(1j * TWO_PI * np.outer(positions, sines)) / np.sqrt(positions.size)
+
+
 def _steer_one(positions: np.ndarray, theta):
     m = positions.size
     phase = TWO_PI * positions * np.sin(theta)
@@ -150,15 +155,10 @@ def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np
 
     gain(phi) = 20*log10 |a^H(steer) a(phi)| per array; 0 dB at phi == steer.
     """
-    grid = np.asarray(grid, dtype=float)
-    s0 = steering(geom, steer)
-    gains = []
-    for pos, a0 in ((geom.tx_positions, s0.a_t), (geom.rx_positions, s0.a_r)):
-        m = pos.size
-        a_grid = np.exp(1j * TWO_PI * np.outer(pos, np.sin(grid))) / np.sqrt(m)
-        g = np.abs(a0.conj() @ a_grid)
-        gains.append(20.0 * np.log10(np.maximum(g, 1e-300)))
-    return gains[0], gains[1]
+    s0, sines = steering(geom, steer), np.sin(np.asarray(grid, dtype=float))
+    gains = [np.abs(a0.conj() @ _phasors(pos, sines))
+             for pos, a0 in ((geom.tx_positions, s0.a_t), (geom.rx_positions, s0.a_r))]
+    return tuple(20.0 * np.log10(np.maximum(g, 1e-300)) for g in gains)
 
 
 def virtual_hpbw(geom: ArrayGeometry) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, e_adot, mimo_matrices, steering,
+from .arrays import (ArrayGeometry, _phasors, e_adot, mimo_matrices, steering,
                      virtual_hpbw)
 from .scene import MultipathScene, snr
 
@@ -36,8 +36,8 @@ class SingularInformationError(BoundsError):
 class DegenerateBoundError(BoundsError):
     """Closed-form denominator too close to zero: bound numerically invalid.
 
-    ``denominator`` holds zeta3^2 and ``threshold`` 1e-9 * I^2, with
-    I = |alpha_d|^2 E_Adot; the point is degenerate when the first is smaller."""
+    ``denominator`` holds zeta3^2 and ``threshold`` 1e-9 * I^2, I = |alpha_d|^2
+    E_Adot, both scaled by 2^-4k (k the binary exponent of |alpha_d|)."""
 
     def __init__(self, message: str, denominator: float, threshold: float):
         super().__init__(message)
@@ -161,25 +161,21 @@ def crb_theta(scene: MultipathScene) -> float:
     return 1.0 / (2.0 * snr(scene) * scene.k_pulses * scene.e_p * e_dot)
 
 
-def _one_scene(scene: MultipathScene, f_tau, f_omega) -> tuple[_Model, ZetaSet]:
-    """The model of one scene and its :class:`ZetaSet`."""
-    model = _model([scene])
-    a2 = abs(scene.alpha_d) ** 2
-    z1 = 1.0 if f_tau is None else a2 * f_tau / scene.e_p
-    z2 = 1.0 if f_omega is None else a2 * f_omega / scene.e_p
-    return model, ZetaSet(float(z1), float(z2), float(model.zeta3[0]),
-                          complex(model.zeta4[0]), complex(model.zeta5[0]))
+def _zetas(mod: _Model, scenes, f_omega: float | None) -> list[ZetaSet]:
+    z2 = [1.0 if f_omega is None else abs(sc.alpha_d) ** 2 * f_omega / sc.e_p
+          for sc in scenes]
+    return list(map(ZetaSet, [1.0] * len(z2), z2, mod.zeta3.tolist(),
+                    mod.zeta4.tolist(), mod.zeta5.tolist()))
 
 
-def zeta_set(scene: MultipathScene, f_tau: float | None = None,
-             f_omega: float | None = None) -> ZetaSet:
+def zeta_set(scene: MultipathScene, f_omega: float | None = None) -> ZetaSet:
     """Reduced curvature entries for the scene.
 
-    With ``f_tau``/``f_omega`` omitted, zeta1 = zeta2 = 1 (the delay/Doppler
-    information scalars are out of scope and cancel from the DOA element for
-    symmetric geometries); otherwise zeta = |alpha_d|^2 * F / E_p.
+    zeta1 = 1: the delay row of the curvature matrix is decoupled, so its
+    scale cannot reach the DOA element.  zeta2 = 1 with ``f_omega`` omitted,
+    otherwise |alpha_d|^2 * f_omega / E_p.
     """
-    return _one_scene(scene, f_tau, f_omega)[1]
+    return _zetas(_model([scene]), [scene], f_omega)[0]
 
 
 def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
@@ -206,13 +202,10 @@ _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 
 @lru_cache(maxsize=32)
 def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
-    tx = np.asarray(geom_key[0])
-    rx = np.asarray(geom_key[1])
     angles = np.linspace(lo, hi, n)
     s = np.sin(angles)
-    a_r = np.exp(2j * np.pi * np.outer(rx, s)) / np.sqrt(rx.size)
-    a_t = np.exp(2j * np.pi * np.outer(tx, s)) / np.sqrt(tx.size)
-    return angles, a_r, a_t
+    tx, rx = (np.asarray(pos) for pos in geom_key)
+    return angles, _phasors(rx, s), _phasors(tx, s)
 
 
 def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchConfig:
@@ -226,8 +219,7 @@ def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchC
 def _projection(geom: ArrayGeometry, y: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """|tr(A^H(angle_t) Y_t)|^2 per statistic, one angle per statistic."""
     s = np.sin(angles)
-    a_r = np.exp(2j * np.pi * np.outer(s, geom.rx_positions)) / math.sqrt(geom.m_r)
-    a_t = np.exp(2j * np.pi * np.outer(s, geom.tx_positions)) / math.sqrt(geom.m_t)
+    a_r, a_t = _phasors(geom.rx_positions, s).T, _phasors(geom.tx_positions, s).T
     proj = (a_r.conj()[:, None, :] @ y @ a_t.conj()[:, :, None])[:, 0, 0]
     return proj.real ** 2 + proj.imag ** 2
 
@@ -335,24 +327,34 @@ def theta_a_paper_form(scene: MultipathScene,
     return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
 
 
-def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None):
-    """Closed-form breakdowns (None where degenerate) plus zeta3^2 and the
-    threshold 1e-9 * I^2 of the degeneracy test, all scenes on one geometry."""
-    mod = _model(scenes)
-    _informative(mod.e_dot)
-    info = np.abs(mod.alpha_d) ** 2 * mod.e_dot          # I = |alpha_d|^2 E_Adot
-    den, threshold = mod.zeta3 * mod.zeta3, _EPS_DEN_FACTOR * info * info
-    degenerate = den < threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = mod.crb * (info * (np.abs(mod.zeta5) ** 2 + info) / den)
+def _breakdowns(mod: _Model, m: np.ndarray, valid: np.ndarray,
+                search: SearchConfig | None) -> list[BoundBreakdown | None]:
+    """Breakdown per row with M component ``m``, None where not ``valid``; theta_A
+    is theta where alpha_i = 0, else from one batched search."""
     th_a = mod.theta.copy()
-    rows = np.flatnonzero((mod.alpha_i != 0) & ~degenerate)
+    rows = np.flatnonzero((mod.alpha_i != 0) & valid)
     th_a[rows] = _pseudo_true(mod, mod.alpha_d[rows], mod.alpha_i[rows], search, rows)
     b = (mod.theta - th_a) ** 2
-    out = [None if deg else BoundBreakdown(c, m_i, t_a, b_i, m_i + b_i)
-           for deg, c, m_i, t_a, b_i in zip(degenerate.tolist(), mod.crb.tolist(),
+    return [BoundBreakdown(c, m_i, t_a, b_i, m_i + b_i) if ok else None
+            for ok, c, m_i, t_a, b_i in zip(valid.tolist(), mod.crb.tolist(),
                                             m.tolist(), th_a.tolist(), b.tolist())]
-    return out, den, threshold
+
+
+def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None):
+    """Closed-form breakdowns (None where degenerate) plus zeta3^2 and the
+    threshold 1e-9 * I^2 of the degeneracy test, all scenes on one geometry.
+    I and zeta3 are scaled by 2^-2k and zeta5 by 2^-k, k the binary exponent
+    of |alpha_d|: exact, and it keeps their squares inside the double range."""
+    mod = _model(scenes)
+    _informative(mod.e_dot)
+    k = np.frexp(np.abs(mod.alpha_d))[1]
+    info = np.ldexp(np.abs(mod.alpha_d) ** 2 * mod.e_dot, -2 * k)   # I = |a_d|^2 E_Adot
+    z3, z5 = np.ldexp(mod.zeta3, -2 * k), mod.zeta5 * np.ldexp(1.0, -k)
+    den, threshold = z3 * z3, _EPS_DEN_FACTOR * info * info
+    degenerate = den < threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = mod.crb * (info * (np.abs(z5) ** 2 + info) / den)
+    return _breakdowns(mod, m, ~degenerate, search), den, threshold
 
 
 def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
@@ -385,29 +387,37 @@ def mcrb_theta_closed(scene: MultipathScene,
     return bb
 
 
-def mcrb_sandwich(scene: MultipathScene, f_tau: float | None = None,
-                  f_omega: float | None = None, search: SearchConfig | None = None,
-                  cond_threshold: float = 1e12):
+def _sandwich_batch(scenes: list[MultipathScene], f_omega: float | None = None,
+                    search: SearchConfig | None = None, cond_threshold: float = 1e12):
+    """Stacked sandwich matrices (void where Z is ill-conditioned), breakdowns
+    (None there) and condition numbers of Z, all scenes on one geometry."""
+    mod = _model(scenes)
+    zetas = _zetas(mod, scenes, f_omega)
+    z = np.array([cd_matrix(zt) for zt in zetas])
+    cond = np.linalg.cond(z)
+    ok = np.isfinite(cond) & (cond <= cond_threshold)
+    _informative(mod.e_dot[ok])
+    j = np.array([(1.0, 1.0, zt.zeta1, zt.zeta2, i) for zt, i in     # diagonal of J
+                  zip(zetas, (np.abs(mod.alpha_d) ** 2 * mod.e_dot).tolist())])
+    z_inv = np.linalg.inv(np.where(ok[:, None, None], z, np.eye(5)))  # singular Z raises
+    m = (z_inv * j[:, None, :]) @ z_inv / mod.s[:, None, None]
+    return m, _breakdowns(mod, m[:, 4, 4], ok, search), cond
+
+
+def mcrb_sandwich(scene: MultipathScene, f_omega: float | None = None,
+                  search: SearchConfig | None = None, cond_threshold: float = 1e12):
     """Numerical sandwich C_D^{-1} J C_D^{-1} and its DOA breakdown.
 
     Returns ``(m_matrix, breakdown)`` where ``m_matrix`` is the full 5x5
     covariance term and the breakdown's M component is its (theta, theta)
     element.  This is the oracle the closed form is compared against.
+    zeta4 is taken at unit Doppler scale and ``f_omega`` sets zeta2 (see
+    :func:`zeta_set`), so it fixes the zeta2/zeta4 Doppler scale convention,
+    on which the (theta, theta) element depends.  A batch of one.
     """
-    model, zetas = _one_scene(scene, f_tau, f_omega)
-    z = cd_matrix(zetas, scale=1.0)
-    cond = float(np.linalg.cond(z))
-    if not np.isfinite(cond) or cond > cond_threshold:
+    (m,), (bb,), (cond,) = _sandwich_batch([scene], f_omega, search, cond_threshold)
+    if bb is None:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",
-            condition=cond)
-    _informative(model.e_dot)
-    info = abs(scene.alpha_d) ** 2 * model.e_dot[0]
-    j_diag = np.array([1.0, 1.0, zetas.zeta1, zetas.zeta2, info])
-    z_inv = np.linalg.inv(z)
-    m_matrix = (z_inv * j_diag) @ z_inv / model.s[0]
-    m_tt = float(m_matrix[4, 4])
-    th_a = scene.theta if scene.alpha_i == 0 else float(
-        _pseudo_true(model, scene.alpha_d, scene.alpha_i, search)[0])
-    b = (scene.theta - th_a) ** 2
-    return m_matrix, BoundBreakdown(float(model.crb[0]), m_tt, th_a, b, m_tt + b)
+            condition=float(cond))
+    return m, bb

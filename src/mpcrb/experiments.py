@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (BoundBreakdown, ConditioningError, DegenerateBoundError,
-                     SearchConfig, cd_matrix, crb_theta, mcrb_sandwich,
-                     mcrb_theta_closed, mcrb_theta_closed_many, theta_a,
-                     theta_a_paper_form, zeta_set)
+from .bounds import (BoundBreakdown, SearchConfig, _sandwich_batch, cd_matrix,
+                     crb_theta, mcrb_sandwich, mcrb_theta_closed,
+                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
+                     zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import GroundScenario, range_sweep, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -589,36 +589,26 @@ def run_selftest(config: dict | None = None, inject_fault: str | None = None):
                  fb.mcrb_theta == fb.crb_theta and fb.theta_a == 0.0,
                  "MCRB == CRB and theta_A == theta for alpha_i = 0")
 
+    def draw(n, smr_db, dth, dphi):
+        """n scenes at theta = 0; SMR, separation and phase drawn in that order."""
+        draws = [(rng.uniform(*smr_db), rng.uniform(-dth, dth), rng.uniform(-dphi, dphi))
+                 for _ in range(n)]
+        return [scene_from_ratios(geom, 0.0, -d, 10.0, s, p) for s, d, p in draws]
+
     hpbw = virtual_hpbw(geom)
-    devs = []
-    skipped = 0
-    for _ in range(1000):
-        smr_db = float(rng.uniform(-10, 30))
-        dth = float(rng.uniform(-2 * hpbw, 2 * hpbw))
-        dphi = float(rng.uniform(-np.pi, np.pi))
-        scene = scene_from_ratios(geom, 0.0, -dth, 10.0, smr_db, dphi)
-        try:
-            closed = mcrb_theta_closed(scene)
-            _, sand = mcrb_sandwich(scene)
-        except (DegenerateBoundError, ConditioningError):
-            skipped += 1
-            continue
-        devs.append(abs(closed.m_theta_theta - sand.m_theta_theta)
-                    / abs(sand.m_theta_theta))
-    devs = np.array(devs)
+    scenes = draw(1000, (-10, 30), 2 * hpbw, np.pi)
+    pairs = zip(mcrb_theta_closed_many(scenes), _sandwich_batch(scenes)[1])
+    devs = np.array([abs(c.m_theta_theta - s.m_theta_theta) / abs(s.m_theta_theta)
+                     for c, s in pairs if c is not None and s is not None])
     lines.append(
         "INFO closed-form-vs-sandwich: max rel dev = %.3e, median = %.3e "
         "over %d scenes (%d degenerate/ill-conditioned skipped); the closed "
         "form drops the DOA-amplitude coupling feedback and is exact "
         "only where tr(dA_d^H A_i) -> 0" % (devs.max(), np.median(devs),
-                                            devs.size, skipped))
+                                            devs.size, len(scenes) - devs.size))
 
     gaps = []
-    for _ in range(50):
-        smr_db = float(rng.uniform(-6, 20))
-        dth = float(rng.uniform(-hpbw, hpbw))
-        dphi = float(rng.uniform(-2.0, 2.0))
-        scene = scene_from_ratios(geom, 0.0, -dth, 10.0, smr_db, dphi)
+    for scene in draw(50, (-6, 20), hpbw, 2.0):
         try:
             gaps.append(abs(theta_a(scene) - theta_a_paper_form(scene)))
         except ValueError:

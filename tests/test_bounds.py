@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from conftest import dense_grid_argmax, raw_mimo, raw_steering
 
-from mpcrb import (ArrayGeometry, ConditioningError, DegenerateBoundError,
-                   MultipathScene, SearchConfig, SingularInformationError,
-                   ZetaSet, cd_matrix, compressed_mean, crb_theta,
-                   e_adot, fim, mcrb_sandwich, mcrb_theta_closed,
-                   mcrb_theta_closed_many, mimo_matrices, scene_from_ratios,
-                   standard_virtual_ula, steering, theta_a,
+from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
+                   DegenerateBoundError, MultipathScene, SearchConfig,
+                   SingularInformationError, ZetaSet, cd_matrix,
+                   compressed_mean, crb_theta, e_adot, fim, mcrb_sandwich,
+                   mcrb_theta_closed, mcrb_theta_closed_many, mimo_matrices,
+                   scene_from_ratios, standard_virtual_ula, steering, theta_a,
                    theta_a_paper_form, zeta_set)
+from mpcrb.bounds import _informative, _model, _pseudo_true, _sandwich_batch
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(303)
@@ -515,3 +516,80 @@ def test_closed_form_matches_legacy_smr_dphi_form():
     # both sides of the threshold are exercised
     assert counts["scenes"] >= 2000
     assert 50 <= counts["degenerate"] <= counts["scenes"] - 1000
+
+
+@pytest.mark.parametrize("amp", [1e-85, 1e76, 1e80])
+def test_closed_form_ratio_free_of_amplitude_scale(amp):
+    # I^2 and zeta3^2 scale as |alpha_d|^4 and leave the double range here
+    for ratio, want in ((0.0, 1.0), (0.5, 0.4405312874020134)):
+        sc = MultipathScene(geom=GEOM, theta=0.0, psi=0.1, alpha_d=amp,
+                            alpha_i=ratio * amp, sigma_w2=amp ** 2)
+        bb = mcrb_theta_closed(sc)
+        assert bb.m_theta_theta / bb.crb_theta == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched sandwich against the scalar sandwich it replaced
+
+def _legacy_sandwich(scene, f_omega=None, search=None, cond_threshold=1e12):
+    """The sandwich as it was written one scene at a time, before it became
+    a batch of one, with its zeta helper and the 5x5 layout inlined (zeta1
+    folded to 1); kept verbatim as an oracle."""
+    model = _model([scene])
+    a2 = abs(scene.alpha_d) ** 2
+    z1 = 1.0
+    z2 = 1.0 if f_omega is None else a2 * f_omega / scene.e_p
+    z4, z5 = complex(model.zeta4[0]), complex(model.zeta5[0])
+    z = np.array([
+        [1.0, 0.0, 0.0, z4.imag, -z5.real],
+        [0.0, 1.0, 0.0, -z4.real, -z5.imag],
+        [0.0, 0.0, z1, 0.0, 0.0],
+        [z4.imag, -z4.real, 0.0, z2, 0.0],
+        [-z5.real, -z5.imag, 0.0, 0.0, float(model.zeta3[0])],
+    ])
+    cond = float(np.linalg.cond(z))
+    if not np.isfinite(cond) or cond > cond_threshold:
+        raise ConditioningError(
+            f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",
+            condition=cond)
+    _informative(model.e_dot)
+    info = abs(scene.alpha_d) ** 2 * model.e_dot[0]
+    j_diag = np.array([1.0, 1.0, z1, z2, info])
+    z_inv = np.linalg.inv(z)
+    m_matrix = (z_inv * j_diag) @ z_inv / model.s[0]
+    m_tt = float(m_matrix[4, 4])
+    th_a = scene.theta if scene.alpha_i == 0 else float(
+        _pseudo_true(model, scene.alpha_d, scene.alpha_i, search)[0])
+    b = (scene.theta - th_a) ** 2
+    return m_matrix, BoundBreakdown(float(model.crb[0]), m_tt, th_a, b, m_tt + b)
+
+
+def test_sandwich_batch_matches_legacy_scalar_sandwich():
+    rng = np.random.default_rng(616)
+    geoms = [standard_virtual_ula(3, 4), standard_virtual_ula(3, 16)]
+    geoms += [ArrayGeometry(tx_positions=np.sort(rng.uniform(-4, 4, int(m_t))),
+                            rx_positions=np.sort(rng.uniform(-3, 3, int(m_r))))
+              for m_t, m_r in zip(rng.integers(1, 5, 4), rng.integers(2, 9, 4))]
+    counts = {"scenes": 0, "ill": 0}
+    for i, (geom, n) in enumerate(zip(geoms, [250, 250, 125, 125, 125, 125])):
+        scenes = _oracle_scenes(geom, rng, n)
+        f_omega = None if i % 2 == 0 else float(rng.uniform(0.2, 50.0))
+        cond_threshold = 1e12
+        if i == 2:      # half the batch ill-conditioned
+            cond_threshold = float(np.median(_sandwich_batch(scenes)[2]))
+        ms, bbs, _ = _sandwich_batch(scenes, f_omega, None, cond_threshold)
+        for sc, m, bb in zip(scenes, ms, bbs):
+            try:
+                want_m, want = _legacy_sandwich(sc, f_omega, None, cond_threshold)
+            except ConditioningError:
+                assert bb is None
+                counts["ill"] += 1
+                continue
+            np.testing.assert_allclose(m, want_m, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_m).max())
+            for field in ("crb_theta", "m_theta_theta", "theta_a",
+                          "b_theta_theta", "mcrb_theta"):
+                assert getattr(bb, field) == pytest.approx(getattr(want, field),
+                                                           rel=1e-12)
+        counts["scenes"] += len(scenes)
+    assert counts["scenes"] >= 1000 and 50 <= counts["ill"] <= 100
