@@ -18,11 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import (ArrayGeometry, _phasors, e_adot, mimo_matrices, steering,
-                     virtual_hpbw)
+from .arrays import (TWO_PI, ArrayGeometry, _phasors, e_adot, mimo_matrices,
+                     steering, virtual_hpbw)
 from .scene import MultipathScene, snr
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class BoundsError(Exception):
@@ -87,7 +85,7 @@ class BoundBreakdown:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Grid-then-golden-section argmax settings, shared by the pseudo-true
+    """Grid-then-safeguarded-Newton argmax settings, shared by the pseudo-true
     angle and the MML estimator."""
 
     span: tuple[float, float] = (-math.pi / 3, math.pi / 3)
@@ -202,10 +200,11 @@ _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 
 @lru_cache(maxsize=32)
 def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
+    """Grid angles and V = conj(a_r) (x) conj(a_t), shape (M_r*M_t, n): the
+    row Y.reshape(-1) @ V holds tr(A^H(phi) Y) over the grid."""
     angles = np.linspace(lo, hi, n)
-    s = np.sin(angles)
-    tx, rx = (np.asarray(pos) for pos in geom_key)
-    return angles, _phasors(rx, s), _phasors(tx, s)
+    tx, rx = (_phasors(np.asarray(pos), np.sin(angles)).conj() for pos in geom_key)
+    return angles, (rx[:, None, :] * tx[None, :, :]).reshape(-1, n)
 
 
 def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchConfig:
@@ -216,31 +215,36 @@ def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchC
     return search
 
 
-def _projection(geom: ArrayGeometry, y: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """|tr(A^H(angle_t) Y_t)|^2 per statistic, one angle per statistic."""
-    s = np.sin(angles)
-    a_r, a_t = _phasors(geom.rx_positions, s).T, _phasors(geom.tx_positions, s).T
-    proj = (a_r.conj()[:, None, :] @ y @ a_t.conj()[:, :, None])[:, 0, 0]
-    return proj.real ** 2 + proj.imag ** 2
+def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
+    """c_k = <vec d^k A(phi_t), vec Y_t>, k = 0, 1, 2, per statistic: on the
+    virtual array q = p_r + p_t, dA = u A and ddA = (u^2 - v) A with
+    u = j 2 pi q cos(phi), v = j 2 pi q sin(phi) (``arrays._steer_one``), so
+    the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2."""
+    s, n = np.sin(phi), len(y)
+    w = (_phasors(geom.rx_positions, -s).T[:, :, None] * y
+         * _phasors(geom.tx_positions, -s).T[:, None, :]).reshape(n, 1, -1)
+    q = (geom.rx_positions[:, None] + geom.tx_positions).ravel()
+    m0, m1, m2 = (w @ np.stack([np.ones_like(q), q, q * q], axis=1))[:, 0].T
+    k = TWO_PI * np.cos(phi)
+    return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2
 
 
 def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
                    prefer: np.ndarray | None = None):
-    """Coarse grid and the index of each statistic's winner on it.
-
-    The winner is the first maximum of |tr(A^H(phi) Y_t)|^2 over the grid,
-    or with ``prefer`` the grid angle nearest ``prefer[t]`` among values
-    within 1e-12 (relative) of the maximum.  The grid is scanned ``_BLOCK``
-    statistics at a time, which bounds its (block, grid) intermediate.
-    """
+    """Coarse grid and each statistic's winner on it: the first maximum of
+    |tr(A^H(phi) Y_t)|^2, or with ``prefer`` the grid angle nearest prefer[t]
+    among values within 1e-12 (relative) of the maximum.  One product with
+    the virtual steering matrix per ``_BLOCK`` statistics bounds the
+    (block, grid) intermediate."""
     lo, hi = search.span
     n_grid = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
-    angles, a_r_grid, a_t_grid = _steering_grid(geom.key(), lo, hi, n_grid)
+    angles, v = _steering_grid(geom.key(), lo, hi, n_grid)
+    flat = y.reshape(len(y), v.shape[0])
     best = np.empty(len(y), dtype=np.intp)
     for start in range(0, len(y), _BLOCK):
         stop = min(start + _BLOCK, len(y))
-        vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y[start:stop],
-                                a_t_grid.conj())) ** 2
+        proj = flat[start:stop] @ v
+        vals = proj.real ** 2 + proj.imag ** 2
         if prefer is None:
             best[start:stop] = np.argmax(vals, axis=1)
         else:
@@ -252,38 +256,32 @@ def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
 
 def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
                        prefer: np.ndarray | None = None) -> np.ndarray:
-    """Angle maximizing |tr(A^H(phi) Y_t)|^2 for each statistic Y_t of ``y``.
+    """Angle maximizing p(phi) = |tr(A^H(phi) Y_t)|^2 for each statistic Y_t.
 
     ``y`` has shape (n, M_r, M_t); ``search`` carries the span, a resolved
-    coarse step and the refinement tolerance.  After the coarse scan of
-    :func:`_coarse_winner`, a classic golden-section shrink of the two cells
-    around each winner runs over all statistics at once, for the fixed
-    number of sweeps that brings the bracket below the tolerance.  Each
-    sweep evaluates one new interior point and keeps the other's value.
+    coarse step and the tolerance.  Newton steps on p'/2 = Re(c0* c1) and
+    p''/2 = |c1|^2 + Re(c0* c2) refine each coarse winner inside its grid
+    cells and the span, a bracket that the sign of p' shrinks; a step that
+    leaves it, or one where p'' >= 0, bisects it instead.  Each row stops on
+    its own at a step within the tolerance, or after twice the bisections.
     """
-    lo, hi = search.span
     angles, best = _coarse_winner(y, geom, search, prefer)
-    step = angles[1] - angles[0]
-    iters = max(0, int(math.ceil(math.log(search.refine_tol / (2.0 * step))
-                                 / math.log(GOLDEN))))
-    a = np.maximum(lo, angles[best] - step)
-    b = np.minimum(hi, angles[best] + step)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc = _projection(geom, y, c)
-    fd = _projection(geom, y, d)
-    for sweep in range(iters):
-        keep_left = fc >= fd
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-        if sweep == iters - 1:
+    step, phi = angles[1] - angles[0], angles[best]
+    a, b = (np.clip(phi + d, *search.span) for d in (-step, step))
+    rows = np.arange(len(y))
+    for _ in range(2 * math.ceil(math.log2(2.0 * step / search.refine_tol))):
+        if not rows.size:
             break
-        # the kept interior point becomes the other one of the new bracket
-        new = np.where(keep_left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        f_new = _projection(geom, y, new)
-        c, d = np.where(keep_left, new, d), np.where(keep_left, c, new)
-        fc, fd = np.where(keep_left, f_new, fd), np.where(keep_left, fc, f_new)
-    return 0.5 * (a + b)
+        x = phi[rows]
+        c0, c1, c2 = _projection_derivs(geom, y[rows], x)
+        g, h = (c0.conj() * c1).real, np.abs(c1) ** 2 + (c0.conj() * c2).real
+        lo_r = a[rows] = np.where(g > 0, x, a[rows])
+        hi_r = b[rows] = np.where(g < 0, x, b[rows])
+        new = x - g / np.where(h < 0, h, 1.0)
+        new = np.where((h < 0) & (lo_r <= new) & (new <= hi_r), new, 0.5 * (lo_r + hi_r))
+        phi[rows] = new
+        rows = rows[np.abs(new - x) > search.refine_tol]
+    return phi
 
 
 def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
@@ -303,11 +301,8 @@ def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
 
 def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     """Pseudo-true DOA: argmax of the projection of the true compressed mean
-    onto the assumed (direct-only) steering matrix, amplitude concentrated.
-
-    Deterministic grid-then-golden-section argmax; coarse ties are broken
-    toward the true theta.
-    """
+    onto the assumed (direct-only) steering matrix, amplitude concentrated,
+    by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta."""
     return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i,
                               search)[0])
 
@@ -390,11 +385,17 @@ def mcrb_theta_closed(scene: MultipathScene,
 def _sandwich_batch(scenes: list[MultipathScene], f_omega: float | None = None,
                     search: SearchConfig | None = None, cond_threshold: float = 1e12):
     """Stacked sandwich matrices (void where Z is ill-conditioned), breakdowns
-    (None there) and condition numbers of Z, all scenes on one geometry."""
+    (None there) and condition numbers, all scenes on one geometry.  The gate
+    reads Z of the amplitude-normalised scene (alpha_d, alpha_i over
+    |alpha_d|, zeta2 by its f_omega rule), free of the amplitude unit."""
     mod = _model(scenes)
     zetas = _zetas(mod, scenes, f_omega)
     z = np.array([cd_matrix(zt) for zt in zetas])
-    cond = np.linalg.cond(z)
+    u = np.ones((len(scenes), 5))
+    u[:, 3:] = 1.0 / np.where(mod.alpha_d == 0, 1.0, np.abs(mod.alpha_d))[:, None]
+    z_unit = u[:, :, None] * z * u[:, None, :]
+    z_unit[:, 3, 3] = [1.0 if f_omega is None else f_omega / sc.e_p for sc in scenes]
+    cond = np.linalg.cond(z_unit)
     ok = np.isfinite(cond) & (cond <= cond_threshold)
     _informative(mod.e_dot[ok])
     j = np.array([(1.0, 1.0, zt.zeta1, zt.zeta2, i) for zt, i in     # diagonal of J

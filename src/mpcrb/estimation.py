@@ -1,13 +1,14 @@
 """Misspecified ML DOA estimator and the Monte-Carlo RMSE engine.
 
 The estimator maximizes the direct-only matched projection
-|tr(A^H(theta') Y)|^2 on the compressed statistic; under multipath data it
-converges to the pseudo-true angle, which is exactly what the bias term of
-the bound predicts.  Scene ``i`` of a sweep draws its trials in order from
-one noise stream keyed by the counter pair (base_seed, i), so trial ``t``
-of scene ``i`` depends only on (base_seed, i, t): a run of n trials is a
-prefix of a longer run, and results do not depend on how the trials are
-packed into estimator calls.
+|tr(A^H(theta') Y)|^2 on the compressed statistic with the pseudo-true
+angle's kernel (coarse grid, then safeguarded Newton); under multipath data
+it converges to the pseudo-true angle, which is exactly what the bias term
+of the bound predicts.  Scene ``i`` of a sweep draws its trials in order
+from one noise stream keyed by the counter pair (base_seed, i), so trial
+``t`` of scene ``i`` depends only on (base_seed, i, t): a run of n trials
+is a prefix of a longer run, and results do not depend on how the trials
+are packed into estimator calls.
 """
 
 from __future__ import annotations

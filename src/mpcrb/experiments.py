@@ -22,10 +22,9 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (BoundBreakdown, SearchConfig, _sandwich_batch, cd_matrix,
-                     crb_theta, mcrb_sandwich, mcrb_theta_closed,
-                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
-                     zeta_set)
+from .bounds import (BoundBreakdown, SearchConfig, _model, _pseudo_true,
+                     _sandwich_batch, cd_matrix, crb_theta, mcrb_sandwich,
+                     mcrb_theta_closed, mcrb_theta_closed_many, zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import GroundScenario, range_sweep, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -607,15 +606,14 @@ def run_selftest(config: dict | None = None, inject_fault: str | None = None):
         "only where tr(dA_d^H A_i) -> 0" % (devs.max(), np.median(devs),
                                             devs.size, len(scenes) - devs.size))
 
-    gaps = []
-    for scene in draw(50, (-6, 20), hpbw, 2.0):
-        try:
-            gaps.append(abs(theta_a(scene) - theta_a_paper_form(scene)))
-        except ValueError:
-            continue
+    mod = _model(draw(50, (-6, 20), hpbw, 2.0))
+    ad, ai = mod.alpha_d, mod.alpha_i      # paper form undefined where ad + ai ~ 0
+    rows = np.flatnonzero(np.abs(ad + ai) >= 1e-12 * (np.abs(ad) + np.abs(ai)))
+    gaps = np.abs(_pseudo_true(mod, ad[rows], ai[rows], None, rows)
+                  - _pseudo_true(mod, 1.0, ai[rows] / (ad + ai)[rows], None, rows))
     lines.append("INFO theta-a-projection-vs-paper-form: max |gap| = %.3e rad "
                  "over %d scenes (the two weightings differ by an alpha_i "
-                 "cross term)" % (max(gaps), len(gaps)))
+                 "cross term)" % (gaps.max(), gaps.size))
 
     grazing = np.linspace(1e-4, np.pi / 2, 4000)
     mags = [abs(reflection_coefficient(p, 4.0, 0.005, 0.0038)) for p in grazing]

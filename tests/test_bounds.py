@@ -214,8 +214,10 @@ def test_theta_a_fig2_regression_and_dense_grid_oracle():
     oracle = dense_grid_argmax(GEOM, mean, 0.0, np.deg2rad(0.5),
                                np.deg2rad(1e-4))
     assert got == pytest.approx(oracle, abs=np.deg2rad(2e-4))
-    # frozen regression value from the dense-grid oracle
-    assert got == pytest.approx(2.9079547702e-3, abs=1e-9)
+    # frozen regression value: the root of p'(phi) for p(phi) = |<A(phi), mean>|^2,
+    # solved with mpmath at 40 digits from the float positions, angles and
+    # amplitudes of this scene (Illinois method on [2.5e-3, 3.5e-3])
+    assert got == pytest.approx(2.9079432178619855e-3, abs=1e-12)
 
 
 def test_theta_a_scale_and_rotation_invariance():
@@ -593,3 +595,29 @@ def test_sandwich_batch_matches_legacy_scalar_sandwich():
                                                            rel=1e-12)
         counts["scenes"] += len(scenes)
     assert counts["scenes"] >= 1000 and 50 <= counts["ill"] <= 100
+
+
+@pytest.mark.parametrize("f_omega", [None, 7.0])
+def test_sandwich_gate_free_of_amplitude_unit(f_omega):
+    # alpha_d, alpha_i and the noise scaled together leave the scene as it
+    # is; the gate must not refuse it for the unit, and M_theta_theta stays.
+    # SMR 0..20 dB keeps cond(Z) <= 1e4, so the raw inverse's rounding,
+    # which grows as cond(Z) * eps, stays well inside 1e-12
+    rng = np.random.default_rng(808)
+    base = [scene_from_ratios(GEOM, float(rng.uniform(-0.5, 0.5)),
+                              float(rng.uniform(-0.8, 0.8)),
+                              float(rng.uniform(-5, 25)), float(rng.uniform(0, 20)),
+                              float(rng.uniform(-math.pi, math.pi)),
+                              int(rng.integers(1, 9)), float(rng.uniform(0.5, 3.0)))
+            for _ in range(200)]
+    want = _sandwich_batch(base, f_omega)[1]
+    assert all(bb is not None for bb in want)
+    for amp in (1e-8, 1e5, 1e6, 1e10):
+        scaled = [MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
+                                 alpha_d=amp * sc.alpha_d, alpha_i=amp * sc.alpha_i,
+                                 sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses,
+                                 e_p=sc.e_p) for sc in base]
+        got = _sandwich_batch(scaled, f_omega)[1]
+        assert all(bb is not None for bb in got)
+        for g, w in zip(got, want):
+            assert g.m_theta_theta == pytest.approx(w.m_theta_theta, rel=1e-12)

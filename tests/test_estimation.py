@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mpcrb import (SearchConfig, crb_theta, compressed_mean,
+from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, compressed_mean,
                    mcrb_theta_closed, mml_doa, monte_carlo_rmse,
                    multipath_free, scene_from_ratios, standard_virtual_ula,
-                   synthesize_compressed, theta_a)
+                   synthesize_compressed, theta_a, virtual_hpbw)
 from mpcrb import estimation
-from mpcrb.bounds import _argmax_projection, _coarse_winner, _resolve_search
+from mpcrb.bounds import (_argmax_projection, _coarse_winner, _projection_derivs,
+                          _resolve_search)
 from mpcrb.estimation import MML_SEARCH
 
 GEOM = standard_virtual_ula(3, 4)
@@ -49,7 +51,7 @@ def test_mml_scale_invariance():
     a = mml_doa(y, GEOM)
     b = mml_doa(3.7 * y, GEOM)
     c = mml_doa(y * np.exp(1.3j), GEOM)
-    assert a == b
+    assert abs(a - b) <= 4 * np.spacing(a)   # Newton's g/h rounds with the scale
     assert abs(a - c) < 1e-9
 
 
@@ -207,32 +209,90 @@ def _legacy_mml_doa_batch(y_batch, geom, cfg):
     return 0.5 * (a + b)
 
 
-def _legacy_coarse_winner(y_batch, geom, cfg):
-    """The oracle's coarse scan on its own: index of the first grid maximum."""
+def _legacy_coarse_winner(y_batch, geom, cfg, prefer=None):
+    """The oracle's coarse scan on its own: index of the first grid maximum,
+    or with ``prefer`` the grid angle nearest prefer[t] among values within
+    1e-12 (relative) of the maximum, as the three-operand einsum scan broke
+    ties before the scan became one matrix product."""
     lo, hi = cfg.span
     n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
-    s = np.sin(np.linspace(lo, hi, n))
+    angles = np.linspace(lo, hi, n)
+    s = np.sin(angles)
     a_r_grid = np.exp(2j * np.pi * np.outer(geom.rx_positions, s)) / np.sqrt(geom.m_r)
     a_t_grid = np.exp(2j * np.pi * np.outer(geom.tx_positions, s)) / np.sqrt(geom.m_t)
     vals = np.abs(np.einsum("mg,tmn,ng->tg", a_r_grid.conj(), y_batch,
                             a_t_grid.conj())) ** 2
-    return np.argmax(vals, axis=1)
+    if prefer is None:
+        return np.argmax(vals, axis=1)
+    ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    return np.argmin(np.where(ties, np.abs(angles - prefer[:, None]), np.inf), axis=1)
+
+
+# 3x4, 3x16 and one fixed non-uniform geometry
+_KERNEL_GEOMS = (GEOM, standard_virtual_ula(3, 16),
+                 ArrayGeometry(tx_positions=[-2.9, -0.4, 1.7],
+                               rx_positions=[-1.6, -1.1, 0.2, 0.5, 1.9]))
+
+
+def _noisy_statistics(geom, snr_db, n=512, seed=2305):
+    sc = scene_from_ratios(geom, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, 8, 1.0)
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
+    shape = (n, geom.m_r, geom.m_t)
+    return sc, compressed_mean(sc) + scale * (rng.standard_normal(shape)
+                                              + 1j * rng.standard_normal(shape))
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
 def test_kernel_mml_path_matches_legacy_search(snr_db):
-    # same coarse winner; the refinement reuses one interior point per sweep
-    # and sums in another order, so the estimates agree to refine_tol
-    sc = fig2_scene(snr_db)
-    rng = np.random.default_rng(2305)
-    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
-    shape = (512, GEOM.m_r, GEOM.m_t)
-    y = compressed_mean(sc) + scale * (rng.standard_normal(shape)
-                                       + 1j * rng.standard_normal(shape))
+    # on every geometry: the same coarse winners, with and without the
+    # tie-break toward theta, and Newton within refine_tol of the golden search
+    for geom in _KERNEL_GEOMS:
+        sc, y = _noisy_statistics(geom, snr_db)
+        cfg = _resolve_search(geom, MML_SEARCH)
+        theta = np.full(len(y), sc.theta)
+        assert np.array_equal(_coarse_winner(y, geom, cfg)[1],
+                              _legacy_coarse_winner(y, geom, cfg))
+        assert np.array_equal(_coarse_winner(y, geom, cfg, theta)[1],
+                              _legacy_coarse_winner(y, geom, cfg, theta))
+        want = _legacy_mml_doa_batch(y, geom, cfg)
+        assert np.max(np.abs(_argmax_projection(y, geom, cfg) - want)) <= cfg.refine_tol
+        assert abs(mml_doa(y[7], geom)
+                   - _legacy_mml_doa_batch(y[7:8], geom, cfg)[0]) <= cfg.refine_tol
+
+
+def test_kernel_safeguard_keeps_newton_in_the_bracket():
+    # starts where plain Newton goes astray: a coarse step of 1.5 beamwidths
+    # puts the winner on the convex flank of the main lobe (p'' >= 0), and a
+    # source just past the span puts it on the span edge with the maximum
+    # outside; all must end inside the bracket, at the golden-section argmax
+    # to refine_tol
+    hpbw = virtual_hpbw(GEOM)
+    cfg = _resolve_search(GEOM, SearchConfig(coarse_step=1.5 * hpbw))
+    lo, hi = cfg.span
+    angles, _ = _coarse_winner(np.zeros((0, GEOM.m_r, GEOM.m_t)), GEOM, cfg)
+    step = angles[1] - angles[0]
+    w = angles[len(angles) // 2 + 3]
+    sources = [w + 0.7 * hpbw, w - 0.7 * hpbw, hi + 0.5 * step]
+    y = np.array([compressed_mean(multipath_free(
+        scene_from_ratios(GEOM, src, 0.0, 10.0, 0.0, 0.0))) for src in sources])
+    _, best = _coarse_winner(y, GEOM, cfg)
+    start = angles[best]
+    c0, c1, c2 = _projection_derivs(GEOM, y[:2], start[:2])
+    assert np.all(np.abs(c1) ** 2 + (c0.conj() * c2).real >= 0.0)   # convex start
+    assert start[2] == hi
+    got = _argmax_projection(y, GEOM, cfg)
+    assert np.all((np.maximum(lo, start - step) <= got)
+                  & (got <= np.minimum(hi, start + step)))
+    ref = _legacy_mml_doa_batch(y, GEOM, replace(cfg, refine_tol=1e-12))
+    assert np.max(np.abs(got - ref)) <= cfg.refine_tol
+    assert np.max(np.abs(got[:2] - sources[:2])) <= cfg.refine_tol
+    assert got[2] == hi
+
+
+def test_kernel_takes_an_empty_batch():
     cfg = _resolve_search(GEOM, MML_SEARCH)
-    assert np.array_equal(_coarse_winner(y, GEOM, cfg)[1],
-                          _legacy_coarse_winner(y, GEOM, cfg))
-    want = _legacy_mml_doa_batch(y, GEOM, cfg)
-    assert np.max(np.abs(_argmax_projection(y, GEOM, cfg) - want)) <= cfg.refine_tol
-    assert abs(mml_doa(y[7], GEOM)
-               - _legacy_mml_doa_batch(y[7:8], GEOM, cfg)[0]) <= cfg.refine_tol
+    empty = np.zeros((0, GEOM.m_r, GEOM.m_t), dtype=complex)
+    assert _argmax_projection(empty, GEOM, cfg).shape == (0,)
+    assert _argmax_projection(empty, GEOM, cfg, np.zeros(0)).shape == (0,)
+    assert _coarse_winner(empty, GEOM, cfg)[1].shape == (0,)
