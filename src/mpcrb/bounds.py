@@ -32,7 +32,7 @@ class SingularInformationError(BoundsError):
 
 
 class DegenerateBoundError(BoundsError):
-    """Closed-form denominator too close to zero: bound numerically invalid.
+    """Closed-form denominator too close to zero, or bound not finite.
 
     ``denominator`` holds zeta3^2 and ``threshold`` 1e-9 * I^2, I = |alpha_d|^2
     E_Adot, both scaled by 2^-4k (k the binary exponent of |alpha_d|)."""
@@ -107,31 +107,41 @@ class SearchConfig:
 # physical prefactor 2 K E_p / sigma_w2.
 _Model = namedtuple("_Model", "geom theta alpha_d alpha_i A_d A_i e_dot s crb "
                               "zeta3 zeta4 zeta5")
+_Columns = namedtuple("_Columns", "crb m theta_a bias mcrb valid")   # bound rows
+_DTYPES = (float, float, complex, complex, float, float, float)   # _build's columns
+
+
+def _crb(geom: ArrayGeometry, theta, alpha_d, k, e_p, sigma_w2):
+    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns."""
+    s_t = steering(geom, theta)
+    p_d, e_dot = np.abs(alpha_d) ** 2, e_adot(s_t)
+    with np.errstate(divide="ignore"):
+        return s_t, p_d, e_dot, 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+
+
+def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, e_p,
+           sigma_w2) -> _Model:
+    """Steering, CRB and zeta3..zeta5 from 1-D columns of scenes on ``geom``,
+    two steering calls in all.  Does not check E_Adot (:func:`_informative`)."""
+    theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2 = map(
+        np.asarray, (theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2), _DTYPES)
+    s_t, p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, e_p, sigma_w2)
+    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, steering(geom, psi))
+    t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
+                  for x in (ddA_d, A_d, dA_d))
+    return _Model(geom, theta, alpha_d, alpha_i, A_d, A_i, e_dot,
+                  2.0 * k * e_p / sigma_w2, crb,
+                  p_d * e_dot - (np.conj(alpha_d) * alpha_i * t2).real,
+                  alpha_i * t0, alpha_i * t1)   # zeta4: slow-time scale folded to 1
 
 
 def _model(scenes: Sequence[MultipathScene]) -> _Model:
-    """Steering, CRB and zeta3..zeta5 of every scene, two steering calls in
-    all.  Does not check E_Adot; callers that need it use :func:`_informative`."""
-    geom = scenes[0].geom
-    key = geom.key()
+    """:func:`_build` on the columns gathered from scenes on one geometry."""
+    geom, key = scenes[0].geom, scenes[0].geom.key()
     if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
         raise ValueError("all scenes of a batch must share one array geometry")
-    theta = np.array([sc.theta for sc in scenes])
-    ad, ai = np.array([(sc.alpha_d, sc.alpha_i) for sc in scenes], dtype=complex).T
-    s_t = steering(geom, theta)
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(
-        s_t, steering(geom, [sc.psi for sc in scenes]))
-    e_dot = e_adot(s_t)
-    k, e_p, sigma_w2 = np.array([(sc.k_pulses, sc.e_p, sc.sigma_w2)
-                                 for sc in scenes], dtype=float).T
-    p_d = np.abs(ad) ** 2
-    with np.errstate(divide="ignore"):
-        crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
-    t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
-                  for x in (ddA_d, A_d, dA_d))
-    return _Model(geom, theta, ad, ai, A_d, A_i, e_dot, 2.0 * k * e_p / sigma_w2,
-                  crb, p_d * e_dot - (np.conj(ad) * ai * t2).real,
-                  ai * t0, ai * t1)              # zeta4: slow-time scale folded to 1
+    return _build(geom, *zip(*[(sc.theta, sc.psi, sc.alpha_d, sc.alpha_i,
+                                sc.k_pulses, sc.e_p, sc.sigma_w2) for sc in scenes]))
 
 
 def _informative(e_dot):
@@ -286,11 +296,12 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
 
 def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
                  rows=slice(None)) -> np.ndarray:
-    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i for the
-    model's ``rows``, coarse ties toward each row's true theta, which the
-    span must contain.  Weights are scalars or one entry per selected row."""
-    y = (np.asarray(w_d)[..., None, None] * model.A_d[rows]
-         + np.asarray(w_i)[..., None, None] * model.A_i[rows])
+    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i (weights scalar or
+    per row, scaled by an exact power of two so |y|^2 stays finite) for the model's
+    ``rows``, coarse ties toward each row's true theta, which the span must contain."""
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(w_d), np.abs(w_i)))[1])
+    y = ((scale * w_d)[..., None, None] * model.A_d[rows]
+         + (scale * w_i)[..., None, None] * model.A_i[rows])
     theta = model.theta[rows]
     search = _resolve_search(model.geom, search)
     lo, hi = search.span
@@ -322,34 +333,44 @@ def theta_a_paper_form(scene: MultipathScene,
     return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
 
 
-def _breakdowns(mod: _Model, m: np.ndarray, valid: np.ndarray,
-                search: SearchConfig | None) -> list[BoundBreakdown | None]:
-    """Breakdown per row with M component ``m``, None where not ``valid``; theta_A
-    is theta where alpha_i = 0, else from one batched search."""
+def _bound_columns(mod: _Model, m: np.ndarray, valid: np.ndarray,
+                   search: SearchConfig | None) -> _Columns:
+    """Bound columns with M ``m``; theta_A searched where alpha_i != 0 and ``valid``."""
     th_a = mod.theta.copy()
     rows = np.flatnonzero((mod.alpha_i != 0) & valid)
     th_a[rows] = _pseudo_true(mod, mod.alpha_d[rows], mod.alpha_i[rows], search, rows)
     b = (mod.theta - th_a) ** 2
-    return [BoundBreakdown(c, m_i, t_a, b_i, m_i + b_i) if ok else None
-            for ok, c, m_i, t_a, b_i in zip(valid.tolist(), mod.crb.tolist(),
-                                            m.tolist(), th_a.tolist(), b.tolist())]
+    return _Columns(mod.crb, m, th_a, b, m + b, valid)
 
 
-def _closed_batch(scenes: list[MultipathScene], search: SearchConfig | None):
-    """Closed-form breakdowns (None where degenerate) plus zeta3^2 and the
-    threshold 1e-9 * I^2 of the degeneracy test, all scenes on one geometry.
-    I and zeta3 are scaled by 2^-2k and zeta5 by 2^-k, k the binary exponent
-    of |alpha_d|: exact, and it keeps their squares inside the double range."""
-    mod = _model(scenes)
+def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:
+    """One breakdown per row of ``cols``, None where not valid."""
+    return [BoundBreakdown(*row[:5]) if row[5] else None
+            for row in zip(*(c.tolist() for c in cols))]
+
+
+def _closed(mod: _Model, search: SearchConfig | None):
+    """Closed-form columns, valid where M is finite and zeta3^2 reaches 1e-9 * I^2,
+    plus both.  I and zeta3 are scaled by 2^-2k, zeta5 by 2^-k (k: binary exponent
+    of |alpha_d|): exact, with finite squares up to |alpha_i|/|alpha_d| ~ 1e150."""
     _informative(mod.e_dot)
     k = np.frexp(np.abs(mod.alpha_d))[1]
     info = np.ldexp(np.abs(mod.alpha_d) ** 2 * mod.e_dot, -2 * k)   # I = |a_d|^2 E_Adot
     z3, z5 = np.ldexp(mod.zeta3, -2 * k), mod.zeta5 * np.ldexp(1.0, -k)
-    den, threshold = z3 * z3, _EPS_DEN_FACTOR * info * info
-    degenerate = den < threshold
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        den, threshold = z3 * z3, _EPS_DEN_FACTOR * info * info
         m = mod.crb * (info * (np.abs(z5) ** 2 + info) / den)
-    return _breakdowns(mod, m, ~degenerate, search), den, threshold
+    valid = (den >= threshold) & np.isfinite(m)
+    return _bound_columns(mod, m, valid, search), den, threshold
+
+
+def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
+                              k_pulses, e_p, sigma_w2,
+                              search: SearchConfig | None = None):
+    """:func:`mcrb_theta_closed` on 1-D columns of scenes on ``geom``: the arrays
+    ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate."""
+    return _closed(_build(geom, theta, psi, alpha_d, alpha_i, k_pulses, e_p,
+                          sigma_w2), search)[0]
 
 
 def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
@@ -362,7 +383,7 @@ def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
     of raising; a theta outside the search span raises ValueError.
     """
     scenes = list(scenes)
-    return _closed_batch(scenes, search)[0] if scenes else []
+    return _breakdowns(_closed(_model(scenes), search)[0]) if scenes else []
 
 
 def mcrb_theta_closed(scene: MultipathScene,
@@ -374,12 +395,13 @@ def mcrb_theta_closed(scene: MultipathScene,
     component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
     A batch of one for :func:`mcrb_theta_closed_many`.
     """
-    (bb,), den, threshold = _closed_batch([scene], search)
-    if bb is None:
+    cols, (den,), (threshold,) = _closed(_model([scene]), search)
+    if not cols.valid[0]:
         raise DegenerateBoundError(
-            "near-destructive paths: closed-form denominator below threshold",
-            denominator=float(den[0]), threshold=float(threshold[0]))
-    return bb
+            "near-destructive paths: closed-form denominator below threshold"
+            if den < threshold else "closed-form bound is not finite",
+            denominator=float(den), threshold=float(threshold))
+    return _breakdowns(cols)[0]
 
 
 def _sandwich_batch(scenes: list[MultipathScene], f_omega: float | None = None,
@@ -402,7 +424,7 @@ def _sandwich_batch(scenes: list[MultipathScene], f_omega: float | None = None,
                   zip(zetas, (np.abs(mod.alpha_d) ** 2 * mod.e_dot).tolist())])
     z_inv = np.linalg.inv(np.where(ok[:, None, None], z, np.eye(5)))  # singular Z raises
     m = (z_inv * j[:, None, :]) @ z_inv / mod.s[:, None, None]
-    return m, _breakdowns(mod, m[:, 4, 4], ok, search), cond
+    return m, _breakdowns(_bound_columns(mod, m[:, 4, 4], ok, search)), cond
 
 
 def mcrb_sandwich(scene: MultipathScene, f_omega: float | None = None,

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _resolve_search
-from .scene import MultipathScene, synthesize_compressed
+from .bounds import SearchConfig, _argmax_projection, _model, _resolve_search
+from .scene import MultipathScene
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
 _MC_CHUNK = 4096   # statistics per estimator call of the Monte-Carlo engine
@@ -70,41 +71,45 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    results = []
-    pending = []        # (scene, statistics) pieces on one geometry
-    done = []           # error pieces of the scene being completed
-    room = _MC_CHUNK    # statistics the pending call can still take
+    results, done = [], []   # done: error pieces of the scene being completed
+    pieces = []              # (theta, statistics) held in the chunk buffer
 
-    def flush():
-        nonlocal room
-        geom = pending[0][0].geom
-        est = _argmax_projection(np.concatenate([y for _, y in pending]), geom,
-                                 _resolve_search(geom, cfg or MML_SEARCH))
+    def flush(geom, y):
+        est = _argmax_projection(y, geom, _resolve_search(geom, cfg or MML_SEARCH))
         start = 0
-        for scene, y in pending:
-            done.append(est[start:start + len(y)] - scene.theta)
-            start += len(y)
+        for theta, n in pieces:
+            done.append(est[start:start + n] - theta)
+            start += n
             if sum(map(len, done)) == trials:
                 results.append(_reduce(np.concatenate(done)))
                 done.clear()
-        pending.clear()
-        room = _MC_CHUNK
+        pieces.clear()
 
-    for idx, scene in enumerate(scene_sweep):
-        if pending and scene.geom.key() != pending[0][0].geom.key():
-            flush()
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(base_seed), idx))))
-        left = trials
-        while left:
-            take = min(left, room)
-            pending.append((scene, synthesize_compressed(scene, rng, take)))
-            left -= take
-            room -= take
-            if not room:
-                flush()
-    if pending:
-        flush()
+    for _, run in groupby(enumerate(scene_sweep), lambda t: t[1].geom.key()):
+        indices, run = zip(*run)
+        mod = _model(run)       # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
+        means = (np.array([sc.k_pulses * sc.e_p for sc in run])[:, None, None]
+                 * (mod.alpha_d[:, None, None] * mod.A_d
+                    + mod.alpha_i[:, None, None] * mod.A_i))
+        buf = np.empty((min(_MC_CHUNK, trials * len(run)),) + means.shape[1:],
+                       dtype=complex)
+        fill = 0
+        for idx, scene, mean in zip(indices, run, means):
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((int(base_seed), idx))))
+            scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
+            left = trials
+            while left:     # real, then imaginary parts, as synthesize_compressed
+                take = min(left, len(buf) - fill)
+                w = rng.standard_normal((take, 2) + mean.shape)
+                buf[fill:fill + take] = mean + scale * (w[:, 0] + 1j * w[:, 1])
+                pieces.append((scene.theta, take))
+                fill, left = fill + take, left - take
+                if fill == len(buf):
+                    flush(mod.geom, buf)
+                    fill = 0
+        if fill:
+            flush(mod.geom, buf[:fill])
     return RmseCurve(rmse_rad=tuple(r for r, _ in results),
                      bias_rad=tuple(b for _, b in results), trials=trials,
                      base_seed=base_seed)

@@ -10,8 +10,10 @@ interface compatibility and ignores it: all work runs in one thread.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -22,9 +24,9 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (BoundBreakdown, SearchConfig, _model, _pseudo_true,
-                     _sandwich_batch, cd_matrix, crb_theta, mcrb_sandwich,
-                     mcrb_theta_closed, mcrb_theta_closed_many, zeta_set)
+from .bounds import (SearchConfig, _crb, _model, _pseudo_true, _sandwich_batch,
+                     cd_matrix, mcrb_sandwich, mcrb_theta_closed,
+                     mcrb_theta_closed_columns, mcrb_theta_closed_many, zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import GroundScenario, range_sweep, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -156,11 +158,9 @@ def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
     return _search_config(cfg, path, SearchConfig().refine_tol)
 
 
-def scene_from_config(cfg: dict, geom: ArrayGeometry, path: str = "scene",
-                      snr_db: float | None = None,
-                      smr_db: float | None = None,
-                      dphi: float | None = None,
-                      psi_rad: float | None = None) -> MultipathScene:
+def _parse_scene(cfg: dict, geom: ArrayGeometry, path: str, snr_db=None,
+                 smr_db=None, dphi=None, psi_rad=None):
+    """scene_from_config's scene and the scene_from_ratios arguments it took."""
     theta = math.radians(_get_num(cfg, f"{path}.theta_deg", default=0.0))
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, f"{path}.psi_deg"))
@@ -172,88 +172,72 @@ def scene_from_config(cfg: dict, geom: ArrayGeometry, path: str = "scene",
         dphi = _get_num(cfg, f"{path}.delta_phi_rad", default=0.0)
     k = _get_int(cfg, f"{path}.k_pulses", default=1, minimum=1)
     e_p = _get_num(cfg, f"{path}.e_p", default=1.0, positive=True)
+    args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
+                dphi=dphi, k_pulses=k, e_p=e_p)
     try:
-        return scene_from_ratios(geom, theta, psi_rad, snr_db, smr_db, dphi,
-                                 k_pulses=k, e_p=e_p)
+        return scene_from_ratios(geom, **args), args
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def scene_from_config(cfg: dict, geom: ArrayGeometry, path: str = "scene",
+                      snr_db: float | None = None, smr_db: float | None = None,
+                      dphi: float | None = None,
+                      psi_rad: float | None = None) -> MultipathScene:
+    return _parse_scene(cfg, geom, path, snr_db, smr_db, dphi, psi_rad)[0]
+
+
+def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
+    """Closed-form bound columns over a row-major grid of scenes.  ``axes`` maps
+    scene_from_config keywords (psi_rad, snr_db, smr_db, dphi) to values that
+    broadcast, outer axis first.  The scene block is parsed and checked once, at
+    the first values; each value then takes scene_from_ratios' expression once."""
+    base, args = _parse_scene(cfg, geom, "scene", **{
+        key: float(np.ravel(vals)[0]) for key, vals in axes.items()})
+
+    def swept(key, expr):
+        vals = np.asarray(axes.get(key, args[key]), dtype=float)
+        return np.array([expr(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
+
+    psi = np.asarray(axes.get("psi_rad", base.psi))
+    alpha_i = (swept("smr_db", lambda smr: 10.0 ** (-smr / 20.0))
+               * swept("dphi", lambda dphi: cmath.exp(-1j * dphi)))
+    sigma_w2 = swept("snr_db", lambda snr: 10.0 ** (-snr / 10.0))
+    if not np.all(sigma_w2 > 0.0):
+        raise ConfigError("scene: require sigma_w2 > 0, e_p > 0, k_pulses >= 1")
+    shape = np.broadcast(psi, alpha_i, sigma_w2).shape
+    return mcrb_theta_closed_columns(geom, *(
+        np.full(shape, v).ravel() for v in (
+            base.theta, psi, base.alpha_d, alpha_i, base.k_pulses, base.e_p,
+            sigma_w2)), search=search)
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return ""
-    return repr(v)
+    if type(value) is not float:
+        if value is None or isinstance(value, bool):
+            return "" if value is None else "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
+    return repr(value) if value == value else ""
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+def _root_columns(cols) -> tuple:
+    """RCRB, RMCRB (deg) and their ratio from bound columns, None where not valid."""
+    with np.errstate(invalid="ignore"):
+        cells = (np.degrees(np.sqrt(cols.crb)), np.degrees(np.sqrt(cols.mcrb)),
+                 np.sqrt(cols.mcrb / cols.crb))
+    return tuple([v if ok else None for v, ok in zip(c.tolist(), cols.valid.tolist())]
+                 for c in cells)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _write_manifest(out_dir: Path, name: str, config: dict,
-                    outputs: list[Path], extra: dict | None = None) -> Path:
-    manifest = {
-        "experiment": name,
-        "config": config,
-        "config_sha256": _config_hash(config),
-        "seed": config.get("seed"),
-        "versions": {
-            "mpcrb": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-        "outputs": {p.name: _sha256(p) for p in outputs},
-    }
-    if extra:
-        manifest.update(extra)
-    path = out_dir / f"{name}_manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _root_deg(var_rad2: float) -> float:
-    return math.degrees(math.sqrt(var_rad2))
-
-
-def _root_bounds(bb: BoundBreakdown | None) -> list:
-    """RCRB and RMCRB in degrees; empty cells for a degenerate point."""
-    if bb is None:
-        return [None, None]
-    return [_root_deg(bb.crb_theta), _root_deg(bb.mcrb_theta)]
-
-
-def _ratio(bb: BoundBreakdown | None) -> float | None:
-    return math.sqrt(bb.mcrb_theta / bb.crb_theta) if bb is not None else None
-
-
-def _bound_counts(bounds: list) -> dict:
-    """Manifest counts of closed-form evaluations and degenerate (None) ones."""
-    return {"bound_points": len(bounds),
-            "degenerate_points": sum(bb is None for bb in bounds)}
+def _bound_counts(valid) -> dict:
+    """Manifest counts of closed-form evaluations and degenerate ones."""
+    return {"bound_points": len(valid),
+            "degenerate_points": len(valid) - int(np.count_nonzero(valid))}
 
 
 def _psi(theta: float, delta_theta_deg: float, path: str) -> float:
@@ -293,17 +277,33 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool,
     manifest over all of them.  Returns the runner's result paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = {"csv": out / f"{name}.csv"}
-    _write_csv(result["csv"], header, rows)
+    tables = {"csv": (f"{name}.csv", header, rows)}
     if beampattern_rows is not None:
-        result["beampattern_csv"] = out / f"{name}_beampattern.csv"
-        _write_csv(result["beampattern_csv"], _BEAMPATTERN_HEADER,
-                   beampattern_rows)
-    outputs = list(result.values())
+        tables["beampattern_csv"] = (f"{name}_beampattern.csv",
+                                     _BEAMPATTERN_HEADER, beampattern_rows)
+    result, hashes = {}, {}
+    for key, (file_name, head, body) in tables.items():
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(head)
+        writer.writerows([_cell(v) for v in row] for row in body)
+        data = buf.getvalue().encode("utf-8")
+        result[key] = out / file_name
+        result[key].write_bytes(data)
+        hashes[file_name] = hashlib.sha256(data).hexdigest()
     if svg and plot is not None:
-        outputs.append(out / f"{name}.svg")
-        plot(outputs[-1])
-    result["manifest"] = _write_manifest(out, name, config, outputs, extra)
+        plot(svg_path := out / f"{name}.svg")
+        hashes[svg_path.name] = hashlib.sha256(svg_path.read_bytes()).hexdigest()
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    manifest = {"experiment": name, "config": config,
+                "config_sha256": hashlib.sha256(blob).hexdigest(),
+                "seed": config.get("seed"), "outputs": hashes,
+                "versions": {"mpcrb": __version__, "numpy": np.__version__,
+                             "python": platform.python_version()},
+                **(extra or {})}
+    result["manifest"] = out / f"{name}_manifest.json"
+    result["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True)
+                                  + "\n", encoding="utf-8", newline="\n")
     return result
 
 
@@ -318,20 +318,20 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
+    cols = _sweep_bounds(config, geom, search, snr_db=snrs)
     scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
-    bounds = mcrb_theta_closed_many(scenes, search)
     mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
                           seed + 1)
-    rows = [[s, *_root_bounds(bb), math.degrees(e_mml), math.degrees(e_ml)]
-            for s, bb, e_mml, e_ml in zip(snrs, bounds, mml.rmse_rad,
-                                          ml.rmse_rad)]
+    rows = list(zip(snrs, *_root_columns(cols)[:2],
+                    np.degrees(mml.rmse_rad).tolist(),
+                    np.degrees(ml.rmse_rad).tolist()))
     plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2), ("RMSE MML", 3),
                          ("RMSE ML", 4)],
                   "SNR [dB]", "root bound / RMSE [deg]", "DOA RMSE vs SNR")
     return _write_outputs("fig2", config, out_dir, svg,
                           ["snr_db", "rcrb_deg", "rmcrb_deg", "rmse_mml_deg",
-                           "rmse_ml_deg"], rows, plot, _bound_counts(bounds))
+                           "rmse_ml_deg"], rows, plot, _bound_counts(cols.valid))
 
 
 def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -341,17 +341,14 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
-    scenes = [scene_from_config(
-                  config, geom,
-                  psi_rad=_psi(theta, dth, "sweep.delta_theta_deg"))
-              for dth in dthetas]
-    bounds = mcrb_theta_closed_many(scenes, search)
-    rows = [[dth, *_root_bounds(bb)] for dth, bb in zip(dthetas, bounds)]
+    cols = _sweep_bounds(config, geom, search, psi_rad=[
+        _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
+    rows = list(zip(dthetas, *_root_columns(cols)[:2]))
     plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2)], "delta theta [deg]",
                   "root bound [deg]", "Bounds vs DOA separation")
     return _write_outputs("fig3", config, out_dir, svg,
                           ["delta_theta_deg", "rcrb_deg", "rmcrb_deg"], rows,
-                          plot, _bound_counts(bounds),
+                          plot, _bound_counts(cols.valid),
                           _beampattern_rows(geom, theta, bp_grid_deg))
 
 
@@ -366,21 +363,17 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
         raise ConfigError("delta_phis_rad: expected a list of two numbers")
     phases = [_num(p, f"delta_phis_rad[{k}]") for k, p in enumerate(phases)]
     smrs = _grid(config, "sweep.smr_db")
-    bounds = mcrb_theta_closed_many(
-        [scene_from_config(config, geom, smr_db=s, dphi=dphi, psi_rad=psi)
-         for s in smrs for dphi in phases], search)
-    # the CRB depends on neither SMR nor the phase difference
-    rcrb = _root_deg(crb_theta(scene_from_config(config, geom, smr_db=smrs[0],
-                                                 dphi=0.0, psi_rad=psi)))
-    rows = [[s, *(_root_deg(bb.mcrb_theta) if bb else None
-                  for bb in bounds[2 * i:2 * i + 2]), rcrb]
-            for i, s in enumerate(smrs)]
+    cols = _sweep_bounds(config, geom, search, psi_rad=psi,
+                         smr_db=np.array(smrs)[:, None], dphi=[phases])
+    rmcrb = _root_columns(cols)[1]
+    rcrb = math.degrees(math.sqrt(cols.crb[0]))   # depends on neither SMR nor phase
+    rows = [[s, *rmcrb[2 * i:2 * i + 2], rcrb] for i, s in enumerate(smrs)]
     plot = _lines(rows, [("RMCRB constructive", 1), ("RMCRB destructive", 2),
                          ("RCRB", 3)],
                   "SMR [dB]", "root bound [deg]", "Bounds vs SMR")
     return _write_outputs("fig4", config, out_dir, svg,
                           ["smr_db", "rmcrb_dphi_0_deg", "rmcrb_dphi_2pi3_deg",
-                           "rcrb_deg"], rows, plot, _bound_counts(bounds))
+                           "rcrb_deg"], rows, plot, _bound_counts(cols.valid))
 
 
 def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -390,12 +383,11 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
-    bounds = mcrb_theta_closed_many(
-        [scene_from_config(config, geom, dphi=dphi, psi_rad=psi)
-         for psi in psis for dphi in dphis], search)
-    ratios = [_ratio(bb) for bb in bounds]
-    rows = [[dphi, dth, ratios[i * len(dphis) + j]]
-            for i, dth in enumerate(dthetas) for j, dphi in enumerate(dphis)]
+    cols = _sweep_bounds(config, geom, search, psi_rad=np.array(psis)[:, None],
+                         dphi=[dphis])
+    ratios = _root_columns(cols)[2]
+    rows = list(zip(dphis * len(dthetas),
+                    np.repeat(dthetas, len(dphis)).tolist(), ratios))
     z_rows = [ratios[i * len(dphis):(i + 1) * len(dphis)]
               for i in range(len(dthetas))]
 
@@ -407,7 +399,7 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     return _write_outputs("fig5", config, out_dir, svg,
                           ["delta_phi_rad", "delta_theta_deg",
                            "rmcrb_over_rcrb"], rows, plot,
-                          _bound_counts(bounds))
+                          _bound_counts(cols.valid))
 
 
 def scenario_from_config(config: dict) -> GroundScenario:
@@ -451,17 +443,20 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     header = ["r_d_m", "psi_deg", "smr_db", "delta_phi_rad", "same_cell"]
     for name in names:
         header += [f"rcrb_deg_{name}", f"rmcrb_deg_{name}", f"ratio_{name}"]
+    cols = [np.array(c) for c in zip(*[   # the same for every geometry
+        (p.scene.theta, p.scene.alpha_d, p.scene.k_pulses, p.scene.e_p,
+         p.scene.sigma_w2) for p in sweeps[names[0]]])]
+    rcrb = {name: np.degrees(np.sqrt(_crb(geoms[name], *cols)[3])).tolist()
+            for name in names}   # every RCRB from one batched CRB per geometry
     rows = []
     for i, pt in enumerate(sweeps[names[0]]):
         row = [pt.r_d, math.degrees(pt.psi),
                pt.smr_db if math.isfinite(pt.smr_db) else None,
                pt.delta_phi, pt.same_cell]
         for name in names:
-            p = sweeps[name][i]
-            if p.bound is not None:
-                row += [*_root_bounds(p.bound), _ratio(p.bound)]
-            else:
-                row += [_root_deg(crb_theta(p.scene)), None, None]
+            bb = sweeps[name][i].bound     # None: out of cell or degenerate
+            row += [rcrb[name][i], bb and math.degrees(math.sqrt(bb.mcrb_theta)),
+                    bb and math.sqrt(bb.mcrb_theta / bb.crb_theta)]
         rows.append(row)
     series = [(f"{kind} {name}", 5 + 3 * k + offset)
               for k, name in enumerate(names)
@@ -469,7 +464,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     plot = _lines(rows, series, "range [m]", "root bound [deg]",
                   "Ground multipath vs range")
     points = [p for name in names for p in sweeps[name]]
-    counts = _bound_counts([p.bound for p in points if p.same_cell])
+    counts = _bound_counts([p.bound is not None for p in points if p.same_cell])
     counts["out_of_cell_points"] = sum(not p.same_cell for p in points)
     return _write_outputs("scenario", config, out_dir, svg, header, rows, plot,
                           counts)
@@ -517,7 +512,8 @@ def run_bounds(config: dict, out_dir, svg: bool = False,
                            "theta_a_deg", "rcrb_deg", "rmcrb_deg"],
                           [[bb.crb_theta, bb.m_theta_theta, bb.b_theta_theta,
                             bb.mcrb_theta, math.degrees(bb.theta_a),
-                            *_root_bounds(bb)]])
+                            math.degrees(math.sqrt(bb.crb_theta)),
+                            math.degrees(math.sqrt(bb.mcrb_theta))]])
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,8 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
     return (eps * math.sin(psi) - root) / (eps * math.sin(psi) + root)
 
 
-def _range_physics(scn: GroundScenario, r_d: float,
-                   geom: ArrayGeometry) -> RangePoint:
-    """Geometry and path physics at one range, before any bound."""
+def _range_physics(scn: GroundScenario, r_d: float) -> tuple:
+    """RangePoint fields up to same_cell and the scene's fields but its array."""
     r_i, psi = indirect_geometry(r_d, scn.theta, scn.h_r)
     grazing = -psi
     gamma_r = reflection_coefficient(grazing, scn.eps_r, scn.gamma_cond,
@@ -115,19 +114,15 @@ def _range_physics(scn: GroundScenario, r_d: float,
         gamma_t=scn.gamma_t, gamma_r=gamma_r, alpha_0d=alpha_0d,
         alpha_0i=alpha_0i, r_d=r_d, r_i=r_i, wavelength=scn.wavelength))
     sigma_w2 = abs(scn.gamma_t) ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
-    scene = MultipathScene(geom=geom, theta=scn.theta, psi=psi,
-                           alpha_d=alpha_d, alpha_i=alpha_i,
-                           k_pulses=scn.k_pulses, e_p=scn.e_p,
-                           sigma_w2=sigma_w2)
+    fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
+                  k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
+    scene = MultipathScene(geom=scn.geom, **fields)
     same_cell = ((r_i - r_d) < scn.r_res
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
     smr_v = smr(scene)
-    return RangePoint(
-        r_d=r_d, r_i=r_i, psi=psi, gamma_r=gamma_r,
-        smr_db=10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
-        delta_phi=delta_phi(scene),
-        snr_db=10.0 * math.log10(snr(scene)),
-        same_cell=same_cell, scene=scene, bound=None)
+    return (r_d, r_i, psi, gamma_r,
+            10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
+            delta_phi(scene), 10.0 * math.log10(snr(scene)), same_cell), fields
 
 
 def range_point(scn: GroundScenario, r_d: float,
@@ -152,14 +147,13 @@ def range_sweep(scn: GroundScenario,
     """
     if geoms is None:
         geoms = {"default": scn.geom}
-    base = [_range_physics(scn, float(r), scn.geom) for r in scn.range_grid]
-    in_cell = [i for i, p in enumerate(base) if p.same_cell]
+    base = [_range_physics(scn, float(r)) for r in scn.range_grid]
+    in_cell = [i for i, (head, _) in enumerate(base) if head[-1]]
     out: dict[str, list[RangePoint]] = {}
     for name, geom in geoms.items():
-        points = [replace(p, scene=replace(p.scene, geom=geom)) for p in base]
-        bounds = mcrb_theta_closed_many([points[i].scene for i in in_cell],
-                                        search=search)
-        for i, bb in zip(in_cell, bounds):
-            points[i] = replace(points[i], bound=bb)
-        out[name] = points
+        scenes = [MultipathScene(geom=geom, **fields) for _, fields in base]
+        bounds = dict(zip(in_cell, mcrb_theta_closed_many(
+            [scenes[i] for i in in_cell], search=search)))
+        out[name] = [RangePoint(*head, scene=sc, bound=bounds.get(i))
+                     for i, ((head, _), sc) in enumerate(zip(base, scenes))]
     return out

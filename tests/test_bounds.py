@@ -12,7 +12,8 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    mcrb_theta_closed, mcrb_theta_closed_many, mimo_matrices,
                    scene_from_ratios, standard_virtual_ula, steering, theta_a,
                    theta_a_paper_form, zeta_set)
-from mpcrb.bounds import _informative, _model, _pseudo_true, _sandwich_batch
+from mpcrb.bounds import (_informative, _model, _pseudo_true, _sandwich_batch,
+                          mcrb_theta_closed_columns)
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(303)
@@ -621,3 +622,46 @@ def test_sandwich_gate_free_of_amplitude_unit(f_omega):
         assert all(bb is not None for bb in got)
         for g, w in zip(got, want):
             assert g.m_theta_theta == pytest.approx(w.m_theta_theta, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# column core against the scene-list gather
+
+def _scene_columns(scenes):
+    return [np.array([getattr(sc, name) for sc in scenes])
+            for name in ("theta", "psi", "alpha_d", "alpha_i", "k_pulses",
+                         "e_p", "sigma_w2")]
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM, ArrayGeometry(tx_positions=[-1.3, 0.2, 2.9],
+                        rx_positions=[-1.1, -0.4, 0.35, 1.6, 2.2])])
+def test_closed_columns_equal_scene_list_bitwise(geom):
+    scenes = _oracle_scenes(geom, np.random.default_rng(717), 240)
+    cols = mcrb_theta_closed_columns(geom, *_scene_columns(scenes))
+    many = mcrb_theta_closed_many(scenes)
+    assert cols.valid.tolist() == [bb is not None for bb in many]
+    # mixed K, E_p and sigma_w2, multipath-free and degenerate rows
+    assert len({sc.k_pulses for sc in scenes}) > 1 and len({sc.e_p for sc in scenes}) > 1
+    assert any(sc.alpha_i == 0 for sc in scenes) and not cols.valid.all()
+    for t, bb in enumerate(many):
+        if bb is not None:
+            assert (bb.crb_theta, bb.m_theta_theta, bb.theta_a, bb.b_theta_theta,
+                    bb.mcrb_theta) == (cols.crb[t], cols.m[t], cols.theta_a[t],
+                                       cols.bias[t], cols.mcrb[t])
+    free = np.array([sc.alpha_i == 0 for sc in scenes])
+    assert np.array_equal(cols.theta_a[free], [sc.theta for sc in scenes if sc.alpha_i == 0])
+    assert np.array_equal(cols.crb, _model(scenes).crb)
+
+
+def test_overflowing_multipath_ratio_is_degenerate():
+    # |alpha_i| / |alpha_d| ~ 1e155: zeta3^2 and |zeta5|^2 overflow, and the
+    # pseudo-true angle still follows the indirect-dominated limit
+    far = [scene_from_ratios(GEOM, 0.0, math.radians(-0.5), 10.0, smr, 0.0)
+           for smr in (-300.0, -3000.0, -3100.0)]
+    assert mcrb_theta_closed(far[1]).m_theta_theta > 0.0
+    with pytest.raises(DegenerateBoundError, match="not finite"):
+        mcrb_theta_closed(far[2])
+    assert mcrb_theta_closed_many(far)[2] is None
+    for sc in far[1:]:
+        assert theta_a(sc) == pytest.approx(theta_a(far[0]), abs=1e-9)

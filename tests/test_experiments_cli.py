@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,3 +374,141 @@ def test_trials_cap_is_checked_before_any_scene(tmp_path, monkeypatch, capsys,
     assert main([name, "--trials", str(ex._MAX_TRIALS + 1),
                  "--out", str(tmp_path)]) == 1
     assert "trials" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bound sweeps on columns against per-scene bounds
+
+def _scalar_bound(scene, search):
+    try:
+        return ex.mcrb_theta_closed(scene, search=search)
+    except mpcrb.DegenerateBoundError:
+        return None
+
+
+def _assert_cell(cell, want):
+    if want is None:
+        assert cell == ""
+    else:
+        assert float(cell) == pytest.approx(want, rel=1e-12)
+
+
+def _root_deg(var):
+    return math.degrees(math.sqrt(var))
+
+
+def test_fig3_cells_match_per_scene_bounds(tmp_path):
+    cfg = load_preset("fig3")
+    cfg["scene"]["delta_phi_rad"] = 2.0 * math.pi / 3.0   # degenerate at dth = 0
+    cfg["sweep"] = {"delta_theta_deg": {"start": -6.0, "stop": 6.0, "step": 3.0}}
+    result = ex.run_fig3(cfg, tmp_path)
+    _, rows = read_csv(result["csv"])
+    geom, search = ex.geometry_from_config(cfg), ex.search_from_config(cfg)
+    empty = 0
+    for row in rows:
+        scene = ex.scene_from_config(cfg, geom, psi_rad=-math.radians(float(row[0])))
+        bb = _scalar_bound(scene, search)
+        empty += bb is None
+        _assert_cell(row[1], bb and _root_deg(bb.crb_theta))
+        _assert_cell(row[2], bb and _root_deg(bb.mcrb_theta))
+    assert empty == 1
+    assert json.loads(result["manifest"].read_text())["degenerate_points"] == 1
+
+
+def test_fig4_cells_match_per_scene_bounds(tmp_path):
+    cfg = load_preset("fig4")
+    cfg["scene"]["delta_theta_deg"] = 0.0
+    cfg["sweep"] = {"smr_db": {"start": -4.0, "stop": 4.0, "step": 2.0}}
+    result = run_fig4(cfg, tmp_path)
+    _, rows = read_csv(result["csv"])
+    geom, search = ex.geometry_from_config(cfg), ex.search_from_config(cfg)
+    empty = 0
+    for row in rows:
+        scenes = [ex.scene_from_config(cfg, geom, smr_db=float(row[0]), dphi=dphi,
+                                       psi_rad=0.0)
+                  for dphi in cfg["delta_phis_rad"]]
+        for cell, scene in zip(row[1:3], scenes):
+            bb = _scalar_bound(scene, search)
+            empty += bb is None
+            _assert_cell(cell, bb and _root_deg(bb.mcrb_theta))
+        _assert_cell(row[3], _root_deg(mpcrb.crb_theta(scenes[0])))
+    assert empty == 1
+
+
+def test_fig5_cells_match_per_scene_bounds(tmp_path):
+    cfg = load_preset("fig5")
+    cfg["scene"]["smr_db"] = 0.0
+    cfg["grid"] = {
+        "delta_phi_rad": {"start": -math.pi, "stop": math.pi, "step": math.pi / 3},
+        "delta_theta_deg": {"start": 0.0, "stop": 4.0, "step": 2.0},
+    }
+    result = run_fig5(cfg, tmp_path)
+    _, rows = read_csv(result["csv"])
+    geom, search = ex.geometry_from_config(cfg), ex.search_from_config(cfg)
+    empty = 0
+    for row in rows:
+        scene = ex.scene_from_config(cfg, geom, dphi=float(row[0]),
+                                     psi_rad=-math.radians(float(row[1])))
+        bb = _scalar_bound(scene, search)
+        empty += bb is None
+        _assert_cell(row[2], bb and math.sqrt(bb.mcrb_theta / bb.crb_theta))
+    assert len(rows) == 21 and empty == 2
+    assert json.loads(result["manifest"].read_text())["degenerate_points"] == 2
+
+
+def test_fig4_overflowing_smr_is_counted_degenerate(tmp_path):
+    # |alpha_i| / |alpha_d| ~ 1e155 overflows the closed form's squares
+    cfg = load_preset("fig4")
+    cfg["sweep"] = {"smr_db": {"start": -3100.0, "stop": -3100.0, "step": 1.0}}
+    result = run_fig4(cfg, tmp_path)
+    _, rows = read_csv(result["csv"])
+    assert rows[0][1] == rows[0][2] == "" and float(rows[0][3]) > 0.0
+    assert json.loads(result["manifest"].read_text())["degenerate_points"] == 2
+
+
+ZERO_NOISE = "scene: require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
+
+
+def test_swept_snr_with_zero_noise_names_the_scene(tmp_path):
+    cfg = small_fig2_config()
+    cfg["sweep"] = {"snr_db": {"start": 0.0, "stop": 4000.0, "step": 4000.0}}
+    with pytest.raises(ConfigError) as err:
+        run_fig2(cfg, tmp_path)
+    assert str(err.value) == ZERO_NOISE
+    cfg = load_preset("fig5")
+    cfg["scene"]["snr_db"] = 4000.0
+    with pytest.raises(ConfigError) as err:
+        run_fig5(cfg, tmp_path)
+    assert str(err.value) == ZERO_NOISE
+
+
+@pytest.mark.parametrize("recipe, axis", [
+    ("fig3", "sweep.delta_theta_deg"), ("fig5", "grid.delta_theta_deg")])
+def test_out_of_range_psi_names_its_axis(tmp_path, recipe, axis):
+    cfg = load_preset(recipe)
+    node = cfg
+    for part in axis.split("."):
+        node = node[part]
+    node.update(start=0.0, stop=90.0, step=45.0)
+    with pytest.raises(ConfigError, match=f"{axis}: psi leaves"):
+        getattr(ex, f"run_{recipe}")(cfg, tmp_path)
+
+
+def test_manifest_hashes_the_written_bytes(tmp_path):
+    cfg = load_preset("fig3")
+    cfg["sweep"] = {"delta_theta_deg": {"start": 0.0, "stop": 2.0, "step": 1.0}}
+    cfg["beampattern_grid_deg"] = {"start": -2.0, "stop": 2.0, "step": 1.0}
+    result = ex.run_fig3(cfg, tmp_path, svg=True)
+    outputs = json.loads(result["manifest"].read_text())["outputs"]
+    assert sorted(outputs) == ["fig3.csv", "fig3.svg", "fig3_beampattern.csv"]
+    for name, digest in outputs.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(mpcrb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "mpcrb", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and "selftest" in out.stdout
