@@ -87,9 +87,13 @@ def virtual_positions(geom: ArrayGeometry) -> np.ndarray:
     return np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
 
 
-def _phasors(positions: np.ndarray, sines) -> np.ndarray:
-    """exp(j*2*pi*p_m*sin(phi))/sqrt(M), one column per entry of ``sines``."""
-    return np.exp(1j * TWO_PI * np.outer(positions, sines)) / np.sqrt(positions.size)
+def _phasors(positions: np.ndarray, sines, root=None) -> np.ndarray:
+    """exp(j*2*pi*p_m*sin(phi))/root_m, one column per entry of ``sines``; ``root``
+    is sqrt(M) by default, or a column of per-position divisors.  One exp call,
+    built in place."""
+    e = 1j * TWO_PI * np.multiply.outer(positions, sines)
+    np.exp(e, out=e)
+    return np.divide(e, np.sqrt(positions.size) if root is None else root, out=e)
 
 
 def _steer_one(positions: np.ndarray, theta):

@@ -145,7 +145,7 @@ def _model(scenes: Sequence[MultipathScene]) -> _Model:
 
 
 def _informative(e_dot):
-    if np.any(np.asarray(e_dot) <= 0.0):
+    if (np.asarray(e_dot) <= 0.0).any():
         raise SingularInformationError(
             "single-element arrays carry no DOA information (E_Adot = 0)")
     return e_dot
@@ -209,20 +209,50 @@ _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 
 
 @lru_cache(maxsize=32)
+def _geometry_consts(geom_key: tuple):
+    """The argmax kernel's per-geometry constants: the rx then tx positions, a
+    column of their sqrt(M) divisors and the moments [1, q, q^2] of q = p_r + p_t."""
+    tx, rx = map(np.asarray, geom_key)
+    root = np.sqrt(np.array([rx.size] * rx.size + [tx.size] * tx.size, dtype=float))
+    q = (rx[:, None] + tx).ravel()   # no Python-level numpy helpers: their first
+    moments = np.empty((q.size, 3), dtype=complex)   # call in a fork costs more
+    moments[:, 0], moments[:, 1] = 1.0, q             # than the arithmetic
+    moments[:, 2] = q * q
+    return np.concatenate((rx, tx)), root[:, None], moments
+
+
+@lru_cache(maxsize=32)
 def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
-    """Grid angles and V = conj(a_r) (x) conj(a_t), shape (M_r*M_t, n): the
-    row Y.reshape(-1) @ V holds tr(A^H(phi) Y) over the grid."""
-    angles = np.linspace(lo, hi, n)
-    tx, rx = (_phasors(np.asarray(pos), np.sin(angles)).conj() for pos in geom_key)
-    return angles, (rx[:, None, :] * tx[None, :, :]).reshape(-1, n)
+    """Grid angles (``np.linspace(lo, hi, n)`` bit for bit) and
+    V = conj(a_r) (x) conj(a_t), shape (M_r*M_t, n): the row Y.reshape(-1) @ V
+    holds tr(A^H(phi) Y) over the grid."""
+    angles = np.arange(n, dtype=float)
+    angles *= (hi - lo) / (n - 1)
+    angles += lo
+    angles[-1] = hi
+    pos, root, _ = _geometry_consts(geom_key)
+    e = _phasors(pos, np.sin(angles), root)   # every rx and tx row in one exp call
+    np.conjugate(e, out=e)
+    m_r = len(geom_key[1])
+    v = np.empty((m_r, pos.size - m_r, n), dtype=complex)
+    np.multiply(e[:m_r, None, :], e[None, m_r:, :], out=v)
+    return angles, v.reshape(-1, n)
+
+
+_DEFAULT_SEARCH = SearchConfig()
+_RESOLVED: dict = {}   # (geometry key, search) -> search with its coarse step
 
 
 def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchConfig:
-    if search is None:
-        search = SearchConfig()
-    if search.coarse_step is None:
-        search = replace(search, coarse_step=virtual_hpbw(geom) / 20.0)
-    return search
+    search = _DEFAULT_SEARCH if search is None else search
+    if search.coarse_step is not None:
+        return search
+    key = (geom.key(), search)
+    if key not in _RESOLVED:
+        if len(_RESOLVED) >= 256:
+            _RESOLVED.clear()
+        _RESOLVED[key] = replace(search, coarse_step=virtual_hpbw(geom) / 20.0)
+    return _RESOLVED[key]
 
 
 def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
@@ -230,11 +260,11 @@ def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
     virtual array q = p_r + p_t, dA = u A and ddA = (u^2 - v) A with
     u = j 2 pi q cos(phi), v = j 2 pi q sin(phi) (``arrays._steer_one``), so
     the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2."""
-    s, n = np.sin(phi), len(y)
-    w = (_phasors(geom.rx_positions, -s).T[:, :, None] * y
-         * _phasors(geom.tx_positions, -s).T[:, None, :]).reshape(n, 1, -1)
-    q = (geom.rx_positions[:, None] + geom.tx_positions).ravel()
-    m0, m1, m2 = (w @ np.stack([np.ones_like(q), q, q * q], axis=1))[:, 0].T
+    s, n, m_r = np.sin(phi), len(y), geom.m_r
+    pos, root, moments = _geometry_consts(geom.key())
+    e = _phasors(pos, -s, root)
+    w = (e[:m_r].T[:, :, None] * y * e[m_r:].T[:, None, :]).reshape(n, 1, -1)
+    m0, m1, m2 = (w @ moments)[:, 0].T
     k = TWO_PI * np.cos(phi)
     return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2
 
@@ -256,11 +286,11 @@ def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
         proj = flat[start:stop] @ v
         vals = proj.real ** 2 + proj.imag ** 2
         if prefer is None:
-            best[start:stop] = np.argmax(vals, axis=1)
+            best[start:stop] = vals.argmax(axis=1)
         else:
             ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
             dist = np.where(ties, np.abs(angles - prefer[start:stop, None]), np.inf)
-            best[start:stop] = np.argmin(dist, axis=1)
+            best[start:stop] = dist.argmin(axis=1)
     return angles, best
 
 
@@ -277,7 +307,8 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
     """
     angles, best = _coarse_winner(y, geom, search, prefer)
     step, phi = angles[1] - angles[0], angles[best]
-    a, b = (np.clip(phi + d, *search.span) for d in (-step, step))
+    lo, hi = search.span
+    a, b = (np.minimum(np.maximum(phi + d, lo), hi) for d in (-step, step))
     rows = np.arange(len(y))
     for _ in range(2 * math.ceil(math.log2(2.0 * step / search.refine_tol))):
         if not rows.size:
@@ -305,7 +336,7 @@ def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
     theta = model.theta[rows]
     search = _resolve_search(model.geom, search)
     lo, hi = search.span
-    if not np.all((lo <= theta) & (theta <= hi)):
+    if not ((lo <= theta) & (theta <= hi)).all():
         raise ValueError("search span must contain the true theta")
     return _argmax_projection(y, model.geom, search, prefer=theta)
 

@@ -28,7 +28,7 @@ from .bounds import (SearchConfig, _crb, _model, _pseudo_true, _sandwich_batch,
                      cd_matrix, mcrb_sandwich, mcrb_theta_closed,
                      mcrb_theta_closed_columns, mcrb_theta_closed_many, zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
-from .ground import GroundScenario, range_sweep, reflection_coefficient
+from .ground import GroundScenario, range_columns, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
                     synthesize_compressed)
 
@@ -408,15 +408,18 @@ def scenario_from_config(config: dict) -> GroundScenario:
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
     first = next(iter(geom_names))
+    theta_deg = _get_num(config, "theta_deg", default=0.0)
+    if abs(theta_deg) >= 90.0:
+        raise ConfigError(f"theta_deg: must lie inside (-90, 90), got {theta_deg!r}")
     try:
-        return GroundScenario(
+        scn = GroundScenario(
             h_r=_get_num(config, "h_r_m", positive=True),
             wavelength=_get_num(config, "wavelength_m", positive=True),
             eps_r=_get_num(config, "eps_r"),
             gamma_cond=_get_num(config, "gamma_cond_s_per_m"),
             range_grid=np.array(grid),
             geom=geometry_from_config(config, f"geometries.{first}"),
-            theta=math.radians(_get_num(config, "theta_deg", default=0.0)),
+            theta=math.radians(theta_deg),
             gamma_t=complex(_get_num(config, "gamma_t_real", default=1.0),
                             _get_num(config, "gamma_t_imag", default=0.0)),
             v=_get_num(config, "v_mps"),
@@ -429,43 +432,51 @@ def scenario_from_config(config: dict) -> GroundScenario:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    ratio = scn.r_ref / grid[0]   # the nearest direct path has the largest amplitude
+    if not math.isfinite(ratio * ratio * abs(scn.gamma_t)):
+        raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 |gamma_t| "
+                          f"overflows at r_d = {grid[0]!r}")
+    return scn
 
 
 def run_scenario(config: dict, out_dir, svg: bool = False,
                  workers: int = 1) -> dict:
-    """Automotive range sweep for each configured array geometry."""
+    """Automotive range sweep for each configured array geometry, on columns:
+    one range_columns call, then per geometry one batched CRB over every
+    range and one closed-form call over the in-cell ranges."""
     scn = scenario_from_config(config)
     search = search_from_config(config)
-    geoms = {name: geometry_from_config(config, f"geometries.{name}")
-             for name in _get(config, "geometries")}
-    sweeps = range_sweep(scn, geoms=geoms, search=search)
-    names = list(geoms)
+    geoms = {name: scn.geom if k == 0 else   # each geometry parsed once
+             geometry_from_config(config, f"geometries.{name}")
+             for k, name in enumerate(config["geometries"])}
+    phys = range_columns(scn)
+    n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
+    theta = np.full(n, scn.theta)
+    args = (scn.k_pulses, scn.e_p, phys.sigma_w2)
     header = ["r_d_m", "psi_deg", "smr_db", "delta_phi_rad", "same_cell"]
-    for name in names:
+    cols = [phys.r_d.tolist(), np.degrees(phys.psi).tolist(),
+            [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
+            phys.delta_phi.tolist(), phys.same_cell.tolist()]
+    valid = []
+    for name, geom in geoms.items():
+        crb = _crb(geom, theta[:1], phys.alpha_d, *args)[3]   # theta is one value
+        closed = mcrb_theta_closed_columns(
+            geom, theta[in_cell], phys.psi[in_cell], phys.alpha_d[in_cell],
+            phys.alpha_i[in_cell], *args, search=search)
+        mcrb, ok = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        mcrb[in_cell], ok[in_cell] = closed.mcrb, closed.valid
         header += [f"rcrb_deg_{name}", f"rmcrb_deg_{name}", f"ratio_{name}"]
-    cols = [np.array(c) for c in zip(*[   # the same for every geometry
-        (p.scene.theta, p.scene.alpha_d, p.scene.k_pulses, p.scene.e_p,
-         p.scene.sigma_w2) for p in sweeps[names[0]]])]
-    rcrb = {name: np.degrees(np.sqrt(_crb(geoms[name], *cols)[3])).tolist()
-            for name in names}   # every RCRB from one batched CRB per geometry
-    rows = []
-    for i, pt in enumerate(sweeps[names[0]]):
-        row = [pt.r_d, math.degrees(pt.psi),
-               pt.smr_db if math.isfinite(pt.smr_db) else None,
-               pt.delta_phi, pt.same_cell]
-        for name in names:
-            bb = sweeps[name][i].bound     # None: out of cell or degenerate
-            row += [rcrb[name][i], bb and math.degrees(math.sqrt(bb.mcrb_theta)),
-                    bb and math.sqrt(bb.mcrb_theta / bb.crb_theta)]
-        rows.append(row)
+        cols += [np.degrees(np.sqrt(crb)).tolist(),
+                 *_root_columns(closed._replace(crb=crb, mcrb=mcrb, valid=ok))[1:]]
+        valid.append(closed.valid)
+    rows = list(zip(*cols))
     series = [(f"{kind} {name}", 5 + 3 * k + offset)
-              for k, name in enumerate(names)
+              for k, name in enumerate(geoms)
               for kind, offset in (("RMCRB", 1), ("RCRB", 0))]
     plot = _lines(rows, series, "range [m]", "root bound [deg]",
                   "Ground multipath vs range")
-    points = [p for name in names for p in sweeps[name]]
-    counts = _bound_counts([p.bound is not None for p in points if p.same_cell])
-    counts["out_of_cell_points"] = sum(not p.same_cell for p in points)
+    counts = _bound_counts(np.concatenate(valid))
+    counts["out_of_cell_points"] = (n - len(in_cell)) * len(geoms)
     return _write_outputs("scenario", config, out_dir, svg, header, rows, plot,
                           counts)
 

@@ -1,10 +1,11 @@
 """Automotive ground-multipath scene: geometry, reflection physics, range sweep.
 
-Maps a radar height / road-surface description to a
-:class:`~mpcrb.scene.MultipathScene` per range: image-path length and angle,
+Maps a radar height / road-surface description to the path physics of every
+range on numpy columns (:func:`range_columns`): image-path length and angle,
 vertical-polarization reflection coefficient, two-way free-space amplitude
 loss normalized at a reference range, and the same-range-Doppler-cell check
-that gates the closed-form bound.
+that gates the closed-form bound.  :func:`range_sweep` turns the columns into
+one :class:`~mpcrb.scene.MultipathScene` and bound per range and geometry.
 
 Sign convention: the geometric grazing angle from the road is positive; the
 reflector enters the array model at negative elevation (below broadside),
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -22,8 +24,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry
 from .bounds import BoundBreakdown, SearchConfig, mcrb_theta_closed_many
-from .scene import (MultipathScene, PathGeometryInputs, delta_phi,
-                    path_coefficients, smr, snr)
+from .scene import MultipathScene
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,29 @@ class RangePoint:
     bound: BoundBreakdown | None    # None when out of model or degenerate
 
 
+_REFUSALS = ("grazing angle must lie in (0, pi/2]", "require r_i >= r_d > 0",
+             "theta and psi must lie strictly inside (-pi/2, pi/2)",
+             "require sigma_w2 > 0, e_p > 0, k_pulses >= 1",
+             "path amplitudes must be finite: r_ref / r_d is too large")
+# range_columns' columns; the first eight are RangePoint's leading fields
+_RangeColumns = namedtuple("_RangeColumns", "r_d r_i psi gamma_r smr_db delta_phi "
+                                            "snr_db same_cell alpha_d alpha_i sigma_w2")
+
+
+def _image_path(r_d: np.ndarray, theta: float, h_r: float):
+    """(r_i, psi) of :func:`indirect_geometry` for a column of ranges."""
+    x = r_d * math.cos(theta)
+    r_i = np.sqrt(x ** 2 + (r_d * math.sin(theta) + 2.0 * h_r) ** 2)
+    return r_i, -np.arccos(np.minimum(1.0, x / r_i))
+
+
+def _reflection(grazing: np.ndarray, eps_r: float, gamma_cond: float, wavelength: float):
+    """:func:`reflection_coefficient` for a column of grazing angles."""
+    eps = complex(eps_r, -60.0 * wavelength * gamma_cond)
+    root = np.sqrt(eps - np.cos(grazing) ** 2)
+    return (eps * np.sin(grazing) - root) / (eps * np.sin(grazing) + root)
+
+
 def indirect_geometry(r_d: float, theta: float, h_r: float) -> tuple[float, float]:
     """Image-path length and angle for a target at (r_d, theta).
 
@@ -82,10 +106,8 @@ def indirect_geometry(r_d: float, theta: float, h_r: float) -> tuple[float, floa
     """
     if r_d <= 0.0 or h_r <= 0.0:
         raise ValueError("require r_d > 0 and h_r > 0")
-    r_i = math.sqrt((r_d * math.cos(theta)) ** 2
-                    + (r_d * math.sin(theta) + 2.0 * h_r) ** 2)
-    psi = math.acos(min(1.0, r_d * math.cos(theta) / r_i))
-    return r_i, -psi
+    (r_i,), (psi,) = _image_path(np.array([r_d], dtype=float), theta, h_r)
+    return float(r_i), float(psi)
 
 
 def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
@@ -96,33 +118,41 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
     root; tends to -1 as psi -> 0 (the surface acts as a mirror).
     """
     if not (0.0 < psi <= math.pi / 2):
-        raise ValueError("grazing angle must lie in (0, pi/2]")
-    eps = complex(eps_r, -60.0 * wavelength * gamma_cond)
-    root = cmath.sqrt(eps - math.cos(psi) ** 2)
-    return (eps * math.sin(psi) - root) / (eps * math.sin(psi) + root)
+        raise ValueError(_REFUSALS[0])
+    return complex(_reflection(np.array([psi], dtype=float), eps_r, gamma_cond,
+                               wavelength)[0])
 
 
-def _range_physics(scn: GroundScenario, r_d: float) -> tuple:
-    """RangePoint fields up to same_cell and the scene's fields but its array."""
-    r_i, psi = indirect_geometry(r_d, scn.theta, scn.h_r)
-    grazing = -psi
-    gamma_r = reflection_coefficient(grazing, scn.eps_r, scn.gamma_cond,
-                                     scn.wavelength)
-    alpha_0d = (scn.r_ref / r_d) ** 2
-    alpha_0i = (scn.r_ref / r_i) ** 2
-    alpha_d, alpha_i = path_coefficients(PathGeometryInputs(
-        gamma_t=scn.gamma_t, gamma_r=gamma_r, alpha_0d=alpha_0d,
-        alpha_0i=alpha_0i, r_d=r_d, r_i=r_i, wavelength=scn.wavelength))
-    sigma_w2 = abs(scn.gamma_t) ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
-    fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
-                  k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
-    scene = MultipathScene(geom=scn.geom, **fields)
-    same_cell = ((r_i - r_d) < scn.r_res
-                 and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
-    smr_v = smr(scene)
-    return (r_d, r_i, psi, gamma_r,
-            10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
-            delta_phi(scene), 10.0 * math.log10(snr(scene)), same_cell), fields
+def range_columns(scn: GroundScenario) -> _RangeColumns:
+    """Path physics of every grid range on 1-D columns: image path, reflection
+    and path coefficients (:func:`~mpcrb.scene.path_coefficients`), SMR, phase
+    difference and SNR (dB, rad in (-pi, pi], dB) and the same-cell gate;
+    ``sigma_w2`` is one float.  Raises ValueError at the first range out of
+    model, with the message that range's scene inputs give."""
+    r_d, amp, ang = scn.range_grid, abs(scn.gamma_t), cmath.phase(scn.gamma_t)
+    r_i, psi = _image_path(r_d, scn.theta, scn.h_r)
+    gamma_r = _reflection(-psi, scn.eps_r, scn.gamma_cond, scn.wavelength)
+    sigma_w2 = amp ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        alpha_d = ((scn.r_ref / r_d) ** 2 * amp
+                   * np.exp(1j * (ang + 2.0 * math.pi * r_d / scn.wavelength)))
+        alpha_i = ((scn.r_ref / r_i) ** 2 * amp * np.abs(gamma_r) * np.exp(
+            1j * (ang + np.angle(gamma_r) + 2.0 * math.pi * r_i / scn.wavelength)))
+        p_d, p_i = np.abs(alpha_d) ** 2, np.abs(alpha_i) ** 2
+        smr_db = np.where(alpha_i == 0, np.inf, 10.0 * np.log10(p_d / p_i))
+        snr_db = 10.0 * np.log10(p_d / sigma_w2)
+    failed = np.array([   # per _REFUSALS entry and range, in the scalar checks' order
+        ~((-math.pi / 2 <= psi) & (psi < 0.0)), ~(r_i >= r_d),
+        ~((abs(scn.theta) < math.pi / 2) & (psi > -math.pi / 2)),
+        np.full(r_d.shape, not (sigma_w2 > 0.0 and scn.e_p > 0.0 and scn.k_pulses >= 1)),
+        ~(np.isfinite(alpha_d) & np.isfinite(alpha_i))])
+    if failed.any():
+        raise ValueError(_REFUSALS[failed[:, failed.any(axis=0).argmax()].argmax()])
+    phase = np.fmod(np.angle(alpha_d) - np.angle(alpha_i) + math.pi, 2.0 * math.pi)
+    delta = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) - math.pi  # wrap_phase
+    same_cell = (r_i - r_d < scn.r_res) & (scn.v * (1.0 - np.cos(psi)) < scn.v_res)
+    return _RangeColumns(r_d, r_i, psi, gamma_r, smr_db, delta, snr_db, same_cell,
+                         alpha_d, alpha_i, sigma_w2)
 
 
 def range_point(scn: GroundScenario, r_d: float,
@@ -140,20 +170,23 @@ def range_sweep(scn: GroundScenario,
                 ) -> dict[str, list[RangePoint]]:
     """Evaluate every grid range for one or more array configurations.
 
-    The path physics of each range is computed once; only the scene's
-    geometry differs between configurations.  The bounds of each geometry's
-    in-cell points come from one batched call.  Output lists follow the
-    range grid order.
+    The path physics comes from one :func:`range_columns` call; only the
+    scene's geometry differs between configurations.  The bounds of each
+    geometry's in-cell points come from one batched call.  Output lists
+    follow the range grid order.
     """
     if geoms is None:
         geoms = {"default": scn.geom}
-    base = [_range_physics(scn, float(r)) for r in scn.range_grid]
-    in_cell = [i for i, (head, _) in enumerate(base) if head[-1]]
+    cols = range_columns(scn)
+    heads = list(zip(*(c.tolist() for c in cols[:8])))
+    paths = list(zip(cols.psi.tolist(), cols.alpha_d.tolist(), cols.alpha_i.tolist()))
+    in_cell = np.flatnonzero(cols.same_cell).tolist()
     out: dict[str, list[RangePoint]] = {}
     for name, geom in geoms.items():
-        scenes = [MultipathScene(geom=geom, **fields) for _, fields in base]
+        scenes = [MultipathScene(geom, scn.theta, psi, a_d, a_i, scn.k_pulses,
+                                 scn.e_p, cols.sigma_w2) for psi, a_d, a_i in paths]
         bounds = dict(zip(in_cell, mcrb_theta_closed_many(
             [scenes[i] for i in in_cell], search=search)))
         out[name] = [RangePoint(*head, scene=sc, bound=bounds.get(i))
-                     for i, ((head, _), sc) in enumerate(zip(base, scenes))]
+                     for i, (head, sc) in enumerate(zip(heads, scenes))]
     return out

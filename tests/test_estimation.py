@@ -8,7 +8,8 @@ from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, compressed_mean,
                    mcrb_theta_closed, mml_doa, monte_carlo_rmse,
                    multipath_free, scene_from_ratios, standard_virtual_ula,
                    synthesize_compressed, theta_a, virtual_hpbw)
-from mpcrb import estimation
+from mpcrb import bounds, estimation
+from mpcrb.arrays import TWO_PI
 from mpcrb.bounds import (_argmax_projection, _coarse_winner, _projection_derivs,
                           _resolve_search)
 from mpcrb.estimation import MML_SEARCH
@@ -296,3 +297,70 @@ def test_kernel_takes_an_empty_batch():
     assert _argmax_projection(empty, GEOM, cfg).shape == (0,)
     assert _argmax_projection(empty, GEOM, cfg, np.zeros(0)).shape == (0,)
     assert _coarse_winner(empty, GEOM, cfg)[1].shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's per-geometry set-up against its uncached form, bit for bit
+
+def _phasors(positions, sines):
+    """``arrays._phasors`` before it was built in place, verbatim."""
+    return np.exp(1j * TWO_PI * np.outer(positions, sines)) / np.sqrt(positions.size)
+
+
+def _uncached_steering_grid(geom_key, lo, hi, n):
+    """``bounds._steering_grid`` before its set-up was cached, kept verbatim
+    as an oracle."""
+    angles = np.linspace(lo, hi, n)
+    tx, rx = (_phasors(np.asarray(pos), np.sin(angles)).conj() for pos in geom_key)
+    return angles, (rx[:, None, :] * tx[None, :, :]).reshape(-1, n)
+
+
+def _uncached_projection_derivs(geom, y, phi):
+    """``bounds._projection_derivs`` before its set-up was cached, verbatim."""
+    s, n = np.sin(phi), len(y)
+    w = (_phasors(geom.rx_positions, -s).T[:, :, None] * y
+         * _phasors(geom.tx_positions, -s).T[:, None, :]).reshape(n, 1, -1)
+    q = (geom.rx_positions[:, None] + geom.tx_positions).ravel()
+    m0, m1, m2 = (w @ np.stack([np.ones_like(q), q, q * q], axis=1))[:, 0].T
+    k = TWO_PI * np.cos(phi)
+    return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 285, 1136])
+def test_steering_grid_equals_linspace_and_kronecker_bitwise(n):
+    spans = [(-math.pi / 3, math.pi / 3), (-0.5, 1.2), (-1.5, -1.4),
+             (0.1, 0.1 + 1e-6), (-1e-3, 2.0 / 3.0)]
+    for geom in _KERNEL_GEOMS:
+        for lo, hi in spans:
+            bounds._steering_grid.cache_clear()
+            angles, v = bounds._steering_grid(geom.key(), lo, hi, n)
+            want_angles, want_v = _uncached_steering_grid(geom.key(), lo, hi, n)
+            assert _same_bits(angles, np.linspace(lo, hi, n))
+            assert _same_bits(angles, want_angles) and _same_bits(v, want_v)
+
+
+def test_projection_derivs_equal_the_uncached_form_bitwise():
+    rng = np.random.default_rng(77)
+    for geom in _KERNEL_GEOMS:
+        for n in (1, 5, 300):
+            shape = (n, geom.m_r, geom.m_t)
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            phi = rng.uniform(-1.2, 1.2, n)
+            for got, want in zip(_projection_derivs(geom, y, phi),
+                                 _uncached_projection_derivs(geom, y, phi)):
+                assert _same_bits(got, want)
+
+
+def test_resolved_search_is_reused_per_geometry():
+    first = _resolve_search(GEOM, MML_SEARCH)
+    assert first.coarse_step == virtual_hpbw(GEOM) / 20.0
+    assert _resolve_search(standard_virtual_ula(3, 4), MML_SEARCH) is first
+    assert _resolve_search(GEOM, None) == replace(
+        SearchConfig(), coarse_step=virtual_hpbw(GEOM) / 20.0)
+    explicit = SearchConfig(coarse_step=0.01)
+    assert _resolve_search(GEOM, explicit) is explicit

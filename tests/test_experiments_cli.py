@@ -512,3 +512,99 @@ def test_python_dash_m_runs_the_cli():
     out = subprocess.run([sys.executable, "-m", "mpcrb", "--help"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and "selftest" in out.stdout
+
+
+# ---------------------------------------------------------------------------
+# the scenario sweep on columns
+
+def _scenario_config(start, stop, step):
+    cfg = load_preset("scenario")
+    cfg["range_grid_m"] = {"start": start, "stop": stop, "step": step}
+    return cfg
+
+
+def test_scenario_cells_match_per_range_points(tmp_path):
+    # 30 ranges across both gates, each row against range_point + crb_theta
+    # the way bench/check.py recomputes it
+    cfg = _scenario_config(2.0, 89.0, 3.0)
+    result = ex.run_scenario(cfg, tmp_path)
+    _, rows = read_csv(result["csv"])
+    scn, search = ex.scenario_from_config(cfg), ex.search_from_config(cfg)
+    geoms = {name: ex.geometry_from_config(cfg, f"geometries.{name}")
+             for name in cfg["geometries"]}
+    assert len(rows) == 30
+    counts = {"in": 0, "out": 0, "degenerate": 0}
+    for row in rows:
+        for k, (name, geom) in enumerate(geoms.items()):
+            p = mpcrb.range_point(scn, float(row[0]), search=search, geom=geom)
+            assert row[:5] == [ex._cell(v) for v in (
+                p.r_d, math.degrees(p.psi),
+                p.smr_db if math.isfinite(p.smr_db) else None, p.delta_phi,
+                p.same_cell)]
+            _assert_cell(row[5 + 3 * k], _root_deg(mpcrb.crb_theta(p.scene)))
+            bb = p.bound
+            for cell, want in zip(row[6 + 3 * k:8 + 3 * k], (
+                    bb and _root_deg(bb.mcrb_theta),
+                    bb and math.sqrt(bb.mcrb_theta / bb.crb_theta))):
+                if want is None:
+                    assert cell == ""
+                else:
+                    assert float(cell) == pytest.approx(want, rel=1e-9)
+            counts["in" if p.same_cell else "out"] += 1
+            counts["degenerate"] += p.same_cell and bb is None
+    assert counts["in"] and counts["out"]
+    manifest = json.loads(result["manifest"].read_text())
+    assert (manifest["bound_points"], manifest["out_of_cell_points"],
+            manifest["degenerate_points"]) == (counts["in"], counts["out"],
+                                               counts["degenerate"])
+
+
+@pytest.mark.parametrize("grid, in_cell", [((2.0, 4.0, 1.0), 0),
+                                           ((60.0, 60.0, 1.0), 1)])
+def test_scenario_with_no_or_one_in_cell_range(tmp_path, grid, in_cell):
+    result = ex.run_scenario(_scenario_config(*grid), tmp_path)
+    _, rows = read_csv(result["csv"])
+    manifest = json.loads(result["manifest"].read_text())
+    assert len(rows) == (3 if in_cell == 0 else 1)
+    assert manifest["bound_points"] == 2 * in_cell
+    assert manifest["out_of_cell_points"] == 2 * (len(rows) - in_cell)
+    for row in rows:
+        assert row[4] == ("true" if in_cell else "false")
+        assert float(row[5]) > 0.0 and float(row[8]) > 0.0     # RCRB cells
+        assert all((cell != "") == bool(in_cell)
+                   for cell in row[6:8] + row[9:11])
+
+
+@pytest.mark.parametrize("field, value", [("r_ref_m", 1e160),
+                                          ("theta_deg", 95.0),
+                                          ("theta_deg", -90.0)])
+def test_cli_refuses_scenario_inputs_out_of_model(tmp_path, capsys, field,
+                                                  value):
+    cfg = load_preset("scenario")
+    cfg[field] = value
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["scenario", "--config", str(p), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+
+def test_scenario_sweep_makes_one_call_per_traced_layer_step(tmp_path,
+                                                             monkeypatch):
+    # the benchmark's tracer sees only public functions: the column physics
+    # and the closed form must stay public calls, one per sweep and one per
+    # geometry, not move into private helpers
+    calls = {"range_columns": 0, "mcrb_theta_closed_columns": 0}
+    for name in calls:
+        fn = getattr(ex, name)
+        assert not fn.__name__.startswith("_")
+        assert getattr(sys.modules[fn.__module__], name) is fn
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ex, name, counted)
+    cfg = _scenario_config(10.0, 70.0, 6.0)
+    ex.run_scenario(cfg, tmp_path)
+    assert calls == {"range_columns": 1,
+                     "mcrb_theta_closed_columns": len(cfg["geometries"])}

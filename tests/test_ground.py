@@ -1,11 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from mpcrb import (GroundScenario, indirect_geometry, range_point,
-                   range_sweep, reflection_coefficient, standard_virtual_ula,
-                   wrap_phase)
+from mpcrb import (GroundScenario, MultipathScene, PathGeometryInputs,
+                   delta_phi, indirect_geometry, path_coefficients, range_point,
+                   range_sweep, reflection_coefficient, smr, snr,
+                   standard_virtual_ula, wrap_phase)
+from mpcrb.ground import range_columns
 
 
 def asphalt(grid, **overrides):
@@ -144,3 +147,128 @@ def test_range_sweep_batch_matches_range_point():
             assert abs(p.bound.theta_a - q.bound.theta_a) <= 1e-7
             assert p.bound.m_theta_theta == pytest.approx(q.bound.m_theta_theta,
                                                           rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the column physics against the per-range scalar physics it replaced
+
+def _scalar_indirect_geometry(r_d, theta, h_r):
+    """``indirect_geometry`` in math-module scalars, verbatim."""
+    if r_d <= 0.0 or h_r <= 0.0:
+        raise ValueError("require r_d > 0 and h_r > 0")
+    r_i = math.sqrt((r_d * math.cos(theta)) ** 2
+                    + (r_d * math.sin(theta) + 2.0 * h_r) ** 2)
+    psi = math.acos(min(1.0, r_d * math.cos(theta) / r_i))
+    return r_i, -psi
+
+
+def _scalar_reflection_coefficient(psi, eps_r, gamma_cond, wavelength):
+    """``reflection_coefficient`` in cmath scalars, verbatim."""
+    if not (0.0 < psi <= math.pi / 2):
+        raise ValueError("grazing angle must lie in (0, pi/2]")
+    eps = complex(eps_r, -60.0 * wavelength * gamma_cond)
+    root = cmath.sqrt(eps - math.cos(psi) ** 2)
+    return (eps * math.sin(psi) - root) / (eps * math.sin(psi) + root)
+
+
+def _scalar_range_physics(scn, r_d):
+    """``ground._range_physics`` before the columns replaced it, verbatim (on
+    the scalar forms above), kept as an oracle."""
+    r_i, psi = _scalar_indirect_geometry(r_d, scn.theta, scn.h_r)
+    grazing = -psi
+    gamma_r = _scalar_reflection_coefficient(grazing, scn.eps_r, scn.gamma_cond,
+                                             scn.wavelength)
+    alpha_0d = (scn.r_ref / r_d) ** 2
+    alpha_0i = (scn.r_ref / r_i) ** 2
+    alpha_d, alpha_i = path_coefficients(PathGeometryInputs(
+        gamma_t=scn.gamma_t, gamma_r=gamma_r, alpha_0d=alpha_0d,
+        alpha_0i=alpha_0i, r_d=r_d, r_i=r_i, wavelength=scn.wavelength))
+    sigma_w2 = abs(scn.gamma_t) ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
+    fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
+                  k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
+    scene = MultipathScene(geom=scn.geom, **fields)
+    same_cell = ((r_i - r_d) < scn.r_res
+                 and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
+    smr_v = smr(scene)
+    return (r_d, r_i, psi, gamma_r,
+            10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
+            delta_phi(scene), 10.0 * math.log10(snr(scene)), same_cell), fields
+
+
+@pytest.mark.parametrize("theta_deg, h_r, stop, v_res", [
+    (0.0, 1.0, 100.0, 0.05), (5.0, 1.0, 100.0, 0.1), (-3.0, 2.5, 45.0, 0.05)])
+def test_range_columns_match_the_scalar_physics(theta_deg, h_r, stop, v_res):
+    # 401 ranges on each side of both gates (at 5 deg the grazing angle stays
+    # above 5 deg, hence the wider Doppler cell); a target below the road is
+    # refused, so the -3 deg grid stops short of it
+    scn = asphalt(np.linspace(2.0, stop, 401), theta=math.radians(theta_deg),
+                  h_r=h_r, v_res=v_res)
+    cols = range_columns(scn)
+    want = [_scalar_range_physics(scn, r) for r in scn.range_grid.tolist()]
+    heads = [head for head, _ in want]
+    range_gate = cols.r_i - cols.r_d < scn.r_res
+    doppler_gate = scn.v * (1.0 - np.cos(cols.psi)) < scn.v_res
+    assert range_gate.any() and not range_gate.all()
+    assert doppler_gate.any() and not doppler_gate.all()
+    assert cols.same_cell.tolist() == [head[7] for head in heads]
+    for k, name in ((0, "r_d"), (1, "r_i"), (2, "psi"), (3, "gamma_r"),
+                    (4, "smr_db"), (6, "snr_db")):
+        np.testing.assert_allclose(getattr(cols, name), [h[k] for h in heads],
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+    # the path phases 2 pi r / lambda run to ~1e5 rad, so the phases of
+    # alpha_d, alpha_i and delta_phi carry their rounding: a 1-ulp change in
+    # r_i (the oracle's ``x ** 2`` is a C pow, one ulp off x * x now and
+    # then) moves them by ~2e-11 rad.  Phases: within 8 ulps of that phase
+    phase_tol = 8 * np.spacing(2.0 * math.pi * cols.r_i / scn.wavelength)
+    for name in ("alpha_d", "alpha_i"):
+        got, ref = getattr(cols, name), np.array([f[name] for _, f in want])
+        np.testing.assert_allclose(np.abs(got), np.abs(ref), rtol=1e-12)
+        assert np.all(np.abs(np.angle(got / ref)) <= phase_tol)
+    assert cols.sigma_w2 == want[0][1]["sigma_w2"]
+    gap = [wrap_phase(a - h[5]) for a, h in zip(cols.delta_phi.tolist(), heads)]
+    assert np.all(np.abs(gap) <= phase_tol)
+
+
+def _first_scalar_refusal(scn):
+    for r in scn.range_grid.tolist():
+        try:
+            _scalar_range_physics(scn, r)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(theta=math.radians(95.0)), "grazing angle must lie in (0, pi/2]"),
+    (dict(theta=math.radians(-3.0)), "require r_i >= r_d > 0"),
+    (dict(gamma_t=0.0j), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(k_pulses=0), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+])
+def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
+    # below the road from 19.1 m at -3 deg: the grid starts in model
+    scn = asphalt(np.arange(5.0, 60.0, 5.0), **overrides)
+    assert _first_scalar_refusal(scn) == message
+    for call in (range_columns, range_sweep, lambda s: range_point(s, 40.0)):
+        with pytest.raises(ValueError) as err:
+            call(scn)
+        assert str(err.value) == message
+
+
+def test_range_columns_refuse_overflowing_amplitudes():
+    scn = asphalt([2.0, 60.0], r_ref=1e160)
+    with pytest.raises(OverflowError):      # what the scalar physics did
+        _first_scalar_refusal(scn)
+    with pytest.raises(ValueError, match="path amplitudes must be finite"):
+        range_columns(scn)
+
+
+def test_range_point_is_a_one_range_sweep_of_the_columns():
+    scn = asphalt(np.arange(10.0, 80.0, 7.0))
+    cols = range_columns(scn)
+    for i, r in enumerate(scn.range_grid.tolist()):
+        pt = range_point(scn, r)
+        assert (pt.r_d, pt.r_i, pt.psi, pt.gamma_r, pt.smr_db, pt.delta_phi,
+                pt.snr_db, pt.same_cell) == tuple(c[i].item() for c in cols[:8])
+        assert type(pt.same_cell) is bool and type(pt.r_i) is float
+        assert (pt.scene.alpha_d, pt.scene.alpha_i) == (cols.alpha_d[i],
+                                                        cols.alpha_i[i])
