@@ -6,14 +6,12 @@ from .arrays import (ArrayGeometry, SteeringSet, beampattern, e_adot,
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
                      SingularInformationError, ZetaSet, cd_matrix, crb_theta,
-                     fim, mcrb_sandwich, mcrb_theta_closed,
-                     mcrb_theta_closed_many, theta_a, theta_a_paper_form,
-                     zeta_set)
+                     mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_many,
+                     theta_a, zeta_set)
 from .estimation import RmseCurve, mml_doa, monte_carlo_rmse
 from .ground import (GroundScenario, RangePoint, indirect_geometry,
                      range_point, range_sweep, reflection_coefficient)
-from .scene import (MultipathScene, PathGeometryInputs, compressed_mean,
-                    delta_phi, multipath_free, path_coefficients,
+from .scene import (MultipathScene, compressed_mean, delta_phi, multipath_free,
                     scene_from_ratios, smr, snr, synthesize_compressed,
                     wrap_phase)
 

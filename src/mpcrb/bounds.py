@@ -5,7 +5,7 @@ entries zeta3..zeta5 from one batched model builder and differ only in the
 reduction: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
 I = |alpha_d|^2 E_Adot, versus the inverse of the full 5x5 curvature matrix
 (ordering ``[Re alpha_d, Im alpha_d, tau_d, omega_Dd, theta]``) in the
-sandwich.  The conventional FIM/CRB of the matched model lives here too.
+sandwich.  The CRB of the matched model lives here too.
 """
 
 from __future__ import annotations
@@ -151,18 +151,6 @@ def _informative(e_dot):
     return e_dot
 
 
-def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.ndarray:
-    """Conventional 5x5 FIM of the matched model, diagonal under orthogonal
-    waveforms and centered arrays: (2K/sigma^2) * diag(E_p, E_p,
-    |a|^2 F_tau, |a|^2 F_omega, E_p |a|^2 E_Adot)."""
-    if f_tau <= 0.0 or f_omega <= 0.0:
-        raise ValueError("f_tau and f_omega must be positive")
-    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
-    a2, ep = abs(scene.alpha_d) ** 2, scene.e_p
-    pref = 2.0 * scene.k_pulses / scene.sigma_w2
-    return np.diag(pref * np.array([ep, ep, a2 * f_tau, a2 * f_omega, ep * a2 * e_dot]))
-
-
 def crb_theta(scene: MultipathScene) -> float:
     """Matched-model DOA bound 1/(2*SNR*K*E_p*E_Adot), rad^2."""
     e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
@@ -304,7 +292,10 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
     cells and the span, a bracket that the sign of p' shrinks; a step that
     leaves it, or one where p'' >= 0, bisects it instead.  Each row stops on
     its own at a step within the tolerance, or after twice the bisections.
+    Each statistic is first scaled by an exact power of two to bring its
+    largest entry into [0.5, 1), so p stays finite and the argmax unchanged.
     """
+    y = y * np.ldexp(1.0, -np.frexp(np.abs(y).max(axis=(1, 2)))[1])[:, None, None]
     angles, best = _coarse_winner(y, geom, search, prefer)
     step, phi = angles[1] - angles[0], angles[best]
     lo, hi = search.span
@@ -347,21 +338,6 @@ def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta."""
     return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i,
                               search)[0])
-
-
-def theta_a_paper_form(scene: MultipathScene,
-                       search: SearchConfig | None = None) -> float:
-    """Pseudo-true DOA with the indirect term weighted by alpha_i/(alpha_d+alpha_i).
-
-    Kept as a secondary definition for comparison against :func:`theta_a`;
-    undefined when alpha_d + alpha_i ~ 0.
-    """
-    ad, ai = scene.alpha_d, scene.alpha_i
-    denom = ad + ai
-    if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
-        raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
-                         "alpha_d + alpha_i ~ 0")
-    return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
 
 
 def _bound_columns(mod: _Model, m: np.ndarray, valid: np.ndarray,

@@ -158,20 +158,33 @@ def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
     return _search_config(cfg, path, SearchConfig().refine_tol)
 
 
+def _pow10(x: float, path: str, db: float) -> float:
+    """10^x from the ``db`` value at ``path``; ConfigError where it overflows."""
+    try:
+        return 10.0 ** x
+    except OverflowError:
+        raise ConfigError(f"{path}: {db!r} dB overflows 10^{x:.6g}") from None
+
+
 def _parse_scene(cfg: dict, geom: ArrayGeometry, path: str, snr_db=None,
                  smr_db=None, dphi=None, psi_rad=None):
-    """scene_from_config's scene and the scene_from_ratios arguments it took."""
+    """scene_from_config's scene and the scene_from_ratios arguments it took.
+    A given snr_db or smr_db comes from the axis sweep.<name>, start first."""
     theta = math.radians(_get_num(cfg, f"{path}.theta_deg", default=0.0))
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, f"{path}.psi_deg"))
+    snr_key = f"{path}.snr_db" if snr_db is None else "sweep.snr_db"
+    smr_key = f"{path}.smr_db" if smr_db is None else "sweep.smr_db"
     if snr_db is None:
-        snr_db = _get_num(cfg, f"{path}.snr_db")
+        snr_db = _get_num(cfg, snr_key)
     if smr_db is None:
-        smr_db = _get_num(cfg, f"{path}.smr_db")
+        smr_db = _get_num(cfg, smr_key)
     if dphi is None:
         dphi = _get_num(cfg, f"{path}.delta_phi_rad", default=0.0)
     k = _get_int(cfg, f"{path}.k_pulses", default=1, minimum=1)
     e_p = _get_num(cfg, f"{path}.e_p", default=1.0, positive=True)
+    _pow10(-snr_db / 10.0, snr_key, snr_db)   # sigma_w2
+    _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|
     args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
                 dphi=dphi, k_pulses=k, e_p=e_p)
     try:
@@ -248,45 +261,41 @@ def _psi(theta: float, delta_theta_deg: float, path: str) -> float:
     return psi
 
 
-_BEAMPATTERN_HEADER = ["phi_deg", "tx_gain_db", "rx_gain_db"]
-
-
-def _beampattern_rows(geom: ArrayGeometry, steer: float,
-                      grid_deg: list[float]) -> list[list]:
+def _beampattern(geom: ArrayGeometry, steer: float, grid_deg: list[float]) -> dict:
     tx_db, rx_db = beampattern(geom, steer, np.radians(grid_deg))
-    return [[p, t, r] for p, t, r in zip(grid_deg, tx_db, rx_db)]
+    return {"phi_deg": grid_deg, "tx_gain_db": tx_db, "rx_gain_db": rx_db}
 
 
-def _lines(rows: list[list], series: list[tuple[str, int]], xlabel: str,
-           ylabel: str, title: str, ylog: bool = True):
-    """SVG writer plotting each (label, column) of ``series`` against column 0."""
+def _lines(table: dict, series: dict, xlabel: str, ylabel: str, title: str,
+           ylog: bool = True):
+    """SVG writer plotting each {label: column name} of ``series`` against the
+    table's first column."""
     def plot(path):
-        xs = [row[0] for row in rows]
-        svgplot.line_plot(path, [(label, xs, [row[col] for row in rows])
-                                 for label, col in series],
+        xs = next(iter(table.values()))
+        svgplot.line_plot(path, [(label, xs, table[col])
+                                 for label, col in series.items()],
                           xlabel, ylabel, title, ylog=ylog)
     return plot
 
 
-def _write_outputs(name: str, config: dict, out_dir, svg: bool,
-                   header: list[str], rows: list[list], plot=None,
-                   extra: dict | None = None,
-                   beampattern_rows: list[list] | None = None) -> dict:
-    """Write ``<name>.csv``, ``<name>_beampattern.csv`` when its rows are
-    given, ``<name>.svg`` through ``plot`` when ``svg`` is set, and the
-    manifest over all of them.  Returns the runner's result paths."""
+def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
+                   plot=None, extra: dict | None = None,
+                   beampattern: dict | None = None) -> dict:
+    """Write ``<name>.csv`` from ``table``, ``<name>_beampattern.csv`` from
+    ``beampattern`` when given, ``<name>.svg`` through ``plot`` when ``svg``
+    is set, and the manifest over all of them.  A table maps each CSV header
+    to its column, in order.  Returns the runner's result paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tables = {"csv": (f"{name}.csv", header, rows)}
-    if beampattern_rows is not None:
-        tables["beampattern_csv"] = (f"{name}_beampattern.csv",
-                                     _BEAMPATTERN_HEADER, beampattern_rows)
+    tables = {"csv": (f"{name}.csv", table)}
+    if beampattern is not None:
+        tables["beampattern_csv"] = (f"{name}_beampattern.csv", beampattern)
     result, hashes = {}, {}
-    for key, (file_name, head, body) in tables.items():
+    for key, (file_name, columns) in tables.items():
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
-        writer.writerow(head)
-        writer.writerows([_cell(v) for v in row] for row in body)
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in zip(*columns.values()))
         data = buf.getvalue().encode("utf-8")
         result[key] = out / file_name
         result[key].write_bytes(data)
@@ -310,28 +319,36 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool,
 # ---------------------------------------------------------------------------
 # figure recipes
 
-def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
-    """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
+def _mc_sweep(config: dict, bounds: bool):
+    """The Monte-Carlo SNR sweep's geometry, estimator, bound search (with
+    ``bounds``, else None), trials, seed, SNR axis and one scene per SNR,
+    parsed in that order: trials is checked before any scene is built."""
     geom = geometry_from_config(config)
     est = estimator_from_config(config)
-    search = search_from_config(config)
+    search = search_from_config(config) if bounds else None
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed")
     snrs = _grid(config, "sweep.snr_db")
+    return (geom, est, search, trials, seed, snrs,
+            [scene_from_config(config, geom, snr_db=s) for s in snrs])
+
+
+def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
+    """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
+    geom, est, search, trials, seed, snrs, scenes = _mc_sweep(config, bounds=True)
     cols = _sweep_bounds(config, geom, search, snr_db=snrs)
-    scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
     mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
                           seed + 1)
-    rows = list(zip(snrs, *_root_columns(cols)[:2],
-                    np.degrees(mml.rmse_rad).tolist(),
-                    np.degrees(ml.rmse_rad).tolist()))
-    plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2), ("RMSE MML", 3),
-                         ("RMSE ML", 4)],
+    rcrb, rmcrb, _ = _root_columns(cols)
+    table = {"snr_db": snrs, "rcrb_deg": rcrb, "rmcrb_deg": rmcrb,
+             "rmse_mml_deg": np.degrees(mml.rmse_rad).tolist(),
+             "rmse_ml_deg": np.degrees(ml.rmse_rad).tolist()}
+    plot = _lines(table, {"RCRB": "rcrb_deg", "RMCRB": "rmcrb_deg",
+                          "RMSE MML": "rmse_mml_deg", "RMSE ML": "rmse_ml_deg"},
                   "SNR [dB]", "root bound / RMSE [deg]", "DOA RMSE vs SNR")
-    return _write_outputs("fig2", config, out_dir, svg,
-                          ["snr_db", "rcrb_deg", "rmcrb_deg", "rmse_mml_deg",
-                           "rmse_ml_deg"], rows, plot, _bound_counts(cols.valid))
+    return _write_outputs("fig2", config, out_dir, svg, table, plot,
+                          _bound_counts(cols.valid))
 
 
 def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -343,13 +360,14 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
     cols = _sweep_bounds(config, geom, search, psi_rad=[
         _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
-    rows = list(zip(dthetas, *_root_columns(cols)[:2]))
-    plot = _lines(rows, [("RCRB", 1), ("RMCRB", 2)], "delta theta [deg]",
-                  "root bound [deg]", "Bounds vs DOA separation")
-    return _write_outputs("fig3", config, out_dir, svg,
-                          ["delta_theta_deg", "rcrb_deg", "rmcrb_deg"], rows,
-                          plot, _bound_counts(cols.valid),
-                          _beampattern_rows(geom, theta, bp_grid_deg))
+    rcrb, rmcrb, _ = _root_columns(cols)
+    table = {"delta_theta_deg": dthetas, "rcrb_deg": rcrb, "rmcrb_deg": rmcrb}
+    plot = _lines(table, {"RCRB": "rcrb_deg", "RMCRB": "rmcrb_deg"},
+                  "delta theta [deg]", "root bound [deg]",
+                  "Bounds vs DOA separation")
+    return _write_outputs("fig3", config, out_dir, svg, table, plot,
+                          _bound_counts(cols.valid),
+                          _beampattern(geom, theta, bp_grid_deg))
 
 
 def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -365,15 +383,16 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     smrs = _grid(config, "sweep.smr_db")
     cols = _sweep_bounds(config, geom, search, psi_rad=psi,
                          smr_db=np.array(smrs)[:, None], dphi=[phases])
-    rmcrb = _root_columns(cols)[1]
+    rmcrb = _root_columns(cols)[1]   # row-major: SMR, then phase
     rcrb = math.degrees(math.sqrt(cols.crb[0]))   # depends on neither SMR nor phase
-    rows = [[s, *rmcrb[2 * i:2 * i + 2], rcrb] for i, s in enumerate(smrs)]
-    plot = _lines(rows, [("RMCRB constructive", 1), ("RMCRB destructive", 2),
-                         ("RCRB", 3)],
+    table = {"smr_db": smrs, "rmcrb_dphi_0_deg": rmcrb[0::2],
+             "rmcrb_dphi_2pi3_deg": rmcrb[1::2], "rcrb_deg": [rcrb] * len(smrs)}
+    plot = _lines(table, {"RMCRB constructive": "rmcrb_dphi_0_deg",
+                          "RMCRB destructive": "rmcrb_dphi_2pi3_deg",
+                          "RCRB": "rcrb_deg"},
                   "SMR [dB]", "root bound [deg]", "Bounds vs SMR")
-    return _write_outputs("fig4", config, out_dir, svg,
-                          ["smr_db", "rmcrb_dphi_0_deg", "rmcrb_dphi_2pi3_deg",
-                           "rcrb_deg"], rows, plot, _bound_counts(cols.valid))
+    return _write_outputs("fig4", config, out_dir, svg, table, plot,
+                          _bound_counts(cols.valid))
 
 
 def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
@@ -385,20 +404,16 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
     cols = _sweep_bounds(config, geom, search, psi_rad=np.array(psis)[:, None],
                          dphi=[dphis])
-    ratios = _root_columns(cols)[2]
-    rows = list(zip(dphis * len(dthetas),
-                    np.repeat(dthetas, len(dphis)).tolist(), ratios))
-    z_rows = [ratios[i * len(dphis):(i + 1) * len(dphis)]
-              for i in range(len(dthetas))]
+    table = {"delta_phi_rad": dphis * len(dthetas),
+             "delta_theta_deg": np.repeat(dthetas, len(dphis)).tolist(),
+             "rmcrb_over_rcrb": _root_columns(cols)[2]}
 
     def plot(path):
-        svgplot.heatmap(path, dphis, dthetas, z_rows, "delta phi [rad]",
-                        "delta theta [deg]", "RMCRB / RCRB (contour at 1)",
-                        contour_level=1.0)
+        svgplot.heatmap(path, dphis, dthetas, table["rmcrb_over_rcrb"],
+                        "delta phi [rad]", "delta theta [deg]",
+                        "RMCRB / RCRB (contour at 1)")
 
-    return _write_outputs("fig5", config, out_dir, svg,
-                          ["delta_phi_rad", "delta_theta_deg",
-                           "rmcrb_over_rcrb"], rows, plot,
+    return _write_outputs("fig5", config, out_dir, svg, table, plot,
                           _bound_counts(cols.valid))
 
 
@@ -433,9 +448,20 @@ def scenario_from_config(config: dict) -> GroundScenario:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ratio = scn.r_ref / grid[0]   # the nearest direct path has the largest amplitude
-    if not math.isfinite(ratio * ratio * abs(scn.gamma_t)):
-        raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 |gamma_t| "
-                          f"overflows at r_d = {grid[0]!r}")
+    gamma, snr_ref = scn.gamma_t, scn.snr_ref_db
+    try:   # and range_columns' noise power |gamma_t|^2 / 10^(snr_ref_db / 10)
+        amp = abs(gamma)
+        if not math.isfinite(ratio * ratio * amp):
+            raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 |gamma_t| "
+                              f"overflows at r_d = {grid[0]!r}")
+        sigma_w2 = amp ** 2 / _pow10(snr_ref / 10.0, "snr_ref_db", snr_ref)
+    except OverflowError:
+        key = "gamma_t_real" if abs(gamma.real) >= abs(gamma.imag) else "gamma_t_imag"
+        raise ConfigError(f"{key}: |gamma_t|^2 overflows at gamma_t = {gamma!r}") from None
+    except ZeroDivisionError:
+        sigma_w2 = math.inf
+    if not math.isfinite(sigma_w2):
+        raise ConfigError(f"snr_ref_db: noise power overflows at {snr_ref!r} dB")
     return scn
 
 
@@ -453,11 +479,11 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
     theta = np.full(n, scn.theta)
     args = (scn.k_pulses, scn.e_p, phys.sigma_w2)
-    header = ["r_d_m", "psi_deg", "smr_db", "delta_phi_rad", "same_cell"]
-    cols = [phys.r_d.tolist(), np.degrees(phys.psi).tolist(),
-            [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
-            phys.delta_phi.tolist(), phys.same_cell.tolist()]
-    valid = []
+    table = {"r_d_m": phys.r_d.tolist(), "psi_deg": np.degrees(phys.psi).tolist(),
+             "smr_db": [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
+             "delta_phi_rad": phys.delta_phi.tolist(),
+             "same_cell": phys.same_cell.tolist()}
+    series, valid = {}, []
     for name, geom in geoms.items():
         crb = _crb(geom, theta[:1], phys.alpha_d, *args)[3]   # theta is one value
         closed = mcrb_theta_closed_columns(
@@ -465,50 +491,40 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
             phys.alpha_i[in_cell], *args, search=search)
         mcrb, ok = np.full(n, np.nan), np.zeros(n, dtype=bool)
         mcrb[in_cell], ok[in_cell] = closed.mcrb, closed.valid
-        header += [f"rcrb_deg_{name}", f"rmcrb_deg_{name}", f"ratio_{name}"]
-        cols += [np.degrees(np.sqrt(crb)).tolist(),
-                 *_root_columns(closed._replace(crb=crb, mcrb=mcrb, valid=ok))[1:]]
+        table[f"rcrb_deg_{name}"] = np.degrees(np.sqrt(crb)).tolist()
+        table[f"rmcrb_deg_{name}"], table[f"ratio_{name}"] = _root_columns(
+            closed._replace(crb=crb, mcrb=mcrb, valid=ok))[1:]
+        series[f"RMCRB {name}"] = f"rmcrb_deg_{name}"
+        series[f"RCRB {name}"] = f"rcrb_deg_{name}"
         valid.append(closed.valid)
-    rows = list(zip(*cols))
-    series = [(f"{kind} {name}", 5 + 3 * k + offset)
-              for k, name in enumerate(geoms)
-              for kind, offset in (("RMCRB", 1), ("RCRB", 0))]
-    plot = _lines(rows, series, "range [m]", "root bound [deg]",
+    plot = _lines(table, series, "range [m]", "root bound [deg]",
                   "Ground multipath vs range")
     counts = _bound_counts(np.concatenate(valid))
     counts["out_of_cell_points"] = (n - len(in_cell)) * len(geoms)
-    return _write_outputs("scenario", config, out_dir, svg, header, rows, plot,
-                          counts)
+    return _write_outputs("scenario", config, out_dir, svg, table, plot, counts)
 
 
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
                    workers: int = 1) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
-    geom = geometry_from_config(config)
-    est = estimator_from_config(config)
-    trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
-    seed = _get_int(config, "seed")
-    snrs = _grid(config, "sweep.snr_db")
-    scenes = [scene_from_config(config, geom, snr_db=s) for s in snrs]
+    _, est, _, trials, seed, snrs, scenes = _mc_sweep(config, bounds=False)
     curve = monte_carlo_rmse(scenes, est, trials, seed)
-    rows = [[s, math.degrees(rmse), math.degrees(bias)]
-            for s, rmse, bias in zip(snrs, curve.rmse_rad, curve.bias_rad)]
-    plot = _lines(rows, [("RMSE MML", 1)], "SNR [dB]", "RMSE [deg]",
+    table = {"snr_db": snrs,
+             "rmse_mml_deg": [math.degrees(r) for r in curve.rmse_rad],
+             "bias_mml_deg": [math.degrees(b) for b in curve.bias_rad]}
+    plot = _lines(table, {"RMSE MML": "rmse_mml_deg"}, "SNR [dB]", "RMSE [deg]",
                   "Monte-Carlo RMSE")
-    return _write_outputs("montecarlo", config, out_dir, svg,
-                          ["snr_db", "rmse_mml_deg", "bias_mml_deg"], rows,
-                          plot)
+    return _write_outputs("montecarlo", config, out_dir, svg, table, plot)
 
 
 def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
     geom = geometry_from_config(config)
     steer = math.radians(_get_num(config, "steer_deg", default=0.0))
-    rows = _beampattern_rows(geom, steer, _grid(config, "grid_deg"))
-    plot = _lines(rows, [("tx", 1), ("rx", 2)], "phi [deg]", "gain [dB]",
-                  "Beampatterns", ylog=False)
-    return _write_outputs("beampattern", config, out_dir, svg,
-                          _BEAMPATTERN_HEADER, rows, plot)
+    table = _beampattern(geom, steer, _grid(config, "grid_deg"))
+    plot = _lines(table, {"tx": "tx_gain_db", "rx": "rx_gain_db"}, "phi [deg]",
+                  "gain [dB]", "Beampatterns", ylog=False)
+    return _write_outputs("beampattern", config, out_dir, svg, table, plot)
 
 
 def run_bounds(config: dict, out_dir, svg: bool = False,
@@ -518,13 +534,12 @@ def run_bounds(config: dict, out_dir, svg: bool = False,
     search = search_from_config(config)
     scene = scene_from_config(config, geom)
     bb = mcrb_theta_closed(scene, search=search)
-    return _write_outputs("bounds", config, out_dir, svg,
-                          ["crb_rad2", "m_rad2", "b_rad2", "mcrb_rad2",
-                           "theta_a_deg", "rcrb_deg", "rmcrb_deg"],
-                          [[bb.crb_theta, bb.m_theta_theta, bb.b_theta_theta,
-                            bb.mcrb_theta, math.degrees(bb.theta_a),
-                            math.degrees(math.sqrt(bb.crb_theta)),
-                            math.degrees(math.sqrt(bb.mcrb_theta))]])
+    return _write_outputs("bounds", config, out_dir, svg, {
+        "crb_rad2": [bb.crb_theta], "m_rad2": [bb.m_theta_theta],
+        "b_rad2": [bb.b_theta_theta], "mcrb_rad2": [bb.mcrb_theta],
+        "theta_a_deg": [math.degrees(bb.theta_a)],
+        "rcrb_deg": [math.degrees(math.sqrt(bb.crb_theta))],
+        "rmcrb_deg": [math.degrees(math.sqrt(bb.mcrb_theta))]})
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,9 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
 
 def range_columns(scn: GroundScenario) -> _RangeColumns:
     """Path physics of every grid range on 1-D columns: image path, reflection
-    and path coefficients (:func:`~mpcrb.scene.path_coefficients`), SMR, phase
-    difference and SNR (dB, rad in (-pi, pi], dB) and the same-cell gate;
+    and path coefficients ((r_ref / r)^2 |gamma_t| with the phase of gamma_t,
+    of the surface and of the path length), SMR, phase difference and SNR
+    (dB, rad in (-pi, pi], dB) and the same-cell gate;
     ``sigma_w2`` is one float.  Raises ValueError at the first range out of
     model, with the message that range's scene inputs give."""
     r_d, amp, ang = scn.range_grid, abs(scn.gamma_t), cmath.phase(scn.gamma_t)

@@ -49,43 +49,6 @@ class MultipathScene:
             raise ValueError("require sigma_w2 > 0, e_p > 0, k_pulses >= 1")
 
 
-@dataclass(frozen=True)
-class PathGeometryInputs:
-    """Physical inputs that determine the complex path coefficients."""
-
-    gamma_t: complex
-    gamma_r: complex
-    alpha_0d: float
-    alpha_0i: float
-    r_d: float
-    r_i: float
-    wavelength: float
-
-    def __post_init__(self):
-        if not (self.r_i >= self.r_d > 0.0):
-            raise ValueError("require r_i >= r_d > 0")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if self.alpha_0d < 0.0 or self.alpha_0i < 0.0:
-            raise ValueError("propagation-loss magnitudes must be non-negative")
-
-
-def path_coefficients(p: PathGeometryInputs) -> tuple[complex, complex]:
-    """Direct/indirect complex path coefficients from geometry and reflectivity.
-
-    alpha_d = alpha_0d*|Gamma_t|*exp(j(ang(Gamma_t) + 2*pi*r_d/lambda));
-    alpha_i picks up the surface coefficient and the indirect path phase.
-    """
-    ang_t = cmath.phase(p.gamma_t)
-    ang_r = cmath.phase(p.gamma_r)
-    phi_rd = 2.0 * math.pi * p.r_d / p.wavelength
-    phi_ri = 2.0 * math.pi * p.r_i / p.wavelength
-    alpha_d = p.alpha_0d * abs(p.gamma_t) * cmath.exp(1j * (ang_t + phi_rd))
-    alpha_i = (p.alpha_0i * abs(p.gamma_t) * abs(p.gamma_r)
-               * cmath.exp(1j * (ang_t + ang_r + phi_ri)))
-    return alpha_d, alpha_i
-
-
 def smr(scene: MultipathScene) -> float:
     """Signal-to-multipath power ratio; +inf for the multipath-free case."""
     if scene.alpha_i == 0:

@@ -8,6 +8,7 @@ float formatting).
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
@@ -85,40 +86,29 @@ def _axes(parts: list[str], frame: _Frame, xlabel: str, ylabel: str, title: str)
                  f'text-anchor="middle">{title}</text>')
 
 
+def _bad(y, ylog: bool) -> bool:
+    """A sample that breaks the line: None, NaN, or not positive on a log axis."""
+    return y is None or (isinstance(y, float) and math.isnan(y)) or (ylog and y <= 0)
+
+
 def line_plot(path, series, xlabel: str, ylabel: str, title: str,
               ylog: bool = False) -> None:
     """Write a multi-series line plot; None/NaN samples break the line."""
-    xs, ys = [], []
-    for _, x, y in series:
-        for xv, yv in zip(x, y):
-            if yv is None or (isinstance(yv, float) and math.isnan(yv)):
-                continue
-            if ylog and yv <= 0:
-                continue
-            xs.append(xv)
-            ys.append(yv)
-    if not xs:
+    good = [(xv, yv) for _, x, y in series for xv, yv in zip(x, y)
+            if not _bad(yv, ylog)]
+    if not good:
         raise ValueError("nothing to plot")
+    xs, ys = zip(*good)
     frame = _Frame((min(xs), max(xs)), (min(ys), max(ys)), ylog=ylog)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>']
     _axes(parts, frame, xlabel, ylabel, title)
     for i, (name, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        run: list[str] = []
-        segments = []
-        for xv, yv in zip(x, y):
-            bad = yv is None or (isinstance(yv, float) and math.isnan(yv)) \
-                or (ylog and (yv is None or yv <= 0))
+        for bad, run in groupby(zip(x, y), key=lambda s: _bad(s[1], ylog)):
             if bad:
-                if run:
-                    segments.append(run)
-                run = []
                 continue
-            run.append(f"{_fmt(frame.px(xv))},{_fmt(frame.py(yv))}")
-        if run:
-            segments.append(run)
-        for seg in segments:
+            seg = [f"{_fmt(frame.px(xv))},{_fmt(frame.py(yv))}" for xv, yv in run]
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{color}"/>')
@@ -136,12 +126,14 @@ def line_plot(path, series, xlabel: str, ylabel: str, title: str,
         fh.write("\n".join(parts) + "\n")
 
 
-def heatmap(path, x, y, z_rows, xlabel: str, ylabel: str, title: str,
-            contour_level: float | None = None) -> None:
-    """Cell heatmap of z_rows[i][j] over (y[i], x[j]), with an optional
-    level contour drawn on cell edges where the value crosses it."""
-    finite = [v for row in z_rows for v in row
-              if v is not None and math.isfinite(v)]
+_CONTOUR = 1.0   # heatmap contour level: the RMCRB/RCRB = 1 line of fig5
+
+
+def heatmap(path, x, y, z, xlabel: str, ylabel: str, title: str) -> None:
+    """Cell heatmap of z[i * len(x) + j] over (y[i], x[j]) (row-major, the
+    order of fig5's long CSV), with the level-1 contour drawn on the cell edges
+    where the value crosses it."""
+    finite = [v for v in z if v is not None and math.isfinite(v)]
     if not finite:
         raise ValueError("nothing to plot")
     zlo, zhi = min(finite), max(finite)
@@ -153,40 +145,25 @@ def heatmap(path, x, y, z_rows, xlabel: str, ylabel: str, title: str,
     frame = _Frame((min(x), max(x)), (min(y), max(y)))
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    for i in range(ny):
-        for j in range(nx):
-            v = z_rows[i][j]
-            if v is None or not math.isfinite(v):
-                fill = "#dddddd"
-            else:
-                u = (v - zlo) / (zhi - zlo)
-                r = int(255 * u)
-                b = int(255 * (1 - u))
-                fill = f"rgb({r},{int(96 + 64 * (1 - abs(2 * u - 1)))},{b})"
-            parts.append(f'<rect x="{_fmt(_ML + j * cw)}" y="{_fmt(_MT + (ny - 1 - i) * ch)}" '
-                         f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{fill}"/>')
-    if contour_level is not None:
-        for i in range(ny):
-            for j in range(nx - 1):
-                a, b = z_rows[i][j], z_rows[i][j + 1]
-                if a is None or b is None:
-                    continue
-                if (a - contour_level) * (b - contour_level) < 0:
-                    px = _ML + (j + 1) * cw
-                    py = _MT + (ny - 1 - i) * ch
+    for k, v in enumerate(z):
+        i, j = divmod(k, nx)
+        if v is None or not math.isfinite(v):
+            fill = "#dddddd"
+        else:
+            u = (v - zlo) / (zhi - zlo)
+            r = int(255 * u)
+            b = int(255 * (1 - u))
+            fill = f"rgb({r},{int(96 + 64 * (1 - abs(2 * u - 1)))},{b})"
+        parts.append(f'<rect x="{_fmt(_ML + j * cw)}" y="{_fmt(_MT + (ny - 1 - i) * ch)}" '
+                     f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="{fill}"/>')
+    for di, dj in ((0, 1), (1, 0)):   # neighbours along x, then along y
+        for i in range(ny - di):
+            for j in range(nx - dj):
+                a, b = z[i * nx + j], z[(i + di) * nx + j + dj]
+                if a is not None and b is not None and (a - _CONTOUR) * (b - _CONTOUR) < 0:
+                    px, py = _ML + (j + dj) * cw, _MT + (ny - 1 - i) * ch
                     parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" '
-                                 f'x2="{_fmt(px)}" y2="{_fmt(py + ch)}" '
-                                 f'stroke="black" stroke-width="1.2"/>')
-        for i in range(ny - 1):
-            for j in range(nx):
-                a, b = z_rows[i][j], z_rows[i + 1][j]
-                if a is None or b is None:
-                    continue
-                if (a - contour_level) * (b - contour_level) < 0:
-                    px = _ML + j * cw
-                    py = _MT + (ny - 1 - i) * ch
-                    parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" '
-                                 f'x2="{_fmt(px + cw)}" y2="{_fmt(py)}" '
+                                 f'x2="{_fmt(px + di * cw)}" y2="{_fmt(py + dj * ch)}" '
                                  f'stroke="black" stroke-width="1.2"/>')
     _axes(parts, frame, xlabel, ylabel, title)
     parts.append("</svg>")

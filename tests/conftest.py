@@ -2,10 +2,19 @@
 
 These deliberately re-derive quantities from raw element positions (plain
 loops / explicit outer products) so they stay independent of the package's
-own linear-algebra paths.
+own linear-algebra paths.  The matched-model FIM, the paper-form pseudo-true
+angle and the scalar path coefficients are reference forms that only the
+tests use.
 """
 
+import cmath
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from mpcrb import MultipathScene, SearchConfig, e_adot, steering
+from mpcrb.bounds import _informative, _model, _pseudo_true
 
 
 def raw_steering(positions, theta):
@@ -41,3 +50,67 @@ def dense_grid_argmax(geom, scene_mean, lo, hi, step):
     grid = np.arange(lo, hi + step / 2, step)
     vals = np.array([projection_objective(geom, scene_mean, a) for a in grid])
     return grid[int(np.argmax(vals))]
+
+
+def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.ndarray:
+    """Conventional 5x5 FIM of the matched model, diagonal under orthogonal
+    waveforms and centered arrays: (2K/sigma^2) * diag(E_p, E_p,
+    |a|^2 F_tau, |a|^2 F_omega, E_p |a|^2 E_Adot)."""
+    if f_tau <= 0.0 or f_omega <= 0.0:
+        raise ValueError("f_tau and f_omega must be positive")
+    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
+    a2, ep = abs(scene.alpha_d) ** 2, scene.e_p
+    pref = 2.0 * scene.k_pulses / scene.sigma_w2
+    return np.diag(pref * np.array([ep, ep, a2 * f_tau, a2 * f_omega, ep * a2 * e_dot]))
+
+
+def theta_a_paper_form(scene: MultipathScene,
+                       search: SearchConfig | None = None) -> float:
+    """Pseudo-true DOA with the indirect term weighted by alpha_i/(alpha_d+alpha_i).
+
+    Kept as a secondary definition for comparison against :func:`theta_a`;
+    undefined when alpha_d + alpha_i ~ 0.
+    """
+    ad, ai = scene.alpha_d, scene.alpha_i
+    denom = ad + ai
+    if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
+        raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
+                         "alpha_d + alpha_i ~ 0")
+    return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
+
+
+@dataclass(frozen=True)
+class PathGeometryInputs:
+    """Physical inputs that determine the complex path coefficients."""
+
+    gamma_t: complex
+    gamma_r: complex
+    alpha_0d: float
+    alpha_0i: float
+    r_d: float
+    r_i: float
+    wavelength: float
+
+    def __post_init__(self):
+        if not (self.r_i >= self.r_d > 0.0):
+            raise ValueError("require r_i >= r_d > 0")
+        if self.wavelength <= 0.0:
+            raise ValueError("wavelength must be positive")
+        if self.alpha_0d < 0.0 or self.alpha_0i < 0.0:
+            raise ValueError("propagation-loss magnitudes must be non-negative")
+
+
+def path_coefficients(p: PathGeometryInputs) -> tuple[complex, complex]:
+    """Direct/indirect complex path coefficients from geometry and reflectivity.
+
+    alpha_d = alpha_0d*|Gamma_t|*exp(j(ang(Gamma_t) + 2*pi*r_d/lambda));
+    alpha_i picks up the surface coefficient and the indirect path phase.
+    """
+    ang_t = cmath.phase(p.gamma_t)
+    ang_r = cmath.phase(p.gamma_r)
+    phi_rd = 2.0 * math.pi * p.r_d / p.wavelength
+    phi_ri = 2.0 * math.pi * p.r_i / p.wavelength
+    alpha_d = p.alpha_0d * abs(p.gamma_t) * cmath.exp(1j * (ang_t + phi_rd))
+    alpha_i = (p.alpha_0i * abs(p.gamma_t) * abs(p.gamma_r)
+               * cmath.exp(1j * (ang_t + ang_r + phi_ri)))
+    return alpha_d, alpha_i

@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_grid_argmax, raw_mimo, raw_steering
+from conftest import (dense_grid_argmax, fim, raw_mimo, raw_steering,
+                      theta_a_paper_form)
 
 from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
                    SingularInformationError, ZetaSet, cd_matrix,
-                   compressed_mean, crb_theta, e_adot, fim, mcrb_sandwich,
+                   compressed_mean, crb_theta, e_adot, mcrb_sandwich,
                    mcrb_theta_closed, mcrb_theta_closed_many, mimo_matrices,
                    scene_from_ratios, standard_virtual_ula, steering, theta_a,
-                   theta_a_paper_form, zeta_set)
+                   zeta_set)
 from mpcrb.bounds import (_informative, _model, _pseudo_true, _sandwich_batch,
                           mcrb_theta_closed_columns)
 

@@ -1,8 +1,10 @@
+import copy
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpcrb.cli import load_preset, main
+from mpcrb import svgplot
+from mpcrb.cli import _RUNNERS, load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
                                run_selftest)
@@ -316,16 +319,17 @@ def test_fig4_rejects_non_finite_or_bool_phases(tmp_path, phases, entry):
         run_fig4(cfg, tmp_path)
 
 
-def thinned_preset(name):
-    """The packaged preset with five points per sweep axis and 10 trials."""
+def thinned_preset(name, points=5, trials=10):
+    """The packaged preset with ``points`` points per sweep axis and
+    ``trials`` trials."""
     cfg = load_preset(name)
     for path in RECIPE_AXES[name]:
         axis = cfg
         for part in path.split("."):
             axis = axis[part]
-        axis["step"] = (axis["stop"] - axis["start"]) / 4
+        axis["step"] = (axis["stop"] - axis["start"]) / (points - 1)
     if "trials" in cfg:
-        cfg["trials"] = 10
+        cfg["trials"] = trials
     return cfg
 
 
@@ -608,3 +612,145 @@ def test_scenario_sweep_makes_one_call_per_traced_layer_step(tmp_path,
     ex.run_scenario(cfg, tmp_path)
     assert calls == {"range_columns": 1,
                      "mcrb_theta_closed_columns": len(cfg["geometries"])}
+
+
+# ---------------------------------------------------------------------------
+# no config ends in a traceback
+
+def _numeric_leaves(node, path=()):
+    """Paths to the numbers (bools excluded) of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, val in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _numeric_leaves(val, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _set_leaf(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg[key]
+    cfg[path[-1]] = value
+
+
+def test_config_mutations_return_or_raise_a_mapped_error(tmp_path):
+    # every number of every preset at +-1e300 and +-4000, on 3-point axes and
+    # 5 trials.  The values are floats, so no integer field builds a
+    # 4,000-element array.  cli.main maps ConfigError, BoundsError and
+    # ValueError to exit 1 or 2; any other exception is a traceback.
+    failures = []
+    for name, run in _RUNNERS.items():
+        base = thinned_preset(name, points=3, trials=5)
+        for path in _numeric_leaves(base):
+            for value in (1e300, -1e300, 4000.0, -4000.0):
+                cfg = copy.deepcopy(base)
+                _set_leaf(cfg, path, value)
+                try:
+                    run(cfg, tmp_path / name)
+                except (ConfigError, mpcrb.BoundsError, ValueError):
+                    pass
+                except Exception as exc:
+                    failures.append((name, ".".join(map(str, path)), value,
+                                     type(exc).__name__))
+    assert failures == []
+
+
+@pytest.mark.parametrize("recipe, key, value", [
+    ("fig5", "scene.snr_db", -4000.0), ("bounds", "scene.smr_db", -1e300),
+    ("montecarlo", "sweep.snr_db.start", -4000.0),
+    ("scenario", "gamma_t_imag", 1e300), ("scenario", "gamma_t_real", 1e200),
+    ("scenario", "snr_ref_db", 4000.0), ("scenario", "snr_ref_db", -1e300)])
+def test_cli_refuses_powers_outside_the_float_range(tmp_path, capsys, recipe,
+                                                    key, value):
+    # each of these raised OverflowError or ZeroDivisionError from a power
+    cfg = load_preset(recipe)
+    _set_leaf(cfg, key.split("."), value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([recipe, "--config", str(p), "--out", str(tmp_path)]) == 1
+    named = key.removesuffix(".start")   # a swept ratio is named by its axis
+    assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+
+
+def test_mc_rmse_of_statistics_near_the_float_limit(tmp_path):
+    # at e_p = 1e300 the noise is negligible: the MML sits at theta_A, so its
+    # RMSE is the RMCRB (all bias), and the matched ML's RMSE is about the
+    # RCRB.  Unscaled, |tr(A^H Y)|^2 overflows and every estimate lands on
+    # the edge of the search span.
+    cfg = small_fig2_config(trials=40)
+    cfg["scene"]["e_p"] = 1e300
+    _, rows = read_csv(run_fig2(cfg, tmp_path)["csv"])
+    for row in rows:
+        rcrb, rmcrb, mml, ml = map(float, row[1:])
+        assert mml == pytest.approx(rmcrb, rel=1e-6)
+        assert ml == pytest.approx(rcrb, rel=0.5)
+
+
+# ---------------------------------------------------------------------------
+# what the plots draw
+
+LINE_SERIES = {
+    "fig2": {"RCRB": "rcrb_deg", "RMCRB": "rmcrb_deg",
+             "RMSE MML": "rmse_mml_deg", "RMSE ML": "rmse_ml_deg"},
+    "fig3": {"RCRB": "rcrb_deg", "RMCRB": "rmcrb_deg"},
+    "fig4": {"RMCRB constructive": "rmcrb_dphi_0_deg",
+             "RMCRB destructive": "rmcrb_dphi_2pi3_deg", "RCRB": "rcrb_deg"},
+    "scenario": {"RMCRB 3x8": "rmcrb_deg_3x8", "RCRB 3x8": "rcrb_deg_3x8",
+                 "RMCRB 3x16": "rmcrb_deg_3x16", "RCRB 3x16": "rcrb_deg_3x16"},
+    "montecarlo": {"RMSE MML": "rmse_mml_deg"},
+    "beampattern": {"tx": "tx_gain_db", "rx": "rx_gain_db"},
+}
+
+
+def _svg_lines(svg):
+    """{legend label: pixel coordinates x0, y0, x1, ... of its drawn samples}."""
+    lines, coords = {}, []
+    for line in svg.splitlines():
+        if line.startswith("<polyline"):
+            points = re.search(r'points="([^"]*)"', line).group(1)
+            coords += [float(v) for xy in points.split() for v in xy.split(",")]
+        elif line.startswith("<circle"):
+            coords += [float(v) for v in re.findall(r'c[xy]="([^"]*)"', line)]
+        elif m := re.fullmatch(r'<text x="\d+" y="\d+" font-size="11">(.*)</text>',
+                               line):
+            lines[m.group(1)], coords = coords, []
+    return lines
+
+
+@pytest.mark.parametrize("name", list(LINE_SERIES))
+def test_line_plot_draws_each_labelled_column(tmp_path, name):
+    # the legend lists the series in order, and each series draws its own CSV
+    # column against the first, skipping empty and (log axis) non-positive cells
+    ylog = name != "beampattern"
+    cfg = small_fig2_config() if name == "fig2" else load_preset(name)
+    result = getattr(ex, f"run_{name}")(cfg, tmp_path, svg=True)
+    header, rows = read_csv(result["csv"])
+    drawn = _svg_lines((tmp_path / f"{name}.svg").read_text())
+    assert list(drawn) == list(LINE_SERIES[name])
+    samples = {}
+    for label, col in LINE_SERIES[name].items():
+        cells = [(float(row[0]), row[header.index(col)]) for row in rows]
+        samples[label] = [(x, float(y)) for x, y in cells
+                          if y != "" and (not ylog or float(y) > 0.0)]
+    xs, ys = zip(*[s for pts in samples.values() for s in pts])
+    frame = svgplot._Frame((min(xs), max(xs)), (min(ys), max(ys)), ylog=ylog)
+    for label, pts in samples.items():
+        want = [v for x, y in pts for v in (frame.px(x), frame.py(y))]
+        assert drawn[label] == pytest.approx(want, abs=1e-3)
+
+
+def test_fig5_contour_marks_each_neighbour_pair_straddling_one(tmp_path):
+    cfg = load_preset("fig5")
+    cfg["grid"] = {
+        "delta_phi_rad": {"start": -math.pi, "stop": math.pi, "step": math.pi / 12},
+        "delta_theta_deg": {"start": 0.0, "stop": 40.0, "step": 2.0},
+    }
+    _, rows = read_csv(run_fig5(cfg, tmp_path, svg=True)["csv"])
+    nx = len({row[0] for row in rows})
+    z = [float(row[2]) if row[2] else None for row in rows]
+    grid = [z[k:k + nx] for k in range(0, len(z), nx)]
+    pairs = [(r[j], r[j + 1]) for r in grid for j in range(nx - 1)]
+    pairs += [ab for r0, r1 in zip(grid, grid[1:]) for ab in zip(r0, r1)]
+    want = sum(a is not None and b is not None and (a - 1.0) * (b - 1.0) < 0
+               for a, b in pairs)
+    svg = (tmp_path / "fig5.svg").read_text()
+    assert svg.count('stroke="black" stroke-width="1.2"') == want > 0

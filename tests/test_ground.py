@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import PathGeometryInputs, path_coefficients
 
-from mpcrb import (GroundScenario, MultipathScene, PathGeometryInputs,
-                   delta_phi, indirect_geometry, path_coefficients, range_point,
-                   range_sweep, reflection_coefficient, smr, snr,
-                   standard_virtual_ula, wrap_phase)
+from mpcrb import (GroundScenario, MultipathScene, delta_phi,
+                   indirect_geometry, range_point, range_sweep,
+                   reflection_coefficient, smr, snr, standard_virtual_ula,
+                   wrap_phase)
 from mpcrb.ground import range_columns
 
 

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import raw_mimo
+from conftest import PathGeometryInputs, path_coefficients, raw_mimo
 
-from mpcrb import (MultipathScene, PathGeometryInputs, compressed_mean,
-                   delta_phi, path_coefficients, scene_from_ratios, smr, snr,
-                   standard_virtual_ula, synthesize_compressed, wrap_phase)
+from mpcrb import (MultipathScene, compressed_mean, delta_phi,
+                   scene_from_ratios, smr, snr, standard_virtual_ula,
+                   synthesize_compressed, wrap_phase)
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(202)
