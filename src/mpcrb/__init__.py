@@ -6,11 +6,10 @@ from .arrays import (ArrayGeometry, SteeringSet, beampattern, e_adot,
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
                      SingularInformationError, ZetaSet, cd_matrix, crb_theta,
-                     mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_many,
-                     theta_a, zeta_set)
+                     mcrb_sandwich, mcrb_theta_closed, theta_a, zeta_set)
 from .estimation import RmseCurve, mml_doa, monte_carlo_rmse
 from .ground import (GroundScenario, RangePoint, indirect_geometry,
-                     range_point, range_sweep, reflection_coefficient)
+                     range_point, reflection_coefficient)
 from .scene import (MultipathScene, compressed_mean, delta_phi, multipath_free,
                     scene_from_ratios, smr, snr, synthesize_compressed,
                     wrap_phase)

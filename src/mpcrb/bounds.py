@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrays import (TWO_PI, ArrayGeometry, _phasors, e_adot, mimo_matrices,
                      steering, virtual_hpbw)
-from .scene import MultipathScene, snr
+from .scene import MultipathScene
 
 
 class BoundsError(Exception):
@@ -112,11 +112,14 @@ _DTYPES = (float, float, complex, complex, float, float, float)   # _build's col
 
 
 def _crb(geom: ArrayGeometry, theta, alpha_d, k, e_p, sigma_w2):
-    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns."""
+    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns; SNR and
+    E_p enter as mantissas, their binary exponents undone after the reciprocal."""
     s_t = steering(geom, theta)
     p_d, e_dot = np.abs(alpha_d) ** 2, e_adot(s_t)
-    with np.errstate(divide="ignore"):
-        return s_t, p_d, e_dot, 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+    (snr, j_s), (e_p, j_e) = np.frexp(p_d / sigma_w2), np.frexp(e_p)
+    with np.errstate(divide="ignore", over="ignore"):
+        crb = np.ldexp(1.0 / (2.0 * snr * k * e_p * e_dot), -j_s - j_e)
+    return s_t, p_d, e_dot, crb
 
 
 def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, e_p,
@@ -152,9 +155,11 @@ def _informative(e_dot):
 
 
 def crb_theta(scene: MultipathScene) -> float:
-    """Matched-model DOA bound 1/(2*SNR*K*E_p*E_Adot), rad^2."""
-    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
-    return 1.0 / (2.0 * snr(scene) * scene.k_pulses * scene.e_p * e_dot)
+    """Matched-model DOA bound 1/(2*SNR*K*E_p*E_Adot), rad^2, by :func:`_crb`."""
+    _, _, e_dot, (crb,) = _crb(scene.geom, [scene.theta], scene.alpha_d,
+                               scene.k_pulses, scene.e_p, scene.sigma_w2)
+    _informative(e_dot)
+    return float(crb)
 
 
 def _zetas(mod: _Model, scenes, f_omega: float | None) -> list[ZetaSet]:
@@ -319,11 +324,10 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
 def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
                  rows=slice(None)) -> np.ndarray:
     """Argmax of the direct-only projection of w_d*A_d + w_i*A_i (weights scalar or
-    per row, scaled by an exact power of two so |y|^2 stays finite) for the model's
-    ``rows``, coarse ties toward each row's true theta, which the span must contain."""
-    scale = np.ldexp(1.0, -np.frexp(np.maximum(np.abs(w_d), np.abs(w_i)))[1])
-    y = ((scale * w_d)[..., None, None] * model.A_d[rows]
-         + (scale * w_i)[..., None, None] * model.A_i[rows])
+    per row) for the model's ``rows``, coarse ties toward each row's true theta,
+    which the span must contain."""
+    y = (np.reshape(w_d, (-1, 1, 1)) * model.A_d[rows]
+         + np.reshape(w_i, (-1, 1, 1)) * model.A_i[rows])
     theta = model.theta[rows]
     search = _resolve_search(model.geom, search)
     lo, hi = search.span
@@ -380,19 +384,6 @@ def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
                           sigma_w2), search)[0]
 
 
-def mcrb_theta_closed_many(scenes: Sequence[MultipathScene],
-                           search: SearchConfig | None = None,
-                           ) -> list[BoundBreakdown | None]:
-    """:func:`mcrb_theta_closed` for every scene of a batch on one geometry.
-
-    Everything is evaluated over the whole batch at once and the pseudo-true
-    angles come from one batched argmax.  Degenerate scenes give None instead
-    of raising; a theta outside the search span raises ValueError.
-    """
-    scenes = list(scenes)
-    return _breakdowns(_closed(_model(scenes), search)[0]) if scenes else []
-
-
 def mcrb_theta_closed(scene: MultipathScene,
                       search: SearchConfig | None = None) -> BoundBreakdown:
     """Closed-form misspecified bound on the target DOA.
@@ -400,7 +391,7 @@ def mcrb_theta_closed(scene: MultipathScene,
     M component: CRB(theta) * I (|zeta5|^2 + I) / zeta3^2 with
     I = |alpha_d|^2 E_Adot, which equals CRB at alpha_i = 0.  The bias
     component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
-    A batch of one for :func:`mcrb_theta_closed_many`.
+    One row of :func:`mcrb_theta_closed_columns`, raising where it is not valid.
     """
     cols, (den,), (threshold,) = _closed(_model([scene]), search)
     if not cols.valid[0]:

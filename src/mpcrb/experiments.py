@@ -24,9 +24,9 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (SearchConfig, _crb, _model, _pseudo_true, _sandwich_batch,
-                     cd_matrix, mcrb_sandwich, mcrb_theta_closed,
-                     mcrb_theta_closed_columns, mcrb_theta_closed_many, zeta_set)
+from .bounds import (SearchConfig, _closed, _crb, _model, _pseudo_true,
+                     _sandwich_batch, cd_matrix, mcrb_sandwich, mcrb_theta_closed,
+                     mcrb_theta_closed_columns, zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import GroundScenario, range_columns, reflection_coefficient
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -618,9 +618,10 @@ def run_selftest(config: dict | None = None, inject_fault: str | None = None):
 
     hpbw = virtual_hpbw(geom)
     scenes = draw(1000, (-10, 30), 2 * hpbw, np.pi)
-    pairs = zip(mcrb_theta_closed_many(scenes), _sandwich_batch(scenes)[1])
-    devs = np.array([abs(c.m_theta_theta - s.m_theta_theta) / abs(s.m_theta_theta)
-                     for c, s in pairs if c is not None and s is not None])
+    closed = _closed(_model(scenes), None)[0]
+    m, sandwich, _ = _sandwich_batch(scenes)
+    both = closed.valid & np.array([bb is not None for bb in sandwich])
+    devs = np.abs(closed.m[both] - m[both, 4, 4]) / np.abs(m[both, 4, 4])
     lines.append(
         "INFO closed-form-vs-sandwich: max rel dev = %.3e, median = %.3e "
         "over %d scenes (%d degenerate/ill-conditioned skipped); the closed "

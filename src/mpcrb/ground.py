@@ -4,8 +4,8 @@ Maps a radar height / road-surface description to the path physics of every
 range on numpy columns (:func:`range_columns`): image-path length and angle,
 vertical-polarization reflection coefficient, two-way free-space amplitude
 loss normalized at a reference range, and the same-range-Doppler-cell check
-that gates the closed-form bound.  :func:`range_sweep` turns the columns into
-one :class:`~mpcrb.scene.MultipathScene` and bound per range and geometry.
+that gates the closed-form bound.  :func:`range_point` evaluates one range on
+these columns, with its :class:`~mpcrb.scene.MultipathScene` and bound.
 
 Sign convention: the geometric grazing angle from the road is positive; the
 reflector enters the array model at negative elevation (below broadside),
@@ -18,12 +18,12 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import BoundBreakdown, SearchConfig, mcrb_theta_closed_many
+from .bounds import (BoundBreakdown, SearchConfig, _breakdowns,
+                     mcrb_theta_closed_columns)
 from .scene import MultipathScene
 
 
@@ -159,35 +159,14 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
 def range_point(scn: GroundScenario, r_d: float,
                 search: SearchConfig | None = None,
                 geom: ArrayGeometry | None = None) -> RangePoint:
-    """Evaluate geometry, path physics and (when in-cell) the bound at one
-    range: a one-range :func:`range_sweep`."""
+    """Evaluate geometry, path physics and (when in-cell) the closed-form bound
+    at one range, on the columns of the one-range scenario."""
     one = replace(scn, range_grid=[r_d], geom=scn.geom if geom is None else geom)
-    return range_sweep(one, search=search)["default"][0]
-
-
-def range_sweep(scn: GroundScenario,
-                geoms: Mapping[str, ArrayGeometry] | None = None,
-                search: SearchConfig | None = None,
-                ) -> dict[str, list[RangePoint]]:
-    """Evaluate every grid range for one or more array configurations.
-
-    The path physics comes from one :func:`range_columns` call; only the
-    scene's geometry differs between configurations.  The bounds of each
-    geometry's in-cell points come from one batched call.  Output lists
-    follow the range grid order.
-    """
-    if geoms is None:
-        geoms = {"default": scn.geom}
-    cols = range_columns(scn)
-    heads = list(zip(*(c.tolist() for c in cols[:8])))
-    paths = list(zip(cols.psi.tolist(), cols.alpha_d.tolist(), cols.alpha_i.tolist()))
-    in_cell = np.flatnonzero(cols.same_cell).tolist()
-    out: dict[str, list[RangePoint]] = {}
-    for name, geom in geoms.items():
-        scenes = [MultipathScene(geom, scn.theta, psi, a_d, a_i, scn.k_pulses,
-                                 scn.e_p, cols.sigma_w2) for psi, a_d, a_i in paths]
-        bounds = dict(zip(in_cell, mcrb_theta_closed_many(
-            [scenes[i] for i in in_cell], search=search)))
-        out[name] = [RangePoint(*head, scene=sc, bound=bounds.get(i))
-                     for i, (head, sc) in enumerate(zip(heads, scenes))]
-    return out
+    cols = range_columns(one)
+    head = [c.item() for c in cols[:10]]   # one range: Python scalars
+    scene = MultipathScene(one.geom, scn.theta, head[2], head[8], head[9],
+                           scn.k_pulses, scn.e_p, cols.sigma_w2)
+    bound = _breakdowns(mcrb_theta_closed_columns(
+        one.geom, [scn.theta], cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
+        scn.e_p, cols.sigma_w2, search=search))[0] if head[7] else None   # same cell
+    return RangePoint(*head[:8], scene=scene, bound=bound)

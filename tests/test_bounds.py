@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
                    SingularInformationError, ZetaSet, cd_matrix,
                    compressed_mean, crb_theta, e_adot, mcrb_sandwich,
-                   mcrb_theta_closed, mcrb_theta_closed_many, mimo_matrices,
-                   scene_from_ratios, standard_virtual_ula, steering, theta_a,
-                   zeta_set)
-from mpcrb.bounds import (_informative, _model, _pseudo_true, _sandwich_batch,
-                          mcrb_theta_closed_columns)
+                   mcrb_theta_closed, mimo_matrices, scene_from_ratios,
+                   standard_virtual_ula, steering, theta_a, zeta_set)
+from mpcrb.bounds import (_breakdowns, _informative, _model, _pseudo_true,
+                          _sandwich_batch, mcrb_theta_closed_columns)
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(303)
@@ -70,6 +70,13 @@ def test_crb_unit_and_scaling():
     assert crb_theta(sc) == pytest.approx(0.5, rel=1e-12)
     sc4 = scene_from_ratios(g, 0.0, 0.01, 10 * math.log10(4.0), 0.0, 0.0)
     assert crb_theta(sc4) == pytest.approx(0.125, rel=1e-12)
+
+
+def test_crb_does_not_overflow_to_zero_at_large_pulse_energy():
+    # 2 SNR K E_p E_Adot overflows at E_p = 1e300, the CRB (~1e-310) does not
+    sc = scene_from_ratios(standard_virtual_ula(3, 16), 0.0, 0.1, 40.0, 0.0, 0.0, 256)
+    big = replace(sc, e_p=1e300)
+    assert crb_theta(big) == pytest.approx(crb_theta(sc) / 1e300, rel=1e-12, abs=0.0)
 
 
 def test_crb_fig2_value_via_fd_oracle():
@@ -364,6 +371,19 @@ def _mixed_scenes():
     return scenes
 
 
+def _scene_columns(scenes):
+    return [np.array([getattr(sc, name) for sc in scenes])
+            for name in ("theta", "psi", "alpha_d", "alpha_i", "k_pulses",
+                         "e_p", "sigma_w2")]
+
+
+def _closed_rows(scenes):
+    """The closed-form columns of the scenes' gathered columns, one breakdown
+    per scene (None where not valid)."""
+    return _breakdowns(mcrb_theta_closed_columns(scenes[0].geom,
+                                                 *_scene_columns(scenes)))
+
+
 def _scalar_or_none(scene):
     try:
         return mcrb_theta_closed(scene)
@@ -385,7 +405,7 @@ def _assert_same_bounds(got, want):
 
 def test_closed_many_matches_scalar_calls():
     scenes = _mixed_scenes()
-    got = mcrb_theta_closed_many(scenes)
+    got = _closed_rows(scenes)
     want = [_scalar_or_none(sc) for sc in scenes]
     assert got[1] is None and want[1] is None          # the degenerate scene
     assert sum(bb is None for bb in got) == sum(bb is None for bb in want)
@@ -399,11 +419,10 @@ def test_closed_many_matches_scalar_calls():
 
 def test_closed_many_order_and_split_invariant():
     scenes = _mixed_scenes()
-    whole = mcrb_theta_closed_many(scenes)
-    reverse = mcrb_theta_closed_many(scenes[::-1])[::-1]
+    whole = _closed_rows(scenes)
+    reverse = _closed_rows(scenes[::-1])[::-1]
     cut = 17
-    split = (mcrb_theta_closed_many(scenes[:cut])
-             + mcrb_theta_closed_many(scenes[cut:]))
+    split = _closed_rows(scenes[:cut]) + _closed_rows(scenes[cut:])
     _assert_same_bounds(reverse, whole)
     _assert_same_bounds(split, whole)
 
@@ -413,21 +432,23 @@ def test_closed_many_out_of_span_theta_raises():
     with pytest.raises(ValueError, match="span"):
         mcrb_theta_closed(outside)
     with pytest.raises(ValueError, match="span"):
-        mcrb_theta_closed_many(_mixed_scenes() + [outside])
+        _closed_rows(_mixed_scenes() + [outside])
 
 
 def test_closed_many_rejects_mixed_geometries_and_takes_empty():
+    # the scene-list gather refuses mixed geometries; empty columns give empty columns
     other = scene_from_ratios(standard_virtual_ula(3, 8), 0.0, 0.1, 10.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="geometry"):
-        mcrb_theta_closed_many([fig2_scene(), other])
-    assert mcrb_theta_closed_many([]) == []
+        _sandwich_batch([fig2_scene(), other])
+    cols = mcrb_theta_closed_columns(GEOM, *[[]] * 7)
+    assert [c.shape for c in cols] == [(0,)] * len(cols)
 
 
 def test_closed_many_blocks_past_one_argmax_block():
     # more statistics than one argmax block: the block seam changes nothing
     base = _mixed_scenes()[3:]
     scenes = (base * (600 // len(base) + 1))[:600]
-    got = mcrb_theta_closed_many(scenes)
+    got = _closed_rows(scenes)
     _assert_same_bounds(got[len(base) * 12:len(base) * 13], got[:len(base)])
 
 
@@ -510,7 +531,7 @@ def test_closed_form_matches_legacy_smr_dphi_form():
     for geom, n in zip(geoms, [800, 800] + [100] * 6):
         scenes = _oracle_scenes(geom, rng, n)
         want_m, want_deg = _legacy_closed_m(scenes)
-        got = mcrb_theta_closed_many(scenes)
+        got = _closed_rows(scenes)
         assert [bb is None for bb in got] == want_deg.tolist()
         for bb, m in zip(got, want_m):
             if bb is not None:
@@ -626,21 +647,15 @@ def test_sandwich_gate_free_of_amplitude_unit(f_omega):
 
 
 # ---------------------------------------------------------------------------
-# column core against the scene-list gather
-
-def _scene_columns(scenes):
-    return [np.array([getattr(sc, name) for sc in scenes])
-            for name in ("theta", "psi", "alpha_d", "alpha_i", "k_pulses",
-                         "e_p", "sigma_w2")]
-
+# column core against the scalar closed form
 
 @pytest.mark.parametrize("geom", [
     GEOM, ArrayGeometry(tx_positions=[-1.3, 0.2, 2.9],
                         rx_positions=[-1.1, -0.4, 0.35, 1.6, 2.2])])
-def test_closed_columns_equal_scene_list_bitwise(geom):
+def test_closed_columns_equal_scalar_calls_bitwise(geom):
     scenes = _oracle_scenes(geom, np.random.default_rng(717), 240)
     cols = mcrb_theta_closed_columns(geom, *_scene_columns(scenes))
-    many = mcrb_theta_closed_many(scenes)
+    many = [_scalar_or_none(sc) for sc in scenes]
     assert cols.valid.tolist() == [bb is not None for bb in many]
     # mixed K, E_p and sigma_w2, multipath-free and degenerate rows
     assert len({sc.k_pulses for sc in scenes}) > 1 and len({sc.e_p for sc in scenes}) > 1
@@ -663,6 +678,6 @@ def test_overflowing_multipath_ratio_is_degenerate():
     assert mcrb_theta_closed(far[1]).m_theta_theta > 0.0
     with pytest.raises(DegenerateBoundError, match="not finite"):
         mcrb_theta_closed(far[2])
-    assert mcrb_theta_closed_many(far)[2] is None
+    assert _closed_rows(far)[2] is None
     for sc in far[1:]:
         assert theta_a(sc) == pytest.approx(theta_a(far[0]), abs=1e-9)

@@ -579,6 +579,17 @@ def test_scenario_with_no_or_one_in_cell_range(tmp_path, grid, in_cell):
                    for cell in row[6:8] + row[9:11])
 
 
+def test_scenario_cells_stay_finite_at_large_pulse_energy(tmp_path):
+    # the 3x16 CRB's denominator overflows at e_p = 1e300 and 40 m; its RCRB
+    # (~3.7e-153 deg) and the ratio RMCRB/RCRB must still be finite and positive
+    cfg = _scenario_config(40.0, 60.0, 20.0)
+    cfg["e_p"] = 1e300
+    header, rows = read_csv(ex.run_scenario(cfg, tmp_path)["csv"])
+    cells = dict(zip(header, rows[0]))
+    for key in ("rcrb_deg_3x16", "ratio_3x16", "rcrb_deg_3x8", "ratio_3x8"):
+        assert 0.0 < float(cells[key]) < math.inf
+
+
 @pytest.mark.parametrize("field, value", [("r_ref_m", 1e160),
                                           ("theta_deg", 95.0),
                                           ("theta_deg", -90.0)])

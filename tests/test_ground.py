@@ -6,9 +6,8 @@ import pytest
 from conftest import PathGeometryInputs, path_coefficients
 
 from mpcrb import (GroundScenario, MultipathScene, delta_phi,
-                   indirect_geometry, range_point, range_sweep,
-                   reflection_coefficient, smr, snr, standard_virtual_ula,
-                   wrap_phase)
+                   indirect_geometry, range_point, reflection_coefficient,
+                   smr, snr, standard_virtual_ula, wrap_phase)
 from mpcrb.ground import range_columns
 
 
@@ -115,9 +114,9 @@ def test_snr_normalization_reference():
 def test_range_sweep_two_geometries_ordering():
     grid = np.arange(30.0, 40.01, 1.0)
     scn = asphalt(grid)
-    out = range_sweep(scn, geoms={"a": standard_virtual_ula(3, 8),
-                                  "b": standard_virtual_ula(3, 16)})
-    assert set(out) == {"a", "b"}
+    geoms = {"a": standard_virtual_ula(3, 8), "b": standard_virtual_ula(3, 16)}
+    out = {name: [range_point(scn, r, geom=g) for r in grid.tolist()]
+           for name, g in geoms.items()}
     for pa, pb in zip(out["a"], out["b"]):
         assert pa.r_d == pb.r_d
         if pa.bound is not None and pb.bound is not None:
@@ -133,21 +132,6 @@ def test_scenario_validation():
         asphalt([5.0], eps_r=0.5)
     with pytest.raises(ValueError):
         asphalt([5.0], h_r=-1.0)
-
-
-def test_range_sweep_batch_matches_range_point():
-    scn = asphalt(np.arange(8.0, 100.01, 4.0))
-    geom = standard_virtual_ula(3, 16)
-    swept = range_sweep(scn, geoms={"g": geom})["g"]
-    assert any(p.same_cell for p in swept) and not all(p.same_cell for p in swept)
-    for p in swept:
-        q = range_point(scn, p.r_d, geom=geom)
-        assert (p.same_cell, p.bound is None) == (q.same_cell, q.bound is None)
-        assert p.scene == q.scene
-        if p.bound is not None:
-            assert abs(p.bound.theta_a - q.bound.theta_a) <= 1e-7
-            assert p.bound.m_theta_theta == pytest.approx(q.bound.m_theta_theta,
-                                                          rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +233,7 @@ def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
     # below the road from 19.1 m at -3 deg: the grid starts in model
     scn = asphalt(np.arange(5.0, 60.0, 5.0), **overrides)
     assert _first_scalar_refusal(scn) == message
-    for call in (range_columns, range_sweep, lambda s: range_point(s, 40.0)):
+    for call in (range_columns, lambda s: range_point(s, 40.0)):
         with pytest.raises(ValueError) as err:
             call(scn)
         assert str(err.value) == message
