@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -55,8 +55,9 @@ class ConditioningError(BoundsError):
 class ZetaSet:
     """Reduced curvature-matrix entries.
 
-    zeta1/zeta2 are the delay/Doppler diagonal factors (|alpha_d|^2 F/E_p,
-    folded to 1.0 by default since neither appears in the DOA closed form);
+    zeta1/zeta2 are the delay/Doppler diagonal factors (|alpha_d|^2 F/E_p;
+    :func:`zeta_set` and the sandwich take both at 1, the model's unit
+    delay/Doppler convention, since neither appears in the DOA closed form);
     zeta3 is the DOA curvature; zeta4/zeta5 couple the amplitude rows to the
     Doppler and DOA rows.
     """
@@ -162,21 +163,16 @@ def crb_theta(scene: MultipathScene) -> float:
     return float(crb)
 
 
-def _zetas(mod: _Model, scenes, f_omega: float | None) -> list[ZetaSet]:
-    z2 = [1.0 if f_omega is None else abs(sc.alpha_d) ** 2 * f_omega / sc.e_p
-          for sc in scenes]
-    return list(map(ZetaSet, [1.0] * len(z2), z2, mod.zeta3.tolist(),
-                    mod.zeta4.tolist(), mod.zeta5.tolist()))
-
-
-def zeta_set(scene: MultipathScene, f_omega: float | None = None) -> ZetaSet:
-    """Reduced curvature entries for the scene.
+def zeta_set(scene: MultipathScene) -> ZetaSet:
+    """Reduced curvature entries for the scene at zeta1 = zeta2 = 1.
 
     zeta1 = 1: the delay row of the curvature matrix is decoupled, so its
-    scale cannot reach the DOA element.  zeta2 = 1 with ``f_omega`` omitted,
-    otherwise |alpha_d|^2 * f_omega / E_p.
+    scale cannot reach the DOA element.  zeta2 = 1 is the unit Doppler scale
+    at which zeta4 is taken too.
     """
-    return _zetas(_model([scene]), [scene], f_omega)[0]
+    mod = _model([scene])
+    return ZetaSet(1.0, 1.0, float(mod.zeta3[0]), complex(mod.zeta4[0]),
+                   complex(mod.zeta5[0]))
 
 
 def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
@@ -233,19 +229,6 @@ def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
 
 
 _DEFAULT_SEARCH = SearchConfig()
-_RESOLVED: dict = {}   # (geometry key, search) -> search with its coarse step
-
-
-def _resolve_search(geom: ArrayGeometry, search: SearchConfig | None) -> SearchConfig:
-    search = _DEFAULT_SEARCH if search is None else search
-    if search.coarse_step is not None:
-        return search
-    key = (geom.key(), search)
-    if key not in _RESOLVED:
-        if len(_RESOLVED) >= 256:
-            _RESOLVED.clear()
-        _RESOLVED[key] = replace(search, coarse_step=virtual_hpbw(geom) / 20.0)
-    return _RESOLVED[key]
 
 
 def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
@@ -262,15 +245,17 @@ def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
     return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2
 
 
-def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
+def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
                    prefer: np.ndarray | None = None):
-    """Coarse grid and each statistic's winner on it: the first maximum of
-    |tr(A^H(phi) Y_t)|^2, or with ``prefer`` the grid angle nearest prefer[t]
+    """Coarse grid (step ``search.coarse_step``, or the virtual-array beamwidth
+    / 20 where it is None) and each statistic's winner on it: the first maximum
+    of |tr(A^H(phi) Y_t)|^2, or with ``prefer`` the grid angle nearest prefer[t]
     among values within 1e-12 (relative) of the maximum.  One product with
     the virtual steering matrix per ``_BLOCK`` statistics bounds the
     (block, grid) intermediate."""
     lo, hi = search.span
-    n_grid = max(2, int(math.ceil((hi - lo) / search.coarse_step)) + 1)
+    step = search.coarse_step or virtual_hpbw(geom) / 20.0
+    n_grid = max(2, int(math.ceil((hi - lo) / step)) + 1)
     angles, v = _steering_grid(geom.key(), lo, hi, n_grid)
     flat = y.reshape(len(y), v.shape[0])
     best = np.empty(len(y), dtype=np.intp)
@@ -287,16 +272,17 @@ def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search,
     return angles, best
 
 
-def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search,
+def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
                        prefer: np.ndarray | None = None) -> np.ndarray:
     """Angle maximizing p(phi) = |tr(A^H(phi) Y_t)|^2 for each statistic Y_t.
 
-    ``y`` has shape (n, M_r, M_t); ``search`` carries the span, a resolved
-    coarse step and the tolerance.  Newton steps on p'/2 = Re(c0* c1) and
-    p''/2 = |c1|^2 + Re(c0* c2) refine each coarse winner inside its grid
-    cells and the span, a bracket that the sign of p' shrinks; a step that
-    leaves it, or one where p'' >= 0, bisects it instead.  Each row stops on
-    its own at a step within the tolerance, or after twice the bisections.
+    ``y`` has shape (n, M_r, M_t); ``search`` carries the span, the coarse
+    step (None: the virtual-array beamwidth / 20) and the tolerance.  Newton
+    steps on p'/2 = Re(c0* c1) and p''/2 = |c1|^2 + Re(c0* c2) refine each
+    coarse winner inside its grid cells and the span, a bracket that the sign
+    of p' shrinks; a step that leaves it, or one where p'' >= 0, bisects it
+    instead.  Each row stops on its own at a step within the tolerance, or
+    after twice the bisections.
     Each statistic is first scaled by an exact power of two to bring its
     largest entry into [0.5, 1), so p stays finite and the argmax unchanged.
     """
@@ -329,7 +315,7 @@ def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
     y = (np.reshape(w_d, (-1, 1, 1)) * model.A_d[rows]
          + np.reshape(w_i, (-1, 1, 1)) * model.A_i[rows])
     theta = model.theta[rows]
-    search = _resolve_search(model.geom, search)
+    search = search or _DEFAULT_SEARCH
     lo, hi = search.span
     if not ((lo <= theta) & (theta <= hi)).all():
         raise ValueError("search span must contain the true theta")
@@ -402,41 +388,41 @@ def mcrb_theta_closed(scene: MultipathScene,
     return _breakdowns(cols)[0]
 
 
-def _sandwich_batch(scenes: list[MultipathScene], f_omega: float | None = None,
-                    search: SearchConfig | None = None, cond_threshold: float = 1e12):
-    """Stacked sandwich matrices (void where Z is ill-conditioned), breakdowns
-    (None there) and condition numbers, all scenes on one geometry.  The gate
-    reads Z of the amplitude-normalised scene (alpha_d, alpha_i over
-    |alpha_d|, zeta2 by its f_omega rule), free of the amplitude unit."""
+def _sandwich_batch(scenes: list[MultipathScene], search: SearchConfig | None = None,
+                    cond_threshold: float = 1e12):
+    """Stacked sandwich matrices at zeta1 = zeta2 = 1 (void where Z is
+    ill-conditioned), breakdowns (None there) and condition numbers, all scenes
+    on one geometry.  The gate reads Z of the amplitude-normalised scene
+    (alpha_d, alpha_i over |alpha_d|, zeta2 = 1), free of the amplitude unit."""
     mod = _model(scenes)
-    zetas = _zetas(mod, scenes, f_omega)
-    z = np.array([cd_matrix(zt) for zt in zetas])
+    z = np.array([cd_matrix(ZetaSet(1.0, 1.0, *zt)) for zt in zip(
+        mod.zeta3.tolist(), mod.zeta4.tolist(), mod.zeta5.tolist())])
     u = np.ones((len(scenes), 5))
     u[:, 3:] = 1.0 / np.where(mod.alpha_d == 0, 1.0, np.abs(mod.alpha_d))[:, None]
     z_unit = u[:, :, None] * z * u[:, None, :]
-    z_unit[:, 3, 3] = [1.0 if f_omega is None else f_omega / sc.e_p for sc in scenes]
+    z_unit[:, 3, 3] = 1.0
     cond = np.linalg.cond(z_unit)
     ok = np.isfinite(cond) & (cond <= cond_threshold)
     _informative(mod.e_dot[ok])
-    j = np.array([(1.0, 1.0, zt.zeta1, zt.zeta2, i) for zt, i in     # diagonal of J
-                  zip(zetas, (np.abs(mod.alpha_d) ** 2 * mod.e_dot).tolist())])
+    j = np.ones((len(scenes), 5))   # diagonal of J: (1, 1, 1, 1, I)
+    j[:, 4] = np.abs(mod.alpha_d) ** 2 * mod.e_dot
     z_inv = np.linalg.inv(np.where(ok[:, None, None], z, np.eye(5)))  # singular Z raises
     m = (z_inv * j[:, None, :]) @ z_inv / mod.s[:, None, None]
     return m, _breakdowns(_bound_columns(mod, m[:, 4, 4], ok, search)), cond
 
 
-def mcrb_sandwich(scene: MultipathScene, f_omega: float | None = None,
-                  search: SearchConfig | None = None, cond_threshold: float = 1e12):
+def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None,
+                  cond_threshold: float = 1e12):
     """Numerical sandwich C_D^{-1} J C_D^{-1} and its DOA breakdown.
 
     Returns ``(m_matrix, breakdown)`` where ``m_matrix`` is the full 5x5
     covariance term and the breakdown's M component is its (theta, theta)
     element.  This is the oracle the closed form is compared against.
-    zeta4 is taken at unit Doppler scale and ``f_omega`` sets zeta2 (see
-    :func:`zeta_set`), so it fixes the zeta2/zeta4 Doppler scale convention,
-    on which the (theta, theta) element depends.  A batch of one.
+    It is taken at zeta1 = zeta2 = 1 with zeta4 at the same unit Doppler
+    scale (see :func:`zeta_set`), the convention on which the (theta, theta)
+    element depends.  A batch of one.
     """
-    (m,), (bb,), (cond,) = _sandwich_batch([scene], f_omega, search, cond_threshold)
+    (m,), (bb,), (cond,) = _sandwich_batch([scene], search, cond_threshold)
     if bb is None:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",

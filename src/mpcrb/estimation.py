@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _model, _resolve_search
+from .bounds import SearchConfig, _argmax_projection, _model
 from .scene import MultipathScene
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
@@ -44,8 +44,7 @@ def mml_doa(y: np.ndarray, geom: ArrayGeometry,
     if y.shape != (geom.m_r, geom.m_t):
         raise ValueError(f"statistic shape {y.shape} does not match geometry "
                          f"({geom.m_r}, {geom.m_t})")
-    cfg = _resolve_search(geom, cfg or MML_SEARCH)
-    return float(_argmax_projection(y[None, :, :], geom, cfg)[0])
+    return float(_argmax_projection(y[None, :, :], geom, cfg or MML_SEARCH)[0])
 
 
 def _reduce(errors: np.ndarray) -> tuple[float, float]:
@@ -75,7 +74,7 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     pieces = []              # (theta, statistics) held in the chunk buffer
 
     def flush(geom, y):
-        est = _argmax_projection(y, geom, _resolve_search(geom, cfg or MML_SEARCH))
+        est = _argmax_projection(y, geom, cfg or MML_SEARCH)
         start = 0
         for theta, n in pieces:
             done.append(est[start:start + n] - theta)

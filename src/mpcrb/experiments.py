@@ -28,7 +28,8 @@ from .bounds import (SearchConfig, _closed, _crb, _model, _pseudo_true,
                      _sandwich_batch, cd_matrix, mcrb_sandwich, mcrb_theta_closed,
                      mcrb_theta_closed_columns, zeta_set)
 from .estimation import MML_SEARCH, monte_carlo_rmse
-from .ground import GroundScenario, range_columns, reflection_coefficient
+from .ground import (GroundScenario, indirect_geometry, range_columns,
+                     reflection_coefficient)
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
                     synthesize_compressed)
 
@@ -150,12 +151,12 @@ def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def estimator_from_config(cfg: dict, path: str = "estimator") -> SearchConfig:
-    return _search_config(cfg, path, MML_SEARCH.refine_tol)
+def estimator_from_config(cfg: dict) -> SearchConfig:
+    return _search_config(cfg, "estimator", MML_SEARCH.refine_tol)
 
 
-def search_from_config(cfg: dict, path: str = "search") -> SearchConfig:
-    return _search_config(cfg, path, SearchConfig().refine_tol)
+def search_from_config(cfg: dict) -> SearchConfig:
+    return _search_config(cfg, "search", SearchConfig().refine_tol)
 
 
 def _pow10(x: float, path: str, db: float) -> float:
@@ -166,23 +167,23 @@ def _pow10(x: float, path: str, db: float) -> float:
         raise ConfigError(f"{path}: {db!r} dB overflows 10^{x:.6g}") from None
 
 
-def _parse_scene(cfg: dict, geom: ArrayGeometry, path: str, snr_db=None,
-                 smr_db=None, dphi=None, psi_rad=None):
+def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
+                 dphi=None, psi_rad=None):
     """scene_from_config's scene and the scene_from_ratios arguments it took.
     A given snr_db or smr_db comes from the axis sweep.<name>, start first."""
-    theta = math.radians(_get_num(cfg, f"{path}.theta_deg", default=0.0))
+    theta = math.radians(_get_num(cfg, "scene.theta_deg", default=0.0))
     if psi_rad is None:
-        psi_rad = math.radians(_get_num(cfg, f"{path}.psi_deg"))
-    snr_key = f"{path}.snr_db" if snr_db is None else "sweep.snr_db"
-    smr_key = f"{path}.smr_db" if smr_db is None else "sweep.smr_db"
+        psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
+    snr_key = "scene.snr_db" if snr_db is None else "sweep.snr_db"
+    smr_key = "scene.smr_db" if smr_db is None else "sweep.smr_db"
     if snr_db is None:
         snr_db = _get_num(cfg, snr_key)
     if smr_db is None:
         smr_db = _get_num(cfg, smr_key)
     if dphi is None:
-        dphi = _get_num(cfg, f"{path}.delta_phi_rad", default=0.0)
-    k = _get_int(cfg, f"{path}.k_pulses", default=1, minimum=1)
-    e_p = _get_num(cfg, f"{path}.e_p", default=1.0, positive=True)
+        dphi = _get_num(cfg, "scene.delta_phi_rad", default=0.0)
+    k = _get_int(cfg, "scene.k_pulses", default=1, minimum=1)
+    e_p = _get_num(cfg, "scene.e_p", default=1.0, positive=True)
     _pow10(-snr_db / 10.0, snr_key, snr_db)   # sigma_w2
     _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|
     args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
@@ -190,14 +191,13 @@ def _parse_scene(cfg: dict, geom: ArrayGeometry, path: str, snr_db=None,
     try:
         return scene_from_ratios(geom, **args), args
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"scene: {exc}") from exc
 
 
-def scene_from_config(cfg: dict, geom: ArrayGeometry, path: str = "scene",
-                      snr_db: float | None = None, smr_db: float | None = None,
-                      dphi: float | None = None,
+def scene_from_config(cfg: dict, geom: ArrayGeometry, snr_db: float | None = None,
+                      smr_db: float | None = None, dphi: float | None = None,
                       psi_rad: float | None = None) -> MultipathScene:
-    return _parse_scene(cfg, geom, path, snr_db, smr_db, dphi, psi_rad)[0]
+    return _parse_scene(cfg, geom, snr_db, smr_db, dphi, psi_rad)[0]
 
 
 def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
@@ -205,7 +205,7 @@ def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
     scene_from_config keywords (psi_rad, snr_db, smr_db, dphi) to values that
     broadcast, outer axis first.  The scene block is parsed and checked once, at
     the first values; each value then takes scene_from_ratios' expression once."""
-    base, args = _parse_scene(cfg, geom, "scene", **{
+    base, args = _parse_scene(cfg, geom, **{
         key: float(np.ravel(vals)[0]) for key, vals in axes.items()})
 
     def swept(key, expr):
@@ -447,6 +447,10 @@ def scenario_from_config(config: dict) -> GroundScenario:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    with np.errstate(over="ignore"):   # h_r enters every image path as (... + 2 h_r)^2
+        r_i = indirect_geometry(grid[0], scn.theta, scn.h_r)[0]
+    if not math.isfinite(r_i):
+        raise ConfigError(f"h_r_m: image path length overflows at h_r_m = {scn.h_r!r}")
     ratio = scn.r_ref / grid[0]   # the nearest direct path has the largest amplitude
     gamma, snr_ref = scn.gamma_t, scn.snr_ref_db
     try:   # and range_columns' noise power |gamma_t|^2 / 10^(snr_ref_db / 10)
@@ -550,7 +554,7 @@ def _check(lines: list[str], name: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def run_selftest(config: dict | None = None, inject_fault: str | None = None):
+def run_selftest(inject_fault: str | None = None):
     """Analytic invariants, limits and oracle comparisons.
 
     Returns ``(ok, lines)``.  ``inject_fault='dda'`` perturbs the analytic

@@ -1,0 +1,115 @@
+"""The public surface, pinned: the root export names and the parameter names,
+in order, of every public function and constructor.  A name or option added
+or removed shows up here first."""
+
+import inspect
+import types
+
+import mpcrb
+from mpcrb import cli, experiments
+
+ROOT_EXPORTS = [
+    "ArrayGeometry", "BoundBreakdown", "BoundsError", "ConditioningError",
+    "DegenerateBoundError", "GroundScenario", "MultipathScene", "RangePoint",
+    "RmseCurve", "SearchConfig", "SingularInformationError", "SteeringSet",
+    "ZetaSet", "beampattern", "cd_matrix", "compressed_mean", "crb_theta",
+    "delta_phi", "e_adot", "indirect_geometry", "mcrb_sandwich",
+    "mcrb_theta_closed", "mimo_matrices", "mml_doa", "monte_carlo_rmse",
+    "multipath_free", "range_point", "reflection_coefficient",
+    "scene_from_ratios", "smr", "snr", "standard_virtual_ula", "steering",
+    "synthesize_compressed", "theta_a", "virtual_hpbw", "virtual_positions",
+    "wrap_phase", "zeta_set",
+]
+
+RECIPE = ("config", "out_dir", "svg", "workers")
+PARAMETERS = {
+    # root exports; None: no signature, the constructor inherited from Exception
+    "ArrayGeometry": ("tx_positions", "rx_positions"),
+    "BoundBreakdown": ("crb_theta", "m_theta_theta", "theta_a", "b_theta_theta",
+                       "mcrb_theta"),
+    "BoundsError": None,
+    "ConditioningError": ("message", "condition"),
+    "DegenerateBoundError": ("message", "denominator", "threshold"),
+    "GroundScenario": ("h_r", "wavelength", "eps_r", "gamma_cond", "range_grid",
+                       "geom", "theta", "gamma_t", "v", "r_res", "v_res",
+                       "k_pulses", "e_p", "snr_ref_db", "r_ref"),
+    "MultipathScene": ("geom", "theta", "psi", "alpha_d", "alpha_i", "k_pulses",
+                       "e_p", "sigma_w2"),
+    "RangePoint": ("r_d", "r_i", "psi", "gamma_r", "smr_db", "delta_phi",
+                   "snr_db", "same_cell", "scene", "bound"),
+    "RmseCurve": ("rmse_rad", "bias_rad", "trials", "base_seed"),
+    "SearchConfig": ("span", "coarse_step", "refine_tol"),
+    "SingularInformationError": None,
+    "SteeringSet": ("a_r", "a_t", "da_r", "da_t", "dda_r", "dda_t"),
+    "ZetaSet": ("zeta1", "zeta2", "zeta3", "zeta4", "zeta5"),
+    "beampattern": ("geom", "steer", "grid"),
+    "cd_matrix": ("zetas", "scale"),
+    "compressed_mean": ("scene",),
+    "crb_theta": ("scene",),
+    "delta_phi": ("scene",),
+    "e_adot": ("s",),
+    "indirect_geometry": ("r_d", "theta", "h_r"),
+    "mcrb_sandwich": ("scene", "search", "cond_threshold"),
+    "mcrb_theta_closed": ("scene", "search"),
+    "mimo_matrices": ("s_target", "s_reflect"),
+    "mml_doa": ("y", "geom", "cfg"),
+    "monte_carlo_rmse": ("scene_sweep", "cfg", "trials", "base_seed"),
+    "multipath_free": ("scene",),
+    "range_point": ("scn", "r_d", "search", "geom"),
+    "reflection_coefficient": ("psi", "eps_r", "gamma_cond", "wavelength"),
+    "scene_from_ratios": ("geom", "theta", "psi", "snr_db", "smr_db", "dphi",
+                          "k_pulses", "e_p"),
+    "smr": ("scene",),
+    "snr": ("scene",),
+    "standard_virtual_ula": ("m_t", "m_r"),
+    "steering": ("geom", "theta"),
+    "synthesize_compressed": ("scene", "noise_seed", "n"),
+    "theta_a": ("scene", "search"),
+    "virtual_hpbw": ("geom",),
+    "virtual_positions": ("geom",),
+    "wrap_phase": ("x",),
+    "zeta_set": ("scene",),
+    # config parsers, recipes and the command line
+    "experiments.estimator_from_config": ("cfg",),
+    "experiments.geometry_from_config": ("cfg", "path"),
+    "experiments.scenario_from_config": ("config",),
+    "experiments.scene_from_config": ("cfg", "geom", "snr_db", "smr_db", "dphi",
+                                      "psi_rad"),
+    "experiments.search_from_config": ("cfg",),
+    "experiments.run_beampattern": RECIPE,
+    "experiments.run_bounds": RECIPE,
+    "experiments.run_fig2": RECIPE,
+    "experiments.run_fig3": RECIPE,
+    "experiments.run_fig4": RECIPE,
+    "experiments.run_fig5": RECIPE,
+    "experiments.run_montecarlo": RECIPE,
+    "experiments.run_scenario": RECIPE,
+    "experiments.run_selftest": ("inject_fault",),
+    "cli.main": ("argv",),
+}
+
+
+def _root_exports():
+    """Public names bound in the package root, submodules aside."""
+    return sorted(name for name, obj in vars(mpcrb).items()
+                  if not name.startswith("_") and not isinstance(obj, types.ModuleType))
+
+
+def _parameters(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:
+        return None
+
+
+def test_root_exports_are_pinned():
+    assert _root_exports() == sorted(ROOT_EXPORTS)
+
+
+def test_public_parameters_are_pinned():
+    got = {name: _parameters(getattr(mpcrb, name)) for name in _root_exports()}
+    got.update({f"experiments.{name}": _parameters(getattr(experiments, name))
+                for name in dir(experiments)
+                if name.endswith("_from_config") or name.startswith("run_")})
+    got["cli.main"] = _parameters(cli.main)
+    assert got == PARAMETERS

@@ -10,8 +10,7 @@ from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, compressed_mean,
                    synthesize_compressed, theta_a, virtual_hpbw)
 from mpcrb import bounds, estimation
 from mpcrb.arrays import TWO_PI
-from mpcrb.bounds import (_argmax_projection, _coarse_winner, _projection_derivs,
-                          _resolve_search)
+from mpcrb.bounds import _argmax_projection, _coarse_winner, _projection_derivs
 from mpcrb.estimation import MML_SEARCH
 
 GEOM = standard_virtual_ula(3, 4)
@@ -171,12 +170,17 @@ def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
     assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
 
 
+def _explicit_step(geom, cfg):
+    """``cfg`` with the kernel's default coarse step, beamwidth / 20, made explicit."""
+    return replace(cfg, coarse_step=cfg.coarse_step or virtual_hpbw(geom) / 20.0)
+
+
 def _legacy_mml_doa_batch(y_batch, geom, cfg):
     """The estimator's own vectorized search before it moved into the shared
     bounds kernel, kept verbatim as an oracle: two interior points evaluated
     per golden sweep, three-operand einsum."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    cfg = _resolve_search(geom, cfg)
+    cfg = _explicit_step(geom, cfg)
     lo, hi = cfg.span
     n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
     angles = np.linspace(lo, hi, n)
@@ -215,6 +219,7 @@ def _legacy_coarse_winner(y_batch, geom, cfg, prefer=None):
     or with ``prefer`` the grid angle nearest prefer[t] among values within
     1e-12 (relative) of the maximum, as the three-operand einsum scan broke
     ties before the scan became one matrix product."""
+    cfg = _explicit_step(geom, cfg)
     lo, hi = cfg.span
     n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
     angles = np.linspace(lo, hi, n)
@@ -250,7 +255,7 @@ def test_kernel_mml_path_matches_legacy_search(snr_db):
     # tie-break toward theta, and Newton within refine_tol of the golden search
     for geom in _KERNEL_GEOMS:
         sc, y = _noisy_statistics(geom, snr_db)
-        cfg = _resolve_search(geom, MML_SEARCH)
+        cfg = MML_SEARCH
         theta = np.full(len(y), sc.theta)
         assert np.array_equal(_coarse_winner(y, geom, cfg)[1],
                               _legacy_coarse_winner(y, geom, cfg))
@@ -269,7 +274,7 @@ def test_kernel_safeguard_keeps_newton_in_the_bracket():
     # outside; all must end inside the bracket, at the golden-section argmax
     # to refine_tol
     hpbw = virtual_hpbw(GEOM)
-    cfg = _resolve_search(GEOM, SearchConfig(coarse_step=1.5 * hpbw))
+    cfg = SearchConfig(coarse_step=1.5 * hpbw)
     lo, hi = cfg.span
     angles, _ = _coarse_winner(np.zeros((0, GEOM.m_r, GEOM.m_t)), GEOM, cfg)
     step = angles[1] - angles[0]
@@ -292,7 +297,7 @@ def test_kernel_safeguard_keeps_newton_in_the_bracket():
 
 
 def test_kernel_takes_an_empty_batch():
-    cfg = _resolve_search(GEOM, MML_SEARCH)
+    cfg = MML_SEARCH
     empty = np.zeros((0, GEOM.m_r, GEOM.m_t), dtype=complex)
     assert _argmax_projection(empty, GEOM, cfg).shape == (0,)
     assert _argmax_projection(empty, GEOM, cfg, np.zeros(0)).shape == (0,)
@@ -356,11 +361,13 @@ def test_projection_derivs_equal_the_uncached_form_bitwise():
                 assert _same_bits(got, want)
 
 
-def test_resolved_search_is_reused_per_geometry():
-    first = _resolve_search(GEOM, MML_SEARCH)
-    assert first.coarse_step == virtual_hpbw(GEOM) / 20.0
-    assert _resolve_search(standard_virtual_ula(3, 4), MML_SEARCH) is first
-    assert _resolve_search(GEOM, None) == replace(
-        SearchConfig(), coarse_step=virtual_hpbw(GEOM) / 20.0)
+def test_default_coarse_step_is_a_twentieth_of_the_beamwidth():
+    empty = np.zeros((0, GEOM.m_r, GEOM.m_t), dtype=complex)
+    for cfg in (MML_SEARCH, SearchConfig()):
+        grid = _coarse_winner(empty, GEOM, cfg)[0]
+        want = _coarse_winner(empty, GEOM, _explicit_step(GEOM, cfg))[0]
+        assert _same_bits(grid, want)
+        assert grid[1] - grid[0] <= virtual_hpbw(GEOM) / 20.0
     explicit = SearchConfig(coarse_step=0.01)
-    assert _resolve_search(GEOM, explicit) is explicit
+    grid = _coarse_winner(empty, GEOM, explicit)[0]
+    assert len(grid) == math.ceil((explicit.span[1] - explicit.span[0]) / 0.01) + 1

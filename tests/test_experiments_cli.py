@@ -591,6 +591,7 @@ def test_scenario_cells_stay_finite_at_large_pulse_energy(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("r_ref_m", 1e160),
+                                          ("h_r_m", 1e300),
                                           ("theta_deg", 95.0),
                                           ("theta_deg", -90.0)])
 def test_cli_refuses_scenario_inputs_out_of_model(tmp_path, capsys, field,
