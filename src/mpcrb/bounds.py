@@ -193,7 +193,8 @@ def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
     return scale * z
 
 
-_BLOCK = 64    # statistics per coarse-grid block of the argmax kernel
+_BLOCK = 64    # statistics per block of the argmax kernel's coarse scan
+_TILE_BYTES = 1 << 18   # V per tile of the coarse scan: a 3x4 grid is one tile
 _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 
 
@@ -210,22 +211,25 @@ def _geometry_consts(geom_key: tuple):
     return np.concatenate((rx, tx)), root[:, None], moments
 
 
-@lru_cache(maxsize=32)
-def _steering_grid(geom_key: tuple, lo: float, hi: float, n: int):
-    """Grid angles (``np.linspace(lo, hi, n)`` bit for bit) and
-    V = conj(a_r) (x) conj(a_t), shape (M_r*M_t, n): the row Y.reshape(-1) @ V
-    holds tr(A^H(phi) Y) over the grid."""
+def _grid(geom: ArrayGeometry, lo: float, hi: float, n: int):
+    """Grid angles (``np.linspace(lo, hi, n)`` bit for bit) and a generator
+    function of (cols, V[:, cols]) tiles of V = conj(a_r) (x) conj(a_t), at most
+    ``_TILE_BYTES`` each (one column at least), formed from phasors built here:
+    the row Y.reshape(-1) @ V[:, cols] holds tr(A^H(phi) Y) over those angles."""
     angles = np.arange(n, dtype=float)
     angles *= (hi - lo) / (n - 1)
     angles += lo
     angles[-1] = hi
-    pos, root, _ = _geometry_consts(geom_key)
+    pos, root, _ = _geometry_consts(geom.key())
     e = _phasors(pos, np.sin(angles), root)   # every rx and tx row in one exp call
     np.conjugate(e, out=e)
-    m_r = len(geom_key[1])
-    v = np.empty((m_r, pos.size - m_r, n), dtype=complex)
-    np.multiply(e[:m_r, None, :], e[None, m_r:, :], out=v)
-    return angles, v.reshape(-1, n)
+    m_r, m = geom.m_r, geom.m_r * geom.m_t
+    width = max(1, _TILE_BYTES // (16 * m))
+
+    def tiles():
+        for cols in (slice(c, c + width) for c in range(0, n, width)):
+            yield cols, (e[:m_r, None, cols] * e[None, m_r:, cols]).reshape(m, -1)
+    return angles, tiles
 
 
 _DEFAULT_SEARCH = SearchConfig()
@@ -250,25 +254,31 @@ def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
     """Coarse grid (step ``search.coarse_step``, or the virtual-array beamwidth
     / 20 where it is None) and each statistic's winner on it: the first maximum
     of |tr(A^H(phi) Y_t)|^2, or with ``prefer`` the grid angle nearest prefer[t]
-    among values within 1e-12 (relative) of the maximum.  One product with
-    the virtual steering matrix per ``_BLOCK`` statistics bounds the
-    (block, grid) intermediate."""
+    among values within 1e-12 (relative) of the maximum.  Per call, the grid's
+    rx/tx phasors ((M_r + M_t) x G) are built once; each block of ``_BLOCK``
+    statistics fills one (block, G) array of values, one tile of V at a time;
+    distances to prefer only for a block where a row has 0 or 2+ ties."""
     lo, hi = search.span
     step = search.coarse_step or virtual_hpbw(geom) / 20.0
     n_grid = max(2, int(math.ceil((hi - lo) / step)) + 1)
-    angles, v = _steering_grid(geom.key(), lo, hi, n_grid)
-    flat = y.reshape(len(y), v.shape[0])
+    angles, tiles = _grid(geom, lo, hi, n_grid)
+    flat = y.reshape(len(y), geom.m_r * geom.m_t)
+    vals = np.empty((min(_BLOCK, len(y)), n_grid))
     best = np.empty(len(y), dtype=np.intp)
     for start in range(0, len(y), _BLOCK):
-        stop = min(start + _BLOCK, len(y))
-        proj = flat[start:stop] @ v
-        vals = proj.real ** 2 + proj.imag ** 2
-        if prefer is None:
-            best[start:stop] = vals.argmax(axis=1)
-        else:
-            ties = vals >= vals.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-            dist = np.where(ties, np.abs(angles - prefer[start:stop, None]), np.inf)
-            best[start:stop] = dist.argmin(axis=1)
+        block = flat[start:start + _BLOCK]
+        out, win = vals[:len(block)], best[start:start + _BLOCK]
+        for cols, v in tiles():
+            proj = block @ v
+            np.multiply(proj.real, proj.real, out=out[:, cols])
+            out[:, cols] += proj.imag ** 2
+        win[:] = out.argmax(axis=1)
+        if prefer is not None:   # blocks whose rows tie once keep the first maxima
+            top = out.max(axis=1, keepdims=True)
+            ties = out >= top * (1.0 - 1e-12)
+            if np.count_nonzero(ties) != len(out) or np.isnan(top).any():
+                dist = np.abs(angles - prefer[start:start + _BLOCK, None])
+                win[:] = np.where(ties, dist, np.inf).argmin(axis=1)
     return angles, best
 
 

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _model
+from .arrays import ArrayGeometry, mimo_matrices, steering
+from .bounds import SearchConfig, _argmax_projection
 from .scene import MultipathScene
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
@@ -86,10 +86,13 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
 
     for _, run in groupby(enumerate(scene_sweep), lambda t: t[1].geom.key()):
         indices, run = zip(*run)
-        mod = _model(run)       # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
-        means = (np.array([sc.k_pulses * sc.e_p for sc in run])[:, None, None]
-                 * (mod.alpha_d[:, None, None] * mod.A_d
-                    + mod.alpha_i[:, None, None] * mod.A_i))
+        geom = run[0].geom      # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
+        theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
+            (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
+            for sc in run]))
+        A_d, A_i = mimo_matrices(steering(geom, theta), steering(geom, psi))[:2]
+        means = kep[:, None, None] * (alpha_d[:, None, None] * A_d
+                                      + alpha_i[:, None, None] * A_i)
         buf = np.empty((min(_MC_CHUNK, trials * len(run)),) + means.shape[1:],
                        dtype=complex)
         fill = 0
@@ -105,10 +108,10 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
                 pieces.append((scene.theta, take))
                 fill, left = fill + take, left - take
                 if fill == len(buf):
-                    flush(mod.geom, buf)
+                    flush(geom, buf)
                     fill = 0
         if fill:
-            flush(mod.geom, buf[:fill])
+            flush(geom, buf[:fill])
     return RmseCurve(rmse_rad=tuple(r for r, _ in results),
                      bias_rad=tuple(b for _, b in results), trials=trials,
                      base_seed=base_seed)

@@ -159,12 +159,16 @@ def search_from_config(cfg: dict) -> SearchConfig:
     return _search_config(cfg, "search", SearchConfig().refine_tol)
 
 
-def _pow10(x: float, path: str, db: float) -> float:
-    """10^x from the ``db`` value at ``path``; ConfigError where it overflows."""
+def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
+    """10^x from the ``db`` value at ``path``; ConfigError where it overflows,
+    or where it underflows to 0 unless ``zero_ok``."""
     try:
-        return 10.0 ** x
+        val = 10.0 ** x
     except OverflowError:
         raise ConfigError(f"{path}: {db!r} dB overflows 10^{x:.6g}") from None
+    if val == 0.0 and not zero_ok:
+        raise ConfigError(f"{path}: {db!r} dB underflows 10^{x:.6g} to 0")
+    return val
 
 
 def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
@@ -184,8 +188,8 @@ def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
         dphi = _get_num(cfg, "scene.delta_phi_rad", default=0.0)
     k = _get_int(cfg, "scene.k_pulses", default=1, minimum=1)
     e_p = _get_num(cfg, "scene.e_p", default=1.0, positive=True)
-    _pow10(-snr_db / 10.0, snr_key, snr_db)   # sigma_w2
-    _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|
+    _pow10(-snr_db / 10.0, snr_key, snr_db, zero_ok=False)   # sigma_w2
+    _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|, 0 without multipath
     args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
                 dphi=dphi, k_pulses=k, e_p=e_p)
     try:
@@ -215,9 +219,8 @@ def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
     psi = np.asarray(axes.get("psi_rad", base.psi))
     alpha_i = (swept("smr_db", lambda smr: 10.0 ** (-smr / 20.0))
                * swept("dphi", lambda dphi: cmath.exp(-1j * dphi)))
-    sigma_w2 = swept("snr_db", lambda snr: 10.0 ** (-snr / 10.0))
-    if not np.all(sigma_w2 > 0.0):
-        raise ConfigError("scene: require sigma_w2 > 0, e_p > 0, k_pulses >= 1")
+    sigma_w2 = swept("snr_db", lambda snr: _pow10(-snr / 10.0, "sweep.snr_db", snr,
+                                                  zero_ok=False))
     shape = np.broadcast(psi, alpha_i, sigma_w2).shape
     return mcrb_theta_closed_columns(geom, *(
         np.full(shape, v).ravel() for v in (
@@ -458,14 +461,19 @@ def scenario_from_config(config: dict) -> GroundScenario:
         if not math.isfinite(ratio * ratio * amp):
             raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 |gamma_t| "
                               f"overflows at r_d = {grid[0]!r}")
-        sigma_w2 = amp ** 2 / _pow10(snr_ref / 10.0, "snr_ref_db", snr_ref)
+        power = amp ** 2
+        sigma_w2 = power / _pow10(snr_ref / 10.0, "snr_ref_db", snr_ref)
     except OverflowError:
-        key = "gamma_t_real" if abs(gamma.real) >= abs(gamma.imag) else "gamma_t_imag"
-        raise ConfigError(f"{key}: |gamma_t|^2 overflows at gamma_t = {gamma!r}") from None
+        power = math.inf
     except ZeroDivisionError:
         sigma_w2 = math.inf
-    if not math.isfinite(sigma_w2):
-        raise ConfigError(f"snr_ref_db: noise power overflows at {snr_ref!r} dB")
+    if not 0.0 < power < math.inf:
+        key = "gamma_t_real" if abs(gamma.real) >= abs(gamma.imag) else "gamma_t_imag"
+        how = "overflows" if power else "underflows to 0"
+        raise ConfigError(f"{key}: |gamma_t|^2 {how} at gamma_t = {gamma!r}")
+    if not 0.0 < sigma_w2 < math.inf:
+        how = "overflows" if sigma_w2 else "underflows to 0"
+        raise ConfigError(f"snr_ref_db: noise power {how} at {snr_ref!r} dB")
     return scn
 
 

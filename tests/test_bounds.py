@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -677,3 +678,26 @@ def test_overflowing_multipath_ratio_is_degenerate():
     assert _closed_rows(far)[2] is None
     for sc in far[1:]:
         assert theta_a(sc) == pytest.approx(theta_a(far[0]), abs=1e-9)
+
+
+def test_pseudo_true_search_memory_is_bounded_by_its_tiles():
+    # one 64-row batch on a 12x16 array: the coarse scan holds the grid's
+    # phasors, one block of values and one tile of V, never all of V (13.3 MiB
+    # for this grid), and keeps nothing after the call, on either array
+    def columns(n=64):
+        return (np.zeros(n), np.full(n, -0.05), np.ones(n, dtype=complex),
+                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 1.0, 0.01)
+
+    mcrb_theta_closed_columns(GEOM, *columns())   # first-call imports and caches
+    tracemalloc.start()
+    try:
+        for m_t, m_r in ((12, 16), (16, 12)):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cols = mcrb_theta_closed_columns(standard_virtual_ula(m_t, m_r), *columns())
+            held, peak = (v - start for v in tracemalloc.get_traced_memory())
+            assert cols.valid.all() and (cols.theta_a != 0.0).all()
+            assert peak < 13 * 2 ** 20 and held < 2 ** 20
+            del cols
+    finally:
+        tracemalloc.stop()

@@ -249,18 +249,36 @@ def _noisy_statistics(geom, snr_db, n=512, seed=2305):
                                               + 1j * rng.standard_normal(shape))
 
 
+def _tile_width(geom):
+    """Grid columns per tile of the kernel's coarse scan."""
+    return max(1, bounds._TILE_BYTES // (16 * geom.m_r * geom.m_t))
+
+
+def _tiled_grids(geom):
+    """Searches whose grid ends in a one-column tile, or is narrower than a tile."""
+    width, (lo, hi) = _tile_width(geom), MML_SEARCH.span
+    return {width + 1: replace(MML_SEARCH, coarse_step=(hi - lo) / (width - 0.5)),
+            width // 2 + 1: replace(MML_SEARCH, coarse_step=(hi - lo) / (width // 2))}
+
+
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
 def test_kernel_mml_path_matches_legacy_search(snr_db):
     # on every geometry: the same coarse winners, with and without the
-    # tie-break toward theta, and Newton within refine_tol of the golden search
+    # tie-break toward theta, on the default grid and on grids that end in a
+    # one-column tile or fit in one tile, and Newton within refine_tol of the
+    # golden search
     for geom in _KERNEL_GEOMS:
         sc, y = _noisy_statistics(geom, snr_db)
         cfg = MML_SEARCH
         theta = np.full(len(y), sc.theta)
-        assert np.array_equal(_coarse_winner(y, geom, cfg)[1],
-                              _legacy_coarse_winner(y, geom, cfg))
-        assert np.array_equal(_coarse_winner(y, geom, cfg, theta)[1],
-                              _legacy_coarse_winner(y, geom, cfg, theta))
+        for n, grid_cfg in [(None, cfg), *_tiled_grids(geom).items()]:
+            k = len(y) if n is None else 130   # three blocks, the last of 2 rows
+            y_k, theta_k = y[:k], theta[:k]
+            angles, best = _coarse_winner(y_k, geom, grid_cfg)
+            assert n is None or len(angles) == n
+            assert np.array_equal(best, _legacy_coarse_winner(y_k, geom, grid_cfg))
+            assert np.array_equal(_coarse_winner(y_k, geom, grid_cfg, theta_k)[1],
+                                  _legacy_coarse_winner(y_k, geom, grid_cfg, theta_k))
         want = _legacy_mml_doa_batch(y, geom, cfg)
         assert np.max(np.abs(_argmax_projection(y, geom, cfg) - want)) <= cfg.refine_tol
         assert abs(mml_doa(y[7], geom)
@@ -296,6 +314,31 @@ def test_kernel_safeguard_keeps_newton_in_the_bracket():
     assert got[2] == hi
 
 
+def test_rows_without_a_finite_maximum_keep_their_winner():
+    # a NaN entry makes every grid value NaN: the winner is the first angle,
+    # with or without prefer; an all-zero row ties everywhere, so prefer picks
+    # the nearest grid angle; a real statistic ties twice, at +-0.3 rad (its
+    # projection is even in phi), in the NaN row's block; finite rows keep
+    # their winners
+    for geom in _KERNEL_GEOMS[1:]:
+        _, y = _noisy_statistics(geom, 10.0, n=130)
+        q = np.add.outer(geom.rx_positions, geom.tx_positions)
+        y[3, 0, 0], y[5], y[64] = np.nan, np.cos(TWO_PI * q * np.sin(0.3)), 0.0
+        prefer = np.linspace(-0.9, 0.9, len(y))
+        prefer[5] = 0.3
+        for cfg in [MML_SEARCH, *_tiled_grids(geom).values()]:
+            with np.errstate(invalid="ignore"):
+                angles, best = _coarse_winner(y, geom, cfg)
+                near = _coarse_winner(y, geom, cfg, prefer)[1]
+            assert best[3] == near[3] == 0 and best[64] == 0
+            assert near[64] == np.argmin(np.abs(angles - prefer[64]))
+            finite = np.isfinite(y).all(axis=(1, 2))
+            assert np.array_equal(best[finite],
+                                  _legacy_coarse_winner(y[finite], geom, cfg))
+            assert np.array_equal(near[finite], _legacy_coarse_winner(
+                y[finite], geom, cfg, prefer[finite]))
+
+
 def test_kernel_takes_an_empty_batch():
     cfg = MML_SEARCH
     empty = np.zeros((0, GEOM.m_r, GEOM.m_t), dtype=complex)
@@ -313,8 +356,8 @@ def _phasors(positions, sines):
 
 
 def _uncached_steering_grid(geom_key, lo, hi, n):
-    """``bounds._steering_grid`` before its set-up was cached, kept verbatim
-    as an oracle."""
+    """The kernel's grid and whole virtual steering matrix V before its set-up
+    was cached and V tiled, kept verbatim as an oracle."""
     angles = np.linspace(lo, hi, n)
     tx, rx = (_phasors(np.asarray(pos), np.sin(angles)).conj() for pos in geom_key)
     return angles, (rx[:, None, :] * tx[None, :, :]).reshape(-1, n)
@@ -337,16 +380,24 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("n", [2, 3, 285, 1136])
-def test_steering_grid_equals_linspace_and_kronecker_bitwise(n):
+def test_grid_tiles_equal_linspace_and_kronecker_bitwise(n):
+    # the per-call grid is np.linspace, and its tiles cover V in order, at
+    # most _TILE_BYTES (or one column) each, each the matching columns of V
     spans = [(-math.pi / 3, math.pi / 3), (-0.5, 1.2), (-1.5, -1.4),
              (0.1, 0.1 + 1e-6), (-1e-3, 2.0 / 3.0)]
     for geom in _KERNEL_GEOMS:
         for lo, hi in spans:
-            bounds._steering_grid.cache_clear()
-            angles, v = bounds._steering_grid(geom.key(), lo, hi, n)
+            angles, tiles = bounds._grid(geom, lo, hi, n)
             want_angles, want_v = _uncached_steering_grid(geom.key(), lo, hi, n)
             assert _same_bits(angles, np.linspace(lo, hi, n))
-            assert _same_bits(angles, want_angles) and _same_bits(v, want_v)
+            assert _same_bits(angles, want_angles)
+            done = 0
+            for cols, v in tiles():
+                assert cols.start == done and v.shape[1] >= 1
+                assert v.nbytes <= bounds._TILE_BYTES or v.shape[1] == 1
+                assert _same_bits(v, want_v[:, cols])
+                done += v.shape[1]
+            assert done == n
 
 
 def test_projection_derivs_equal_the_uncached_form_bitwise():

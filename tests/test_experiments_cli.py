@@ -470,7 +470,7 @@ def test_fig4_overflowing_smr_is_counted_degenerate(tmp_path):
     assert json.loads(result["manifest"].read_text())["degenerate_points"] == 2
 
 
-ZERO_NOISE = "scene: require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
+ZERO_NOISE = "{}: 4000.0 dB underflows 10^-400 to 0"
 
 
 def test_swept_snr_with_zero_noise_names_the_scene(tmp_path):
@@ -478,12 +478,12 @@ def test_swept_snr_with_zero_noise_names_the_scene(tmp_path):
     cfg["sweep"] = {"snr_db": {"start": 0.0, "stop": 4000.0, "step": 4000.0}}
     with pytest.raises(ConfigError) as err:
         run_fig2(cfg, tmp_path)
-    assert str(err.value) == ZERO_NOISE
+    assert str(err.value) == ZERO_NOISE.format("sweep.snr_db")
     cfg = load_preset("fig5")
     cfg["scene"]["snr_db"] = 4000.0
     with pytest.raises(ConfigError) as err:
         run_fig5(cfg, tmp_path)
-    assert str(err.value) == ZERO_NOISE
+    assert str(err.value) == ZERO_NOISE.format("scene.snr_db")
 
 
 @pytest.mark.parametrize("recipe, axis", [
@@ -593,9 +593,11 @@ def test_scenario_cells_stay_finite_at_large_pulse_energy(tmp_path):
 @pytest.mark.parametrize("field, value", [("r_ref_m", 1e160),
                                           ("h_r_m", 1e300),
                                           ("theta_deg", 95.0),
-                                          ("theta_deg", -90.0)])
+                                          ("theta_deg", -90.0),
+                                          ("gamma_t_real", 0.0)])
 def test_cli_refuses_scenario_inputs_out_of_model(tmp_path, capsys, field,
                                                   value):
+    # gamma_t_real = 0 with the preset's gamma_t_imag = 0: zero noise power
     cfg = load_preset("scenario")
     cfg[field] = value
     p = tmp_path / "scenario.json"
