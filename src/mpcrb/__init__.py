@@ -5,8 +5,8 @@ from .arrays import (ArrayGeometry, SteeringSet, beampattern, e_adot,
                      virtual_hpbw, virtual_positions)
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
-                     SingularInformationError, ZetaSet, cd_matrix, crb_theta,
-                     mcrb_sandwich, mcrb_theta_closed, theta_a, zeta_set)
+                     SingularInformationError, crb_theta, mcrb_sandwich,
+                     mcrb_theta_closed, theta_a)
 from .estimation import RmseCurve, mml_doa, monte_carlo_rmse
 from .ground import (GroundScenario, RangePoint, indirect_geometry,
                      range_point, reflection_coefficient)

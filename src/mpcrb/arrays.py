@@ -52,7 +52,9 @@ class ArrayGeometry:
         return self.rx_positions.size
 
     def key(self) -> tuple:
-        """Hashable identity used for caching steering grids."""
+        """Hashable identity of the positions: the cache key of the argmax
+        kernel's per-geometry constants, the same-geometry check of a bound
+        batch and the Monte-Carlo engine's grouping of a run by geometry."""
         return (tuple(self.tx_positions), tuple(self.rx_positions))
 
 

@@ -1,8 +1,8 @@
 """Estimation error bounds for the target DOA under ignored multipath.
 
-Both routes to the misspecified bound read the CRB and the reduced curvature
-entries zeta3..zeta5 from one batched model builder and differ only in the
-reduction: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
+Both routes to the misspecified bound reduce the same columns of one batched
+model (CRB and the reduced curvature entries zeta3..zeta5) and differ only in
+the reduction: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
 I = |alpha_d|^2 E_Adot, versus the inverse of the full 5x5 curvature matrix
 (ordering ``[Re alpha_d, Im alpha_d, tau_d, omega_Dd, theta]``) in the
 sandwich.  The CRB of the matched model lives here too.
@@ -49,28 +49,6 @@ class ConditioningError(BoundsError):
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
-
-
-@dataclass(frozen=True)
-class ZetaSet:
-    """Reduced curvature-matrix entries.
-
-    zeta1/zeta2 are the delay/Doppler diagonal factors (|alpha_d|^2 F/E_p;
-    :func:`zeta_set` and the sandwich take both at 1, the model's unit
-    delay/Doppler convention, since neither appears in the DOA closed form);
-    zeta3 is the DOA curvature; zeta4/zeta5 couple the amplitude rows to the
-    Doppler and DOA rows.
-    """
-
-    zeta1: float
-    zeta2: float
-    zeta3: float
-    zeta4: complex
-    zeta5: complex
-
-    def __post_init__(self):
-        if self.zeta1 <= 0.0 or self.zeta2 <= 0.0:
-            raise ValueError("zeta1 and zeta2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -161,36 +139,6 @@ def crb_theta(scene: MultipathScene) -> float:
                                scene.k_pulses, scene.e_p, scene.sigma_w2)
     _informative(e_dot)
     return float(crb)
-
-
-def zeta_set(scene: MultipathScene) -> ZetaSet:
-    """Reduced curvature entries for the scene at zeta1 = zeta2 = 1.
-
-    zeta1 = 1: the delay row of the curvature matrix is decoupled, so its
-    scale cannot reach the DOA element.  zeta2 = 1 is the unit Doppler scale
-    at which zeta4 is taken too.
-    """
-    mod = _model([scene])
-    return ZetaSet(1.0, 1.0, float(mod.zeta3[0]), complex(mod.zeta4[0]),
-                   complex(mod.zeta5[0]))
-
-
-def cd_matrix(zetas: ZetaSet, scale: float = 1.0) -> np.ndarray:
-    """Assemble the symmetric 5x5 curvature matrix Re{Z} times ``scale``.
-
-    ``scale`` is the physical prefactor 2*K*E_p/sigma_w2; the matrix layout
-    couples the amplitude rows to Doppler through zeta4 and to DOA through
-    zeta5, with diag(1, 1, zeta1, zeta2, zeta3).
-    """
-    z4, z5 = zetas.zeta4, zetas.zeta5
-    z = np.array([
-        [1.0, 0.0, 0.0, z4.imag, -z5.real],
-        [0.0, 1.0, 0.0, -z4.real, -z5.imag],
-        [0.0, 0.0, zetas.zeta1, 0.0, 0.0],
-        [z4.imag, -z4.real, 0.0, zetas.zeta2, 0.0],
-        [-z5.real, -z5.imag, 0.0, 0.0, zetas.zeta3],
-    ])
-    return scale * z
 
 
 _BLOCK = 64    # statistics per block of the argmax kernel's coarse scan
@@ -398,27 +346,39 @@ def mcrb_theta_closed(scene: MultipathScene,
     return _breakdowns(cols)[0]
 
 
-def _sandwich_batch(scenes: list[MultipathScene], search: SearchConfig | None = None,
-                    cond_threshold: float = 1e12):
-    """Stacked sandwich matrices at zeta1 = zeta2 = 1 (void where Z is
-    ill-conditioned), breakdowns (None there) and condition numbers, all scenes
-    on one geometry.  The gate reads Z of the amplitude-normalised scene
-    (alpha_d, alpha_i over |alpha_d|, zeta2 = 1), free of the amplitude unit."""
-    mod = _model(scenes)
-    z = np.array([cd_matrix(ZetaSet(1.0, 1.0, *zt)) for zt in zip(
-        mod.zeta3.tolist(), mod.zeta4.tolist(), mod.zeta5.tolist())])
-    u = np.ones((len(scenes), 5))
+def _curvature(mod: _Model) -> np.ndarray:
+    """Stacked curvature matrices Re{Z} without the factor ``mod.s``:
+    diag(1, 1, 1, 1, zeta3), amplitude rows coupled by zeta4 and zeta5.  zeta1 = 1
+    (the delay row is decoupled, so its scale cannot reach the DOA element) and
+    zeta2 = 1, the unit Doppler scale at which zeta4 is taken."""
+    z = np.zeros((len(mod.zeta3), 5, 5))
+    z[:, range(4), range(4)] = 1.0
+    z[:, 4, 4] = mod.zeta3
+    z[:, 0, 3] = z[:, 3, 0] = mod.zeta4.imag
+    z[:, 1, 3] = z[:, 3, 1] = -mod.zeta4.real
+    z[:, 0, 4] = z[:, 4, 0] = -mod.zeta5.real
+    z[:, 1, 4] = z[:, 4, 1] = -mod.zeta5.imag
+    return z
+
+
+def _sandwich(mod: _Model, search: SearchConfig | None, cond_threshold: float = 1e12):
+    """Sandwich matrices C_D^{-1} J C_D^{-1} (void where Z is ill-conditioned),
+    bound columns with M their (theta, theta) element, valid where the gate on Z
+    passes, and condition numbers.  The gate reads Z of the amplitude-normalised
+    scene (alpha_d, alpha_i over |alpha_d|, zeta2 = 1), free of the amplitude unit."""
+    z = _curvature(mod)
+    u = np.ones((len(z), 5))
     u[:, 3:] = 1.0 / np.where(mod.alpha_d == 0, 1.0, np.abs(mod.alpha_d))[:, None]
     z_unit = u[:, :, None] * z * u[:, None, :]
     z_unit[:, 3, 3] = 1.0
     cond = np.linalg.cond(z_unit)
     ok = np.isfinite(cond) & (cond <= cond_threshold)
     _informative(mod.e_dot[ok])
-    j = np.ones((len(scenes), 5))   # diagonal of J: (1, 1, 1, 1, I)
+    j = np.ones((len(z), 5))   # diagonal of J: (1, 1, 1, 1, I)
     j[:, 4] = np.abs(mod.alpha_d) ** 2 * mod.e_dot
     z_inv = np.linalg.inv(np.where(ok[:, None, None], z, np.eye(5)))  # singular Z raises
     m = (z_inv * j[:, None, :]) @ z_inv / mod.s[:, None, None]
-    return m, _breakdowns(_bound_columns(mod, m[:, 4, 4], ok, search)), cond
+    return m, _bound_columns(mod, m[:, 4, 4], ok, search), cond
 
 
 def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None,
@@ -429,12 +389,12 @@ def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None,
     covariance term and the breakdown's M component is its (theta, theta)
     element.  This is the oracle the closed form is compared against.
     It is taken at zeta1 = zeta2 = 1 with zeta4 at the same unit Doppler
-    scale (see :func:`zeta_set`), the convention on which the (theta, theta)
-    element depends.  A batch of one.
+    scale, the convention on which the (theta, theta) element depends.
+    One row of :func:`_sandwich`, raising where it is not valid.
     """
-    (m,), (bb,), (cond,) = _sandwich_batch([scene], search, cond_threshold)
-    if bb is None:
+    m, cols, (cond,) = _sandwich(_model([scene]), search, cond_threshold)
+    if not cols.valid[0]:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",
             condition=float(cond))
-    return m, bb
+    return m[0], _breakdowns(cols)[0]

@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
                      standard_virtual_ula, steering, virtual_hpbw)
-from .bounds import (SearchConfig, _closed, _crb, _model, _pseudo_true,
-                     _sandwich_batch, cd_matrix, mcrb_sandwich, mcrb_theta_closed,
-                     mcrb_theta_closed_columns, zeta_set)
+from .bounds import (SearchConfig, _closed, _crb, _curvature, _model,
+                     _pseudo_true, _sandwich, mcrb_sandwich, mcrb_theta_closed,
+                     mcrb_theta_closed_columns)
 from .estimation import MML_SEARCH, monte_carlo_rmse
-from .ground import (GroundScenario, indirect_geometry, range_columns,
-                     reflection_coefficient)
+from .ground import (GroundScenario, _reflection, indirect_geometry,
+                     range_columns, reflection_coefficient)
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
                     synthesize_compressed)
 
@@ -81,6 +81,8 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
 # sweep is held in one batch.
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
+# Points of an explicit coarse search grid (the default one has 1,136 on 3x16).
+MAX_COARSE_POINTS = 65536
 # Monte-Carlo trials per sweep point; the largest preset runs 2,000.
 _MAX_TRIALS = 100_000
 
@@ -143,12 +145,18 @@ def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
     tol = _get_num(cfg, f"{path}.refine_tol_rad", default=refine_tol,
                    positive=True)
     try:
-        return SearchConfig(
+        search = SearchConfig(
             span=(-math.radians(span_deg), math.radians(span_deg)),
             coarse_step=None if step_deg is None else math.radians(step_deg),
             refine_tol=tol)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if step_deg is not None:   # the kernel's grid has ceil(cells) + 1 points
+        cells = (search.span[1] - search.span[0]) / search.coarse_step
+        if cells > MAX_COARSE_POINTS - 1:
+            raise ConfigError(f"{path}.coarse_step_deg: {cells + 1:.4g} points "
+                              f"exceed the cap of {MAX_COARSE_POINTS} per grid")
+    return search
 
 
 def estimator_from_config(cfg: dict) -> SearchConfig:
@@ -330,7 +338,7 @@ def _mc_sweep(config: dict, bounds: bool):
     est = estimator_from_config(config)
     search = search_from_config(config) if bounds else None
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
-    seed = _get_int(config, "seed")
+    seed = _get_int(config, "seed", minimum=0)
     snrs = _grid(config, "sweep.snr_db")
     return (geom, est, search, trials, seed, snrs,
             [scene_from_config(config, geom, snr_db=s) for s in snrs])
@@ -630,9 +638,10 @@ def run_selftest(inject_fault: str | None = None):
 
     hpbw = virtual_hpbw(geom)
     scenes = draw(1000, (-10, 30), 2 * hpbw, np.pi)
-    closed = _closed(_model(scenes), None)[0]
-    m, sandwich, _ = _sandwich_batch(scenes)
-    both = closed.valid & np.array([bb is not None for bb in sandwich])
+    batch = _model(scenes)
+    closed = _closed(batch, None)[0]
+    m, sandwich, _ = _sandwich(batch, None)
+    both = closed.valid & sandwich.valid
     devs = np.abs(closed.m[both] - m[both, 4, 4]) / np.abs(m[both, 4, 4])
     lines.append(
         "INFO closed-form-vs-sandwich: max rel dev = %.3e, median = %.3e "
@@ -651,9 +660,9 @@ def run_selftest(inject_fault: str | None = None):
                  "cross term)" % (gaps.max(), gaps.size))
 
     grazing = np.linspace(1e-4, np.pi / 2, 4000)
-    mags = [abs(reflection_coefficient(p, 4.0, 0.005, 0.0038)) for p in grazing]
-    ok &= _check(lines, "reflection-magnitude-bound", max(mags) <= 1.0 + 1e-12,
-                 f"max |Gamma_r| = {max(mags):.12f}")
+    top = max(map(abs, _reflection(grazing, 4.0, 0.005, 0.0038).tolist()))
+    ok &= _check(lines, "reflection-magnitude-bound", top <= 1.0 + 1e-12,
+                 f"max |Gamma_r| = {top:.12f}")
     g0 = reflection_coefficient(math.radians(0.1), 4.0, 0.005, 0.0038)
     ok &= _check(lines, "reflection-mirror-limit", abs(g0 + 1.0) < 0.01,
                  f"|Gamma_r(0.1 deg) + 1| = {abs(g0 + 1.0):.4f}")
@@ -667,9 +676,8 @@ def run_selftest(inject_fault: str | None = None):
     ok &= _check(lines, "synthesis-determinism", bool(np.array_equal(y1, y2)),
                  "same seed gives identical noise")
 
-    zt = zeta_set(coh)
-    cd = cd_matrix(zt, scale=2.0 * coh.k_pulses * coh.e_p / coh.sigma_w2)
+    cd = _curvature(batch)
     ok &= _check(lines, "curvature-matrix-symmetry",
-                 bool(np.array_equal(cd, cd.T)), "C_D is symmetric")
+                 bool(np.array_equal(cd, cd.transpose(0, 2, 1))), "C_D is symmetric")
 
     return ok, lines

@@ -12,13 +12,12 @@ ROOT_EXPORTS = [
     "ArrayGeometry", "BoundBreakdown", "BoundsError", "ConditioningError",
     "DegenerateBoundError", "GroundScenario", "MultipathScene", "RangePoint",
     "RmseCurve", "SearchConfig", "SingularInformationError", "SteeringSet",
-    "ZetaSet", "beampattern", "cd_matrix", "compressed_mean", "crb_theta",
-    "delta_phi", "e_adot", "indirect_geometry", "mcrb_sandwich",
-    "mcrb_theta_closed", "mimo_matrices", "mml_doa", "monte_carlo_rmse",
-    "multipath_free", "range_point", "reflection_coefficient",
-    "scene_from_ratios", "smr", "snr", "standard_virtual_ula", "steering",
-    "synthesize_compressed", "theta_a", "virtual_hpbw", "virtual_positions",
-    "wrap_phase", "zeta_set",
+    "beampattern", "compressed_mean", "crb_theta", "delta_phi", "e_adot",
+    "indirect_geometry", "mcrb_sandwich", "mcrb_theta_closed", "mimo_matrices",
+    "mml_doa", "monte_carlo_rmse", "multipath_free", "range_point",
+    "reflection_coefficient", "scene_from_ratios", "smr", "snr",
+    "standard_virtual_ula", "steering", "synthesize_compressed", "theta_a",
+    "virtual_hpbw", "virtual_positions", "wrap_phase",
 ]
 
 RECIPE = ("config", "out_dir", "svg", "workers")
@@ -41,9 +40,7 @@ PARAMETERS = {
     "SearchConfig": ("span", "coarse_step", "refine_tol"),
     "SingularInformationError": None,
     "SteeringSet": ("a_r", "a_t", "da_r", "da_t", "dda_r", "dda_t"),
-    "ZetaSet": ("zeta1", "zeta2", "zeta3", "zeta4", "zeta5"),
     "beampattern": ("geom", "steer", "grid"),
-    "cd_matrix": ("zetas", "scale"),
     "compressed_mean": ("scene",),
     "crb_theta": ("scene",),
     "delta_phi": ("scene",),
@@ -68,7 +65,6 @@ PARAMETERS = {
     "virtual_hpbw": ("geom",),
     "virtual_positions": ("geom",),
     "wrap_phase": ("x",),
-    "zeta_set": ("scene",),
     # config parsers, recipes and the command line
     "experiments.estimator_from_config": ("cfg",),
     "experiments.geometry_from_config": ("cfg", "path"),

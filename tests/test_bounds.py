@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from conftest import (dense_grid_argmax, fim, raw_mimo, raw_steering,
 
 from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
-                   SingularInformationError, ZetaSet, cd_matrix,
-                   compressed_mean, crb_theta, e_adot, mcrb_sandwich,
-                   mcrb_theta_closed, mimo_matrices, scene_from_ratios,
-                   standard_virtual_ula, steering, theta_a, zeta_set)
-from mpcrb.bounds import (_breakdowns, _informative, _model, _pseudo_true,
-                          _sandwich_batch, mcrb_theta_closed_columns)
+                   SingularInformationError, compressed_mean, crb_theta,
+                   e_adot, mcrb_sandwich, mcrb_theta_closed, mimo_matrices,
+                   scene_from_ratios, standard_virtual_ula, steering, theta_a)
+from mpcrb.bounds import (_breakdowns, _curvature, _informative, _model,
+                          _pseudo_true, _sandwich, mcrb_theta_closed_columns)
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(303)
@@ -100,14 +100,14 @@ def test_fim_crb_identity_random_scenes():
 
 
 # ---------------------------------------------------------------------------
-# zeta set and curvature matrix
+# zeta entries and curvature matrix
 
 def test_zeta_multipath_free():
     sc = scene_from_ratios(GEOM, 0.0, 0.2, 10.0, 0.0, 0.0)
     sc = MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                         alpha_d=2.0 + 0j, alpha_i=0.0 + 0j,
                         sigma_w2=sc.sigma_w2)
-    z = zeta_set(sc)
+    z = _model([sc])
     e = e_adot(steering(GEOM, 0.0))
     assert z.zeta4 == 0 and z.zeta5 == 0
     assert z.zeta3 == pytest.approx(4.0 * e, rel=1e-12)
@@ -115,7 +115,7 @@ def test_zeta_multipath_free():
 
 def test_zeta_coherent_triples_curvature():
     sc = scene_from_ratios(GEOM, 0.0, 0.0, 10.0, 0.0, 0.0)
-    z = zeta_set(sc)
+    z = _model([sc])
     e = e_adot(steering(GEOM, 0.0))
     assert z.zeta3 == pytest.approx(3.0 * e, rel=1e-12)
 
@@ -125,7 +125,7 @@ def test_zeta5_against_raw_trace_oracle():
     alpha_i = 0.7 * cmath.exp(0.9j)
     sc = MultipathScene(geom=GEOM, theta=theta, psi=psi, alpha_d=1.2 + 0.4j,
                         alpha_i=alpha_i, sigma_w2=0.3)
-    z = zeta_set(sc)
+    z = _model([sc])
     # independent trace built from raw steering vectors and explicit sums
     h = 1e-7
     ar = raw_steering(GEOM.rx_positions, theta)
@@ -141,16 +141,21 @@ def test_zeta5_against_raw_trace_oracle():
     assert z.zeta5 == pytest.approx(alpha_i * trace, rel=1e-6)
 
 
+def _entries(zeta3, zeta4, zeta5):
+    """A stand-in model holding only the zeta columns :func:`_curvature` reads."""
+    return SimpleNamespace(zeta3=np.array(zeta3, dtype=float),
+                           zeta4=np.array(zeta4, dtype=complex),
+                           zeta5=np.array(zeta5, dtype=complex))
+
+
 def test_cd_matrix_diagonal_case_and_symmetry():
-    z = ZetaSet(zeta1=1.0, zeta2=1.0, zeta3=5.0, zeta4=0.0, zeta5=0.0)
-    np.testing.assert_allclose(cd_matrix(z, scale=3.0),
-                               3.0 * np.diag([1, 1, 1.0, 1.0, 5.0]))
-    z = ZetaSet(zeta1=0.4, zeta2=2.2, zeta3=-1.0,
-                zeta4=0.3 - 1.1j, zeta5=-0.8 + 0.2j)
-    c = cd_matrix(z)
+    np.testing.assert_allclose(_curvature(_entries([5.0], [0.0], [0.0]))[0],
+                               np.diag([1, 1, 1.0, 1.0, 5.0]))
+    z4, z5 = 0.3 - 1.1j, -0.8 + 0.2j
+    (c,) = _curvature(_entries([-1.0], [z4], [z5]))
     np.testing.assert_array_equal(c, c.T)
-    assert c[0, 3] == z.zeta4.imag and c[1, 3] == -z.zeta4.real
-    assert c[0, 4] == -z.zeta5.real and c[1, 4] == -z.zeta5.imag
+    assert c[0, 3] == z4.imag and c[1, 3] == -z4.real
+    assert c[0, 4] == -z5.real and c[1, 4] == -z5.imag
 
 
 def test_cd_matrix_against_finite_difference_curvature():
@@ -161,7 +166,7 @@ def test_cd_matrix_against_finite_difference_curvature():
     sc = scene_from_ratios(GEOM, theta, psi, 10.0, 3.0, 0.8, 2, 1.5)
     k, ep, sig2 = sc.k_pulses, sc.e_p, sc.sigma_w2
     scale = 2.0 * k * ep / sig2
-    cd = cd_matrix(zeta_set(sc), scale=scale)
+    cd = scale * _curvature(_model([sc]))[0]
 
     _, a_i = raw_mimo(GEOM, theta, psi)
     res = k * ep * sc.alpha_i * a_i.ravel()
@@ -440,7 +445,7 @@ def test_closed_many_rejects_mixed_geometries_and_takes_empty():
     # the scene-list gather refuses mixed geometries; empty columns give empty columns
     other = scene_from_ratios(standard_virtual_ula(3, 8), 0.0, 0.1, 10.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="geometry"):
-        _sandwich_batch([fig2_scene(), other])
+        _sandwich(_model([fig2_scene(), other]), None)
     cols = mcrb_theta_closed_columns(GEOM, *[[]] * 7)
     assert [c.shape for c in cols] == [(0,)] * len(cols)
 
@@ -557,20 +562,26 @@ def test_closed_form_ratio_free_of_amplitude_scale(amp):
 # ---------------------------------------------------------------------------
 # batched sandwich against the scalar sandwich it replaced
 
-def _legacy_sandwich(scene, search=None, cond_threshold=1e12):
-    """The sandwich as it was written one scene at a time, before it became
-    a batch of one, with its zeta helper and the 5x5 layout inlined (zeta1
-    and zeta2 folded to 1); kept as an oracle."""
-    model = _model([scene])
-    z1 = z2 = 1.0
+def _legacy_curvature(model, z1=1.0, z2=1.0):
+    """The 5x5 curvature matrix of a one-scene model, laid out inline as the
+    scalar sandwich built it."""
     z4, z5 = complex(model.zeta4[0]), complex(model.zeta5[0])
-    z = np.array([
+    return np.array([
         [1.0, 0.0, 0.0, z4.imag, -z5.real],
         [0.0, 1.0, 0.0, -z4.real, -z5.imag],
         [0.0, 0.0, z1, 0.0, 0.0],
         [z4.imag, -z4.real, 0.0, z2, 0.0],
         [-z5.real, -z5.imag, 0.0, 0.0, float(model.zeta3[0])],
     ])
+
+
+def _legacy_sandwich(scene, search=None, cond_threshold=1e12):
+    """The sandwich as it was written one scene at a time, before it became
+    a batch of one, with its zeta helper and the 5x5 layout inlined (zeta1
+    and zeta2 folded to 1); kept as an oracle."""
+    model = _model([scene])
+    z1 = z2 = 1.0
+    z = _legacy_curvature(model, z1, z2)
     cond = float(np.linalg.cond(z))
     if not np.isfinite(cond) or cond > cond_threshold:
         raise ConditioningError(
@@ -588,20 +599,33 @@ def _legacy_sandwich(scene, search=None, cond_threshold=1e12):
     return m_matrix, BoundBreakdown(float(model.crb[0]), m_tt, th_a, b, m_tt + b)
 
 
-def test_sandwich_batch_matches_legacy_scalar_sandwich():
+def _legacy_batches():
+    """Six oracle batches, 1,000 scenes in all: 3x4, 3x16 and four random arrays."""
     rng = np.random.default_rng(616)
     geoms = [standard_virtual_ula(3, 4), standard_virtual_ula(3, 16)]
     geoms += [ArrayGeometry(tx_positions=np.sort(rng.uniform(-4, 4, int(m_t))),
                             rx_positions=np.sort(rng.uniform(-3, 3, int(m_r))))
               for m_t, m_r in zip(rng.integers(1, 5, 4), rng.integers(2, 9, 4))]
+    return [_oracle_scenes(geom, rng, n)
+            for geom, n in zip(geoms, [250, 250, 125, 125, 125, 125])]
+
+
+def test_curvature_equals_legacy_layout_bitwise():
+    for scenes in _legacy_batches():
+        want = np.array([_legacy_curvature(_model([sc])) for sc in scenes])
+        got = _curvature(_model(scenes))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sandwich_batch_matches_legacy_scalar_sandwich():
     counts = {"scenes": 0, "ill": 0}
-    for i, (geom, n) in enumerate(zip(geoms, [250, 250, 125, 125, 125, 125])):
-        scenes = _oracle_scenes(geom, rng, n)
+    for i, scenes in enumerate(_legacy_batches()):
+        mod = _model(scenes)
         cond_threshold = 1e12
         if i == 2:      # half the batch ill-conditioned
-            cond_threshold = float(np.median(_sandwich_batch(scenes)[2]))
-        ms, bbs, _ = _sandwich_batch(scenes, None, cond_threshold)
-        for sc, m, bb in zip(scenes, ms, bbs):
+            cond_threshold = float(np.median(_sandwich(mod, None)[2]))
+        ms, cols, _ = _sandwich(mod, None, cond_threshold)
+        for sc, m, bb in zip(scenes, ms, _breakdowns(cols)):
             try:
                 want_m, want = _legacy_sandwich(sc, None, cond_threshold)
             except ConditioningError:
@@ -630,14 +654,14 @@ def test_sandwich_gate_free_of_amplitude_unit():
                               float(rng.uniform(-math.pi, math.pi)),
                               int(rng.integers(1, 9)), float(rng.uniform(0.5, 3.0)))
             for _ in range(200)]
-    want = _sandwich_batch(base)[1]
+    want = _breakdowns(_sandwich(_model(base), None)[1])
     assert all(bb is not None for bb in want)
     for amp in (1e-8, 1e5, 1e6, 1e10):
         scaled = [MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                                  alpha_d=amp * sc.alpha_d, alpha_i=amp * sc.alpha_i,
                                  sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses,
                                  e_p=sc.e_p) for sc in base]
-        got = _sandwich_batch(scaled)[1]
+        got = _breakdowns(_sandwich(_model(scaled), None)[1])
         assert all(bb is not None for bb in got)
         for g, w in zip(got, want):
             assert g.m_theta_theta == pytest.approx(w.m_theta_theta, rel=1e-12)

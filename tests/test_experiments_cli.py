@@ -350,7 +350,8 @@ def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
 
 
 @pytest.mark.parametrize("path", ["search", "estimator"])
-@pytest.mark.parametrize("step", [-3, 0, 0.0, -1e-9, None, True, math.nan])
+@pytest.mark.parametrize("step", [-3, 0, 0.0, -1e-9, None, True, math.nan,
+                                  1e-4])   # 1e-4: about 1.2e6 grid points
 def test_coarse_step_must_be_positive_when_given(path, step):
     parse = ex.search_from_config if path == "search" else ex.estimator_from_config
     with pytest.raises(ConfigError, match=rf"^{path}\.coarse_step_deg: "):
@@ -378,6 +379,12 @@ def test_trials_cap_is_checked_before_any_scene(tmp_path, monkeypatch, capsys,
     assert main([name, "--trials", str(ex._MAX_TRIALS + 1),
                  "--out", str(tmp_path)]) == 1
     assert "trials" in capsys.readouterr().err
+    # a negative seed is refused before any scene too, from the config or the CLI
+    cfg["trials"], cfg["seed"] = 5, -1
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$"):
+        getattr(ex, f"run_{name}")(cfg, tmp_path)
+    assert main([name, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: seed: must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------
