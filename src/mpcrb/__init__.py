@@ -1,8 +1,7 @@
 """DOA estimation error bounds for colocated MIMO radar under single-bounce multipath."""
 
-from .arrays import (ArrayGeometry, SteeringSet, beampattern, e_adot,
-                     mimo_matrices, standard_virtual_ula, steering,
-                     virtual_hpbw, virtual_positions)
+from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
+                     standard_virtual_ula, steering, virtual_hpbw)
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
                      SingularInformationError, crb_theta, mcrb_sandwich,
@@ -10,8 +9,7 @@ from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
 from .estimation import RmseCurve, mml_doa, monte_carlo_rmse
 from .ground import (GroundScenario, RangePoint, indirect_geometry,
                      range_point, reflection_coefficient)
-from .scene import (MultipathScene, compressed_mean, delta_phi, multipath_free,
-                    scene_from_ratios, smr, snr, synthesize_compressed,
-                    wrap_phase)
+from .scene import (MultipathScene, compressed_mean, multipath_free,
+                    scene_from_ratios, synthesize_compressed, wrap_phase)
 
 __version__ = "0.1.0"

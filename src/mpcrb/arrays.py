@@ -53,8 +53,8 @@ class ArrayGeometry:
 
     def key(self) -> tuple:
         """Hashable identity of the positions: the cache key of the argmax
-        kernel's per-geometry constants, the same-geometry check of a bound
-        batch and the Monte-Carlo engine's grouping of a run by geometry."""
+        kernel's per-geometry constants and the same-geometry check that a
+        bound batch and a Monte-Carlo sweep share."""
         return (tuple(self.tx_positions), tuple(self.rx_positions))
 
 
@@ -82,11 +82,6 @@ def standard_virtual_ula(m_t: int, m_r: int) -> ArrayGeometry:
     rx = (np.arange(m_r) - (m_r - 1) / 2.0) * 0.5
     tx = (np.arange(m_t) - (m_t - 1) / 2.0) * (m_r / 2.0)
     return ArrayGeometry(tx_positions=tx, rx_positions=rx)
-
-
-def virtual_positions(geom: ArrayGeometry) -> np.ndarray:
-    """All pairwise sums of transmit and receive positions, sorted."""
-    return np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
 
 
 def _phasors(positions: np.ndarray, sines, root=None) -> np.ndarray:
@@ -171,9 +166,10 @@ def virtual_hpbw(geom: ArrayGeometry) -> float:
     """Half-power beamwidth of the virtual array, radians, at broadside.
 
     Uses the N*d-equivalent aperture of the virtual array (extent scaled by
-    n/(n-1)), which reproduces 0.886/(N*d) for uniform virtual ULAs.
+    n/(n-1)), which reproduces 0.886/(N*d) for uniform virtual ULAs.  The
+    virtual positions are all pairwise sums of transmit and receive positions.
     """
-    vpos = virtual_positions(geom)
+    vpos = np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
     n = vpos.size
     extent = float(vpos[-1] - vpos[0])
     if n < 2 or extent <= 0.0:

@@ -117,13 +117,19 @@ def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, e_p,
                   alpha_i * t0, alpha_i * t1)   # zeta4: slow-time scale folded to 1
 
 
-def _model(scenes: Sequence[MultipathScene]) -> _Model:
-    """:func:`_build` on the columns gathered from scenes on one geometry."""
+def _one_geometry(scenes: Sequence[MultipathScene]) -> ArrayGeometry:
+    """The one geometry of a batch or sweep of scenes; ValueError if mixed."""
     geom, key = scenes[0].geom, scenes[0].geom.key()
     if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
         raise ValueError("all scenes of a batch must share one array geometry")
-    return _build(geom, *zip(*[(sc.theta, sc.psi, sc.alpha_d, sc.alpha_i,
-                                sc.k_pulses, sc.e_p, sc.sigma_w2) for sc in scenes]))
+    return geom
+
+
+def _model(scenes: Sequence[MultipathScene]) -> _Model:
+    """:func:`_build` on the columns gathered from scenes on one geometry."""
+    return _build(_one_geometry(scenes), *zip(*[
+        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.e_p,
+         sc.sigma_w2) for sc in scenes]))
 
 
 def _informative(e_dot):
@@ -144,6 +150,7 @@ def crb_theta(scene: MultipathScene) -> float:
 _BLOCK = 64    # statistics per block of the argmax kernel's coarse scan
 _TILE_BYTES = 1 << 18   # V per tile of the coarse scan: a 3x4 grid is one tile
 _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
+_COND_THRESHOLD = 1e12   # the sandwich's gate on the curvature's condition number
 
 
 @lru_cache(maxsize=32)
@@ -197,6 +204,11 @@ def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
     return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2
 
 
+def _default_step(geom: ArrayGeometry) -> float:
+    """The coarse step of a search that gives none: virtual-array beamwidth / 20."""
+    return virtual_hpbw(geom) / 20.0
+
+
 def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
                    prefer: np.ndarray | None = None):
     """Coarse grid (step ``search.coarse_step``, or the virtual-array beamwidth
@@ -207,7 +219,7 @@ def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
     statistics fills one (block, G) array of values, one tile of V at a time;
     distances to prefer only for a block where a row has 0 or 2+ ties."""
     lo, hi = search.span
-    step = search.coarse_step or virtual_hpbw(geom) / 20.0
+    step = search.coarse_step or _default_step(geom)
     n_grid = max(2, int(math.ceil((hi - lo) / step)) + 1)
     angles, tiles = _grid(geom, lo, hi, n_grid)
     flat = y.reshape(len(y), geom.m_r * geom.m_t)
@@ -361,18 +373,19 @@ def _curvature(mod: _Model) -> np.ndarray:
     return z
 
 
-def _sandwich(mod: _Model, search: SearchConfig | None, cond_threshold: float = 1e12):
+def _sandwich(mod: _Model, search: SearchConfig | None):
     """Sandwich matrices C_D^{-1} J C_D^{-1} (void where Z is ill-conditioned),
-    bound columns with M their (theta, theta) element, valid where the gate on Z
-    passes, and condition numbers.  The gate reads Z of the amplitude-normalised
-    scene (alpha_d, alpha_i over |alpha_d|, zeta2 = 1), free of the amplitude unit."""
+    bound columns with M their (theta, theta) element, valid where the gate
+    cond(Z) <= ``_COND_THRESHOLD`` passes, and condition numbers.  The gate reads
+    Z of the amplitude-normalised scene (alpha_d, alpha_i over |alpha_d|,
+    zeta2 = 1), free of the amplitude unit."""
     z = _curvature(mod)
     u = np.ones((len(z), 5))
     u[:, 3:] = 1.0 / np.where(mod.alpha_d == 0, 1.0, np.abs(mod.alpha_d))[:, None]
     z_unit = u[:, :, None] * z * u[:, None, :]
     z_unit[:, 3, 3] = 1.0
     cond = np.linalg.cond(z_unit)
-    ok = np.isfinite(cond) & (cond <= cond_threshold)
+    ok = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
     _informative(mod.e_dot[ok])
     j = np.ones((len(z), 5))   # diagonal of J: (1, 1, 1, 1, I)
     j[:, 4] = np.abs(mod.alpha_d) ** 2 * mod.e_dot
@@ -381,8 +394,7 @@ def _sandwich(mod: _Model, search: SearchConfig | None, cond_threshold: float = 
     return m, _bound_columns(mod, m[:, 4, 4], ok, search), cond
 
 
-def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None,
-                  cond_threshold: float = 1e12):
+def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None):
     """Numerical sandwich C_D^{-1} J C_D^{-1} and its DOA breakdown.
 
     Returns ``(m_matrix, breakdown)`` where ``m_matrix`` is the full 5x5
@@ -392,9 +404,9 @@ def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None,
     scale, the convention on which the (theta, theta) element depends.
     One row of :func:`_sandwich`, raising where it is not valid.
     """
-    m, cols, (cond,) = _sandwich(_model([scene]), search, cond_threshold)
+    m, cols, (cond,) = _sandwich(_model([scene]), search)
     if not cols.valid[0]:
         raise ConditioningError(
-            f"curvature matrix condition {cond:.3e} exceeds {cond_threshold:.1e}",
+            f"curvature matrix condition {cond:.3e} exceeds {_COND_THRESHOLD:.1e}",
             condition=float(cond))
     return m[0], _breakdowns(cols)[0]

@@ -75,16 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility and ignored: "
                             "runs are single-threaded")
-    p = sub.add_parser("selftest", help="run the analytic invariant checks")
-    p.add_argument("--inject-fault", choices=["dda"],
-                   help="perturb the steering curvature to prove the check trips")
+    sub.add_parser("selftest", help="run the analytic invariant checks")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
-        ok, lines = run_selftest(inject_fault=args.inject_fault)
+        ok, lines = run_selftest()
         for line in lines:
             print(line)
         print("selftest:", "all checks passed" if ok else "FAILURES present")

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .arrays import ArrayGeometry, mimo_matrices, steering
-from .bounds import SearchConfig, _argmax_projection
+from .bounds import SearchConfig, _argmax_projection, _one_geometry
 from .scene import MultipathScene
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
@@ -59,59 +58,54 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
                      base_seed: int) -> RmseCurve:
     """RMSE and mean bias of the misspecified estimator per swept scene.
 
-    Scene ``i`` draws its ``trials`` statistics in order from its own
-    stream, seeded by (base_seed, i).  Consecutive scenes on one geometry
-    are packed into estimator calls of at most ``_MC_CHUNK`` statistics, a
-    scene split across calls where needed, so memory is bounded by the
-    chunk.  Trial t of scene i is the same statistic whatever the packing,
-    and the reduction uses exact compensated summation, so the curve does
-    not depend on the chunk size and ``trials`` = n is a prefix of any
-    larger count.
+    Every scene of a sweep is on one geometry; a mixed sweep is refused
+    with the same ValueError as a mixed bound batch.  Scene ``i`` draws its
+    ``trials`` statistics in order from its own stream, seeded by
+    (base_seed, i).  Consecutive scenes are packed into estimator calls of
+    at most ``_MC_CHUNK`` statistics, a scene split across calls where
+    needed, so memory is bounded by the chunk.  Trial t of scene i is the
+    same statistic whatever the packing, and the reduction uses exact
+    compensated summation, so the curve does not depend on the chunk size
+    and ``trials`` = n is a prefix of any larger count.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    results, done = [], []   # done: error pieces of the scene being completed
-    pieces = []              # (theta, statistics) held in the chunk buffer
+    if not scene_sweep:
+        return RmseCurve((), (), trials, base_seed)
+    geom = _one_geometry(scene_sweep)   # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
+    theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
+        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
+        for sc in scene_sweep]))
+    A_d, A_i = mimo_matrices(steering(geom, theta), steering(geom, psi))[:2]
+    means = kep[:, None, None] * (alpha_d[:, None, None] * A_d
+                                  + alpha_i[:, None, None] * A_i)
+    buf = np.empty((min(_MC_CHUNK, trials * len(means)),) + means.shape[1:],
+                   dtype=complex)
+    results, est = [], np.empty(0)   # est: estimates not yet reduced, in order
 
-    def flush(geom, y):
-        est = _argmax_projection(y, geom, cfg or MML_SEARCH)
-        start = 0
-        for theta, n in pieces:
-            done.append(est[start:start + n] - theta)
-            start += n
-            if sum(map(len, done)) == trials:
-                results.append(_reduce(np.concatenate(done)))
-                done.clear()
-        pieces.clear()
+    def flush(y):   # the next scene is complete once its trials estimates are in
+        nonlocal est
+        est = np.concatenate((est, _argmax_projection(y, geom, cfg or MML_SEARCH)))
+        while len(est) >= trials:
+            results.append(_reduce(est[:trials] - theta[len(results)]))
+            est = est[trials:]
 
-    for _, run in groupby(enumerate(scene_sweep), lambda t: t[1].geom.key()):
-        indices, run = zip(*run)
-        geom = run[0].geom      # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
-        theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
-            (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
-            for sc in run]))
-        A_d, A_i = mimo_matrices(steering(geom, theta), steering(geom, psi))[:2]
-        means = kep[:, None, None] * (alpha_d[:, None, None] * A_d
-                                      + alpha_i[:, None, None] * A_i)
-        buf = np.empty((min(_MC_CHUNK, trials * len(run)),) + means.shape[1:],
-                       dtype=complex)
-        fill = 0
-        for idx, scene, mean in zip(indices, run, means):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence((int(base_seed), idx))))
-            scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
-            left = trials
-            while left:     # real, then imaginary parts, as synthesize_compressed
-                take = min(left, len(buf) - fill)
-                w = rng.standard_normal((take, 2) + mean.shape)
-                buf[fill:fill + take] = mean + scale * (w[:, 0] + 1j * w[:, 1])
-                pieces.append((scene.theta, take))
-                fill, left = fill + take, left - take
-                if fill == len(buf):
-                    flush(geom, buf)
-                    fill = 0
-        if fill:
-            flush(geom, buf[:fill])
+    fill = 0
+    for idx, (scene, mean) in enumerate(zip(scene_sweep, means)):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((int(base_seed), idx))))
+        scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
+        left = trials
+        while left:     # real, then imaginary parts, as synthesize_compressed
+            take = min(left, len(buf) - fill)
+            w = rng.standard_normal((take, 2) + mean.shape)
+            buf[fill:fill + take] = mean + scale * (w[:, 0] + 1j * w[:, 1])
+            fill, left = fill + take, left - take
+            if fill == len(buf):
+                flush(buf)
+                fill = 0
+    if fill:
+        flush(buf[:fill])
     return RmseCurve(rmse_rad=tuple(r for r, _ in results),
                      bias_rad=tuple(b for _, b in results), trials=trials,
                      base_seed=base_seed)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -49,29 +48,12 @@ class MultipathScene:
             raise ValueError("require sigma_w2 > 0, e_p > 0, k_pulses >= 1")
 
 
-def smr(scene: MultipathScene) -> float:
-    """Signal-to-multipath power ratio; +inf for the multipath-free case."""
-    if scene.alpha_i == 0:
-        return math.inf
-    return abs(scene.alpha_d) ** 2 / abs(scene.alpha_i) ** 2
-
-
-def snr(scene: MultipathScene) -> float:
-    return abs(scene.alpha_d) ** 2 / scene.sigma_w2
-
-
-def delta_phi(scene: MultipathScene) -> float:
-    """Phase of the direct path relative to the indirect path, in (-pi, pi]."""
-    return wrap_phase(cmath.phase(scene.alpha_d) - cmath.phase(scene.alpha_i))
-
-
 def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,
                       snr_db: float, smr_db: float, dphi: float,
                       k_pulses: int = 1, e_p: float = 1.0) -> MultipathScene:
-    """Scene with alpha_d = 1 as the reference and the stated power ratios.
-
-    The phase difference is placed on alpha_i, so smr/snr/delta_phi recover
-    (smr_db, snr_db, dphi) exactly.
+    """Scene with alpha_d = 1 as the reference and the stated power ratios:
+    SNR |alpha_d|^2 / sigma_w2, SMR |alpha_d|^2 / |alpha_i|^2 and the phase
+    difference arg(alpha_d) - arg(alpha_i), which is placed on alpha_i.
     """
     alpha_d = 1.0 + 0.0j
     sigma_w2 = 10.0 ** (-snr_db / 10.0)
@@ -94,27 +76,21 @@ def compressed_mean(scene: MultipathScene) -> np.ndarray:
     return scene.k_pulses * scene.e_p * (scene.alpha_d * A_d + scene.alpha_i * A_i)
 
 
-def synthesize_compressed(scene: MultipathScene, noise_seed,
-                          n: int | None = None) -> np.ndarray:
-    """One realization of the compressed statistic Y (shape M_r x M_t), or
-    with ``n`` a stack of ``n`` consecutive realizations (n, M_r, M_t).
+def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
+    """One realization of the compressed statistic Y (shape M_r x M_t).
 
     ``noise_seed`` may be an int (or tuple of ints) fed to a counter-style
     SeedSequence, or an already-constructed numpy Generator; the same seed
     always yields the same noise.  Noise entries are independent circular
     complex Gaussians with variance K*E_p*sigma_w2.  Each realization draws
-    its real, then its imaginary parts from the stream, so ``n`` statistics
-    are the ``n`` single ones drawn in turn from the same Generator.
+    its real, then its imaginary parts from the stream, so calls on one
+    Generator give the statistics that the Monte-Carlo engine draws in turn.
     """
-    if n is not None and (isinstance(n, bool) or not isinstance(n, Integral)
-                          or n < 1):
-        raise ValueError(f"n must be an int >= 1 or None, got {n!r}")
     if isinstance(noise_seed, np.random.Generator):
         rng = noise_seed
     else:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(noise_seed)))
     mean = compressed_mean(scene)
     scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
-    w = rng.standard_normal((1 if n is None else n, 2) + mean.shape)
-    y = mean + scale * (w[:, 0] + 1j * w[:, 1])
-    return y[0] if n is None else y
+    w = rng.standard_normal((2,) + mean.shape)
+    return mean + scale * (w[0] + 1j * w[1])

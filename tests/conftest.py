@@ -3,8 +3,8 @@
 These deliberately re-derive quantities from raw element positions (plain
 loops / explicit outer products) so they stay independent of the package's
 own linear-algebra paths.  The matched-model FIM, the paper-form pseudo-true
-angle and the scalar path coefficients are reference forms that only the
-tests use.
+angle, the scalar path coefficients and the scene power ratios are reference
+forms that only the tests use.
 """
 
 import cmath
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpcrb import MultipathScene, SearchConfig, e_adot, steering
+from mpcrb import MultipathScene, SearchConfig, e_adot, steering, wrap_phase
 from mpcrb.bounds import _informative, _model, _pseudo_true
 
 
@@ -114,3 +114,13 @@ def path_coefficients(p: PathGeometryInputs) -> tuple[complex, complex]:
     alpha_i = (p.alpha_0i * abs(p.gamma_t) * abs(p.gamma_r)
                * cmath.exp(1j * (ang_t + ang_r + phi_ri)))
     return alpha_d, alpha_i
+
+
+def scene_ratios(scene: MultipathScene) -> tuple[float, float, float]:
+    """(SNR, SMR, delta_phi) of a scene: |alpha_d|^2 / sigma_w2, |alpha_d|^2 /
+    |alpha_i|^2 (+inf without multipath) and arg(alpha_d) - arg(alpha_i)
+    wrapped to (-pi, pi]."""
+    p_d = abs(scene.alpha_d) ** 2
+    smr = math.inf if scene.alpha_i == 0 else p_d / abs(scene.alpha_i) ** 2
+    dphi = wrap_phase(cmath.phase(scene.alpha_d) - cmath.phase(scene.alpha_i))
+    return p_d / scene.sigma_w2, smr, dphi

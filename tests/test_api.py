@@ -1,7 +1,8 @@
-"""The public surface, pinned: the root export names and the parameter names,
-in order, of every public function and constructor.  A name or option added
-or removed shows up here first."""
+"""The public surface, pinned: the root export names, the parameter names,
+in order, of every public function and constructor, and each subcommand's
+command-line options.  A name or option added or removed shows up here first."""
 
+import argparse
 import inspect
 import types
 
@@ -11,13 +12,13 @@ from mpcrb import cli, experiments
 ROOT_EXPORTS = [
     "ArrayGeometry", "BoundBreakdown", "BoundsError", "ConditioningError",
     "DegenerateBoundError", "GroundScenario", "MultipathScene", "RangePoint",
-    "RmseCurve", "SearchConfig", "SingularInformationError", "SteeringSet",
-    "beampattern", "compressed_mean", "crb_theta", "delta_phi", "e_adot",
-    "indirect_geometry", "mcrb_sandwich", "mcrb_theta_closed", "mimo_matrices",
-    "mml_doa", "monte_carlo_rmse", "multipath_free", "range_point",
-    "reflection_coefficient", "scene_from_ratios", "smr", "snr",
-    "standard_virtual_ula", "steering", "synthesize_compressed", "theta_a",
-    "virtual_hpbw", "virtual_positions", "wrap_phase",
+    "RmseCurve", "SearchConfig", "SingularInformationError", "beampattern",
+    "compressed_mean", "crb_theta", "e_adot", "indirect_geometry",
+    "mcrb_sandwich", "mcrb_theta_closed", "mimo_matrices", "mml_doa",
+    "monte_carlo_rmse", "multipath_free", "range_point",
+    "reflection_coefficient", "scene_from_ratios", "standard_virtual_ula",
+    "steering", "synthesize_compressed", "theta_a", "virtual_hpbw",
+    "wrap_phase",
 ]
 
 RECIPE = ("config", "out_dir", "svg", "workers")
@@ -39,14 +40,12 @@ PARAMETERS = {
     "RmseCurve": ("rmse_rad", "bias_rad", "trials", "base_seed"),
     "SearchConfig": ("span", "coarse_step", "refine_tol"),
     "SingularInformationError": None,
-    "SteeringSet": ("a_r", "a_t", "da_r", "da_t", "dda_r", "dda_t"),
     "beampattern": ("geom", "steer", "grid"),
     "compressed_mean": ("scene",),
     "crb_theta": ("scene",),
-    "delta_phi": ("scene",),
     "e_adot": ("s",),
     "indirect_geometry": ("r_d", "theta", "h_r"),
-    "mcrb_sandwich": ("scene", "search", "cond_threshold"),
+    "mcrb_sandwich": ("scene", "search"),
     "mcrb_theta_closed": ("scene", "search"),
     "mimo_matrices": ("s_target", "s_reflect"),
     "mml_doa": ("y", "geom", "cfg"),
@@ -56,21 +55,17 @@ PARAMETERS = {
     "reflection_coefficient": ("psi", "eps_r", "gamma_cond", "wavelength"),
     "scene_from_ratios": ("geom", "theta", "psi", "snr_db", "smr_db", "dphi",
                           "k_pulses", "e_p"),
-    "smr": ("scene",),
-    "snr": ("scene",),
     "standard_virtual_ula": ("m_t", "m_r"),
     "steering": ("geom", "theta"),
-    "synthesize_compressed": ("scene", "noise_seed", "n"),
+    "synthesize_compressed": ("scene", "noise_seed"),
     "theta_a": ("scene", "search"),
     "virtual_hpbw": ("geom",),
-    "virtual_positions": ("geom",),
     "wrap_phase": ("x",),
     # config parsers, recipes and the command line
     "experiments.estimator_from_config": ("cfg",),
     "experiments.geometry_from_config": ("cfg", "path"),
     "experiments.scenario_from_config": ("config",),
-    "experiments.scene_from_config": ("cfg", "geom", "snr_db", "smr_db", "dphi",
-                                      "psi_rad"),
+    "experiments.scene_from_config": ("cfg", "geom", "snr_db", "dphi", "psi_rad"),
     "experiments.search_from_config": ("cfg",),
     "experiments.run_beampattern": RECIPE,
     "experiments.run_bounds": RECIPE,
@@ -80,8 +75,15 @@ PARAMETERS = {
     "experiments.run_fig5": RECIPE,
     "experiments.run_montecarlo": RECIPE,
     "experiments.run_scenario": RECIPE,
-    "experiments.run_selftest": ("inject_fault",),
+    "experiments.run_selftest": (),
     "cli.main": ("argv",),
+}
+
+RUN_OPTIONS = ("--config", "--out", "--trials", "--seed", "--svg", "--workers")
+CLI_OPTIONS = {
+    "bounds": RUN_OPTIONS, "fig2": RUN_OPTIONS, "fig3": RUN_OPTIONS,
+    "fig4": RUN_OPTIONS, "fig5": RUN_OPTIONS, "scenario": RUN_OPTIONS,
+    "montecarlo": RUN_OPTIONS, "beampattern": RUN_OPTIONS, "selftest": (),
 }
 
 
@@ -109,3 +111,12 @@ def test_public_parameters_are_pinned():
                 if name.endswith("_from_config") or name.startswith("run_")})
     got["cli.main"] = _parameters(cli.main)
     assert got == PARAMETERS
+
+
+def test_cli_options_are_pinned():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    got = {name: tuple(opt for action in parser._actions
+                       for opt in action.option_strings if opt not in ("-h", "--help"))
+           for name, parser in sub.choices.items()}
+    assert got == CLI_OPTIONS

@@ -3,10 +3,14 @@ import pytest
 from conftest import fd_steering_derivative
 
 from mpcrb import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
-                   standard_virtual_ula, steering, virtual_hpbw,
-                   virtual_positions)
+                   standard_virtual_ula, steering, virtual_hpbw)
 
 RNG = np.random.default_rng(101)
+
+
+def virtual_positions(geom):
+    """All pairwise sums of transmit and receive positions, sorted."""
+    return np.sort(np.add.outer(geom.tx_positions, geom.rx_positions).ravel())
 
 
 def random_geometry(rng=RNG, m_t=None, m_r=None):

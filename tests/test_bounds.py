@@ -14,6 +14,7 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    SingularInformationError, compressed_mean, crb_theta,
                    e_adot, mcrb_sandwich, mcrb_theta_closed, mimo_matrices,
                    scene_from_ratios, standard_virtual_ula, steering, theta_a)
+from mpcrb import bounds
 from mpcrb.bounds import (_breakdowns, _curvature, _informative, _model,
                           _pseudo_true, _sandwich, mcrb_theta_closed_columns)
 
@@ -346,10 +347,11 @@ def test_sandwich_vs_closed_fig2_comparison_recorded():
     assert closed.m_theta_theta < sand.m_theta_theta
 
 
-def test_sandwich_conditioning_error():
+def test_sandwich_conditioning_error(monkeypatch):
     sc = fig2_scene()
-    with pytest.raises(ConditioningError) as err:
-        mcrb_sandwich(sc, cond_threshold=1.0)
+    monkeypatch.setattr(bounds, "_COND_THRESHOLD", 1.0)
+    with pytest.raises(ConditioningError, match="exceeds 1.0e[+]00") as err:
+        mcrb_sandwich(sc)
     assert err.value.condition > 1.0
 
 
@@ -617,14 +619,15 @@ def test_curvature_equals_legacy_layout_bitwise():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_sandwich_batch_matches_legacy_scalar_sandwich():
+def test_sandwich_batch_matches_legacy_scalar_sandwich(monkeypatch):
     counts = {"scenes": 0, "ill": 0}
     for i, scenes in enumerate(_legacy_batches()):
         mod = _model(scenes)
         cond_threshold = 1e12
         if i == 2:      # half the batch ill-conditioned
             cond_threshold = float(np.median(_sandwich(mod, None)[2]))
-        ms, cols, _ = _sandwich(mod, None, cond_threshold)
+        monkeypatch.setattr(bounds, "_COND_THRESHOLD", cond_threshold)
+        ms, cols, _ = _sandwich(mod, None)
         for sc, m, bb in zip(scenes, ms, _breakdowns(cols)):
             try:
                 want_m, want = _legacy_sandwich(sc, None, cond_threshold)

@@ -146,7 +146,7 @@ def test_trials_follow_the_single_statistic_path(monkeypatch):
     got = _engine_errors(monkeypatch, scenes, trials, 4242)
     for i, sc in enumerate(scenes):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4242, i))))
-        ys = synthesize_compressed(sc, rng, trials)
+        ys = [synthesize_compressed(sc, rng) for _ in range(trials)]
         want = [mml_doa(ys[t], GEOM) - sc.theta for t in range(trials)]
         assert got[i].tolist() == want
 
@@ -160,14 +160,29 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(monkeypatch):
 
 
 def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
-    # a 3x4 and a 3x8 geometry interleaved, with runs of equal geometry
-    other = standard_virtual_ula(3, 8)
-    scenes = [scene_from_ratios(g, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8, 1.0)
-              for g, s in ((GEOM, 0.0), (GEOM, 10.0), (other, 5.0),
-                           (GEOM, 20.0), (other, 15.0), (other, 25.0))]
-    whole = monte_carlo_rmse(scenes, None, 10, 31337)
-    monkeypatch.setattr(estimation, "_MC_CHUNK", 7)
-    assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
+    # a 3x4 and a 3x8 sweep of three scenes each; 7 splits every scene's 10 trials
+    for geom, snrs in ((GEOM, (0.0, 10.0, 20.0)),
+                       (standard_virtual_ula(3, 8), (5.0, 15.0, 25.0))):
+        scenes = [scene_from_ratios(geom, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8, 1.0)
+                  for s in snrs]
+        whole = monte_carlo_rmse(scenes, None, 10, 31337)
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_MC_CHUNK", 7)
+            assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
+
+
+def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():
+    # equal positions on another object count as one geometry
+    same = scene_from_ratios(standard_virtual_ula(3, 4), 0.0, 0.01, 5.0, 3.0, 0.4)
+    assert monte_carlo_rmse([fig2_scene(), same], None, 2, 1).trials == 2
+    mixed = [fig2_scene(), scene_from_ratios(standard_virtual_ula(3, 8), 0.0,
+                                             0.01, 5.0, 3.0, 0.4)]
+    with pytest.raises(ValueError) as batch:
+        bounds._model(mixed)
+    with pytest.raises(ValueError) as sweep:
+        monte_carlo_rmse(mixed, None, 2, 1)
+    assert str(sweep.value) == str(batch.value) == (
+        "all scenes of a batch must share one array geometry")
 
 
 def _explicit_step(geom, cfg):

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpcrb import svgplot
+from mpcrb import bounds, svgplot
+from mpcrb.arrays import mimo_matrices
 from mpcrb.cli import _RUNNERS, load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
@@ -184,21 +185,32 @@ def test_bounds_runner(tmp_path):
         math.degrees(math.sqrt(vals["mcrb_rad2"])), rel=1e-12)
 
 
-def test_selftest_passes_and_fault_injection_trips():
+def _perturb_steering_curvature(monkeypatch):
+    """Add 1e-3 to every entry of the selftest's analytic ddA_d."""
+    def perturbed(s_target, s_reflect):
+        A_d, A_i, dA_d, ddA_d = mimo_matrices(s_target, s_reflect)
+        return A_d, A_i, dA_d, ddA_d + 1e-3
+    monkeypatch.setattr(ex, "mimo_matrices", perturbed)
+
+
+def test_selftest_passes_and_fault_injection_trips(monkeypatch):
     ok, lines = run_selftest()
     assert ok
     assert any(line.startswith("INFO closed-form-vs-sandwich") for line in lines)
-    bad, lines = run_selftest(inject_fault="dda")
+    _perturb_steering_curvature(monkeypatch)
+    bad, lines = run_selftest()
     assert not bad
-    assert any(line.startswith("FAIL steering-curvature-identity-i4")
-               for line in lines)
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL steering-curvature-identity-i4"]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
-    # selftest: exit 0 iff the checks pass; the injected fault must fail them
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+    # selftest: exit 0 iff the checks pass; a perturbed curvature must fail them
     assert main(["selftest"]) == 0
-    assert main(["selftest", "--inject-fault", "dda"]) == 1
-    capsys.readouterr()
+    with monkeypatch.context() as m:
+        _perturb_steering_curvature(m)
+        assert main(["selftest"]) == 1
+    assert "FAIL steering-curvature-identity-i4" in capsys.readouterr().out
 
     # single-point degenerate bound -> exit 2
     cfg = load_preset("bounds")
@@ -435,8 +447,8 @@ def test_fig4_cells_match_per_scene_bounds(tmp_path):
     geom, search = ex.geometry_from_config(cfg), ex.search_from_config(cfg)
     empty = 0
     for row in rows:
-        scenes = [ex.scene_from_config(cfg, geom, smr_db=float(row[0]), dphi=dphi,
-                                       psi_rad=0.0)
+        scenes = [ex._parse_scene(cfg, geom, smr_db=float(row[0]), dphi=dphi,
+                                  psi_rad=0.0)[0]
                   for dphi in cfg["delta_phis_rad"]]
         for cell, scene in zip(row[1:3], scenes):
             bb = _scalar_bound(scene, search)
@@ -647,22 +659,28 @@ def _numeric_leaves(node, path=()):
         yield path
 
 
-def _set_leaf(cfg, path, value):
-    for key in path[:-1]:
+def _leaf(cfg, path):
+    for key in path:
         cfg = cfg[key]
-    cfg[path[-1]] = value
+    return cfg
+
+
+def _set_leaf(cfg, path, value):
+    _leaf(cfg, path[:-1])[path[-1]] = value
 
 
 def test_config_mutations_return_or_raise_a_mapped_error(tmp_path):
     # every number of every preset at +-1e300 and +-4000, on 3-point axes and
-    # 5 trials.  The values are floats, so no integer field builds a
-    # 4,000-element array.  cli.main maps ConfigError, BoundsError and
-    # ValueError to exit 1 or 2; any other exception is a traceback.
+    # 5 trials, and every integer at 10**400, beyond the float range.  The
+    # other values are floats, so no integer field builds a 4,000-element
+    # array.  cli.main maps ConfigError, BoundsError and ValueError to exit 1
+    # or 2; any other exception is a traceback.
     failures = []
     for name, run in _RUNNERS.items():
         base = thinned_preset(name, points=3, trials=5)
         for path in _numeric_leaves(base):
-            for value in (1e300, -1e300, 4000.0, -4000.0):
+            huge = [10 ** 400] if isinstance(_leaf(base, path), int) else []
+            for value in [1e300, -1e300, 4000.0, -4000.0] + huge:
                 cfg = copy.deepcopy(base)
                 _set_leaf(cfg, path, value)
                 try:
@@ -690,6 +708,64 @@ def test_cli_refuses_powers_outside_the_float_range(tmp_path, capsys, recipe,
     assert main([recipe, "--config", str(p), "--out", str(tmp_path)]) == 1
     named = key.removesuffix(".start")   # a swept ratio is named by its axis
     assert capsys.readouterr().err.startswith(f"config error: {named}: ")
+
+
+@pytest.mark.parametrize("recipe, key, value, message", [
+    ("bounds", "scene.k_pulses", 10 ** 400,
+     "scene.k_pulses: must be <= 9007199254740992, got 1000"),
+    ("scenario", "k_pulses", 10 ** 400,
+     "k_pulses: must be <= 9007199254740992, got 1000"),
+    ("bounds", "scene.snr_db", -10 ** 400,
+     "scene.snr_db: expected a finite number, got -1000"),
+    ("bounds", "geometry.m_t", 10 ** 400, "geometry.m_t: must be <= 64, got 1000"),
+    ("bounds", "geometry", {"m_t": 64, "m_r": 64},
+     "geometry: virtual aperture too wide: the default search grid would take "
+     "1.452e+05 points over pi rad, above the cap of 65536"),
+    ("fig2", "geometry", {"tx_positions": [0.0] * 65, "rx_positions": [0.5]},
+     "geometry.tx_positions: 65 elements exceed the cap of 64 per array"),
+    ("fig2", "geometry", {"tx_positions": [10 ** 400], "rx_positions": [0.5]},
+     "geometry: int too large to convert to float"),
+    ("scenario", "geometries.3x16", {"m_t": 3, "m_r": 10 ** 400},
+     "geometries.3x16.m_r: must be <= 64, got 1000")],
+    ids=["k_pulses", "scenario-k_pulses", "snr_db", "m_t", "64x64", "positions",
+         "huge-position", "scenario-m_r"])
+def test_cli_refuses_integers_and_arrays_beyond_their_caps(tmp_path, capsys,
+                                                           recipe, key, value,
+                                                           message):
+    # the integers raised OverflowError; 64x64 built a 189 MiB phasor block
+    cfg = load_preset(recipe)
+    _set_leaf(cfg, key.split("."), value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert main([recipe, "--config", str(p), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_largest_pulse_count_runs(tmp_path):
+    # 2^53, the cap, is the largest count that a float holds exactly
+    for recipe in ("bounds", "scenario"):
+        cfg = thinned_preset(recipe, points=3)
+        _set_leaf(cfg, ["scene", "k_pulses"] if recipe == "bounds" else ["k_pulses"],
+                  ex.MAX_PULSES)
+        _, rows = read_csv(getattr(ex, f"run_{recipe}")(cfg, tmp_path)["csv"])
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row
+                            if v not in ("", "true", "false"))
+
+
+def test_default_grid_stays_within_the_cap_at_the_widest_aperture():
+    # 28x64 (896 wavelengths) is the widest standard 64-element-receive array
+    # that the aperture cap lets through: over the widest span, just under
+    # +-90 deg, its default grid keeps within MAX_COARSE_POINTS; 29x64 is refused
+    geom = ex.geometry_from_config({"geometry": {"m_t": 28, "m_r": 64}})
+    half = math.nextafter(math.pi / 2, 0.0)
+    assert math.ceil(2 * half / bounds._default_step(geom)) + 1 <= ex.MAX_COARSE_POINTS
+    with pytest.raises(ConfigError, match="geometry: virtual aperture too wide"):
+        ex.geometry_from_config({"geometry": {"m_t": 29, "m_r": 64}})
+    for name in _RUNNERS:   # every preset geometry parses
+        cfg = load_preset(name)
+        for path in (["geometry"] if "geometry" in cfg else
+                     [f"geometries.{g}" for g in cfg["geometries"]]):
+            ex.geometry_from_config(cfg, path)
 
 
 def test_mc_rmse_of_statistics_near_the_float_limit(tmp_path):

@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PathGeometryInputs, path_coefficients
+from conftest import PathGeometryInputs, path_coefficients, scene_ratios
 
-from mpcrb import (GroundScenario, MultipathScene, delta_phi,
-                   indirect_geometry, range_point, reflection_coefficient,
-                   smr, snr, standard_virtual_ula, wrap_phase)
+from mpcrb import (GroundScenario, MultipathScene, indirect_geometry,
+                   range_point, reflection_coefficient, standard_virtual_ula,
+                   wrap_phase)
 from mpcrb.ground import range_columns
 
 
@@ -174,10 +174,10 @@ def _scalar_range_physics(scn, r_d):
     scene = MultipathScene(geom=scn.geom, **fields)
     same_cell = ((r_i - r_d) < scn.r_res
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
-    smr_v = smr(scene)
+    snr_v, smr_v, dphi = scene_ratios(scene)
     return (r_d, r_i, psi, gamma_r,
             10.0 * math.log10(smr_v) if math.isfinite(smr_v) else math.inf,
-            delta_phi(scene), 10.0 * math.log10(snr(scene)), same_cell), fields
+            dphi, 10.0 * math.log10(snr_v), same_cell), fields
 
 
 @pytest.mark.parametrize("theta_deg, h_r, stop, v_res", [

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import PathGeometryInputs, path_coefficients, raw_mimo
+from conftest import (PathGeometryInputs, path_coefficients, raw_mimo,
+                      scene_ratios)
 
-from mpcrb import (MultipathScene, compressed_mean, delta_phi,
-                   scene_from_ratios, smr, snr, standard_virtual_ula,
-                   synthesize_compressed, wrap_phase)
+from mpcrb import (MultipathScene, compressed_mean, scene_from_ratios,
+                   standard_virtual_ula, synthesize_compressed, wrap_phase)
+from mpcrb import scene
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(202)
@@ -58,21 +59,23 @@ def test_path_inputs_validation():
 def test_ratio_definitions():
     sc = MultipathScene(geom=GEOM, theta=0.0, psi=0.01, alpha_d=1.0 + 0j,
                         alpha_i=1.0 + 0j, sigma_w2=0.1)
-    assert smr(sc) == pytest.approx(1.0)
-    assert snr(sc) == pytest.approx(10.0)
-    assert delta_phi(sc) == 0.0
+    snr, smr, dphi = scene_ratios(sc)
+    assert smr == pytest.approx(1.0)
+    assert snr == pytest.approx(10.0)
+    assert dphi == 0.0
 
     sc = MultipathScene(geom=GEOM, theta=0.0, psi=0.01, alpha_d=1.0 + 0j,
                         alpha_i=cmath.exp(2j * math.pi / 3) / math.sqrt(10),
                         sigma_w2=1.0)
-    assert 10 * math.log10(smr(sc)) == pytest.approx(10.0, abs=1e-12)
-    assert delta_phi(sc) == pytest.approx(-2 * math.pi / 3, abs=1e-12)
+    _, smr, dphi = scene_ratios(sc)
+    assert 10 * math.log10(smr) == pytest.approx(10.0, abs=1e-12)
+    assert dphi == pytest.approx(-2 * math.pi / 3, abs=1e-12)
 
 
 def test_smr_infinite_sentinel():
     sc = MultipathScene(geom=GEOM, theta=0.0, psi=0.01, alpha_d=1.0 + 0j,
                         alpha_i=0.0 + 0j, sigma_w2=1.0)
-    assert smr(sc) == math.inf
+    assert scene_ratios(sc)[1] == math.inf
 
 
 def test_scene_from_ratios_unit_case():
@@ -88,9 +91,10 @@ def test_scene_from_ratios_round_trip():
         smr_db = float(RNG.uniform(-20, 40))
         dphi = float(RNG.uniform(-math.pi + 1e-9, math.pi))
         sc = scene_from_ratios(GEOM, 0.0, 0.02, snr_db, smr_db, dphi, 4, 2.0)
-        assert 10 * math.log10(snr(sc)) == pytest.approx(snr_db, abs=1e-12)
-        assert 10 * math.log10(smr(sc)) == pytest.approx(smr_db, abs=1e-12)
-        assert delta_phi(sc) == pytest.approx(dphi, abs=1e-12)
+        snr, smr, got_dphi = scene_ratios(sc)
+        assert 10 * math.log10(snr) == pytest.approx(snr_db, abs=1e-12)
+        assert 10 * math.log10(smr) == pytest.approx(smr_db, abs=1e-12)
+        assert got_dphi == pytest.approx(dphi, abs=1e-12)
 
 
 def test_ratios_invariant_under_common_rotation():
@@ -100,9 +104,10 @@ def test_ratios_invariant_under_common_rotation():
                          alpha_d=sc.alpha_d * rot, alpha_i=sc.alpha_i * rot,
                          k_pulses=sc.k_pulses, e_p=sc.e_p,
                          sigma_w2=sc.sigma_w2)
-    assert smr(sc2) == pytest.approx(smr(sc), rel=1e-12)
-    assert snr(sc2) == pytest.approx(snr(sc), rel=1e-12)
-    assert delta_phi(sc2) == pytest.approx(delta_phi(sc), abs=1e-12)
+    (snr2, smr2, dphi2), (snr, smr, dphi) = scene_ratios(sc2), scene_ratios(sc)
+    assert smr2 == pytest.approx(smr, rel=1e-12)
+    assert snr2 == pytest.approx(snr, rel=1e-12)
+    assert dphi2 == pytest.approx(dphi, abs=1e-12)
     np.testing.assert_allclose(compressed_mean(sc2), rot * compressed_mean(sc),
                                atol=1e-14)
 
@@ -134,13 +139,15 @@ def test_synthesis_deterministic_and_near_noise_free():
     np.testing.assert_allclose(y, 4 * 2.0 * a_d_raw, atol=1e-12)
 
 
-def test_synthesis_moments():
-    # 1e5 draws: per-entry mean within 4 standard errors, variance within 5%
+def test_synthesis_moments(monkeypatch):
+    # 1e5 draws: per-entry mean within 4 standard errors, variance within 5%.
+    # The mean is computed once, not per draw: the same values, 10x faster
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 3.0, 2.0, 0.7, 2, 1.5)
     mean = compressed_mean(sc)
+    monkeypatch.setattr(scene, "compressed_mean", lambda _: mean)
     n = 100_000
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026)))
-    y = synthesize_compressed(sc, rng, n)
+    y = np.array([synthesize_compressed(sc, rng) for _ in range(n)])
     var_expected = sc.k_pulses * sc.e_p * sc.sigma_w2
     se = math.sqrt(var_expected / n)
     assert np.abs(y.mean(axis=0) - mean).max() < 4.0 * se
@@ -148,20 +155,17 @@ def test_synthesis_moments():
                                var_expected, rtol=0.05)
 
 
-def test_stacked_synthesis_is_the_single_stream():
+def test_synthesis_from_a_generator_continues_its_stream():
+    # a seed starts a fresh stream; a Generator is drawn on in turn, each
+    # statistic taking its real, then its imaginary parts
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4, 2.0)
+    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42)))
     np.testing.assert_array_equal(synthesize_compressed(sc, 42),
-                                  synthesize_compressed(sc, 42, 1)[0])
+                                  synthesize_compressed(sc, first))
     stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
     singles = [synthesize_compressed(sc, stream) for _ in range(3)]
-    stacked = synthesize_compressed(sc, 5, 3)
-    assert stacked.shape == (3, GEOM.m_r, GEOM.m_t)
-    np.testing.assert_array_equal(stacked, np.array(singles))
-    np.testing.assert_array_equal(synthesize_compressed(sc, 5, np.int64(3)), stacked)
-
-
-@pytest.mark.parametrize("n", [0, -2, 2.0, True, "3"])
-def test_stacked_synthesis_rejects_bad_counts(n):
-    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4)
-    with pytest.raises(ValueError, match="n must be"):
-        synthesize_compressed(sc, 1, n)
+    w = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).standard_normal(
+        (3, 2, GEOM.m_r, GEOM.m_t))
+    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
+    np.testing.assert_array_equal(
+        np.array(singles), compressed_mean(sc) + scale * (w[:, 0] + 1j * w[:, 1]))
