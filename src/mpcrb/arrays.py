@@ -93,14 +93,25 @@ def _phasors(positions: np.ndarray, sines, root=None) -> np.ndarray:
     return np.divide(e, np.sqrt(positions.size) if root is None else root, out=e)
 
 
+def _steer_a(positions: np.ndarray, theta):
+    """The steering vector exp(j*2*pi*p_m*sin(theta))/sqrt(M): the one expression
+    of ``a`` that :func:`steering` and :func:`_vectors` share."""
+    return np.exp(1j * (TWO_PI * positions * np.sin(theta))) / np.sqrt(positions.size)
+
+
 def _steer_one(positions: np.ndarray, theta):
-    m = positions.size
-    phase = TWO_PI * positions * np.sin(theta)
-    a = np.exp(1j * phase) / np.sqrt(m)
+    a = _steer_a(positions, theta)
     slope = 1j * TWO_PI * positions * np.cos(theta)
     da = slope * a
     dda = (slope * slope - 1j * TWO_PI * positions * np.sin(theta)) * a
     return a, da, dda
+
+
+def _angle_column(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.abs(theta) < np.pi / 2):
+        raise ValueError("theta must satisfy |theta| < pi/2")
+    return theta[..., None]
 
 
 def steering(geom: ArrayGeometry, theta) -> SteeringSet:
@@ -111,17 +122,29 @@ def steering(geom: ArrayGeometry, theta) -> SteeringSet:
     sets, one row per angle (shape (n, M)), each row equal to the set at
     that angle alone.
     """
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.abs(theta) < np.pi / 2):
-        raise ValueError("theta must satisfy |theta| < pi/2")
-    col = theta[..., None]
+    col = _angle_column(theta)
     a_r, da_r, dda_r = _steer_one(geom.rx_positions, col)
     a_t, da_t, dda_t = _steer_one(geom.tx_positions, col)
     return SteeringSet(a_r=a_r, a_t=a_t, da_r=da_r, da_t=da_t, dda_r=dda_r, dda_t=dda_t)
 
 
+def _vectors(geom: ArrayGeometry, theta) -> SteeringSet:
+    """:func:`steering`'s a_r and a_t alone, bit for bit and with its angle check;
+    the derivatives are None."""
+    col = _angle_column(theta)
+    return SteeringSet(a_r=_steer_a(geom.rx_positions, col),
+                       a_t=_steer_a(geom.tx_positions, col), da_r=None, da_t=None)
+
+
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
+
+
+def _direct_indirect(s_target: SteeringSet, s_reflect: SteeringSet):
+    """``A_d`` and ``A_i`` of :func:`mimo_matrices`, which read the steering
+    vectors alone, so sets from :func:`_vectors` will do."""
+    a_r, a_t = s_target.a_r, s_target.a_t
+    return _outer(a_r, a_t), _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
 
 
 def mimo_matrices(s_target: SteeringSet, s_reflect: SteeringSet):
@@ -135,8 +158,7 @@ def mimo_matrices(s_target: SteeringSet, s_reflect: SteeringSet):
     a_r, a_t = s_target.a_r, s_target.a_t
     da_r, da_t = s_target.da_r, s_target.da_t
     dda_r, dda_t = s_target.dda_r, s_target.dda_t
-    A_d = _outer(a_r, a_t)
-    A_i = _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
+    A_d, A_i = _direct_indirect(s_target, s_reflect)
     dA_d = _outer(da_r, a_t) + _outer(a_r, da_t)
     ddA_d = _outer(dda_r, a_t) + 2.0 * _outer(da_r, da_t) + _outer(a_r, dda_t)
     return A_d, A_i, dA_d, ddA_d
@@ -156,7 +178,7 @@ def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np
 
     gain(phi) = 20*log10 |a^H(steer) a(phi)| per array; 0 dB at phi == steer.
     """
-    s0, sines = steering(geom, steer), np.sin(np.asarray(grid, dtype=float))
+    s0, sines = _vectors(geom, steer), np.sin(np.asarray(grid, dtype=float))
     gains = [np.abs(a0.conj() @ _phasors(pos, sines))
              for pos, a0 in ((geom.tx_positions, s0.a_t), (geom.rx_positions, s0.a_r))]
     return tuple(20.0 * np.log10(np.maximum(g, 1e-300)) for g in gains)

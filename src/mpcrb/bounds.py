@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import (TWO_PI, ArrayGeometry, _phasors, e_adot, mimo_matrices,
-                     steering, virtual_hpbw)
+from .arrays import (TWO_PI, ArrayGeometry, _phasors, _vectors, e_adot,
+                     mimo_matrices, steering, virtual_hpbw)
 from .scene import MultipathScene
 
 
@@ -108,7 +108,7 @@ def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, e_p,
     theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2 = map(
         np.asarray, (theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2), _DTYPES)
     s_t, p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, e_p, sigma_w2)
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, steering(geom, psi))
+    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, _vectors(geom, psi))
     t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
                   for x in (ddA_d, A_d, dA_d))
     return _Model(geom, theta, alpha_d, alpha_i, A_d, A_i, e_dot,
@@ -149,6 +149,8 @@ def crb_theta(scene: MultipathScene) -> float:
 
 _BLOCK = 64    # statistics per block of the argmax kernel's coarse scan
 _TILE_BYTES = 1 << 18   # V per tile of the coarse scan: a 3x4 grid is one tile
+_MODEL_BYTES = 1 << 21   # one stacked M_r x M_t matrix per row block of the closed
+                         # form, a few of which _build holds: every preset is one block
 _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 _COND_THRESHOLD = 1e12   # the sandwich's gate on the curvature's condition number
 
@@ -335,9 +337,18 @@ def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
                               k_pulses, e_p, sigma_w2,
                               search: SearchConfig | None = None):
     """:func:`mcrb_theta_closed` on 1-D columns of scenes on ``geom``: the arrays
-    ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate."""
-    return _closed(_build(geom, theta, psi, alpha_d, alpha_i, k_pulses, e_p,
-                          sigma_w2), search)[0]
+    ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.
+    Scalar arguments apply to every row.  The rows are evaluated in blocks of
+    a whole number of ``_BLOCK`` rows, in which one stacked complex M_r x M_t
+    matrix takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``), so memory does
+    not grow with the row count."""
+    cols = list(map(np.asarray, (theta, psi, alpha_d, alpha_i, k_pulses, e_p,
+                                 sigma_w2), _DTYPES))
+    rows = max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
+    starts = range(0, max(c.size for c in cols) or 1, rows)   # no rows: one empty block
+    parts = [_closed(_build(geom, *(c[i:i + rows] if c.ndim else c for c in cols)),
+                     search)[0] for i in starts]
+    return _Columns(*map(np.concatenate, zip(*parts)))
 
 
 def mcrb_theta_closed(scene: MultipathScene,

@@ -5,10 +5,11 @@ The estimator maximizes the direct-only matched projection
 angle's kernel (coarse grid, then safeguarded Newton); under multipath data
 it converges to the pseudo-true angle, which is exactly what the bias term
 of the bound predicts.  Scene ``i`` of a sweep draws its trials in order
-from one noise stream keyed by the counter pair (base_seed, i), so trial
-``t`` of scene ``i`` depends only on (base_seed, i, t): a run of n trials
-is a prefix of a longer run, and results do not depend on how the trials
-are packed into estimator calls.
+from one MT19937 noise stream keyed by the pair (base_seed, i), as
+:func:`~mpcrb.scene.synthesize_compressed` draws them, so trial ``t`` of
+scene ``i`` depends only on (base_seed, i, t): a run of n trials is a prefix
+of a longer run, and results do not depend on how the trials are packed
+into estimator calls.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, mimo_matrices, steering
+from .arrays import ArrayGeometry, _direct_indirect, _vectors
 from .bounds import SearchConfig, _argmax_projection, _one_geometry
-from .scene import MultipathScene
+from .scene import MultipathScene, _noise, _stream
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
 _MC_CHUNK = 4096   # statistics per estimator call of the Monte-Carlo engine
@@ -60,10 +61,11 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
 
     Every scene of a sweep is on one geometry; a mixed sweep is refused
     with the same ValueError as a mixed bound batch.  Scene ``i`` draws its
-    ``trials`` statistics in order from its own stream, seeded by
-    (base_seed, i).  Consecutive scenes are packed into estimator calls of
-    at most ``_MC_CHUNK`` statistics, a scene split across calls where
-    needed, so memory is bounded by the chunk.  Trial t of scene i is the
+    ``trials`` statistics in order from its own stream, the one that
+    ``synthesize_compressed`` starts from the seed (base_seed, i).
+    Consecutive scenes are packed into estimator calls of at most
+    ``_MC_CHUNK`` statistics, a scene split across calls where needed, so
+    memory is bounded by the chunk.  Trial t of scene i is the
     same statistic whatever the packing, and the reduction uses exact
     compensated summation, so the curve does not depend on the chunk size
     and ``trials`` = n is a prefix of any larger count.
@@ -76,7 +78,7 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
         (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
         for sc in scene_sweep]))
-    A_d, A_i = mimo_matrices(steering(geom, theta), steering(geom, psi))[:2]
+    A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
     means = kep[:, None, None] * (alpha_d[:, None, None] * A_d
                                   + alpha_i[:, None, None] * A_i)
     buf = np.empty((min(_MC_CHUNK, trials * len(means)),) + means.shape[1:],
@@ -92,14 +94,13 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
 
     fill = 0
     for idx, (scene, mean) in enumerate(zip(scene_sweep, means)):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((int(base_seed), idx))))
-        scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
+        rng = _stream((int(base_seed), idx))
+        var = scene.k_pulses * scene.e_p * scene.sigma_w2
         left = trials
-        while left:     # real, then imaginary parts, as synthesize_compressed
+        while left:     # mean + noise, as synthesize_compressed
             take = min(left, len(buf) - fill)
-            w = rng.standard_normal((take, 2) + mean.shape)
-            buf[fill:fill + take] = mean + scale * (w[:, 0] + 1j * w[:, 1])
+            noise = _noise(rng, take * mean.size, var).reshape((take,) + mean.shape)
+            np.add(mean, noise, out=buf[fill:fill + take])
             fill, left = fill + take, left - take
             if fill == len(buf):
                 flush(buf)

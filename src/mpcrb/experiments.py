@@ -80,8 +80,8 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
 
 
 # Sweep size caps.  The largest packaged axis is the 1,781-point beampattern
-# grid and the largest sweep the 97 x 81 fig5 map; every point of a bound
-# sweep is held in one batch.
+# grid and the largest sweep the 97 x 81 fig5 map; a bound sweep is evaluated
+# in row blocks of bounded memory (bounds._MODEL_BYTES).
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
 # Points of an explicit coarse search grid (the default one has 1,136 on 3x16).

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .arrays import ArrayGeometry, mimo_matrices, steering
+from .arrays import ArrayGeometry, _direct_indirect, _vectors
 
 _HALF_PLANE = math.pi / 2
 
@@ -70,27 +73,66 @@ def multipath_free(scene: MultipathScene) -> MultipathScene:
 
 def compressed_mean(scene: MultipathScene) -> np.ndarray:
     """Noise-free compressed statistic K*E_p*(alpha_d*A_d + alpha_i*A_i)."""
-    s_t = steering(scene.geom, scene.theta)
-    s_r = steering(scene.geom, scene.psi)
-    A_d, A_i, _, _ = mimo_matrices(s_t, s_r)
+    A_d, A_i = _direct_indirect(_vectors(scene.geom, scene.theta),
+                                _vectors(scene.geom, scene.psi))
     return scene.k_pulses * scene.e_p * (scene.alpha_d * A_d + scene.alpha_i * A_i)
+
+
+def _stream(seed) -> random.Random:
+    """The noise stream of ``seed``: a random.Random itself, else a new MT19937
+    stream seeded with the decimal text of the int or of the tuple of ints,
+    ``'7'`` or ``'(7, 0)'``, so distinct seeds start distinct streams.  Members
+    must be non-negative: ValueError if not, TypeError if not integers."""
+    if isinstance(seed, random.Random):
+        return seed
+    ints = tuple(map(operator.index, seed if isinstance(seed, tuple) else (seed,)))
+    if any(i < 0 for i in ints):
+        raise ValueError(f"noise seed {seed!r}: integers must be non-negative")
+    return random.Random(repr(ints if isinstance(seed, tuple) else ints[0]))
+
+
+@lru_cache(maxsize=1)
+def _unit_phasors():
+    """exp(j*2*pi*k/2^b) for the bit fields of a 32-bit angle word: its top 11
+    bits (b = 11), the next 11 (b = 22) and the last 10 (b = 32)."""
+    return tuple(np.exp(1j * (2.0 * math.pi / 2.0 ** b) * np.arange(n))
+                 for b, n in ((11, 2048), (22, 2048), (32, 1024)))
+
+
+def _noise(rng: random.Random, n: int, var: float) -> np.ndarray:
+    """``n`` independent circular complex Gaussians of variance ``var`` by
+    Box-Muller, from the next 2n 32-bit words of ``rng``: entry j takes words
+    2j and 2j + 1, u and a, and is sqrt(-var ln((u + 1/2) 2^-32)) exp(j 2 pi
+    a 2^-32), the phasor a product of three table entries.  |entry|^2 is at
+    most var * 33 ln 2, a cut at the 2^-33 tail of its exponential law."""
+    w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    u, a = w[0::2], w[1::2]
+    hi, mid, lo = _unit_phasors()
+    z = hi.take(a >> 21)
+    z *= mid.take((a >> 10) & 0x7FF)
+    z *= lo.take(a & 0x3FF)
+    r = u * 2.0 ** -32
+    r += 2.0 ** -33
+    np.log(r, out=r)
+    r *= -var
+    z *= np.sqrt(r, out=r)
+    return z
 
 
 def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
     """One realization of the compressed statistic Y (shape M_r x M_t).
 
-    ``noise_seed`` may be an int (or tuple of ints) fed to a counter-style
-    SeedSequence, or an already-constructed numpy Generator; the same seed
-    always yields the same noise.  Noise entries are independent circular
-    complex Gaussians with variance K*E_p*sigma_w2.  Each realization draws
-    its real, then its imaginary parts from the stream, so calls on one
-    Generator give the statistics that the Monte-Carlo engine draws in turn.
+    ``noise_seed`` is a non-negative int, a tuple of them, or a random.Random
+    stream that the call continues; an int or tuple starts a fresh MT19937
+    stream, distinct for distinct seeds (``5`` and ``(5,)`` differ), so the
+    same seed always yields the same noise.  Noise entries are independent
+    circular complex Gaussians with variance K*E_p*sigma_w2, drawn by
+    Box-Muller from two 32-bit words each, in row-major order, so calls on
+    one stream give the statistics that the Monte-Carlo engine draws in turn.
+    A negative seed raises ValueError, one that is not an int or a tuple of
+    ints TypeError.
     """
-    if isinstance(noise_seed, np.random.Generator):
-        rng = noise_seed
-    else:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(noise_seed)))
+    rng = _stream(noise_seed)
     mean = compressed_mean(scene)
-    scale = math.sqrt(scene.k_pulses * scene.e_p * scene.sigma_w2 / 2.0)
-    w = rng.standard_normal((2,) + mean.shape)
-    return mean + scale * (w[0] + 1j * w[1])
+    var = scene.k_pulses * scene.e_p * scene.sigma_w2
+    return mean + _noise(rng, mean.size, var).reshape(mean.shape)

@@ -14,9 +14,11 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    SingularInformationError, compressed_mean, crb_theta,
                    e_adot, mcrb_sandwich, mcrb_theta_closed, mimo_matrices,
                    scene_from_ratios, standard_virtual_ula, steering, theta_a)
-from mpcrb import bounds
+from mpcrb import bounds, experiments
 from mpcrb.bounds import (_breakdowns, _curvature, _informative, _model,
                           _pseudo_true, _sandwich, mcrb_theta_closed_columns)
+from mpcrb.cli import load_preset
+from mpcrb.experiments import run_fig5, run_scenario
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(303)
@@ -728,3 +730,63 @@ def test_pseudo_true_search_memory_is_bounded_by_its_tiles():
             del cols
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# closed-form columns in row blocks
+
+def _closed_in_blocks(monkeypatch, run):
+    """Run ``run`` with each of the recipe's closed-form column calls made
+    twice, at the module's block budget and in 64-row blocks; returns, per call,
+    the geometry, both results and the number of 64-row blocks."""
+    calls, real, build = [], bounds.mcrb_theta_closed_columns, bounds._build
+
+    def twice(geom, *args, **kwargs):
+        whole = real(geom, *args, **kwargs)
+        rows = []
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_MODEL_BYTES", 1)
+            m.setattr(bounds, "_build",
+                      lambda g, *c: rows.append(len(c[0])) or build(g, *c))
+            calls.append((geom, whole, real(geom, *args, **kwargs), len(rows)))
+        return whole
+
+    monkeypatch.setattr(experiments, "mcrb_theta_closed_columns", twice)
+    run()
+    return calls
+
+
+def test_closed_columns_in_row_blocks_are_bitwise_one_block(monkeypatch, tmp_path):
+    fig5 = load_preset("fig5")   # 25 x 21 = 525 rows: 9 blocks of 64
+    fig5["grid"]["delta_phi_rad"]["step"] = math.pi / 12
+    fig5["grid"]["delta_theta_deg"]["step"] = 2.0
+    scenario = load_preset("scenario")
+    scenario["range_grid_m"]["step"] = 0.5
+    calls = _closed_in_blocks(monkeypatch, lambda: run_fig5(fig5, tmp_path / "f"))
+    calls += _closed_in_blocks(monkeypatch,
+                               lambda: run_scenario(scenario, tmp_path / "s"))
+    assert [(g.m_t, g.m_r) for g, *_ in calls] == [(3, 4), (3, 8), (3, 16)]
+    assert calls[0][3] >= 3 and calls[2][3] >= 3
+    for _, whole, blocked, _ in calls:
+        assert [c.tobytes() for c in blocked] == [c.tobytes() for c in whole]
+
+
+def test_closed_columns_memory_stays_flat_past_one_block(monkeypatch):
+    # 256-row blocks on 3x16: four times the rows hold about the same memory
+    geom = standard_virtual_ula(3, 16)
+    monkeypatch.setattr(bounds, "_MODEL_BYTES", 16 * 48 * 256)
+
+    def peak(n):
+        cols = (np.zeros(n), np.full(n, -0.02), np.ones(n, dtype=complex),
+                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 1.0, 0.01)
+        tracemalloc.start()
+        try:
+            out = mcrb_theta_closed_columns(geom, *cols)
+            assert out.valid.all()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)   # first-call imports and caches
+    one, four = peak(256), peak(1024)
+    assert four <= 1.25 * one, (one, four)

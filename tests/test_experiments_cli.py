@@ -537,6 +537,28 @@ def test_python_dash_m_runs_the_cli():
     assert out.returncode == 0 and "selftest" in out.stdout
 
 
+def test_monte_carlo_runs_do_not_import_numpy_random(tmp_path):
+    # the noise comes from the standard library's MT19937: a fresh process
+    # that runs both Monte-Carlo recipes never loads numpy.random
+    src = Path(mpcrb.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (f"import sys\n"
+            f"from mpcrb.cli import load_preset\n"
+            f"from mpcrb.experiments import run_fig2, run_montecarlo\n"
+            f"run_montecarlo(load_preset('montecarlo'), {str(tmp_path / 'mc')!r})\n"
+            f"fig2 = load_preset('fig2')\n"
+            f"fig2['trials'] = 20\n"
+            f"run_fig2(fig2, {str(tmp_path / 'fig2')!r})\n"
+            f"print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "mc" / "montecarlo.csv").exists()
+    assert (tmp_path / "fig2" / "fig2.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # the scenario sweep on columns
 

@@ -2,6 +2,9 @@
 
 The last digits of the bound and Monte-Carlo columns depend on the numpy and
 BLAS build, so the hashes hold only for the numpy version they were taken with.
+The Monte-Carlo noise comes from the standard library's ``random`` module, so
+the fig2 and montecarlo hashes also hold only for the CPython implementation of
+``random`` they were taken with (CPython 3.11).
 """
 
 import hashlib
@@ -18,7 +21,7 @@ CSV_SHA256 = {
     "bounds/bounds.csv":
         "3f84c01101da988b8a0cb51aecc6c5bffe07a12e09f2304d048389bb533cd292",
     "fig2/fig2.csv":
-        "100562a0e04d3ce2da6554847faa0054300f96f1410fa270afe33a35f321b237",
+        "e924ba4ae35a1b6fe89c8b874edc496e421e25eaaac17a4884c250d1885a05c7",
     "fig3/fig3.csv":
         "9b0fca505c40a0c6ac6e7b83ccf0bd8828e0bd917c21fc48a263a96635e6e994",
     "fig3/fig3_beampattern.csv":
@@ -28,7 +31,7 @@ CSV_SHA256 = {
     "fig5/fig5.csv":
         "4ef30d80e5096afc3e1e103b4807b1817e061a138bba3a0bb9fe69e6c8036dbe",
     "montecarlo/montecarlo.csv":
-        "22134bf266eef6832492b087cb0bb41dc040406dfb97db224a2cf6f31f25b3ae",
+        "dd4af499daeb18d4898579dddad92dcaf4db4ee32ac362833f0a2ddd56ac64e8",
     "scenario/scenario.csv":
         "ef955e182bac00960da8e0d6c4596aa25618cbf1b5ee356a7a4a2edbfdebb92b",
 }

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import (PathGeometryInputs, path_coefficients, raw_mimo,
 from mpcrb import (MultipathScene, compressed_mean, scene_from_ratios,
                    standard_virtual_ula, synthesize_compressed, wrap_phase)
 from mpcrb import scene
+from mpcrb.scene import _noise, _stream
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(202)
@@ -146,7 +148,7 @@ def test_synthesis_moments(monkeypatch):
     mean = compressed_mean(sc)
     monkeypatch.setattr(scene, "compressed_mean", lambda _: mean)
     n = 100_000
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2026)))
+    rng = random.Random(2026)
     y = np.array([synthesize_compressed(sc, rng) for _ in range(n)])
     var_expected = sc.k_pulses * sc.e_p * sc.sigma_w2
     se = math.sqrt(var_expected / n)
@@ -155,17 +157,54 @@ def test_synthesis_moments(monkeypatch):
                                var_expected, rtol=0.05)
 
 
-def test_synthesis_from_a_generator_continues_its_stream():
-    # a seed starts a fresh stream; a Generator is drawn on in turn, each
-    # statistic taking its real, then its imaginary parts
+def test_synthesis_from_a_stream_continues_it():
+    # a seed starts a fresh stream, distinct for an int and a tuple; a stream
+    # is drawn on in turn, each statistic taking its entries in row-major order
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4, 2.0)
-    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42)))
     np.testing.assert_array_equal(synthesize_compressed(sc, 42),
-                                  synthesize_compressed(sc, first))
-    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+                                  synthesize_compressed(sc, _stream(42)))
+    np.testing.assert_array_equal(synthesize_compressed(sc, (42, 0)),
+                                  synthesize_compressed(sc, _stream((42, 0))))
+    assert not np.array_equal(synthesize_compressed(sc, 5),
+                              synthesize_compressed(sc, (5,)))
+    stream = _stream(5)
     singles = [synthesize_compressed(sc, stream) for _ in range(3)]
-    w = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).standard_normal(
-        (3, 2, GEOM.m_r, GEOM.m_t))
-    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
+    var = sc.k_pulses * sc.e_p * sc.sigma_w2
+    w = _noise(_stream(5), 3 * GEOM.m_r * GEOM.m_t, var)
     np.testing.assert_array_equal(
-        np.array(singles), compressed_mean(sc) + scale * (w[:, 0] + 1j * w[:, 1]))
+        np.array(singles), compressed_mean(sc) + w.reshape(3, GEOM.m_r, GEOM.m_t))
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), ((3, -1), ValueError), (1.5, TypeError), ("7", TypeError),
+    ((1, 2.0), TypeError)])
+def test_synthesis_refuses_what_is_not_a_seed(seed, error):
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4)
+    with pytest.raises(error):
+        synthesize_compressed(sc, seed)
+
+
+def test_engine_noise_statistics():
+    # the Monte-Carlo engine's noise, scene i on stream (seed, i): 3 scenes x
+    # 20,000 trials x 12 entries, normalised to unit variance
+    seed, n_scenes, trials, m, var = 20261019, 3, 20_000, 12, 2.5
+    z = np.array([_noise(_stream((seed, i)), trials * m, var).reshape(trials, m)
+                  for i in range(n_scenes)]) / math.sqrt(var)
+    n = z.size
+
+    def near_zero(c, pairs):   # Re and Im of a mean product of unit entries
+        se = math.sqrt(0.5 / pairs)
+        assert abs(c.real) < 4.0 * se and abs(c.imag) < 4.0 * se, (c, se)
+
+    means = z.mean(axis=1)   # per scene and entry, over trials
+    assert np.abs(means.real).max() < 4.0 * math.sqrt(0.5 / trials)
+    assert np.abs(means.imag).max() < 4.0 * math.sqrt(0.5 / trials)
+    power = (np.abs(z) ** 2).mean(axis=1)   # |z|^2 is exponential: variance 1
+    assert np.abs(power - 1.0).max() < 5.0 / math.sqrt(trials)
+    assert abs(np.mean(z.real * z.imag) / 0.5) < 4.0 / math.sqrt(n)
+    for a, b in ((z[:, 1:], z[:, :-1]), (z[:, :, 1:], z[:, :, :-1]), (z[1:], z[:-1])):
+        near_zero(np.mean(a * b.conj()), a.size)   # lag 1: trials, entries, scenes
+    x = np.abs(np.concatenate((z.real, z.imag)).ravel()) * math.sqrt(2.0)
+    for k in (1.0, 2.0, 3.0):
+        p = math.erf(k / math.sqrt(2.0))
+        assert abs(np.mean(x <= k) - p) < 5.0 * math.sqrt(p * (1.0 - p) / x.size), k
