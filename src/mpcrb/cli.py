@@ -53,7 +53,7 @@ def _load_config(args, name: str) -> dict:
         config = load_preset(name)
     if not isinstance(config, dict):
         raise ConfigError("--config: top level must be a JSON object")
-    if args.trials is not None:
+    if vars(args).get("trials") is not None:
         config["trials"] = args.trials
     if args.seed is not None:
         config["seed"] = args.seed
@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config (default: packaged preset)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--trials", type=int, help="override trial count")
+        if name in ("fig2", "montecarlo"):   # the two that run trials
+            p.add_argument("--trials", type=int, help="override trial count")
         p.add_argument("--seed", type=int, help="override base seed")
         p.add_argument("--svg", action="store_true", help="also write SVG plots")
         p.add_argument("--workers", type=int, default=1,

@@ -4,12 +4,9 @@ The estimator maximizes the direct-only matched projection
 |tr(A^H(theta') Y)|^2 on the compressed statistic with the pseudo-true
 angle's kernel (coarse grid, then safeguarded Newton); under multipath data
 it converges to the pseudo-true angle, which is exactly what the bias term
-of the bound predicts.  Scene ``i`` of a sweep draws its trials in order
-from one MT19937 noise stream keyed by the pair (base_seed, i), as
-:func:`~mpcrb.scene.synthesize_compressed` draws them, so trial ``t`` of
-scene ``i`` depends only on (base_seed, i, t): a run of n trials is a prefix
-of a longer run, and results do not depend on how the trials are packed
-into estimator calls.
+of the bound predicts.  The engine draws its statistics through
+:mod:`~mpcrb.scene`, trial ``t`` of scene ``i`` from the stream keyed by
+(base_seed, i) alone (see :func:`monte_carlo_rmse`).
 """
 
 from __future__ import annotations
@@ -20,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import ArrayGeometry, _direct_indirect, _vectors
+from .arrays import ArrayGeometry
 from .bounds import SearchConfig, _argmax_projection, _one_geometry
-from .scene import MultipathScene, _noise, _stream
+from .scene import MultipathScene, _means, _statistics, _stream
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
 _MC_CHUNK = 4096   # statistics per estimator call of the Monte-Carlo engine
@@ -74,13 +71,8 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
         raise ValueError("trials must be at least 1")
     if not scene_sweep:
         return RmseCurve((), (), trials, base_seed)
-    geom = _one_geometry(scene_sweep)   # noise-free means K E_p (alpha_d A_d + alpha_i A_i)
-    theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
-        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
-        for sc in scene_sweep]))
-    A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
-    means = kep[:, None, None] * (alpha_d[:, None, None] * A_d
-                                  + alpha_i[:, None, None] * A_i)
+    geom = _one_geometry(scene_sweep)
+    means = _means(geom, scene_sweep)
     buf = np.empty((min(_MC_CHUNK, trials * len(means)),) + means.shape[1:],
                    dtype=complex)
     results, est = [], np.empty(0)   # est: estimates not yet reduced, in order
@@ -89,24 +81,20 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
         nonlocal est
         est = np.concatenate((est, _argmax_projection(y, geom, cfg or MML_SEARCH)))
         while len(est) >= trials:
-            results.append(_reduce(est[:trials] - theta[len(results)]))
+            results.append(_reduce(est[:trials] - scene_sweep[len(results)].theta))
             est = est[trials:]
 
     fill = 0
     for idx, (scene, mean) in enumerate(zip(scene_sweep, means)):
         rng = _stream((int(base_seed), idx))
-        var = scene.k_pulses * scene.e_p * scene.sigma_w2
         left = trials
-        while left:     # mean + noise, as synthesize_compressed
+        while left:
             take = min(left, len(buf) - fill)
-            noise = _noise(rng, take * mean.size, var).reshape((take,) + mean.shape)
-            np.add(mean, noise, out=buf[fill:fill + take])
+            _statistics(rng, scene, mean, take, out=buf[fill:fill + take])
             fill, left = fill + take, left - take
             if fill == len(buf):
                 flush(buf)
                 fill = 0
     if fill:
         flush(buf[:fill])
-    return RmseCurve(rmse_rad=tuple(r for r, _ in results),
-                     bias_rad=tuple(b for _, b in results), trials=trials,
-                     base_seed=base_seed)
+    return RmseCurve(*zip(*results), trials=trials, base_seed=base_seed)

@@ -267,8 +267,6 @@ def _cell(value) -> str:
     if type(value) is not float:
         if value is None or isinstance(value, bool):
             return "" if value is None else "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
         value = float(value)
     return repr(value) if value == value else ""
 
@@ -457,7 +455,6 @@ def scenario_from_config(config: dict) -> GroundScenario:
     geom_names = _get(config, "geometries")
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
-    first = next(iter(geom_names))
     theta_deg = _get_num(config, "theta_deg", default=0.0)
     if abs(theta_deg) >= 90.0:
         raise ConfigError(f"theta_deg: must lie inside (-90, 90), got {theta_deg!r}")
@@ -468,7 +465,6 @@ def scenario_from_config(config: dict) -> GroundScenario:
             eps_r=_get_num(config, "eps_r"),
             gamma_cond=_get_num(config, "gamma_cond_s_per_m"),
             range_grid=np.array(grid),
-            geom=geometry_from_config(config, f"geometries.{first}"),
             theta=math.radians(theta_deg),
             gamma_t=complex(_get_num(config, "gamma_t_real", default=1.0),
                             _get_num(config, "gamma_t_imag", default=0.0)),
@@ -516,9 +512,8 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     range and one closed-form call over the in-cell ranges."""
     scn = scenario_from_config(config)
     search = search_from_config(config)
-    geoms = {name: scn.geom if k == 0 else   # each geometry parsed once
-             geometry_from_config(config, f"geometries.{name}")
-             for k, name in enumerate(config["geometries"])}
+    geoms = {name: geometry_from_config(config, f"geometries.{name}")
+             for name in config["geometries"]}
     phys = range_columns(scn)
     n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
     theta = np.full(n, scn.theta)

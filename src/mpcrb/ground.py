@@ -24,7 +24,7 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .bounds import (BoundBreakdown, SearchConfig, _breakdowns,
                      mcrb_theta_closed_columns)
-from .scene import MultipathScene
+from .scene import _ANGLE_REFUSAL, _POWER_REFUSAL, MultipathScene, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class GroundScenario:
     eps_r: float                    # road relative dielectric constant
     gamma_cond: float               # road conductivity, S/m
     range_grid: np.ndarray          # target ranges, m, strictly increasing
-    geom: ArrayGeometry             # vertical array
     theta: float = 0.0              # target elevation DOA (flat road: 0)
     gamma_t: complex = 1.0 + 0.0j   # target reflection coefficient
     v: float = 10.0                 # relative radial velocity, m/s
@@ -76,8 +75,7 @@ class RangePoint:
 
 
 _REFUSALS = ("grazing angle must lie in (0, pi/2]", "require r_i >= r_d > 0",
-             "theta and psi must lie strictly inside (-pi/2, pi/2)",
-             "require sigma_w2 > 0, e_p > 0, k_pulses >= 1",
+             _ANGLE_REFUSAL, _POWER_REFUSAL,
              "path amplitudes must be finite: r_ref / r_d is too large")
 # range_columns' columns; the first eight are RangePoint's leading fields
 _RangeColumns = namedtuple("_RangeColumns", "r_d r_i psi gamma_r smr_db delta_phi "
@@ -149,24 +147,23 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
         ~(np.isfinite(alpha_d) & np.isfinite(alpha_i))])
     if failed.any():
         raise ValueError(_REFUSALS[failed[:, failed.any(axis=0).argmax()].argmax()])
-    phase = np.fmod(np.angle(alpha_d) - np.angle(alpha_i) + math.pi, 2.0 * math.pi)
-    delta = np.where(phase <= 0.0, phase + 2.0 * math.pi, phase) - math.pi  # wrap_phase
+    delta = wrap_phase(np.angle(alpha_d) - np.angle(alpha_i))
     same_cell = (r_i - r_d < scn.r_res) & (scn.v * (1.0 - np.cos(psi)) < scn.v_res)
     return _RangeColumns(r_d, r_i, psi, gamma_r, smr_db, delta, snr_db, same_cell,
                          alpha_d, alpha_i, sigma_w2)
 
 
 def range_point(scn: GroundScenario, r_d: float,
-                search: SearchConfig | None = None,
-                geom: ArrayGeometry | None = None) -> RangePoint:
+                search: SearchConfig | None = None, *,
+                geom: ArrayGeometry) -> RangePoint:
     """Evaluate geometry, path physics and (when in-cell) the closed-form bound
-    at one range, on the columns of the one-range scenario."""
-    one = replace(scn, range_grid=[r_d], geom=scn.geom if geom is None else geom)
-    cols = range_columns(one)
+    of the array ``geom`` at one range, on the columns of the one-range
+    scenario."""
+    cols = range_columns(replace(scn, range_grid=[r_d]))
     head = [c.item() for c in cols[:10]]   # one range: Python scalars
-    scene = MultipathScene(one.geom, scn.theta, head[2], head[8], head[9],
+    scene = MultipathScene(geom, scn.theta, head[2], head[8], head[9],
                            scn.k_pulses, scn.e_p, cols.sigma_w2)
     bound = _breakdowns(mcrb_theta_closed_columns(
-        one.geom, [scn.theta], cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
+        geom, [scn.theta], cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
         scn.e_p, cols.sigma_w2, search=search))[0] if head[7] else None   # same cell
     return RangePoint(*head[:8], scene=scene, bound=bound)

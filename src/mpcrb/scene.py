@@ -21,14 +21,16 @@ import numpy as np
 from .arrays import ArrayGeometry, _direct_indirect, _vectors
 
 _HALF_PLANE = math.pi / 2
+# the scene's two refusals, which ground.range_columns repeats per range
+_ANGLE_REFUSAL = "theta and psi must lie strictly inside (-pi/2, pi/2)"
+_POWER_REFUSAL = "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
 
 
-def wrap_phase(x: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y <= 0.0:
-        y += 2.0 * math.pi
-    return y - math.pi
+def wrap_phase(x):
+    """Wrap an angle (a float) or each entry of an array to (-pi, pi]."""
+    y = np.fmod(np.add(x, math.pi), 2.0 * math.pi)
+    y = np.where(y <= 0.0, y + 2.0 * math.pi, y) - math.pi
+    return float(y) if y.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,9 @@ class MultipathScene:
 
     def __post_init__(self):
         if not (abs(self.theta) < _HALF_PLANE and abs(self.psi) < _HALF_PLANE):
-            raise ValueError("theta and psi must lie strictly inside (-pi/2, pi/2)")
+            raise ValueError(_ANGLE_REFUSAL)
         if self.sigma_w2 <= 0.0 or self.e_p <= 0.0 or self.k_pulses < 1:
-            raise ValueError("require sigma_w2 > 0, e_p > 0, k_pulses >= 1")
+            raise ValueError(_POWER_REFUSAL)
 
 
 def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,
@@ -73,9 +75,18 @@ def multipath_free(scene: MultipathScene) -> MultipathScene:
 
 def compressed_mean(scene: MultipathScene) -> np.ndarray:
     """Noise-free compressed statistic K*E_p*(alpha_d*A_d + alpha_i*A_i)."""
-    A_d, A_i = _direct_indirect(_vectors(scene.geom, scene.theta),
-                                _vectors(scene.geom, scene.psi))
-    return scene.k_pulses * scene.e_p * (scene.alpha_d * A_d + scene.alpha_i * A_i)
+    return _means(scene.geom, [scene])[0]
+
+
+def _means(geom: ArrayGeometry, scenes) -> np.ndarray:
+    """:func:`compressed_mean` of each scene on ``geom``, stacked (n, M_r, M_t),
+    each entry bit for bit the scene's alone; the engine's means too."""
+    theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
+        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
+        for sc in scenes]))
+    A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
+    return kep[:, None, None] * (alpha_d[:, None, None] * A_d
+                                 + alpha_i[:, None, None] * A_i)
 
 
 def _stream(seed) -> random.Random:
@@ -132,7 +143,13 @@ def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
     A negative seed raises ValueError, one that is not an int or a tuple of
     ints TypeError.
     """
-    rng = _stream(noise_seed)
-    mean = compressed_mean(scene)
+    return _statistics(_stream(noise_seed), scene, compressed_mean(scene), 1)[0]
+
+
+def _statistics(rng: random.Random, scene: MultipathScene, mean: np.ndarray,
+                n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``n`` statistics ``mean`` + noise of ``scene`` drawn in turn from ``rng``,
+    stacked (n, M_r, M_t) into ``out`` if given; the engine draws through it."""
     var = scene.k_pulses * scene.e_p * scene.sigma_w2
-    return mean + _noise(rng, mean.size, var).reshape(mean.shape)
+    noise = _noise(rng, n * mean.size, var).reshape((n,) + mean.shape)
+    return np.add(mean, noise, out=out)

@@ -285,10 +285,9 @@ def test_criterion_08_phase_separation_map(tmp_path):
 
 def _asphalt_scenario(grid):
     return GroundScenario(h_r=1.0, wavelength=0.0038, eps_r=4.0,
-                          gamma_cond=0.005, range_grid=np.asarray(grid),
-                          geom=standard_virtual_ula(3, 8), v=10.0, r_res=0.5,
-                          v_res=0.05, k_pulses=256, e_p=1.0, snr_ref_db=20.0,
-                          r_ref=50.0)
+                          gamma_cond=0.005, range_grid=np.asarray(grid), v=10.0,
+                          r_res=0.5, v_res=0.05, k_pulses=256, e_p=1.0,
+                          snr_ref_db=20.0, r_ref=50.0)
 
 
 def test_criterion_09_scenario_physics():
@@ -304,15 +303,15 @@ def test_criterion_09_scenario_physics():
     b_ok = abs(gq - 1.0 / 3.0) < 1e-12
 
     grid = np.arange(2.0, 8.0001, 0.05)
-    scn = _asphalt_scenario(grid)
-    amp = np.array([10 ** (-range_point(scn, float(r)).smr_db / 20.0)
+    scn, geom = _asphalt_scenario(grid), standard_virtual_ula(3, 8)
+    amp = np.array([10 ** (-range_point(scn, float(r), geom=geom).smr_db / 20.0)
                     for r in grid])
     i_min = int(np.argmin(amp))
     r_null = grid[i_min]
     c_ok = (3.0 <= r_null <= 5.0 and 0 < i_min < len(grid) - 1
             and amp[i_min] < amp[0] and amp[i_min] < amp[-1])
 
-    pt = range_point(scn, 200.0)
+    pt = range_point(scn, 200.0, geom=geom)
     phi_rd = 2 * math.pi * pt.r_d / scn.wavelength
     phi_ri = 2 * math.pi * pt.r_i / scn.wavelength
     gap = abs(wrap_phase(pt.delta_phi - wrap_phase(phi_rd - phi_ri + math.pi)))

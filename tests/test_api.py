@@ -31,8 +31,8 @@ PARAMETERS = {
     "ConditioningError": ("message", "condition"),
     "DegenerateBoundError": ("message", "denominator", "threshold"),
     "GroundScenario": ("h_r", "wavelength", "eps_r", "gamma_cond", "range_grid",
-                       "geom", "theta", "gamma_t", "v", "r_res", "v_res",
-                       "k_pulses", "e_p", "snr_ref_db", "r_ref"),
+                       "theta", "gamma_t", "v", "r_res", "v_res", "k_pulses",
+                       "e_p", "snr_ref_db", "r_ref"),
     "MultipathScene": ("geom", "theta", "psi", "alpha_d", "alpha_i", "k_pulses",
                        "e_p", "sigma_w2"),
     "RangePoint": ("r_d", "r_i", "psi", "gamma_r", "smr_db", "delta_phi",
@@ -79,11 +79,12 @@ PARAMETERS = {
     "cli.main": ("argv",),
 }
 
-RUN_OPTIONS = ("--config", "--out", "--trials", "--seed", "--svg", "--workers")
+RUN_OPTIONS = ("--config", "--out", "--seed", "--svg", "--workers")
+MC_OPTIONS = ("--config", "--out", "--trials", "--seed", "--svg", "--workers")
 CLI_OPTIONS = {
-    "bounds": RUN_OPTIONS, "fig2": RUN_OPTIONS, "fig3": RUN_OPTIONS,
+    "bounds": RUN_OPTIONS, "fig2": MC_OPTIONS, "fig3": RUN_OPTIONS,
     "fig4": RUN_OPTIONS, "fig5": RUN_OPTIONS, "scenario": RUN_OPTIONS,
-    "montecarlo": RUN_OPTIONS, "beampattern": RUN_OPTIONS, "selftest": (),
+    "montecarlo": MC_OPTIONS, "beampattern": RUN_OPTIONS, "selftest": (),
 }
 
 

@@ -8,7 +8,7 @@ from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, compressed_mean,
                    mcrb_theta_closed, mml_doa, monte_carlo_rmse,
                    multipath_free, scene_from_ratios, standard_virtual_ula,
                    synthesize_compressed, theta_a, virtual_hpbw)
-from mpcrb import bounds, estimation
+from mpcrb import bounds, estimation, scene
 from mpcrb.arrays import TWO_PI
 from mpcrb.scene import _stream
 from mpcrb.bounds import _argmax_projection, _coarse_winner, _projection_derivs
@@ -170,6 +170,28 @@ def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(estimation, "_MC_CHUNK", 7)
             assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
+
+
+def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
+    # noise of negative zeros leaves every sum as it is, bit for bit; a chunk
+    # of 5 splits scenes of 3 trials across estimator calls
+    monkeypatch.setattr(scene, "_noise",
+                        lambda rng, n, var: np.full(n, complex(-0.0, -0.0)))
+    monkeypatch.setattr(estimation, "_MC_CHUNK", 5)
+    seen = []
+    monkeypatch.setattr(estimation, "_argmax_projection",
+                        lambda y, geom, cfg: seen.extend(y.copy()) or np.zeros(len(y)))
+    rng = np.random.default_rng(19)
+    for geom in (GEOM, standard_virtual_ula(3, 8)):
+        scenes = [scene_from_ratios(geom, *rng.uniform(-1.2, 1.2, 2),
+                                    *rng.uniform(-10.0, 30.0, 2),
+                                    rng.uniform(-math.pi, math.pi),
+                                    int(rng.integers(1, 300)), rng.uniform(0.1, 3.0))
+                  for _ in range(4)]
+        seen.clear()
+        monte_carlo_rmse(scenes, None, 3, 5)
+        assert [y.tobytes() for y in seen] == [compressed_mean(sc).tobytes()
+                                              for sc in scenes for _ in range(3)]
 
 
 def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():

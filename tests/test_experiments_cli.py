@@ -244,6 +244,23 @@ def test_cli_runs_fig2_with_overrides(tmp_path, capsys):
     assert (tmp_path / "o" / "fig2.svg").exists()
 
 
+def test_trials_is_a_usage_error_where_no_trials_run(tmp_path, capsys):
+    for name in ("bounds", "fig3", "fig4", "fig5", "scenario", "beampattern"):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--trials", "5", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # the Monte-Carlo subcommands still take it
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(small_fig2_config()))
+    assert main(["fig2", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--trials", "3"]) == 0
+    manifest = json.loads((tmp_path / "o" / "fig2_manifest.json").read_text())
+    assert manifest["config"]["trials"] == 3
+    capsys.readouterr()
+
+
 def test_svg_deterministic(tmp_path):
     cfg = small_fig2_config()
     a = run_fig2(cfg, tmp_path / "a", svg=True)

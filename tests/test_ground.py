@@ -11,10 +11,12 @@ from mpcrb import (GroundScenario, MultipathScene, indirect_geometry,
 from mpcrb.ground import range_columns
 
 
+GEOM = standard_virtual_ula(3, 8)
+
+
 def asphalt(grid, **overrides):
     params = dict(h_r=1.0, wavelength=0.0038, eps_r=4.0, gamma_cond=0.005,
-                  range_grid=np.asarray(grid, dtype=float),
-                  geom=standard_virtual_ula(3, 8), v=10.0, r_res=0.5,
+                  range_grid=np.asarray(grid, dtype=float), v=10.0, r_res=0.5,
                   v_res=0.05, k_pulses=256, e_p=1.0, snr_ref_db=20.0,
                   r_ref=50.0)
     params.update(overrides)
@@ -71,7 +73,7 @@ def test_reflection_magnitude_bounded():
 
 def test_range_point_phase_asymptote():
     scn = asphalt([10.0, 200.0])
-    pt = range_point(scn, 200.0)
+    pt = range_point(scn, 200.0, geom=GEOM)
     phi_rd = 2 * math.pi * pt.r_d / scn.wavelength
     phi_ri = 2 * math.pi * pt.r_i / scn.wavelength
     asympt = wrap_phase(phi_rd - phi_ri + math.pi)
@@ -80,13 +82,13 @@ def test_range_point_phase_asymptote():
 
 def test_range_point_same_cell_gates():
     scn = asphalt([3.0, 60.0])
-    near = range_point(scn, 3.0)       # r_i - r_d = 0.606 m > 0.5 m
+    near = range_point(scn, 3.0, geom=GEOM)    # r_i - r_d = 0.606 m > 0.5 m
     assert near.r_i - near.r_d > 0.5
     assert not near.same_cell and near.bound is None
-    far = range_point(scn, 60.0)
+    far = range_point(scn, 60.0, geom=GEOM)
     assert far.same_cell and far.bound is not None
     # doppler projection gate alone
-    mid = range_point(scn, 12.0)       # in range cell but not doppler cell
+    mid = range_point(scn, 12.0, geom=GEOM)    # in range cell, not Doppler cell
     assert mid.r_i - mid.r_d < 0.5
     assert scn.v * (1 - math.cos(-mid.psi)) > scn.v_res
     assert not mid.same_cell
@@ -95,7 +97,7 @@ def test_range_point_same_cell_gates():
 def test_amplitude_ratio_null_near_brewster_range():
     grid = np.arange(2.0, 8.01, 0.05)
     scn = asphalt(grid)
-    pts = [range_point(scn, r) for r in grid]
+    pts = [range_point(scn, r, geom=GEOM) for r in grid]
     amp = np.array([10 ** (-p.smr_db / 20.0) for p in pts])
     r_min = grid[int(np.argmin(amp))]
     # pseudo-Brewster grazing angle for eps=4 sits at 26.57 deg -> 4 h_r
@@ -105,9 +107,9 @@ def test_amplitude_ratio_null_near_brewster_range():
 
 def test_snr_normalization_reference():
     scn = asphalt([50.0])
-    pt = range_point(scn, 50.0)
+    pt = range_point(scn, 50.0, geom=GEOM)
     assert pt.snr_db == pytest.approx(20.0, abs=1e-9)
-    pt2 = range_point(scn, 100.0)
+    pt2 = range_point(scn, 100.0, geom=GEOM)
     assert pt2.snr_db == pytest.approx(20.0 - 40.0 * math.log10(2.0), abs=1e-6)
 
 
@@ -171,7 +173,7 @@ def _scalar_range_physics(scn, r_d):
     sigma_w2 = abs(scn.gamma_t) ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
     fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
                   k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
-    scene = MultipathScene(geom=scn.geom, **fields)
+    scene = MultipathScene(geom=GEOM, **fields)
     same_cell = ((r_i - r_d) < scn.r_res
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
     snr_v, smr_v, dphi = scene_ratios(scene)
@@ -233,7 +235,7 @@ def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
     # below the road from 19.1 m at -3 deg: the grid starts in model
     scn = asphalt(np.arange(5.0, 60.0, 5.0), **overrides)
     assert _first_scalar_refusal(scn) == message
-    for call in (range_columns, lambda s: range_point(s, 40.0)):
+    for call in (range_columns, lambda s: range_point(s, 40.0, geom=GEOM)):
         with pytest.raises(ValueError) as err:
             call(scn)
         assert str(err.value) == message
@@ -251,9 +253,24 @@ def test_range_point_is_a_one_range_sweep_of_the_columns():
     scn = asphalt(np.arange(10.0, 80.0, 7.0))
     cols = range_columns(scn)
     for i, r in enumerate(scn.range_grid.tolist()):
-        pt = range_point(scn, r)
+        pt = range_point(scn, r, geom=GEOM)
         assert (pt.r_d, pt.r_i, pt.psi, pt.gamma_r, pt.smr_db, pt.delta_phi,
                 pt.snr_db, pt.same_cell) == tuple(c[i].item() for c in cols[:8])
         assert type(pt.same_cell) is bool and type(pt.r_i) is float
         assert (pt.scene.alpha_d, pt.scene.alpha_i) == (cols.alpha_d[i],
                                                         cols.alpha_i[i])
+
+
+def test_range_columns_wrap_the_phase_difference_with_wrap_phase():
+    cols = range_columns(asphalt(np.linspace(2.0, 300.0, 997)))
+    want = wrap_phase(np.angle(cols.alpha_d) - np.angle(cols.alpha_i))
+    assert cols.delta_phi.tobytes() == want.tobytes()
+
+
+def test_range_point_takes_the_array_as_a_required_keyword():
+    scn = asphalt([40.0])
+    with pytest.raises(TypeError):
+        range_point(scn, 40.0)
+    with pytest.raises(TypeError):
+        range_point(scn, 40.0, None, GEOM)
+    assert range_point(scn, 40.0, geom=GEOM).scene.geom is GEOM

@@ -25,6 +25,27 @@ def test_wrap_phase_range():
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)
 
 
+def _math_wrap_phase(x):
+    """``wrap_phase`` in math-module scalars, as it was before it took arrays."""
+    y = math.fmod(x + math.pi, 2.0 * math.pi)
+    if y <= 0.0:
+        y += 2.0 * math.pi
+    return y - math.pi
+
+
+def test_wrap_phase_of_an_array_is_the_scalar_calls():
+    x = np.concatenate((np.linspace(-1e5, 1e5, 2001), RNG.uniform(-50.0, 50.0, 500),
+                        [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, 3.0 * math.pi,
+                         -3.0 * math.pi, 1e-300, -1e-300]))
+    scalars = [wrap_phase(v) for v in x.tolist()]
+    assert all(type(w) is float for w in scalars)
+    want = np.array([_math_wrap_phase(v) for v in x.tolist()])
+    assert np.array(scalars).tobytes() == want.tobytes()
+    got = wrap_phase(x.reshape(2, -1))
+    assert got.shape == (2, x.size // 2)
+    assert got.tobytes() == want.reshape(2, -1).tobytes()
+
+
 def test_path_coefficients_zero_surface():
     p = PathGeometryInputs(gamma_t=1.0, gamma_r=0.0, alpha_0d=1.0,
                            alpha_0i=1.0, r_d=5.0, r_i=5.5, wavelength=0.004)
