@@ -9,7 +9,8 @@ expressions rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,8 +67,11 @@ class SteeringSet:
     a_t: np.ndarray
     da_r: np.ndarray
     da_t: np.ndarray
-    dda_r: np.ndarray = field(repr=False, default=None)
-    dda_t: np.ndarray = field(repr=False, default=None)
+    dda_r: np.ndarray
+    dda_t: np.ndarray
+
+
+_Vectors = namedtuple("_Vectors", "a_r a_t")   # a SteeringSet's vectors alone
 
 
 def standard_virtual_ula(m_t: int, m_r: int) -> ArrayGeometry:
@@ -128,26 +132,24 @@ def steering(geom: ArrayGeometry, theta) -> SteeringSet:
     return SteeringSet(a_r=a_r, a_t=a_t, da_r=da_r, da_t=da_t, dda_r=dda_r, dda_t=dda_t)
 
 
-def _vectors(geom: ArrayGeometry, theta) -> SteeringSet:
-    """:func:`steering`'s a_r and a_t alone, bit for bit and with its angle check;
-    the derivatives are None."""
+def _vectors(geom: ArrayGeometry, theta) -> _Vectors:
+    """:func:`steering`'s a_r and a_t alone, bit for bit and with its angle check."""
     col = _angle_column(theta)
-    return SteeringSet(a_r=_steer_a(geom.rx_positions, col),
-                       a_t=_steer_a(geom.tx_positions, col), da_r=None, da_t=None)
+    return _Vectors(_steer_a(geom.rx_positions, col), _steer_a(geom.tx_positions, col))
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _direct_indirect(s_target: SteeringSet, s_reflect: SteeringSet):
+def _direct_indirect(s_target, s_reflect):
     """``A_d`` and ``A_i`` of :func:`mimo_matrices`, which read the steering
-    vectors alone, so sets from :func:`_vectors` will do."""
+    vectors alone, so :func:`_vectors` results will do."""
     a_r, a_t = s_target.a_r, s_target.a_t
     return _outer(a_r, a_t), _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
 
 
-def mimo_matrices(s_target: SteeringSet, s_reflect: SteeringSet):
+def mimo_matrices(s_target: SteeringSet, s_reflect):
     """MIMO steering matrices for the direct and two-ray indirect returns.
 
     Returns ``(A_d, A_i, dA_d, ddA_d)`` where ``A_d = a_r(theta) a_t(theta)^T``,

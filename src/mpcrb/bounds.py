@@ -75,10 +75,10 @@ class SearchConfig:
         lo, hi = self.span
         if not (-math.pi / 2 < lo < hi < math.pi / 2):
             raise ValueError("span must be an interval inside (-pi/2, pi/2)")
-        if self.coarse_step is not None:
-            if self.coarse_step <= 0.0 or self.refine_tol >= self.coarse_step:
-                raise ValueError("require coarse_step > refine_tol > 0")
-        if self.refine_tol <= 0.0:
+        if self.coarse_step is not None and not (   # NaN fails each check
+                self.coarse_step > 0.0 and self.coarse_step > self.refine_tol):
+            raise ValueError("require coarse_step > refine_tol > 0")
+        if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
 
 

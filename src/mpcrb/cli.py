@@ -5,8 +5,14 @@ Example:
     mpcrb scenario --config myscene.json --out out/
     mpcrb selftest
 
+A subcommand registers only the options that can change its run (``_TAKES``):
+``--trials`` and ``--seed`` on fig2 and montecarlo, which draw random numbers,
+and ``--svg`` on every recipe but bounds, which has no plot.  The recipes'
+``workers`` keyword, which they ignore, has no option: only the benchmark
+passes it (as 1).
+
 Exit codes: 0 success, 1 validation error, 2 numerical degeneracy in a
-single-point bound request.
+single-point bound request or a usage error (an option not registered).
 """
 
 from __future__ import annotations
@@ -32,6 +38,21 @@ _RUNNERS = {
     "montecarlo": run_montecarlo,
     "beampattern": run_beampattern,
 }
+_OPTIONS = {   # add_argument keywords; trials and seed override the config
+    "trials": {"type": int, "help": "override trial count"},
+    "seed": {"type": int, "help": "override base seed"},
+    "svg": {"action": "store_true", "help": "also write SVG plots"},
+}
+_TAKES = {   # the options each subcommand registers and main passes on
+    "bounds": (),
+    "fig2": ("trials", "seed", "svg"),
+    "fig3": ("svg",),
+    "fig4": ("svg",),
+    "fig5": ("svg",),
+    "scenario": ("svg",),
+    "montecarlo": ("trials", "seed", "svg"),
+    "beampattern": ("svg",),
+}
 
 
 def load_preset(name: str) -> dict:
@@ -40,9 +61,9 @@ def load_preset(name: str) -> dict:
         return json.load(fh)
 
 
-def _load_config(args, name: str) -> dict:
-    if args.config:
-        path = Path(args.config)
+def _load_config(config_path, name: str, overrides: dict) -> dict:
+    if config_path:
+        path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"--config: no such file: {path}")
         try:
@@ -53,10 +74,8 @@ def _load_config(args, name: str) -> dict:
         config = load_preset(name)
     if not isinstance(config, dict):
         raise ConfigError("--config: top level must be a JSON object")
-    if vars(args).get("trials") is not None:
-        config["trials"] = args.trials
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config.update((key, value) for key, value in overrides.items()
+                  if value is not None)
     return config
 
 
@@ -65,17 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mpcrb",
         description="DOA error bounds for MIMO radar under ground multipath")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _TAKES:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config (default: packaged preset)")
         p.add_argument("--out", default="out", help="output directory")
-        if name in ("fig2", "montecarlo"):   # the two that run trials
-            p.add_argument("--trials", type=int, help="override trial count")
-        p.add_argument("--seed", type=int, help="override base seed")
-        p.add_argument("--svg", action="store_true", help="also write SVG plots")
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility and ignored: "
-                            "runs are single-threaded")
+        for option in _TAKES[name]:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     sub.add_parser("selftest", help="run the analytic invariant checks")
     return parser
 
@@ -88,10 +102,11 @@ def main(argv=None) -> int:
             print(line)
         print("selftest:", "all checks passed" if ok else "FAILURES present")
         return 0 if ok else 1
+    opts = {key: getattr(args, key) for key in _TAKES[args.command]}
+    overrides = {key: opts.pop(key) for key in ("trials", "seed") if key in opts}
     try:
-        config = _load_config(args, args.command)
-        result = _RUNNERS[args.command](config, args.out, svg=args.svg,
-                                        workers=args.workers)
+        config = _load_config(args.config, args.command, overrides)
+        result = _RUNNERS[args.command](config, args.out, **opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -4,8 +4,9 @@ Each runner takes a JSON-style config dict, writes CSV (canonical output,
 RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
 versions, and optionally a standalone SVG.  Angles are degrees in all
 human-facing columns and radians internally; degenerate bound points are
-emitted as empty cells.  Every runner accepts a ``workers`` keyword for
-interface compatibility and ignores it: all work runs in one thread.
+emitted as empty cells.  Every runner accepts a ``workers`` keyword and
+ignores it: all work runs in one thread.  Only the benchmark passes it (as 1);
+the command line has no ``--workers``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .bounds import (BoundBreakdown, SearchConfig, _breakdowns,
                      mcrb_theta_closed_columns)
-from .scene import _ANGLE_REFUSAL, _POWER_REFUSAL, MultipathScene, wrap_phase
+from .scene import _ANGLE_REFUSAL, _POWER_REFUSAL, MultipathScene, _powers_ok, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,18 @@ class GroundScenario:
     snr_ref_db: float = 20.0        # SNR at the reference range
     r_ref: float = 50.0             # reference range for the r^-2 amplitude law, m
 
-    def __post_init__(self):
+    def __post_init__(self):   # each check written so that NaN fails it
         grid = np.atleast_1d(np.asarray(self.range_grid, dtype=float)).copy()
-        if grid.size < 1 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+        if not (grid.size >= 1 and np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):
             raise ValueError("range_grid must be positive and strictly increasing")
         grid.flags.writeable = False
         object.__setattr__(self, "range_grid", grid)
-        if self.h_r <= 0.0 or self.wavelength <= 0.0 or self.r_ref <= 0.0:
+        if not (self.h_r > 0.0 and self.wavelength > 0.0 and self.r_ref > 0.0):
             raise ValueError("h_r, wavelength and r_ref must be positive")
-        if self.eps_r < 1.0 or self.gamma_cond < 0.0:
+        if not (self.eps_r >= 1.0 and self.gamma_cond >= 0.0):
             raise ValueError("require eps_r >= 1 and gamma_cond >= 0")
+        if not (self.r_res > 0.0 and self.v_res > 0.0 and abs(self.v) < math.inf):
+            raise ValueError("require r_res > 0, v_res > 0 and a finite v")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
     failed = np.array([   # per _REFUSALS entry and range, in the scalar checks' order
         ~((-math.pi / 2 <= psi) & (psi < 0.0)), ~(r_i >= r_d),
         ~((abs(scn.theta) < math.pi / 2) & (psi > -math.pi / 2)),
-        np.full(r_d.shape, not (sigma_w2 > 0.0 and scn.e_p > 0.0 and scn.k_pulses >= 1)),
+        np.full(r_d.shape, not _powers_ok(sigma_w2, scn.e_p, scn.k_pulses)),
         ~(np.isfinite(alpha_d) & np.isfinite(alpha_i))])
     if failed.any():
         raise ValueError(_REFUSALS[failed[:, failed.any(axis=0).argmax()].argmax()])

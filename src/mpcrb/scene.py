@@ -26,6 +26,11 @@ _ANGLE_REFUSAL = "theta and psi must lie strictly inside (-pi/2, pi/2)"
 _POWER_REFUSAL = "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
 
 
+def _powers_ok(sigma_w2, e_p, k_pulses) -> bool:
+    """The rule of _POWER_REFUSAL, which NaN fails; ground checks it per range."""
+    return sigma_w2 > 0.0 and e_p > 0.0 and k_pulses >= 1
+
+
 def wrap_phase(x):
     """Wrap an angle (a float) or each entry of an array to (-pi, pi]."""
     y = np.fmod(np.add(x, math.pi), 2.0 * math.pi)
@@ -49,7 +54,7 @@ class MultipathScene:
     def __post_init__(self):
         if not (abs(self.theta) < _HALF_PLANE and abs(self.psi) < _HALF_PLANE):
             raise ValueError(_ANGLE_REFUSAL)
-        if self.sigma_w2 <= 0.0 or self.e_p <= 0.0 or self.k_pulses < 1:
+        if not _powers_ok(self.sigma_w2, self.e_p, self.k_pulses):
             raise ValueError(_POWER_REFUSAL)
 
 

@@ -28,6 +28,21 @@ def test_config_validation():
         SearchConfig(coarse_step=1e-8, refine_tol=1e-6)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(refine_tol=math.nan), "refine_tol must be positive"),
+    (dict(coarse_step=math.nan), "require coarse_step > refine_tol > 0"),
+    (dict(coarse_step=0.01, refine_tol=math.nan), "require coarse_step > refine_tol > 0"),
+    (dict(coarse_step=-1.0, refine_tol=-1.0), "require coarse_step > refine_tol > 0"),
+    (dict(coarse_step=0.01, refine_tol=0.0), "refine_tol must be positive"),
+])
+def test_search_config_refuses_nan_with_the_existing_messages(fields, message):
+    # a NaN tolerance or step was accepted, and theta_a then failed with
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError) as err:
+        SearchConfig(**fields)
+    assert str(err.value) == message
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         mml_doa(np.zeros((2, 2), dtype=complex), GEOM)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 from mpcrb import bounds, svgplot
 from mpcrb.arrays import mimo_matrices
-from mpcrb.cli import _RUNNERS, load_preset, main
+from mpcrb.cli import _RUNNERS, build_parser, load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
                                run_selftest)
@@ -244,21 +245,52 @@ def test_cli_runs_fig2_with_overrides(tmp_path, capsys):
     assert (tmp_path / "o" / "fig2.svg").exists()
 
 
-def test_trials_is_a_usage_error_where_no_trials_run(tmp_path, capsys):
-    for name in ("bounds", "fig3", "fig4", "fig5", "scenario", "beampattern"):
+def test_options_that_cannot_change_a_run_are_usage_errors(tmp_path, capsys):
+    # bound recipes draw no random numbers, bounds draws no plot, and no
+    # recipe uses workers
+    out = tmp_path / "o"
+    refused = [["bounds", "--svg"]] + [[name, "--workers", "2"] for name in _RUNNERS] + [
+        [name, *opt] for name in ("bounds", "fig3", "fig4", "fig5", "scenario",
+                                  "beampattern")
+        for opt in (["--trials", "5"], ["--seed", "3"])]
+    for argv in refused:
         with pytest.raises(SystemExit) as exc:
-            main([name, "--trials", "5", "--out", str(tmp_path)])
+            main(argv + ["--out", str(out)])
         assert exc.value.code == 2
-        assert "--trials" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-    # the Monte-Carlo subcommands still take it
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(small_fig2_config()))
-    assert main(["fig2", "--config", str(p), "--out", str(tmp_path / "o"),
-                 "--trials", "3"]) == 0
-    manifest = json.loads((tmp_path / "o" / "fig2_manifest.json").read_text())
-    assert manifest["config"]["trials"] == 3
-    capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _registered(name):
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return [opt for action in sub.choices[name]._actions
+            for opt in action.option_strings]
+
+
+def test_every_run_option_changes_the_outputs(tmp_path):
+    # each recipe on its thinned preset, with and without each registered run
+    # option: one that moves no output byte (the manifest aside, which records
+    # the config) does nothing
+    no_ops = set()
+    for name in _RUNNERS:
+        cfg = thinned_preset(name, points=3, trials=5)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+
+        def outputs(*opts):
+            out = tmp_path / "_".join((name,) + opts)
+            assert main([name, "--config", str(path), "--out", str(out), *opts]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != f"{name}_manifest.json"}
+
+        base = outputs()
+        values = {"--trials": [str(cfg.get("trials", 0) + 1)], "--svg": [],
+                  "--seed": [str(cfg.get("seed", 0) + 1)], "--workers": ["2"]}
+        for opt in values.keys() & set(_registered(name)):
+            if outputs(opt, *values[opt]) == base:
+                no_ops.add((name, opt))
+    assert no_ops == set()
 
 
 def test_svg_deterministic(tmp_path):

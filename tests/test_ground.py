@@ -136,6 +136,27 @@ def test_scenario_validation():
         asphalt([5.0], h_r=-1.0)
 
 
+@pytest.mark.parametrize("grid, overrides, message", [
+    ([math.nan], {}, "range_grid must be positive and strictly increasing"),
+    ([5.0, math.nan], {}, "range_grid must be positive and strictly increasing"),
+    ([5.0], dict(h_r=math.nan), "h_r, wavelength and r_ref must be positive"),
+    ([5.0], dict(wavelength=math.nan), "h_r, wavelength and r_ref must be positive"),
+    ([5.0], dict(r_ref=math.nan), "h_r, wavelength and r_ref must be positive"),
+    ([5.0], dict(eps_r=math.nan), "require eps_r >= 1 and gamma_cond >= 0"),
+    ([5.0], dict(gamma_cond=math.nan), "require eps_r >= 1 and gamma_cond >= 0"),
+    ([5.0], dict(r_res=math.nan), "require r_res > 0, v_res > 0 and a finite v"),
+    ([5.0], dict(v_res=math.nan), "require r_res > 0, v_res > 0 and a finite v"),
+    ([5.0], dict(v=math.nan), "require r_res > 0, v_res > 0 and a finite v"),
+    ([5.0], dict(r_res=0.0), "require r_res > 0, v_res > 0 and a finite v"),
+])
+def test_scenario_refuses_nan(grid, overrides, message):
+    # each was accepted: a NaN wavelength was refused later as "r_ref / r_d is
+    # too large", and a NaN r_res, v_res or v put every range out of cell
+    with pytest.raises(ValueError) as err:
+        asphalt(grid, **overrides)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the column physics against the per-range scalar physics it replaced
 
@@ -230,6 +251,10 @@ def _first_scalar_refusal(scn):
     (dict(theta=math.radians(-3.0)), "require r_i >= r_d > 0"),
     (dict(gamma_t=0.0j), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
     (dict(k_pulses=0), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    # one power rule for the scene and the columns: NaN fails both
+    (dict(e_p=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(k_pulses=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(snr_ref_db=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
 ])
 def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
     # below the road from 19.1 m at -3 deg: the grid starts in model

@@ -146,6 +146,15 @@ def test_scene_validation():
                        k_pulses=0)
 
 
+@pytest.mark.parametrize("field", ["sigma_w2", "e_p", "k_pulses"])
+def test_scene_refuses_nan_powers(field):
+    # NaN passed the power rule's old `<=` form, and crb_theta then gave nan
+    with pytest.raises(ValueError) as err:
+        MultipathScene(geom=GEOM, theta=0.0, psi=0.1, alpha_d=1, alpha_i=0.5,
+                       **{field: math.nan})
+    assert str(err.value) == "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
+
+
 def test_synthesis_deterministic_and_near_noise_free():
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 0.0, 0.0, 4, 2.0)
     y1 = synthesize_compressed(sc, 42)
