@@ -409,7 +409,7 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     geom = geometry_from_config(config)
     search = search_from_config(config)
     theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
-    psi = theta - math.radians(_get_num(config, "scene.delta_theta_deg"))
+    psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
     phases = _get(config, "delta_phis_rad", default=[0.0, 2.0 * math.pi / 3.0])
     if not isinstance(phases, list) or len(phases) != 2:
         raise ConfigError("delta_phis_rad: expected a list of two numbers")
@@ -467,8 +467,6 @@ def scenario_from_config(config: dict) -> GroundScenario:
             gamma_cond=_get_num(config, "gamma_cond_s_per_m"),
             range_grid=np.array(grid),
             theta=math.radians(theta_deg),
-            gamma_t=complex(_get_num(config, "gamma_t_real", default=1.0),
-                            _get_num(config, "gamma_t_imag", default=0.0)),
             v=_get_num(config, "v_mps"),
             r_res=_get_num(config, "r_res_m", positive=True),
             v_res=_get_num(config, "v_res_mps", positive=True),
@@ -484,25 +482,12 @@ def scenario_from_config(config: dict) -> GroundScenario:
     if not math.isfinite(r_i):
         raise ConfigError(f"h_r_m: image path length overflows at h_r_m = {scn.h_r!r}")
     ratio = scn.r_ref / grid[0]   # the nearest direct path has the largest amplitude
-    gamma, snr_ref = scn.gamma_t, scn.snr_ref_db
-    try:   # and range_columns' noise power |gamma_t|^2 / 10^(snr_ref_db / 10)
-        amp = abs(gamma)
-        if not math.isfinite(ratio * ratio * amp):
-            raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 |gamma_t| "
-                              f"overflows at r_d = {grid[0]!r}")
-        power = amp ** 2
-        sigma_w2 = power / _pow10(snr_ref / 10.0, "snr_ref_db", snr_ref)
-    except OverflowError:
-        power = math.inf
-    except ZeroDivisionError:
-        sigma_w2 = math.inf
-    if not 0.0 < power < math.inf:
-        key = "gamma_t_real" if abs(gamma.real) >= abs(gamma.imag) else "gamma_t_imag"
-        how = "overflows" if power else "underflows to 0"
-        raise ConfigError(f"{key}: |gamma_t|^2 {how} at gamma_t = {gamma!r}")
-    if not 0.0 < sigma_w2 < math.inf:
-        how = "overflows" if sigma_w2 else "underflows to 0"
-        raise ConfigError(f"snr_ref_db: noise power {how} at {snr_ref!r} dB")
+    if not math.isfinite(ratio * ratio):
+        raise ConfigError(f"r_ref_m: path amplitude (r_ref_m / r_d)^2 "
+                          f"overflows at r_d = {grid[0]!r}")
+    snr_ref = scn.snr_ref_db   # range_columns' noise power 1 / 10^(snr_ref_db / 10)
+    if 1.0 / _pow10(snr_ref / 10.0, "snr_ref_db", snr_ref, zero_ok=False) == math.inf:
+        raise ConfigError(f"snr_ref_db: noise power overflows at {snr_ref!r} dB")
     return scn
 
 

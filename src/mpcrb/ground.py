@@ -14,7 +14,6 @@ so the stored scene angle is its negation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -37,7 +36,6 @@ class GroundScenario:
     gamma_cond: float               # road conductivity, S/m
     range_grid: np.ndarray          # target ranges, m, strictly increasing
     theta: float = 0.0              # target elevation DOA (flat road: 0)
-    gamma_t: complex = 1.0 + 0.0j   # target reflection coefficient
     v: float = 10.0                 # relative radial velocity, m/s
     r_res: float = 0.5              # range resolution, m
     v_res: float = 0.05             # velocity resolution, m/s
@@ -48,7 +46,8 @@ class GroundScenario:
 
     def __post_init__(self):   # each check written so that NaN fails it
         grid = np.atleast_1d(np.asarray(self.range_grid, dtype=float)).copy()
-        if not (grid.size >= 1 and np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):
+        if not (grid.size >= 1 and np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)
+                and grid[-1] < math.inf):
             raise ValueError("range_grid must be positive and strictly increasing")
         grid.flags.writeable = False
         object.__setattr__(self, "range_grid", grid)
@@ -125,20 +124,20 @@ def reflection_coefficient(psi: float, eps_r: float, gamma_cond: float,
 
 def range_columns(scn: GroundScenario) -> _RangeColumns:
     """Path physics of every grid range on 1-D columns: image path, reflection
-    and path coefficients ((r_ref / r)^2 |gamma_t| with the phase of gamma_t,
-    of the surface and of the path length), SMR, phase difference and SNR
-    (dB, rad in (-pi, pi], dB) and the same-cell gate;
-    ``sigma_w2`` is one float.  Raises ValueError at the first range out of
-    model, with the message that range's scene inputs give."""
-    r_d, amp, ang = scn.range_grid, abs(scn.gamma_t), cmath.phase(scn.gamma_t)
+    and path coefficients ((r_ref / r)^2 with the phases of the surface and of
+    the path length), SMR, phase difference and SNR (dB, rad in (-pi, pi], dB)
+    and the same-cell gate; ``sigma_w2`` is one float, set so that snr_ref_db
+    is the SNR at r_ref.  Raises ValueError at the first range out of model,
+    with the message that range's scene inputs give."""
+    r_d = scn.range_grid
     r_i, psi = _image_path(r_d, scn.theta, scn.h_r)
     gamma_r = _reflection(-psi, scn.eps_r, scn.gamma_cond, scn.wavelength)
-    sigma_w2 = amp ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
+    sigma_w2 = 1.0 / (10.0 ** (scn.snr_ref_db / 10.0))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        alpha_d = ((scn.r_ref / r_d) ** 2 * amp
-                   * np.exp(1j * (ang + 2.0 * math.pi * r_d / scn.wavelength)))
-        alpha_i = ((scn.r_ref / r_i) ** 2 * amp * np.abs(gamma_r) * np.exp(
-            1j * (ang + np.angle(gamma_r) + 2.0 * math.pi * r_i / scn.wavelength)))
+        alpha_d = ((scn.r_ref / r_d) ** 2
+                   * np.exp(1j * (2.0 * math.pi * r_d / scn.wavelength)))
+        alpha_i = ((scn.r_ref / r_i) ** 2 * np.abs(gamma_r) * np.exp(
+            1j * (np.angle(gamma_r) + 2.0 * math.pi * r_i / scn.wavelength)))
         p_d, p_i = np.abs(alpha_d) ** 2, np.abs(alpha_i) ** 2
         smr_db = np.where(alpha_i == 0, np.inf, 10.0 * np.log10(p_d / p_i))
         snr_db = 10.0 * np.log10(p_d / sigma_w2)

@@ -31,8 +31,8 @@ PARAMETERS = {
     "ConditioningError": ("message", "condition"),
     "DegenerateBoundError": ("message", "denominator", "threshold"),
     "GroundScenario": ("h_r", "wavelength", "eps_r", "gamma_cond", "range_grid",
-                       "theta", "gamma_t", "v", "r_res", "v_res", "k_pulses",
-                       "e_p", "snr_ref_db", "r_ref"),
+                       "theta", "v", "r_res", "v_res", "k_pulses", "e_p",
+                       "snr_ref_db", "r_ref"),
     "MultipathScene": ("geom", "theta", "psi", "alpha_d", "alpha_i", "k_pulses",
                        "e_p", "sigma_w2"),
     "RangePoint": ("r_d", "r_i", "psi", "gamma_r", "smr_db", "delta_phi",

@@ -566,6 +566,38 @@ def test_out_of_range_psi_names_its_axis(tmp_path, recipe, axis):
         getattr(ex, f"run_{recipe}")(cfg, tmp_path)
 
 
+def test_fig4_out_of_range_psi_names_its_key(tmp_path):
+    cfg = load_preset("fig4")
+    cfg["scene"]["delta_theta_deg"] = 95.0
+    with pytest.raises(ConfigError, match="scene.delta_theta_deg: psi leaves"):
+        run_fig4(cfg, tmp_path)
+
+
+def _config_leaves(node, path=""):
+    """Dotted paths to the leaves of a JSON tree; a list is one leaf."""
+    if not isinstance(node, dict):
+        yield path
+        return
+    for key, val in node.items():
+        yield from _config_leaves(val, f"{path}.{key}" if path else key)
+
+
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
+def test_every_preset_key_is_read_by_its_recipe(tmp_path, monkeypatch, name):
+    # a preset key that its recipe never reads is a setting that cannot change
+    # a run; kind and seed are on every preset, read or not
+    read = set()
+
+    def get(cfg, path, default=ex._REQUIRED, _get=ex._get):
+        read.add(path)
+        return _get(cfg, path, default)
+    monkeypatch.setattr(ex, "_get", get)
+    cfg = load_preset(name)
+    _RUNNERS[name](cfg, tmp_path)
+    assert [leaf for leaf in _config_leaves(cfg)
+            if leaf not in read and leaf not in ("kind", "seed")] == []
+
+
 def test_manifest_hashes_the_written_bytes(tmp_path):
     cfg = load_preset("fig3")
     cfg["sweep"] = {"delta_theta_deg": {"start": 0.0, "stop": 2.0, "step": 1.0}}
@@ -683,11 +715,9 @@ def test_scenario_cells_stay_finite_at_large_pulse_energy(tmp_path):
 @pytest.mark.parametrize("field, value", [("r_ref_m", 1e160),
                                           ("h_r_m", 1e300),
                                           ("theta_deg", 95.0),
-                                          ("theta_deg", -90.0),
-                                          ("gamma_t_real", 0.0)])
+                                          ("theta_deg", -90.0)])
 def test_cli_refuses_scenario_inputs_out_of_model(tmp_path, capsys, field,
                                                   value):
-    # gamma_t_real = 0 with the preset's gamma_t_imag = 0: zero noise power
     cfg = load_preset("scenario")
     cfg[field] = value
     p = tmp_path / "scenario.json"
@@ -767,11 +797,13 @@ def test_config_mutations_return_or_raise_a_mapped_error(tmp_path):
 @pytest.mark.parametrize("recipe, key, value", [
     ("fig5", "scene.snr_db", -4000.0), ("bounds", "scene.smr_db", -1e300),
     ("montecarlo", "sweep.snr_db.start", -4000.0),
-    ("scenario", "gamma_t_imag", 1e300), ("scenario", "gamma_t_real", 1e200),
-    ("scenario", "snr_ref_db", 4000.0), ("scenario", "snr_ref_db", -1e300)])
+    ("scenario", "snr_ref_db", 4000.0), ("scenario", "snr_ref_db", -1e300),
+    ("scenario", "snr_ref_db", -3085.0)])
 def test_cli_refuses_powers_outside_the_float_range(tmp_path, capsys, recipe,
                                                     key, value):
-    # each of these raised OverflowError or ZeroDivisionError from a power
+    # each of these raised OverflowError or ZeroDivisionError from a power;
+    # at snr_ref_db = -3085, 10^(snr_ref_db / 10) is subnormal and the noise
+    # power, its inverse, is inf
     cfg = load_preset(recipe)
     _set_leaf(cfg, key.split("."), value)
     p = tmp_path / "cfg.json"

@@ -136,8 +136,11 @@ def test_scenario_validation():
         asphalt([5.0], h_r=-1.0)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("grid, overrides, message", [
     ([math.nan], {}, "range_grid must be positive and strictly increasing"),
+    ([math.inf], {}, "range_grid must be positive and strictly increasing"),
+    ([5.0, math.inf], {}, "range_grid must be positive and strictly increasing"),
     ([5.0, math.nan], {}, "range_grid must be positive and strictly increasing"),
     ([5.0], dict(h_r=math.nan), "h_r, wavelength and r_ref must be positive"),
     ([5.0], dict(wavelength=math.nan), "h_r, wavelength and r_ref must be positive"),
@@ -151,7 +154,9 @@ def test_scenario_validation():
 ])
 def test_scenario_refuses_nan(grid, overrides, message):
     # each was accepted: a NaN wavelength was refused later as "r_ref / r_d is
-    # too large", and a NaN r_res, v_res or v put every range out of cell
+    # too large", a NaN r_res, v_res or v put every range out of cell, and an
+    # infinite range made range_columns warn, then refuse it as a grazing angle
+    # out of (0, pi/2]
     with pytest.raises(ValueError) as err:
         asphalt(grid, **overrides)
     assert str(err.value) == message
@@ -181,7 +186,8 @@ def _scalar_reflection_coefficient(psi, eps_r, gamma_cond, wavelength):
 
 def _scalar_range_physics(scn, r_d):
     """``ground._range_physics`` before the columns replaced it, verbatim (on
-    the scalar forms above), kept as an oracle."""
+    the scalar forms above) with a unit target reflection coefficient, kept as
+    an oracle."""
     r_i, psi = _scalar_indirect_geometry(r_d, scn.theta, scn.h_r)
     grazing = -psi
     gamma_r = _scalar_reflection_coefficient(grazing, scn.eps_r, scn.gamma_cond,
@@ -189,9 +195,9 @@ def _scalar_range_physics(scn, r_d):
     alpha_0d = (scn.r_ref / r_d) ** 2
     alpha_0i = (scn.r_ref / r_i) ** 2
     alpha_d, alpha_i = path_coefficients(PathGeometryInputs(
-        gamma_t=scn.gamma_t, gamma_r=gamma_r, alpha_0d=alpha_0d,
+        gamma_t=1.0, gamma_r=gamma_r, alpha_0d=alpha_0d,
         alpha_0i=alpha_0i, r_d=r_d, r_i=r_i, wavelength=scn.wavelength))
-    sigma_w2 = abs(scn.gamma_t) ** 2 / (10.0 ** (scn.snr_ref_db / 10.0))
+    sigma_w2 = 1.0 / (10.0 ** (scn.snr_ref_db / 10.0))
     fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
                   k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
     scene = MultipathScene(geom=GEOM, **fields)
@@ -249,7 +255,7 @@ def _first_scalar_refusal(scn):
 @pytest.mark.parametrize("overrides, message", [
     (dict(theta=math.radians(95.0)), "grazing angle must lie in (0, pi/2]"),
     (dict(theta=math.radians(-3.0)), "require r_i >= r_d > 0"),
-    (dict(gamma_t=0.0j), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(snr_ref_db=math.inf), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
     (dict(k_pulses=0), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
     # one power rule for the scene and the columns: NaN fails both
     (dict(e_p=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
