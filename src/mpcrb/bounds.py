@@ -68,51 +68,46 @@ class SearchConfig:
     angle and the MML estimator."""
 
     span: tuple[float, float] = (-math.pi / 3, math.pi / 3)
-    coarse_step: float | None = None   # None: virtual-array beamwidth / 20
     refine_tol: float = 1e-7
 
     def __post_init__(self):
         lo, hi = self.span
         if not (-math.pi / 2 < lo < hi < math.pi / 2):
             raise ValueError("span must be an interval inside (-pi/2, pi/2)")
-        if self.coarse_step is not None and not (   # NaN fails each check
-                self.coarse_step > 0.0 and self.coarse_step > self.refine_tol):
-            raise ValueError("require coarse_step > refine_tol > 0")
         if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
 
 
 # Model arrays of scenes on one geometry, one row per scene; s is the
-# physical prefactor 2 K E_p / sigma_w2.
+# physical prefactor 2 K / sigma_w2.
 _Model = namedtuple("_Model", "geom theta alpha_d alpha_i A_d A_i e_dot s crb "
                               "zeta3 zeta4 zeta5")
 _Columns = namedtuple("_Columns", "crb m theta_a bias mcrb valid")   # bound rows
-_DTYPES = (float, float, complex, complex, float, float, float)   # _build's columns
+_DTYPES = (float, float, complex, complex, float, float)   # _build's columns
 
 
-def _crb(geom: ArrayGeometry, theta, alpha_d, k, e_p, sigma_w2):
-    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns; SNR and
-    E_p enter as mantissas, their binary exponents undone after the reciprocal."""
+def _crb(geom: ArrayGeometry, theta, alpha_d, k, sigma_w2):
+    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns; the SNR
+    enters as a mantissa, its binary exponent undone after the reciprocal."""
     s_t = steering(geom, theta)
     p_d, e_dot = np.abs(alpha_d) ** 2, e_adot(s_t)
-    (snr, j_s), (e_p, j_e) = np.frexp(p_d / sigma_w2), np.frexp(e_p)
+    snr, j_s = np.frexp(p_d / sigma_w2)
     with np.errstate(divide="ignore", over="ignore"):
-        crb = np.ldexp(1.0 / (2.0 * snr * k * e_p * e_dot), -j_s - j_e)
+        crb = np.ldexp(1.0 / (2.0 * snr * k * e_dot), -j_s)
     return s_t, p_d, e_dot, crb
 
 
-def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, e_p,
-           sigma_w2) -> _Model:
+def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, sigma_w2) -> _Model:
     """Steering, CRB and zeta3..zeta5 from 1-D columns of scenes on ``geom``,
     two steering calls in all.  Does not check E_Adot (:func:`_informative`)."""
-    theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2 = map(
-        np.asarray, (theta, psi, alpha_d, alpha_i, k, e_p, sigma_w2), _DTYPES)
-    s_t, p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, e_p, sigma_w2)
+    theta, psi, alpha_d, alpha_i, k, sigma_w2 = map(
+        np.asarray, (theta, psi, alpha_d, alpha_i, k, sigma_w2), _DTYPES)
+    s_t, p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, sigma_w2)
     A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, _vectors(geom, psi))
     t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
                   for x in (ddA_d, A_d, dA_d))
     return _Model(geom, theta, alpha_d, alpha_i, A_d, A_i, e_dot,
-                  2.0 * k * e_p / sigma_w2, crb,
+                  2.0 * k / sigma_w2, crb,
                   p_d * e_dot - (np.conj(alpha_d) * alpha_i * t2).real,
                   alpha_i * t0, alpha_i * t1)   # zeta4: slow-time scale folded to 1
 
@@ -128,8 +123,8 @@ def _one_geometry(scenes: Sequence[MultipathScene]) -> ArrayGeometry:
 def _model(scenes: Sequence[MultipathScene]) -> _Model:
     """:func:`_build` on the columns gathered from scenes on one geometry."""
     return _build(_one_geometry(scenes), *zip(*[
-        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.e_p,
-         sc.sigma_w2) for sc in scenes]))
+        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.sigma_w2)
+        for sc in scenes]))
 
 
 def _informative(e_dot):
@@ -140,9 +135,9 @@ def _informative(e_dot):
 
 
 def crb_theta(scene: MultipathScene) -> float:
-    """Matched-model DOA bound 1/(2*SNR*K*E_p*E_Adot), rad^2, by :func:`_crb`."""
+    """Matched-model DOA bound 1/(2*SNR*K*E_Adot), rad^2, by :func:`_crb`."""
     _, _, e_dot, (crb,) = _crb(scene.geom, [scene.theta], scene.alpha_d,
-                               scene.k_pulses, scene.e_p, scene.sigma_w2)
+                               scene.k_pulses, scene.sigma_w2)
     _informative(e_dot)
     return float(crb)
 
@@ -207,22 +202,20 @@ def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
 
 
 def _default_step(geom: ArrayGeometry) -> float:
-    """The coarse step of a search that gives none: virtual-array beamwidth / 20."""
+    """The coarse step of every search: virtual-array beamwidth / 20."""
     return virtual_hpbw(geom) / 20.0
 
 
 def _coarse_winner(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
                    prefer: np.ndarray | None = None):
-    """Coarse grid (step ``search.coarse_step``, or the virtual-array beamwidth
-    / 20 where it is None) and each statistic's winner on it: the first maximum
+    """Coarse grid (:func:`_default_step`) and each statistic's winner: the first maximum
     of |tr(A^H(phi) Y_t)|^2, or with ``prefer`` the grid angle nearest prefer[t]
     among values within 1e-12 (relative) of the maximum.  Per call, the grid's
     rx/tx phasors ((M_r + M_t) x G) are built once; each block of ``_BLOCK``
     statistics fills one (block, G) array of values, one tile of V at a time;
     distances to prefer only for a block where a row has 0 or 2+ ties."""
     lo, hi = search.span
-    step = search.coarse_step or _default_step(geom)
-    n_grid = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    n_grid = max(2, int(math.ceil((hi - lo) / _default_step(geom))) + 1)
     angles, tiles = _grid(geom, lo, hi, n_grid)
     flat = y.reshape(len(y), geom.m_r * geom.m_t)
     vals = np.empty((min(_BLOCK, len(y)), n_grid))
@@ -248,8 +241,8 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
                        prefer: np.ndarray | None = None) -> np.ndarray:
     """Angle maximizing p(phi) = |tr(A^H(phi) Y_t)|^2 for each statistic Y_t.
 
-    ``y`` has shape (n, M_r, M_t); ``search`` carries the span, the coarse
-    step (None: the virtual-array beamwidth / 20) and the tolerance.  Newton
+    ``y`` has shape (n, M_r, M_t); ``search`` carries the span and the
+    tolerance, the coarse step is the virtual-array beamwidth / 20.  Newton
     steps on p'/2 = Re(c0* c1) and p''/2 = |c1|^2 + Re(c0* c2) refine each
     coarse winner inside its grid cells and the span, a bracket that the sign
     of p' shrinks; a step that leaves it, or one where p'' >= 0, bisects it
@@ -334,7 +327,7 @@ def _closed(mod: _Model, search: SearchConfig | None):
 
 
 def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
-                              k_pulses, e_p, sigma_w2,
+                              k_pulses, sigma_w2,
                               search: SearchConfig | None = None):
     """:func:`mcrb_theta_closed` on 1-D columns of scenes on ``geom``: the arrays
     ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.
@@ -342,7 +335,7 @@ def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
     a whole number of ``_BLOCK`` rows, in which one stacked complex M_r x M_t
     matrix takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``), so memory does
     not grow with the row count."""
-    cols = list(map(np.asarray, (theta, psi, alpha_d, alpha_i, k_pulses, e_p,
+    cols = list(map(np.asarray, (theta, psi, alpha_d, alpha_i, k_pulses,
                                  sigma_w2), _DTYPES))
     rows = max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
     starts = range(0, max(c.size for c in cols) or 1, rows)   # no rows: one empty block

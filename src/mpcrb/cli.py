@@ -11,8 +11,8 @@ and ``--svg`` on every recipe but bounds, which has no plot.  The recipes'
 ``workers`` keyword, which they ignore, has no option: only the benchmark
 passes it (as 1).
 
-Exit codes: 0 success, 1 validation error, 2 numerical degeneracy in a
-single-point bound request or a usage error (an option not registered).
+Exit codes: 0 success, 1 invalid input or unwritable output, 2 numerical
+degeneracy in a single-point bound request or an unregistered option.
 """
 
 from __future__ import annotations
@@ -57,19 +57,17 @@ _TAKES = {   # the options each subcommand registers and main passes on
 
 def load_preset(name: str) -> dict:
     ref = resources.files("mpcrb").joinpath("presets", f"{name}.json")
-    with ref.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def _load_config(config_path, name: str, overrides: dict) -> dict:
     if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"--config: no such file: {path}")
         try:
-            config = json.loads(path.read_text(encoding="utf-8"))
+            config = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--config: invalid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: {exc}") from exc
     else:
         config = load_preset(name)
     if not isinstance(config, dict):
@@ -118,6 +116,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # the config is read above: writing an output failed
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     for key, path in result.items():
         print(f"{key}: {path}")

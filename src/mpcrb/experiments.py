@@ -55,10 +55,7 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
 
 
 def _get_num(cfg: dict, path: str, default=_REQUIRED, positive=False) -> float:
-    return _num(_get(cfg, path, default), path, positive)
-
-
-def _num(val, path: str, positive=False) -> float:
+    val = _get(cfg, path, default)
     # the bound on abs(val) also refuses nan and integers beyond the float range
     if (not isinstance(val, (int, float)) or isinstance(val, bool)
             or not abs(val) <= sys.float_info.max):
@@ -85,16 +82,41 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
 # in row blocks of bounded memory (bounds._MODEL_BYTES).
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
-# Points of an explicit coarse search grid (the default one has 1,136 on 3x16).
+# Points of the coarse search grid over pi rad (1,136 on the 3x16 array): a cap
+# on the virtual aperture, as the grid's step is its beamwidth / 20.
 MAX_COARSE_POINTS = 65536
+# fig4's constructive and destructive phase differences, rad
+_FIG4_PHASES = (0.0, 2.0 * math.pi / 3.0)
 # Monte-Carlo trials per sweep point; the largest preset runs 2,000.
 _MAX_TRIALS = 100_000
 # Pulses per scene: the bounds take K as a float, exact for integers up to 2^53.
 MAX_PULSES = 2 ** 53
-# Elements per array, four times the largest preset array (16).  The virtual
-# aperture is capped so that the default grid over any span (< pi radians)
-# stays within MAX_COARSE_POINTS: pi / default step <= MAX_COARSE_POINTS - 1.
+# Elements per array, four times the largest preset array (16).
 MAX_ELEMENTS = 64
+
+
+# Settings that were removed, by key, with what holds in their place.  A config
+# that still sets one is refused: ignored, e_p != 1 would give wrong bounds.
+_REMOVED = {
+    "e_p": "the pulse energy E_p is 1; it scales the SNR, so set the SNR instead",
+    "coarse_step_deg": "the coarse search step is the virtual-array beamwidth / 20",
+    "delta_phis_rad": "fig4's phase differences are fixed at 0 and 2pi/3",
+}
+
+
+def _refuse_removed(cfg: dict, path: str) -> None:
+    """ConfigError naming ``path`` where ``cfg`` still sets that removed key."""
+    if _get(cfg, path, _REMOVED) is not _REMOVED:   # the default: not set
+        raise ConfigError(f"{path}: no longer a setting: "
+                          f"{_REMOVED[path.rsplit('.', 1)[-1]]}")
+
+
+def _angle(cfg: dict, path: str) -> float:
+    """The angle at ``path`` (deg, default 0) in radians, inside (-90, 90) deg."""
+    deg = _get_num(cfg, path, default=0.0)
+    if abs(deg) >= 90.0:
+        raise ConfigError(f"{path}: must lie inside (-90, 90), got {deg!r}")
+    return math.radians(deg)
 
 
 def _axis(cfg: dict, path: str) -> tuple[float, float, int]:
@@ -150,10 +172,10 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
         raise ConfigError(f"{path}: give m_t/m_r or explicit positions")
     try:
         cells = math.pi / _default_step(geom)
-    except ValueError:   # one virtual position: no beamwidth, no default grid
+    except ValueError:   # one virtual position: no beamwidth, no coarse grid
         return geom
     if not cells <= MAX_COARSE_POINTS - 1:
-        raise ConfigError(f"{path}: virtual aperture too wide: the default search "
+        raise ConfigError(f"{path}: virtual aperture too wide: the coarse search "
                           f"grid would take {cells + 1:.4g} points over pi rad, "
                           f"above the cap of {MAX_COARSE_POINTS}")
     return geom
@@ -161,27 +183,17 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
 
 def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
     """Search settings at ``path``; ``refine_tol`` is the default tolerance."""
-    node = _get(cfg, path, default={})
-    if not isinstance(node, dict):
+    if not isinstance(_get(cfg, path, default={}), dict):
         raise ConfigError(f"{path}: expected an object")
+    _refuse_removed(cfg, f"{path}.coarse_step_deg")
     span_deg = _get_num(cfg, f"{path}.span_deg", default=60.0, positive=True)
-    step_deg = (_get_num(cfg, f"{path}.coarse_step_deg", positive=True)
-                if "coarse_step_deg" in node else None)
     tol = _get_num(cfg, f"{path}.refine_tol_rad", default=refine_tol,
                    positive=True)
     try:
-        search = SearchConfig(
-            span=(-math.radians(span_deg), math.radians(span_deg)),
-            coarse_step=None if step_deg is None else math.radians(step_deg),
-            refine_tol=tol)
+        return SearchConfig(span=(-math.radians(span_deg), math.radians(span_deg)),
+                            refine_tol=tol)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if step_deg is not None:   # the kernel's grid has ceil(cells) + 1 points
-        cells = (search.span[1] - search.span[0]) / search.coarse_step
-        if cells > MAX_COARSE_POINTS - 1:
-            raise ConfigError(f"{path}.coarse_step_deg: {cells + 1:.4g} points "
-                              f"exceed the cap of {MAX_COARSE_POINTS} per grid")
-    return search
 
 
 def estimator_from_config(cfg: dict) -> SearchConfig:
@@ -208,7 +220,8 @@ def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
                  dphi=None, psi_rad=None):
     """scene_from_config's scene and the scene_from_ratios arguments it took.
     A given snr_db or smr_db comes from the axis sweep.<name>, start first."""
-    theta = math.radians(_get_num(cfg, "scene.theta_deg", default=0.0))
+    _refuse_removed(cfg, "scene.e_p")
+    theta = _angle(cfg, "scene.theta_deg")
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
     snr_key = "scene.snr_db" if snr_db is None else "sweep.snr_db"
@@ -220,11 +233,10 @@ def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
     if dphi is None:
         dphi = _get_num(cfg, "scene.delta_phi_rad", default=0.0)
     k = _get_int(cfg, "scene.k_pulses", default=1, minimum=1, maximum=MAX_PULSES)
-    e_p = _get_num(cfg, "scene.e_p", default=1.0, positive=True)
     _pow10(-snr_db / 10.0, snr_key, snr_db, zero_ok=False)   # sigma_w2
     _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|, 0 without multipath
     args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
-                dphi=dphi, k_pulses=k, e_p=e_p)
+                dphi=dphi, k_pulses=k)
     try:
         return scene_from_ratios(geom, **args), args
     except ValueError as exc:
@@ -257,7 +269,7 @@ def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
     shape = np.broadcast(psi, alpha_i, sigma_w2).shape
     return mcrb_theta_closed_columns(geom, *(
         np.full(shape, v).ravel() for v in (
-            base.theta, psi, base.alpha_d, alpha_i, base.k_pulses, base.e_p,
+            base.theta, psi, base.alpha_d, alpha_i, base.k_pulses,
             sigma_w2)), search=search)
 
 
@@ -389,7 +401,7 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     """DOA-separation sweep of the bounds, plus the array beampatterns."""
     geom = geometry_from_config(config)
     search = search_from_config(config)
-    theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
+    theta = _angle(config, "scene.theta_deg")
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
     cols = _sweep_bounds(config, geom, search, psi_rad=[
@@ -405,18 +417,15 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 
 
 def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
-    """SMR sweep with a constructive and a destructive phase difference."""
+    """SMR sweep at a constructive and a destructive phase difference."""
     geom = geometry_from_config(config)
     search = search_from_config(config)
-    theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
+    theta = _angle(config, "scene.theta_deg")
     psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
-    phases = _get(config, "delta_phis_rad", default=[0.0, 2.0 * math.pi / 3.0])
-    if not isinstance(phases, list) or len(phases) != 2:
-        raise ConfigError("delta_phis_rad: expected a list of two numbers")
-    phases = [_num(p, f"delta_phis_rad[{k}]") for k, p in enumerate(phases)]
+    _refuse_removed(config, "delta_phis_rad")
     smrs = _grid(config, "sweep.smr_db")
     cols = _sweep_bounds(config, geom, search, psi_rad=psi,
-                         smr_db=np.array(smrs)[:, None], dphi=[phases])
+                         smr_db=np.array(smrs)[:, None], dphi=[_FIG4_PHASES])
     rmcrb = _root_columns(cols)[1]   # row-major: SMR, then phase
     rcrb = math.degrees(math.sqrt(cols.crb[0]))   # depends on neither SMR nor phase
     table = {"smr_db": smrs, "rmcrb_dphi_0_deg": rmcrb[0::2],
@@ -433,7 +442,7 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     """Ratio RMCRB/RCRB on a (delta_phi x delta_theta) grid, long CSV format."""
     geom = geometry_from_config(config)
     search = search_from_config(config)
-    theta = math.radians(_get_num(config, "scene.theta_deg", default=0.0))
+    theta = _angle(config, "scene.theta_deg")
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
     cols = _sweep_bounds(config, geom, search, psi_rad=np.array(psis)[:, None],
@@ -456,9 +465,8 @@ def scenario_from_config(config: dict) -> GroundScenario:
     geom_names = _get(config, "geometries")
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
-    theta_deg = _get_num(config, "theta_deg", default=0.0)
-    if abs(theta_deg) >= 90.0:
-        raise ConfigError(f"theta_deg: must lie inside (-90, 90), got {theta_deg!r}")
+    theta = _angle(config, "theta_deg")
+    _refuse_removed(config, "e_p")
     try:
         scn = GroundScenario(
             h_r=_get_num(config, "h_r_m", positive=True),
@@ -466,12 +474,11 @@ def scenario_from_config(config: dict) -> GroundScenario:
             eps_r=_get_num(config, "eps_r"),
             gamma_cond=_get_num(config, "gamma_cond_s_per_m"),
             range_grid=np.array(grid),
-            theta=math.radians(theta_deg),
+            theta=theta,
             v=_get_num(config, "v_mps"),
             r_res=_get_num(config, "r_res_m", positive=True),
             v_res=_get_num(config, "v_res_mps", positive=True),
             k_pulses=_get_int(config, "k_pulses", minimum=1, maximum=MAX_PULSES),
-            e_p=_get_num(config, "e_p", default=1.0, positive=True),
             snr_ref_db=_get_num(config, "snr_ref_db"),
             r_ref=_get_num(config, "r_ref_m", positive=True),
         )
@@ -503,7 +510,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     phys = range_columns(scn)
     n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
     theta = np.full(n, scn.theta)
-    args = (scn.k_pulses, scn.e_p, phys.sigma_w2)
+    args = (scn.k_pulses, phys.sigma_w2)
     table = {"r_d_m": phys.r_d.tolist(), "psi_deg": np.degrees(phys.psi).tolist(),
              "smr_db": [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
              "delta_phi_rad": phys.delta_phi.tolist(),
@@ -545,7 +552,7 @@ def run_montecarlo(config: dict, out_dir, svg: bool = False,
 def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
     geom = geometry_from_config(config)
-    steer = math.radians(_get_num(config, "steer_deg", default=0.0))
+    steer = _angle(config, "steer_deg")
     table = _beampattern(geom, steer, _grid(config, "grid_deg"))
     plot = _lines(table, {"tx": "tx_gain_db", "rx": "rx_gain_db"}, "phi [deg]",
                   "gain [dB]", "Beampatterns", ylog=False)

@@ -40,7 +40,6 @@ class GroundScenario:
     r_res: float = 0.5              # range resolution, m
     v_res: float = 0.05             # velocity resolution, m/s
     k_pulses: int = 256
-    e_p: float = 1.0
     snr_ref_db: float = 20.0        # SNR at the reference range
     r_ref: float = 50.0             # reference range for the r^-2 amplitude law, m
 
@@ -144,7 +143,7 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
     failed = np.array([   # per _REFUSALS entry and range, in the scalar checks' order
         ~((-math.pi / 2 <= psi) & (psi < 0.0)), ~(r_i >= r_d),
         ~((abs(scn.theta) < math.pi / 2) & (psi > -math.pi / 2)),
-        np.full(r_d.shape, not _powers_ok(sigma_w2, scn.e_p, scn.k_pulses)),
+        np.full(r_d.shape, not _powers_ok(sigma_w2, scn.k_pulses)),
         ~(np.isfinite(alpha_d) & np.isfinite(alpha_i))])
     if failed.any():
         raise ValueError(_REFUSALS[failed[:, failed.any(axis=0).argmax()].argmax()])
@@ -163,8 +162,8 @@ def range_point(scn: GroundScenario, r_d: float,
     cols = range_columns(replace(scn, range_grid=[r_d]))
     head = [c.item() for c in cols[:10]]   # one range: Python scalars
     scene = MultipathScene(geom, scn.theta, head[2], head[8], head[9],
-                           scn.k_pulses, scn.e_p, cols.sigma_w2)
+                           scn.k_pulses, cols.sigma_w2)
     bound = _breakdowns(mcrb_theta_closed_columns(
         geom, [scn.theta], cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
-        scn.e_p, cols.sigma_w2, search=search))[0] if head[7] else None   # same cell
+        cols.sigma_w2, search=search))[0] if head[7] else None   # same cell
     return RangePoint(*head[:8], scene=scene, bound=bound)

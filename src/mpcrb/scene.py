@@ -3,8 +3,8 @@
 Everything downstream (bounds, estimators, experiments) consumes a
 :class:`MultipathScene`.  Synthesis happens in the compressed domain: the
 matched-filter / Doppler-integrated statistic ``Y`` of shape (M_r, M_t),
-which is sufficient for the amplitude and DOA once the echoes share a
-range-Doppler cell and the waveforms are orthogonal.
+sufficient for amplitude and DOA when the echoes share a range-Doppler cell
+and the waveforms are orthogonal, at pulse energy 1 (the SNR carries E_p).
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from .arrays import ArrayGeometry, _direct_indirect, _vectors
 _HALF_PLANE = math.pi / 2
 # the scene's two refusals, which ground.range_columns repeats per range
 _ANGLE_REFUSAL = "theta and psi must lie strictly inside (-pi/2, pi/2)"
-_POWER_REFUSAL = "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
+_POWER_REFUSAL = "require sigma_w2 > 0, k_pulses >= 1"
 
 
-def _powers_ok(sigma_w2, e_p, k_pulses) -> bool:
+def _powers_ok(sigma_w2, k_pulses) -> bool:
     """The rule of _POWER_REFUSAL, which NaN fails; ground checks it per range."""
-    return sigma_w2 > 0.0 and e_p > 0.0 and k_pulses >= 1
+    return sigma_w2 > 0.0 and k_pulses >= 1
 
 
 def wrap_phase(x):
@@ -48,19 +48,18 @@ class MultipathScene:
     alpha_d: complex
     alpha_i: complex
     k_pulses: int = 1
-    e_p: float = 1.0
     sigma_w2: float = 1.0
 
     def __post_init__(self):
         if not (abs(self.theta) < _HALF_PLANE and abs(self.psi) < _HALF_PLANE):
             raise ValueError(_ANGLE_REFUSAL)
-        if not _powers_ok(self.sigma_w2, self.e_p, self.k_pulses):
+        if not _powers_ok(self.sigma_w2, self.k_pulses):
             raise ValueError(_POWER_REFUSAL)
 
 
 def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,
                       snr_db: float, smr_db: float, dphi: float,
-                      k_pulses: int = 1, e_p: float = 1.0) -> MultipathScene:
+                      k_pulses: int = 1) -> MultipathScene:
     """Scene with alpha_d = 1 as the reference and the stated power ratios:
     SNR |alpha_d|^2 / sigma_w2, SMR |alpha_d|^2 / |alpha_i|^2 and the phase
     difference arg(alpha_d) - arg(alpha_i), which is placed on alpha_i.
@@ -69,8 +68,7 @@ def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,
     sigma_w2 = 10.0 ** (-snr_db / 10.0)
     alpha_i = 10.0 ** (-smr_db / 20.0) * cmath.exp(-1j * dphi)
     return MultipathScene(geom=geom, theta=theta, psi=psi, alpha_d=alpha_d,
-                          alpha_i=alpha_i, k_pulses=k_pulses, e_p=e_p,
-                          sigma_w2=sigma_w2)
+                          alpha_i=alpha_i, k_pulses=k_pulses, sigma_w2=sigma_w2)
 
 
 def multipath_free(scene: MultipathScene) -> MultipathScene:
@@ -79,18 +77,18 @@ def multipath_free(scene: MultipathScene) -> MultipathScene:
 
 
 def compressed_mean(scene: MultipathScene) -> np.ndarray:
-    """Noise-free compressed statistic K*E_p*(alpha_d*A_d + alpha_i*A_i)."""
+    """Noise-free compressed statistic K*(alpha_d*A_d + alpha_i*A_i)."""
     return _means(scene.geom, [scene])[0]
 
 
 def _means(geom: ArrayGeometry, scenes) -> np.ndarray:
     """:func:`compressed_mean` of each scene on ``geom``, stacked (n, M_r, M_t),
     each entry bit for bit the scene's alone; the engine's means too."""
-    theta, psi, alpha_d, alpha_i, kep = (np.array(c) for c in zip(*[
-        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses * sc.e_p)
+    theta, psi, alpha_d, alpha_i, k = (np.array(c) for c in zip(*[
+        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses)
         for sc in scenes]))
     A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
-    return kep[:, None, None] * (alpha_d[:, None, None] * A_d
+    return k[:, None, None] * (alpha_d[:, None, None] * A_d
                                  + alpha_i[:, None, None] * A_i)
 
 
@@ -142,7 +140,7 @@ def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
     stream that the call continues; an int or tuple starts a fresh MT19937
     stream, distinct for distinct seeds (``5`` and ``(5,)`` differ), so the
     same seed always yields the same noise.  Noise entries are independent
-    circular complex Gaussians with variance K*E_p*sigma_w2, drawn by
+    circular complex Gaussians with variance K*sigma_w2, drawn by
     Box-Muller from two 32-bit words each, in row-major order, so calls on
     one stream give the statistics that the Monte-Carlo engine draws in turn.
     A negative seed raises ValueError, one that is not an int or a tuple of
@@ -155,6 +153,6 @@ def _statistics(rng: random.Random, scene: MultipathScene, mean: np.ndarray,
                 n: int, out: np.ndarray | None = None) -> np.ndarray:
     """``n`` statistics ``mean`` + noise of ``scene`` drawn in turn from ``rng``,
     stacked (n, M_r, M_t) into ``out`` if given; the engine draws through it."""
-    var = scene.k_pulses * scene.e_p * scene.sigma_w2
+    var = scene.k_pulses * scene.sigma_w2
     noise = _noise(rng, n * mean.size, var).reshape((n,) + mean.shape)
     return np.add(mean, noise, out=out)

@@ -54,14 +54,14 @@ def dense_grid_argmax(geom, scene_mean, lo, hi, step):
 
 def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.ndarray:
     """Conventional 5x5 FIM of the matched model, diagonal under orthogonal
-    waveforms and centered arrays: (2K/sigma^2) * diag(E_p, E_p,
-    |a|^2 F_tau, |a|^2 F_omega, E_p |a|^2 E_Adot)."""
+    waveforms and centered arrays: (2K/sigma^2) * diag(1, 1,
+    |a|^2 F_tau, |a|^2 F_omega, |a|^2 E_Adot), pulse energy 1."""
     if f_tau <= 0.0 or f_omega <= 0.0:
         raise ValueError("f_tau and f_omega must be positive")
     e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
-    a2, ep = abs(scene.alpha_d) ** 2, scene.e_p
+    a2 = abs(scene.alpha_d) ** 2
     pref = 2.0 * scene.k_pulses / scene.sigma_w2
-    return np.diag(pref * np.array([ep, ep, a2 * f_tau, a2 * f_omega, ep * a2 * e_dot]))
+    return np.diag(pref * np.array([1.0, 1.0, a2 * f_tau, a2 * f_omega, a2 * e_dot]))
 
 
 def theta_a_paper_form(scene: MultipathScene,

@@ -160,7 +160,7 @@ def test_criterion_05_mml_asymptotic_tightness(tmp_path):
     lo = snr <= 15.0
     b_ok = bool(np.all(data["rmcrb_deg"][lo] < data["rcrb_deg"][lo]))
 
-    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 40.0, 0.0, 0.0, 8, 1.0)
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 40.0, 0.0, 0.0, 8)
     offset = math.degrees(abs(theta_a(sc)))
     plateau = data["rmse_mml_deg"][-1]
     c_ok = abs(plateau / offset - 1.0) < 0.05
@@ -286,7 +286,7 @@ def test_criterion_08_phase_separation_map(tmp_path):
 def _asphalt_scenario(grid):
     return GroundScenario(h_r=1.0, wavelength=0.0038, eps_r=4.0,
                           gamma_cond=0.005, range_grid=np.asarray(grid), v=10.0,
-                          r_res=0.5, v_res=0.05, k_pulses=256, e_p=1.0,
+                          r_res=0.5, v_res=0.05, k_pulses=256,
                           snr_ref_db=20.0, r_ref=50.0)
 
 

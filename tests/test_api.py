@@ -31,14 +31,14 @@ PARAMETERS = {
     "ConditioningError": ("message", "condition"),
     "DegenerateBoundError": ("message", "denominator", "threshold"),
     "GroundScenario": ("h_r", "wavelength", "eps_r", "gamma_cond", "range_grid",
-                       "theta", "v", "r_res", "v_res", "k_pulses", "e_p",
+                       "theta", "v", "r_res", "v_res", "k_pulses",
                        "snr_ref_db", "r_ref"),
     "MultipathScene": ("geom", "theta", "psi", "alpha_d", "alpha_i", "k_pulses",
-                       "e_p", "sigma_w2"),
+                       "sigma_w2"),
     "RangePoint": ("r_d", "r_i", "psi", "gamma_r", "smr_db", "delta_phi",
                    "snr_db", "same_cell", "scene", "bound"),
     "RmseCurve": ("rmse_rad", "bias_rad", "trials", "base_seed"),
-    "SearchConfig": ("span", "coarse_step", "refine_tol"),
+    "SearchConfig": ("span", "refine_tol"),
     "SingularInformationError": None,
     "beampattern": ("geom", "steer", "grid"),
     "compressed_mean": ("scene",),
@@ -54,7 +54,7 @@ PARAMETERS = {
     "range_point": ("scn", "r_d", "search", "geom"),
     "reflection_coefficient": ("psi", "eps_r", "gamma_cond", "wavelength"),
     "scene_from_ratios": ("geom", "theta", "psi", "snr_db", "smr_db", "dphi",
-                          "k_pulses", "e_p"),
+                          "k_pulses"),
     "standard_virtual_ula": ("m_t", "m_r"),
     "steering": ("geom", "theta"),
     "synthesize_compressed": ("scene", "noise_seed"),

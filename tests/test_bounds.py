@@ -32,7 +32,7 @@ def unit_e_adot_geometry():
 
 
 def fig2_scene(snr_db=10.0, k=1):
-    return scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, k, 1.0)
+    return scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,10 @@ def test_crb_unit_and_scaling():
     assert crb_theta(sc4) == pytest.approx(0.125, rel=1e-12)
 
 
-def test_crb_does_not_overflow_to_zero_at_large_pulse_energy():
-    # 2 SNR K E_p E_Adot overflows at E_p = 1e300, the CRB (~1e-310) does not
+def test_crb_does_not_overflow_to_zero_at_small_noise_power():
+    # 2 SNR K E_Adot overflows at sigma_w2 = 1e-304, the CRB (~1e-310) does not
     sc = scene_from_ratios(standard_virtual_ula(3, 16), 0.0, 0.1, 40.0, 0.0, 0.0, 256)
-    big = replace(sc, e_p=1e300)
+    big = replace(sc, sigma_w2=sc.sigma_w2 / 1e300)
     assert crb_theta(big) == pytest.approx(crb_theta(sc) / 1e300, rel=1e-12, abs=0.0)
 
 
@@ -97,8 +97,7 @@ def test_fim_crb_identity_random_scenes():
                                float(RNG.uniform(-10, 30)),
                                float(RNG.uniform(-10, 30)),
                                float(RNG.uniform(-3, 3)),
-                               int(RNG.integers(1, 64)),
-                               float(RNG.uniform(0.5, 3.0)))
+                               int(RNG.integers(1, 64)))
         assert fim(sc, 1.0, 1.0)[4, 4] * crb_theta(sc) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -166,18 +165,18 @@ def test_cd_matrix_against_finite_difference_curvature():
     FD second derivatives of the assumed compressed mean contracted with the
     indirect-path residual."""
     theta, psi = 0.05, np.deg2rad(4.0)
-    sc = scene_from_ratios(GEOM, theta, psi, 10.0, 3.0, 0.8, 2, 1.5)
-    k, ep, sig2 = sc.k_pulses, sc.e_p, sc.sigma_w2
-    scale = 2.0 * k * ep / sig2
+    sc = scene_from_ratios(GEOM, theta, psi, 10.0, 3.0, 0.8, 2)
+    k, sig2 = sc.k_pulses, sc.sigma_w2
+    scale = 2.0 * k / sig2
     cd = scale * _curvature(_model([sc]))[0]
 
     _, a_i = raw_mimo(GEOM, theta, psi)
-    res = k * ep * sc.alpha_i * a_i.ravel()
+    res = k * sc.alpha_i * a_i.ravel()
 
     def mu(a_re, a_im, th):
         ar = raw_steering(GEOM.rx_positions, th)
         at = raw_steering(GEOM.tx_positions, th)
-        return k * ep * (a_re + 1j * a_im) * np.outer(ar, at).ravel()
+        return k * (a_re + 1j * a_im) * np.outer(ar, at).ravel()
 
     x0 = np.array([sc.alpha_d.real, sc.alpha_d.imag, theta])
     h = np.array([1e-5, 1e-5, 1e-6])
@@ -205,8 +204,8 @@ def test_cd_matrix_against_finite_difference_curvature():
     idx = [0, 1, 4]   # alpha_R, alpha_I, theta rows of the 5x5 matrix
     for a in range(3):
         for b in range(3):
-            j_ab = (2.0 / (k * ep * sig2)) * np.real(np.vdot(dmu(a), dmu(b)))
-            c_ab = j_ab - (2.0 / (k * ep * sig2)) * np.real(
+            j_ab = (2.0 / (k * sig2)) * np.real(np.vdot(dmu(a), dmu(b)))
+            c_ab = j_ab - (2.0 / (k * sig2)) * np.real(
                 np.vdot(d2mu(a, b), res))
             assert cd[idx[a], idx[b]] == pytest.approx(
                 c_ab, rel=2e-5, abs=1e-6 * scale)
@@ -323,7 +322,7 @@ def test_mcrb_periodic_and_continuous_in_phase():
 
 def test_sandwich_diagonal_reduction():
     sc = MultipathScene(geom=GEOM, theta=0.05, psi=0.4, alpha_d=0.8 + 0.1j,
-                        alpha_i=0.0, sigma_w2=0.5, k_pulses=3, e_p=1.7)
+                        alpha_i=0.0, sigma_w2=0.5, k_pulses=3)
     m, bb = mcrb_sandwich(sc)
     assert bb.m_theta_theta == pytest.approx(crb_theta(sc), rel=1e-12)
     j = fim(sc, 1.0, 1.0)
@@ -384,7 +383,7 @@ def _mixed_scenes():
 def _scene_columns(scenes):
     return [np.array([getattr(sc, name) for sc in scenes])
             for name in ("theta", "psi", "alpha_d", "alpha_i", "k_pulses",
-                         "e_p", "sigma_w2")]
+                         "sigma_w2")]
 
 
 def _closed_rows(scenes):
@@ -479,10 +478,9 @@ def _legacy_closed_m(scenes, eps_den_factor=1e-9):
     A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
     e_dot = e_adot(s_t)
     k = np.array([sc.k_pulses for sc in scenes], dtype=float)
-    e_p = np.array([sc.e_p for sc in scenes])
     sigma_w2 = np.array([sc.sigma_w2 for sc in scenes])
     p_d = np.abs(ad) ** 2
-    crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_p * e_dot)
+    crb = 1.0 / (2.0 * (p_d / sigma_w2) * k * e_dot)
     free = ai == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         smr_v = p_d / np.abs(ai) ** 2
@@ -507,7 +505,7 @@ def _oracle_scenes(geom, rng, n):
         theta = float(rng.uniform(-0.5, 0.5))
         psi = float(rng.uniform(-0.8, 0.8))
         snr_db, smr_db = float(rng.uniform(-5, 25)), float(rng.uniform(-10, 20))
-        k, e_p = int(rng.integers(1, 9)), float(rng.uniform(0.5, 3.0))
+        k = int(rng.integers(1, 9))
         kind = len(scenes) % 4
         dphis = [float(rng.uniform(-math.pi, math.pi))]
         if kind == 3:
@@ -522,11 +520,11 @@ def _oracle_scenes(geom, rng, n):
             dphis = [root + sign * 10 ** float(rng.uniform(-8, -2))
                      for sign in (-1.0, 1.0)]
         for dphi in dphis:
-            sc = scene_from_ratios(geom, theta, psi, snr_db, smr_db, dphi, k, e_p)
+            sc = scene_from_ratios(geom, theta, psi, snr_db, smr_db, dphi, k)
             if kind == 1:
                 sc = MultipathScene(geom=geom, theta=theta, psi=psi,
                                     alpha_d=sc.alpha_d, alpha_i=0.0,
-                                    k_pulses=k, e_p=e_p, sigma_w2=sc.sigma_w2)
+                                    k_pulses=k, sigma_w2=sc.sigma_w2)
             scenes.append(sc)
     return scenes[:n]
 
@@ -657,15 +655,15 @@ def test_sandwich_gate_free_of_amplitude_unit():
                               float(rng.uniform(-0.8, 0.8)),
                               float(rng.uniform(-5, 25)), float(rng.uniform(0, 20)),
                               float(rng.uniform(-math.pi, math.pi)),
-                              int(rng.integers(1, 9)), float(rng.uniform(0.5, 3.0)))
+                              int(rng.integers(1, 9)))
             for _ in range(200)]
     want = _breakdowns(_sandwich(_model(base), None)[1])
     assert all(bb is not None for bb in want)
     for amp in (1e-8, 1e5, 1e6, 1e10):
         scaled = [MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                                  alpha_d=amp * sc.alpha_d, alpha_i=amp * sc.alpha_i,
-                                 sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses,
-                                 e_p=sc.e_p) for sc in base]
+                                 sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses)
+                  for sc in base]
         got = _breakdowns(_sandwich(_model(scaled), None)[1])
         assert all(bb is not None for bb in got)
         for g, w in zip(got, want):
@@ -683,8 +681,8 @@ def test_closed_columns_equal_scalar_calls_bitwise(geom):
     cols = mcrb_theta_closed_columns(geom, *_scene_columns(scenes))
     many = [_scalar_or_none(sc) for sc in scenes]
     assert cols.valid.tolist() == [bb is not None for bb in many]
-    # mixed K, E_p and sigma_w2, multipath-free and degenerate rows
-    assert len({sc.k_pulses for sc in scenes}) > 1 and len({sc.e_p for sc in scenes}) > 1
+    # mixed K and sigma_w2, multipath-free and degenerate rows
+    assert len({sc.k_pulses for sc in scenes}) > 1 and len({sc.sigma_w2 for sc in scenes}) > 1
     assert any(sc.alpha_i == 0 for sc in scenes) and not cols.valid.all()
     for t, bb in enumerate(many):
         if bb is not None:
@@ -715,7 +713,7 @@ def test_pseudo_true_search_memory_is_bounded_by_its_tiles():
     # for this grid), and keeps nothing after the call, on either array
     def columns(n=64):
         return (np.zeros(n), np.full(n, -0.05), np.ones(n, dtype=complex),
-                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 1.0, 0.01)
+                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 0.01)
 
     mcrb_theta_closed_columns(GEOM, *columns())   # first-call imports and caches
     tracemalloc.start()
@@ -778,7 +776,7 @@ def test_closed_columns_memory_stays_flat_past_one_block(monkeypatch):
 
     def peak(n):
         cols = (np.zeros(n), np.full(n, -0.02), np.ones(n, dtype=complex),
-                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 1.0, 0.01)
+                0.5 * np.exp(1j * np.linspace(0.0, 3.0, n)), 8, 0.01)
         tracemalloc.start()
         try:
             out = mcrb_theta_closed_columns(geom, *cols)

@@ -18,25 +18,21 @@ GEOM = standard_virtual_ula(3, 4)
 
 
 def fig2_scene(snr_db=10.0):
-    return scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, 8, 1.0)
+    return scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, 8)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(span=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        SearchConfig(coarse_step=1e-8, refine_tol=1e-6)
 
 
 @pytest.mark.parametrize("fields, message", [
     (dict(refine_tol=math.nan), "refine_tol must be positive"),
-    (dict(coarse_step=math.nan), "require coarse_step > refine_tol > 0"),
-    (dict(coarse_step=0.01, refine_tol=math.nan), "require coarse_step > refine_tol > 0"),
-    (dict(coarse_step=-1.0, refine_tol=-1.0), "require coarse_step > refine_tol > 0"),
-    (dict(coarse_step=0.01, refine_tol=0.0), "refine_tol must be positive"),
+    (dict(refine_tol=-1.0), "refine_tol must be positive"),
+    (dict(refine_tol=0.0), "refine_tol must be positive"),
 ])
 def test_search_config_refuses_nan_with_the_existing_messages(fields, message):
-    # a NaN tolerance or step was accepted, and theta_a then failed with
+    # a NaN tolerance was accepted, and theta_a then failed with
     # "cannot convert float NaN to integer"
     with pytest.raises(ValueError) as err:
         SearchConfig(**fields)
@@ -179,7 +175,7 @@ def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
     # a 3x4 and a 3x8 sweep of three scenes each; 7 splits every scene's 10 trials
     for geom, snrs in ((GEOM, (0.0, 10.0, 20.0)),
                        (standard_virtual_ula(3, 8), (5.0, 15.0, 25.0))):
-        scenes = [scene_from_ratios(geom, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8, 1.0)
+        scenes = [scene_from_ratios(geom, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8)
                   for s in snrs]
         whole = monte_carlo_rmse(scenes, None, 10, 31337)
         with monkeypatch.context() as m:
@@ -201,7 +197,7 @@ def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
         scenes = [scene_from_ratios(geom, *rng.uniform(-1.2, 1.2, 2),
                                     *rng.uniform(-10.0, 30.0, 2),
                                     rng.uniform(-math.pi, math.pi),
-                                    int(rng.integers(1, 300)), rng.uniform(0.1, 3.0))
+                                    int(rng.integers(1, 300)))
                   for _ in range(4)]
         seen.clear()
         monte_carlo_rmse(scenes, None, 3, 5)
@@ -223,19 +219,20 @@ def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():
         "all scenes of a batch must share one array geometry")
 
 
-def _explicit_step(geom, cfg):
-    """``cfg`` with the kernel's default coarse step, beamwidth / 20, made explicit."""
-    return replace(cfg, coarse_step=cfg.coarse_step or virtual_hpbw(geom) / 20.0)
+def _patch_step(monkeypatch, step):
+    """Set the kernel's coarse step to ``step``; None leaves it at beamwidth / 20."""
+    if step is not None:
+        monkeypatch.setattr(bounds, "_default_step", lambda geom: step)
 
 
-def _legacy_mml_doa_batch(y_batch, geom, cfg):
+def _legacy_mml_doa_batch(y_batch, geom, cfg, step=None):
     """The estimator's own vectorized search before it moved into the shared
     bounds kernel, kept verbatim as an oracle: two interior points evaluated
-    per golden sweep, three-operand einsum."""
+    per golden sweep, three-operand einsum.  ``step`` is the coarse step,
+    by default the virtual-array beamwidth / 20."""
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    cfg = _explicit_step(geom, cfg)
     lo, hi = cfg.span
-    n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
+    n = max(2, int(math.ceil((hi - lo) / (step or virtual_hpbw(geom) / 20.0))) + 1)
     angles = np.linspace(lo, hi, n)
     s = np.sin(angles)
     a_r_grid = np.exp(2j * np.pi * np.outer(geom.rx_positions, s)) / np.sqrt(geom.m_r)
@@ -267,14 +264,14 @@ def _legacy_mml_doa_batch(y_batch, geom, cfg):
     return 0.5 * (a + b)
 
 
-def _legacy_coarse_winner(y_batch, geom, cfg, prefer=None):
+def _legacy_coarse_winner(y_batch, geom, cfg, prefer=None, step=None):
     """The oracle's coarse scan on its own: index of the first grid maximum,
     or with ``prefer`` the grid angle nearest prefer[t] among values within
     1e-12 (relative) of the maximum, as the three-operand einsum scan broke
-    ties before the scan became one matrix product."""
-    cfg = _explicit_step(geom, cfg)
+    ties before the scan became one matrix product.  ``step`` as in
+    :func:`_legacy_mml_doa_batch`."""
     lo, hi = cfg.span
-    n = max(2, int(math.ceil((hi - lo) / cfg.coarse_step)) + 1)
+    n = max(2, int(math.ceil((hi - lo) / (step or virtual_hpbw(geom) / 20.0))) + 1)
     angles = np.linspace(lo, hi, n)
     s = np.sin(angles)
     a_r_grid = np.exp(2j * np.pi * np.outer(geom.rx_positions, s)) / np.sqrt(geom.m_r)
@@ -294,9 +291,9 @@ _KERNEL_GEOMS = (GEOM, standard_virtual_ula(3, 16),
 
 
 def _noisy_statistics(geom, snr_db, n=512, seed=2305):
-    sc = scene_from_ratios(geom, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, 8, 1.0)
+    sc = scene_from_ratios(geom, 0.0, np.deg2rad(0.5), snr_db, 0.0, 0.0, 8)
     rng = np.random.default_rng(seed)
-    scale = math.sqrt(sc.k_pulses * sc.e_p * sc.sigma_w2 / 2.0)
+    scale = math.sqrt(sc.k_pulses * sc.sigma_w2 / 2.0)
     shape = (n, geom.m_r, geom.m_t)
     return sc, compressed_mean(sc) + scale * (rng.standard_normal(shape)
                                               + 1j * rng.standard_normal(shape))
@@ -308,14 +305,14 @@ def _tile_width(geom):
 
 
 def _tiled_grids(geom):
-    """Searches whose grid ends in a one-column tile, or is narrower than a tile."""
+    """Coarse steps, by grid size, whose grid over MML_SEARCH's span ends in a
+    one-column tile, or is narrower than a tile."""
     width, (lo, hi) = _tile_width(geom), MML_SEARCH.span
-    return {width + 1: replace(MML_SEARCH, coarse_step=(hi - lo) / (width - 0.5)),
-            width // 2 + 1: replace(MML_SEARCH, coarse_step=(hi - lo) / (width // 2))}
+    return {width + 1: (hi - lo) / (width - 0.5), width // 2 + 1: (hi - lo) / (width // 2)}
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 40.0])
-def test_kernel_mml_path_matches_legacy_search(snr_db):
+def test_kernel_mml_path_matches_legacy_search(snr_db, monkeypatch):
     # on every geometry: the same coarse winners, with and without the
     # tie-break toward theta, on the default grid and on grids that end in a
     # one-column tile or fit in one tile, and Newton within refine_tol of the
@@ -324,28 +321,32 @@ def test_kernel_mml_path_matches_legacy_search(snr_db):
         sc, y = _noisy_statistics(geom, snr_db)
         cfg = MML_SEARCH
         theta = np.full(len(y), sc.theta)
-        for n, grid_cfg in [(None, cfg), *_tiled_grids(geom).items()]:
+        for n, step in [(None, None), *_tiled_grids(geom).items()]:
             k = len(y) if n is None else 130   # three blocks, the last of 2 rows
             y_k, theta_k = y[:k], theta[:k]
-            angles, best = _coarse_winner(y_k, geom, grid_cfg)
+            with monkeypatch.context() as m:
+                _patch_step(m, step)
+                angles, best = _coarse_winner(y_k, geom, cfg)
+                near = _coarse_winner(y_k, geom, cfg, theta_k)[1]
             assert n is None or len(angles) == n
-            assert np.array_equal(best, _legacy_coarse_winner(y_k, geom, grid_cfg))
-            assert np.array_equal(_coarse_winner(y_k, geom, grid_cfg, theta_k)[1],
-                                  _legacy_coarse_winner(y_k, geom, grid_cfg, theta_k))
+            assert np.array_equal(best, _legacy_coarse_winner(y_k, geom, cfg, step=step))
+            assert np.array_equal(near, _legacy_coarse_winner(y_k, geom, cfg, theta_k,
+                                                              step=step))
         want = _legacy_mml_doa_batch(y, geom, cfg)
         assert np.max(np.abs(_argmax_projection(y, geom, cfg) - want)) <= cfg.refine_tol
         assert abs(mml_doa(y[7], geom)
                    - _legacy_mml_doa_batch(y[7:8], geom, cfg)[0]) <= cfg.refine_tol
 
 
-def test_kernel_safeguard_keeps_newton_in_the_bracket():
+def test_kernel_safeguard_keeps_newton_in_the_bracket(monkeypatch):
     # starts where plain Newton goes astray: a coarse step of 1.5 beamwidths
     # puts the winner on the convex flank of the main lobe (p'' >= 0), and a
     # source just past the span puts it on the span edge with the maximum
     # outside; all must end inside the bracket, at the golden-section argmax
     # to refine_tol
     hpbw = virtual_hpbw(GEOM)
-    cfg = SearchConfig(coarse_step=1.5 * hpbw)
+    cfg = SearchConfig()
+    _patch_step(monkeypatch, 1.5 * hpbw)
     lo, hi = cfg.span
     angles, _ = _coarse_winner(np.zeros((0, GEOM.m_r, GEOM.m_t)), GEOM, cfg)
     step = angles[1] - angles[0]
@@ -361,13 +362,13 @@ def test_kernel_safeguard_keeps_newton_in_the_bracket():
     got = _argmax_projection(y, GEOM, cfg)
     assert np.all((np.maximum(lo, start - step) <= got)
                   & (got <= np.minimum(hi, start + step)))
-    ref = _legacy_mml_doa_batch(y, GEOM, replace(cfg, refine_tol=1e-12))
+    ref = _legacy_mml_doa_batch(y, GEOM, replace(cfg, refine_tol=1e-12), 1.5 * hpbw)
     assert np.max(np.abs(got - ref)) <= cfg.refine_tol
     assert np.max(np.abs(got[:2] - sources[:2])) <= cfg.refine_tol
     assert got[2] == hi
 
 
-def test_rows_without_a_finite_maximum_keep_their_winner():
+def test_rows_without_a_finite_maximum_keep_their_winner(monkeypatch):
     # a NaN entry makes every grid value NaN: the winner is the first angle,
     # with or without prefer; an all-zero row ties everywhere, so prefer picks
     # the nearest grid angle; a real statistic ties twice, at +-0.3 rad (its
@@ -379,17 +380,18 @@ def test_rows_without_a_finite_maximum_keep_their_winner():
         y[3, 0, 0], y[5], y[64] = np.nan, np.cos(TWO_PI * q * np.sin(0.3)), 0.0
         prefer = np.linspace(-0.9, 0.9, len(y))
         prefer[5] = 0.3
-        for cfg in [MML_SEARCH, *_tiled_grids(geom).values()]:
-            with np.errstate(invalid="ignore"):
-                angles, best = _coarse_winner(y, geom, cfg)
-                near = _coarse_winner(y, geom, cfg, prefer)[1]
+        for step in [None, *_tiled_grids(geom).values()]:
+            with np.errstate(invalid="ignore"), monkeypatch.context() as m:
+                _patch_step(m, step)
+                angles, best = _coarse_winner(y, geom, MML_SEARCH)
+                near = _coarse_winner(y, geom, MML_SEARCH, prefer)[1]
             assert best[3] == near[3] == 0 and best[64] == 0
             assert near[64] == np.argmin(np.abs(angles - prefer[64]))
             finite = np.isfinite(y).all(axis=(1, 2))
-            assert np.array_equal(best[finite],
-                                  _legacy_coarse_winner(y[finite], geom, cfg))
+            assert np.array_equal(best[finite], _legacy_coarse_winner(
+                y[finite], geom, MML_SEARCH, step=step))
             assert np.array_equal(near[finite], _legacy_coarse_winner(
-                y[finite], geom, cfg, prefer[finite]))
+                y[finite], geom, MML_SEARCH, prefer[finite], step=step))
 
 
 def test_kernel_takes_an_empty_batch():
@@ -465,13 +467,10 @@ def test_projection_derivs_equal_the_uncached_form_bitwise():
                 assert _same_bits(got, want)
 
 
-def test_default_coarse_step_is_a_twentieth_of_the_beamwidth():
+def test_coarse_step_is_a_twentieth_of_the_beamwidth():
     empty = np.zeros((0, GEOM.m_r, GEOM.m_t), dtype=complex)
-    for cfg in (MML_SEARCH, SearchConfig()):
-        grid = _coarse_winner(empty, GEOM, cfg)[0]
-        want = _coarse_winner(empty, GEOM, _explicit_step(GEOM, cfg))[0]
-        assert _same_bits(grid, want)
-        assert grid[1] - grid[0] <= virtual_hpbw(GEOM) / 20.0
-    explicit = SearchConfig(coarse_step=0.01)
-    grid = _coarse_winner(empty, GEOM, explicit)[0]
-    assert len(grid) == math.ceil((explicit.span[1] - explicit.span[0]) / 0.01) + 1
+    step = virtual_hpbw(GEOM) / 20.0
+    for cfg in (MML_SEARCH, SearchConfig(span=(-0.3, 1.2))):
+        (lo, hi), grid = cfg.span, _coarse_winner(empty, GEOM, cfg)[0]
+        assert _same_bits(grid, np.linspace(lo, hi, math.ceil((hi - lo) / step) + 1))
+        assert grid[1] - grid[0] <= step

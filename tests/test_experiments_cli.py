@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -368,18 +369,6 @@ def test_manifests_count_bound_and_degenerate_points(tmp_path):
     assert manifest["degenerate_points"] == 0
 
 
-@pytest.mark.parametrize("phases, entry", [
-    ([True, math.nan], r"delta_phis_rad\[0\]"),
-    ([0.0, math.nan], r"delta_phis_rad\[1\]"),
-    ([0.0, -math.inf], r"delta_phis_rad\[1\]"),
-])
-def test_fig4_rejects_non_finite_or_bool_phases(tmp_path, phases, entry):
-    cfg = load_preset("fig4")
-    cfg["delta_phis_rad"] = phases
-    with pytest.raises(ConfigError, match=entry):
-        run_fig4(cfg, tmp_path)
-
-
 def thinned_preset(name, points=5, trials=10):
     """The packaged preset with ``points`` points per sweep axis and
     ``trials`` trials."""
@@ -410,15 +399,36 @@ def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
     assert (tmp_path / f"{name}.svg").exists() == (svg and name != "bounds")
 
 
-@pytest.mark.parametrize("path", ["search", "estimator"])
-@pytest.mark.parametrize("step", [-3, 0, 0.0, -1e-9, None, True, math.nan,
-                                  1e-4])   # 1e-4: about 1.2e6 grid points
-def test_coarse_step_must_be_positive_when_given(path, step):
-    parse = ex.search_from_config if path == "search" else ex.estimator_from_config
-    with pytest.raises(ConfigError, match=rf"^{path}\.coarse_step_deg: "):
-        parse({path: {"coarse_step_deg": step}})
-    assert parse({path: {}}).coarse_step is None
-    assert parse({path: {"coarse_step_deg": 0.5}}).coarse_step == math.radians(0.5)
+_STEP = "the coarse search step is the virtual-array beamwidth / 20"
+# each removed setting: the recipes that read it, a value and the reason given
+REMOVED_SETTINGS = {
+    "scene.e_p": (["bounds", "fig2", "fig3", "fig4", "fig5", "montecarlo"], 2.0,
+                  "the pulse energy E_p is 1"),
+    "e_p": (["scenario"], 2.0, "the pulse energy E_p is 1"),
+    "search.coarse_step_deg": (["bounds", "fig2", "fig3", "fig4", "fig5", "scenario"],
+                               0.5, _STEP),
+    "estimator.coarse_step_deg": (["fig2", "montecarlo"], 0.5, _STEP),
+    "delta_phis_rad": (["fig4"], [1.0, 2.5],
+                       "fig4's phase differences are fixed at 0 and 2pi/3"),
+}
+
+
+@pytest.mark.parametrize("recipe, key", [
+    (recipe, key) for key, (recipes, _, _) in REMOVED_SETTINGS.items()
+    for recipe in recipes])
+def test_cli_refuses_a_removed_setting_by_its_key(tmp_path, capsys, recipe, key):
+    # ignored, the setting would run with a value the recipe no longer reads:
+    # scene.e_p = 2 would give bounds for E_p = 1 under exit 0
+    _, value, reason = REMOVED_SETTINGS[key]
+    cfg = load_preset(recipe)
+    _set_leaf(cfg, key.split("."), value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: no longer a setting: {reason}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["fig2", "montecarlo"])
@@ -498,7 +508,7 @@ def test_fig4_cells_match_per_scene_bounds(tmp_path):
     for row in rows:
         scenes = [ex._parse_scene(cfg, geom, smr_db=float(row[0]), dphi=dphi,
                                   psi_rad=0.0)[0]
-                  for dphi in cfg["delta_phis_rad"]]
+                  for dphi in (0.0, 2.0 * math.pi / 3.0)]
         for cell, scene in zip(row[1:3], scenes):
             bb = _scalar_bound(scene, search)
             empty += bb is None
@@ -564,6 +574,19 @@ def test_out_of_range_psi_names_its_axis(tmp_path, recipe, axis):
     node.update(start=0.0, stop=90.0, step=45.0)
     with pytest.raises(ConfigError, match=f"{axis}: psi leaves"):
         getattr(ex, f"run_{recipe}")(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("recipe, key, value", [
+    ("fig3", "scene.theta_deg", 90.0), ("fig4", "scene.theta_deg", -90.0),
+    ("fig5", "scene.theta_deg", 95.0), ("bounds", "scene.theta_deg", 90.0),
+    ("beampattern", "steer_deg", 90.0)])
+def test_out_of_range_angle_names_its_own_key(tmp_path, recipe, key, value):
+    # fig3-5 blamed their psi axis, bounds "scene", beampattern "theta"
+    cfg = load_preset(recipe)
+    _set_leaf(cfg, key.split("."), value)
+    with pytest.raises(ConfigError) as err:
+        getattr(ex, f"run_{recipe}")(cfg, tmp_path)
+    assert str(err.value) == f"{key}: must lie inside (-90, 90), got {value!r}"
 
 
 def test_fig4_out_of_range_psi_names_its_key(tmp_path):
@@ -701,11 +724,12 @@ def test_scenario_with_no_or_one_in_cell_range(tmp_path, grid, in_cell):
                    for cell in row[6:8] + row[9:11])
 
 
-def test_scenario_cells_stay_finite_at_large_pulse_energy(tmp_path):
-    # the 3x16 CRB's denominator overflows at e_p = 1e300 and 40 m; its RCRB
-    # (~3.7e-153 deg) and the ratio RMCRB/RCRB must still be finite and positive
+def test_scenario_cells_stay_finite_at_large_snr(tmp_path):
+    # the 3x16 CRB's denominator overflows at snr_ref_db = 3020 and 40 m; its
+    # RCRB (~3.7e-153 deg) and the ratio RMCRB/RCRB must still be finite and
+    # positive
     cfg = _scenario_config(40.0, 60.0, 20.0)
-    cfg["e_p"] = 1e300
+    cfg["snr_ref_db"] = 3020.0
     header, rows = read_csv(ex.run_scenario(cfg, tmp_path)["csv"])
     cells = dict(zip(header, rows[0]))
     for key in ("rcrb_deg_3x16", "ratio_3x16", "rcrb_deg_3x8", "ratio_3x8"):
@@ -725,6 +749,27 @@ def test_cli_refuses_scenario_inputs_out_of_model(tmp_path, capsys, field,
     assert main(["scenario", "--config", str(p), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+
+def test_cli_names_an_output_directory_it_cannot_make(tmp_path, capsys):
+    # FileExistsError and NotADirectoryError from the output writer escaped main
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["bounds", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"output error: [Errno ")
+    assert blocker.read_text() == ""
+
+
+def test_cli_names_a_config_it_cannot_read(tmp_path, capsys):
+    # non-UTF-8 bytes were reported as "invalid input: 'utf-8' codec ..."
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"kind": "bounds", "note": "\u00e9"}'.encode("latin-1"))
+    for path, reason in ((bad, "'utf-8' codec can't decode"),
+                         (tmp_path / "missing.json", "[Errno "), (tmp_path, "[Errno ")):
+        assert main(["bounds", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: --config: {reason}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_sweep_makes_one_call_per_traced_layer_step(tmp_path,
@@ -822,7 +867,7 @@ def test_cli_refuses_powers_outside_the_float_range(tmp_path, capsys, recipe,
      "scene.snr_db: expected a finite number, got -1000"),
     ("bounds", "geometry.m_t", 10 ** 400, "geometry.m_t: must be <= 64, got 1000"),
     ("bounds", "geometry", {"m_t": 64, "m_r": 64},
-     "geometry: virtual aperture too wide: the default search grid would take "
+     "geometry: virtual aperture too wide: the coarse search grid would take "
      "1.452e+05 points over pi rad, above the cap of 65536"),
     ("fig2", "geometry", {"tx_positions": [0.0] * 65, "rx_positions": [0.5]},
      "geometry.tx_positions: 65 elements exceed the cap of 64 per array"),
@@ -871,18 +916,26 @@ def test_default_grid_stays_within_the_cap_at_the_widest_aperture():
             ex.geometry_from_config(cfg, path)
 
 
-def test_mc_rmse_of_statistics_near_the_float_limit(tmp_path):
-    # at e_p = 1e300 the noise is negligible: the MML sits at theta_A, so its
-    # RMSE is the RMCRB (all bias), and the matched ML's RMSE is about the
-    # RCRB.  Unscaled, |tr(A^H Y)|^2 overflows and every estimate lands on
-    # the edge of the search span.
-    cfg = small_fig2_config(trials=40)
-    cfg["scene"]["e_p"] = 1e300
-    _, rows = read_csv(run_fig2(cfg, tmp_path)["csv"])
-    for row in rows:
-        rcrb, rmcrb, mml, ml = map(float, row[1:])
-        assert mml == pytest.approx(rmcrb, rel=1e-6)
-        assert ml == pytest.approx(rcrb, rel=0.5)
+def test_mc_rmse_of_statistics_near_the_float_limit():
+    # alpha_d, alpha_i and sigma_w2 scaled by 1e300 scale the SNR by 1e300, so
+    # the noise is negligible: the MML sits at theta_A, so its RMSE is the
+    # RMCRB (all bias), and the matched ML's RMSE is about the RCRB; both
+    # bounds are the unscaled scene's with M and the CRB over 1e300.
+    # Unscaled, |tr(A^H Y)|^2 overflows and every estimate lands on the edge
+    # of the search span.
+    cfg = small_fig2_config()
+    geom, est = ex.geometry_from_config(cfg), ex.estimator_from_config(cfg)
+    scenes = [ex.scene_from_config(cfg, geom, snr_db=s)
+              for s in ex._grid(cfg, "sweep.snr_db")]
+    big = [replace(sc, alpha_d=1e300 * sc.alpha_d, alpha_i=1e300 * sc.alpha_i,
+                   sigma_w2=1e300 * sc.sigma_w2) for sc in scenes]
+    mml = mpcrb.monte_carlo_rmse(big, est, 40, 7)
+    ml = mpcrb.monte_carlo_rmse([mpcrb.multipath_free(sc) for sc in big], est, 40, 8)
+    for sc, r_mml, r_ml in zip(scenes, mml.rmse_rad, ml.rmse_rad):
+        bb = mpcrb.mcrb_theta_closed(sc, search=ex.search_from_config(cfg))
+        rmcrb = math.sqrt(bb.b_theta_theta + bb.m_theta_theta / 1e300)
+        assert r_mml == pytest.approx(rmcrb, rel=1e-6)
+        assert r_ml == pytest.approx(math.sqrt(bb.crb_theta / 1e300), rel=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ GEOM = standard_virtual_ula(3, 8)
 def asphalt(grid, **overrides):
     params = dict(h_r=1.0, wavelength=0.0038, eps_r=4.0, gamma_cond=0.005,
                   range_grid=np.asarray(grid, dtype=float), v=10.0, r_res=0.5,
-                  v_res=0.05, k_pulses=256, e_p=1.0, snr_ref_db=20.0,
+                  v_res=0.05, k_pulses=256, snr_ref_db=20.0,
                   r_ref=50.0)
     params.update(overrides)
     return GroundScenario(**params)
@@ -199,7 +199,7 @@ def _scalar_range_physics(scn, r_d):
         alpha_0i=alpha_0i, r_d=r_d, r_i=r_i, wavelength=scn.wavelength))
     sigma_w2 = 1.0 / (10.0 ** (scn.snr_ref_db / 10.0))
     fields = dict(theta=scn.theta, psi=psi, alpha_d=alpha_d, alpha_i=alpha_i,
-                  k_pulses=scn.k_pulses, e_p=scn.e_p, sigma_w2=sigma_w2)
+                  k_pulses=scn.k_pulses, sigma_w2=sigma_w2)
     scene = MultipathScene(geom=GEOM, **fields)
     same_cell = ((r_i - r_d) < scn.r_res
                  and scn.v * (1.0 - math.cos(grazing)) < scn.v_res)
@@ -255,12 +255,11 @@ def _first_scalar_refusal(scn):
 @pytest.mark.parametrize("overrides, message", [
     (dict(theta=math.radians(95.0)), "grazing angle must lie in (0, pi/2]"),
     (dict(theta=math.radians(-3.0)), "require r_i >= r_d > 0"),
-    (dict(snr_ref_db=math.inf), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
-    (dict(k_pulses=0), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(snr_ref_db=math.inf), "require sigma_w2 > 0, k_pulses >= 1"),
+    (dict(k_pulses=0), "require sigma_w2 > 0, k_pulses >= 1"),
     # one power rule for the scene and the columns: NaN fails both
-    (dict(e_p=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
-    (dict(k_pulses=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
-    (dict(snr_ref_db=math.nan), "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"),
+    (dict(k_pulses=math.nan), "require sigma_w2 > 0, k_pulses >= 1"),
+    (dict(snr_ref_db=math.nan), "require sigma_w2 > 0, k_pulses >= 1"),
 ])
 def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
     # below the road from 19.1 m at -3 deg: the grid starts in model

@@ -113,7 +113,7 @@ def test_scene_from_ratios_round_trip():
         snr_db = float(RNG.uniform(-20, 40))
         smr_db = float(RNG.uniform(-20, 40))
         dphi = float(RNG.uniform(-math.pi + 1e-9, math.pi))
-        sc = scene_from_ratios(GEOM, 0.0, 0.02, snr_db, smr_db, dphi, 4, 2.0)
+        sc = scene_from_ratios(GEOM, 0.0, 0.02, snr_db, smr_db, dphi, 4)
         snr, smr, got_dphi = scene_ratios(sc)
         assert 10 * math.log10(snr) == pytest.approx(snr_db, abs=1e-12)
         assert 10 * math.log10(smr) == pytest.approx(smr_db, abs=1e-12)
@@ -125,7 +125,7 @@ def test_ratios_invariant_under_common_rotation():
     rot = cmath.exp(0.77j)
     sc2 = MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                          alpha_d=sc.alpha_d * rot, alpha_i=sc.alpha_i * rot,
-                         k_pulses=sc.k_pulses, e_p=sc.e_p,
+                         k_pulses=sc.k_pulses,
                          sigma_w2=sc.sigma_w2)
     (snr2, smr2, dphi2), (snr, smr, dphi) = scene_ratios(sc2), scene_ratios(sc)
     assert smr2 == pytest.approx(smr, rel=1e-12)
@@ -146,41 +146,41 @@ def test_scene_validation():
                        k_pulses=0)
 
 
-@pytest.mark.parametrize("field", ["sigma_w2", "e_p", "k_pulses"])
+@pytest.mark.parametrize("field", ["sigma_w2", "k_pulses"])
 def test_scene_refuses_nan_powers(field):
     # NaN passed the power rule's old `<=` form, and crb_theta then gave nan
     with pytest.raises(ValueError) as err:
         MultipathScene(geom=GEOM, theta=0.0, psi=0.1, alpha_d=1, alpha_i=0.5,
                        **{field: math.nan})
-    assert str(err.value) == "require sigma_w2 > 0, e_p > 0, k_pulses >= 1"
+    assert str(err.value) == "require sigma_w2 > 0, k_pulses >= 1"
 
 
 def test_synthesis_deterministic_and_near_noise_free():
-    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 0.0, 0.0, 4, 2.0)
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 0.0, 0.0, 4)
     y1 = synthesize_compressed(sc, 42)
     y2 = synthesize_compressed(sc, 42)
     np.testing.assert_array_equal(y1, y2)
     y3 = synthesize_compressed(sc, 43)
     assert not np.array_equal(y1, y3)
 
-    # vanishing noise and no indirect path: the statistic is K*E_p*alpha_d*A_d
-    quiet = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 600.0, 1e9, 0.0, 4, 2.0)
+    # vanishing noise and no indirect path: the statistic is K*alpha_d*A_d
+    quiet = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 600.0, 1e9, 0.0, 4)
     assert quiet.alpha_i == 0
     y = synthesize_compressed(quiet, 7)
     a_d_raw, _ = raw_mimo(GEOM, 0.0, np.deg2rad(0.5))
-    np.testing.assert_allclose(y, 4 * 2.0 * a_d_raw, atol=1e-12)
+    np.testing.assert_allclose(y, 4 * a_d_raw, atol=1e-12)
 
 
 def test_synthesis_moments(monkeypatch):
     # 1e5 draws: per-entry mean within 4 standard errors, variance within 5%.
     # The mean is computed once, not per draw: the same values, 10x faster
-    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 3.0, 2.0, 0.7, 2, 1.5)
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 3.0, 2.0, 0.7, 2)
     mean = compressed_mean(sc)
     monkeypatch.setattr(scene, "compressed_mean", lambda _: mean)
     n = 100_000
     rng = random.Random(2026)
     y = np.array([synthesize_compressed(sc, rng) for _ in range(n)])
-    var_expected = sc.k_pulses * sc.e_p * sc.sigma_w2
+    var_expected = sc.k_pulses * sc.sigma_w2
     se = math.sqrt(var_expected / n)
     assert np.abs(y.mean(axis=0) - mean).max() < 4.0 * se
     np.testing.assert_allclose((np.abs(y - mean) ** 2).mean(axis=0),
@@ -190,7 +190,7 @@ def test_synthesis_moments(monkeypatch):
 def test_synthesis_from_a_stream_continues_it():
     # a seed starts a fresh stream, distinct for an int and a tuple; a stream
     # is drawn on in turn, each statistic taking its entries in row-major order
-    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4, 2.0)
+    sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4)
     np.testing.assert_array_equal(synthesize_compressed(sc, 42),
                                   synthesize_compressed(sc, _stream(42)))
     np.testing.assert_array_equal(synthesize_compressed(sc, (42, 0)),
@@ -199,7 +199,7 @@ def test_synthesis_from_a_stream_continues_it():
                               synthesize_compressed(sc, (5,)))
     stream = _stream(5)
     singles = [synthesize_compressed(sc, stream) for _ in range(3)]
-    var = sc.k_pulses * sc.e_p * sc.sigma_w2
+    var = sc.k_pulses * sc.sigma_w2
     w = _noise(_stream(5), 3 * GEOM.m_r * GEOM.m_t, var)
     np.testing.assert_array_equal(
         np.array(singles), compressed_mean(sc) + w.reshape(3, GEOM.m_r, GEOM.m_t))
