@@ -1,7 +1,6 @@
 """DOA estimation error bounds for colocated MIMO radar under single-bounce multipath."""
 
-from .arrays import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
-                     standard_virtual_ula, steering, virtual_hpbw)
+from .arrays import ArrayGeometry, beampattern, standard_virtual_ula, virtual_hpbw
 from .bounds import (BoundBreakdown, BoundsError, ConditioningError,
                      DegenerateBoundError, SearchConfig,
                      SingularInformationError, crb_theta, mcrb_sandwich,

@@ -59,19 +59,7 @@ class ArrayGeometry:
         return (tuple(self.tx_positions), tuple(self.rx_positions))
 
 
-@dataclass(frozen=True)
-class SteeringSet:
-    """Normalized steering vectors and their angular derivatives at one angle."""
-
-    a_r: np.ndarray
-    a_t: np.ndarray
-    da_r: np.ndarray
-    da_t: np.ndarray
-    dda_r: np.ndarray
-    dda_t: np.ndarray
-
-
-_Vectors = namedtuple("_Vectors", "a_r a_t")   # a SteeringSet's vectors alone
+_Vectors = namedtuple("_Vectors", "a_r a_t")   # receive and transmit steering vectors
 
 
 def standard_virtual_ula(m_t: int, m_r: int) -> ArrayGeometry:
@@ -98,43 +86,20 @@ def _phasors(positions: np.ndarray, sines, root=None) -> np.ndarray:
 
 
 def _steer_a(positions: np.ndarray, theta):
-    """The steering vector exp(j*2*pi*p_m*sin(theta))/sqrt(M): the one expression
-    of ``a`` that :func:`steering` and :func:`_vectors` share."""
+    """The steering vector exp(j*2*pi*p_m*sin(theta))/sqrt(M), each entry of
+    modulus 1/sqrt(M); its angular derivatives are taken on the virtual array
+    by ``bounds._projection_derivs``."""
     return np.exp(1j * (TWO_PI * positions * np.sin(theta))) / np.sqrt(positions.size)
 
 
-def _steer_one(positions: np.ndarray, theta):
-    a = _steer_a(positions, theta)
-    slope = 1j * TWO_PI * positions * np.cos(theta)
-    da = slope * a
-    dda = (slope * slope - 1j * TWO_PI * positions * np.sin(theta)) * a
-    return a, da, dda
-
-
-def _angle_column(theta) -> np.ndarray:
+def _vectors(geom: ArrayGeometry, theta) -> _Vectors:
+    """Receive and transmit steering vectors at ``theta`` (radians from
+    broadside): one row per angle for a 1-D array of angles, shape (n, M).
+    ValueError unless |theta| < pi/2."""
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.abs(theta) < np.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2")
-    return theta[..., None]
-
-
-def steering(geom: ArrayGeometry, theta) -> SteeringSet:
-    """Steering vectors at ``theta`` (radians from broadside) with derivatives.
-
-    Element m of a is exp(j*2*pi*p_m*sin(theta))/sqrt(M); first and second
-    angular derivatives are analytic.  A 1-D array of angles gives stacked
-    sets, one row per angle (shape (n, M)), each row equal to the set at
-    that angle alone.
-    """
-    col = _angle_column(theta)
-    a_r, da_r, dda_r = _steer_one(geom.rx_positions, col)
-    a_t, da_t, dda_t = _steer_one(geom.tx_positions, col)
-    return SteeringSet(a_r=a_r, a_t=a_t, da_r=da_r, da_t=da_t, dda_r=dda_r, dda_t=dda_t)
-
-
-def _vectors(geom: ArrayGeometry, theta) -> _Vectors:
-    """:func:`steering`'s a_r and a_t alone, bit for bit and with its angle check."""
-    col = _angle_column(theta)
+    col = theta[..., None]
     return _Vectors(_steer_a(geom.rx_positions, col), _steer_a(geom.tx_positions, col))
 
 
@@ -142,37 +107,12 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :]
 
 
-def _direct_indirect(s_target, s_reflect):
-    """``A_d`` and ``A_i`` of :func:`mimo_matrices`, which read the steering
-    vectors alone, so :func:`_vectors` results will do."""
+def _direct_indirect(s_target: _Vectors, s_reflect: _Vectors):
+    """MIMO steering matrices ``A_d = a_r(theta) a_t(theta)^T`` and ``A_i =
+    a_r(psi) a_t(theta)^T + a_r(theta) a_t(psi)^T`` from the :func:`_vectors` of
+    the target and the reflection, one matrix per row, shape (n, M_r, M_t)."""
     a_r, a_t = s_target.a_r, s_target.a_t
     return _outer(a_r, a_t), _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
-
-
-def mimo_matrices(s_target: SteeringSet, s_reflect):
-    """MIMO steering matrices for the direct and two-ray indirect returns.
-
-    Returns ``(A_d, A_i, dA_d, ddA_d)`` where ``A_d = a_r(theta) a_t(theta)^T``,
-    ``A_i = a_r(psi) a_t(theta)^T + a_r(theta) a_t(psi)^T`` and the derivative
-    matrices are with respect to the target angle.  Stacked sets from
-    :func:`steering` give one matrix per row, shape (n, M_r, M_t).
-    """
-    a_r, a_t = s_target.a_r, s_target.a_t
-    da_r, da_t = s_target.da_r, s_target.da_t
-    dda_r, dda_t = s_target.dda_r, s_target.dda_t
-    A_d, A_i = _direct_indirect(s_target, s_reflect)
-    dA_d = _outer(da_r, a_t) + _outer(a_r, da_t)
-    ddA_d = _outer(dda_r, a_t) + 2.0 * _outer(da_r, da_t) + _outer(a_r, dda_t)
-    return A_d, A_i, dA_d, ddA_d
-
-
-def e_adot(s: SteeringSet):
-    """Array information scalar: squared norm of both steering derivatives.
-
-    A float for one angle; an array with one value per row for stacked sets.
-    """
-    e = np.sum(np.abs(s.da_r) ** 2, axis=-1) + np.sum(np.abs(s.da_t) ** 2, axis=-1)
-    return float(e) if e.ndim == 0 else e
 
 
 def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import (TWO_PI, ArrayGeometry, _phasors, _vectors, e_adot,
-                     mimo_matrices, steering, virtual_hpbw)
+from .arrays import (TWO_PI, ArrayGeometry, _direct_indirect, _phasors, _vectors,
+                     virtual_hpbw)
 from .scene import MultipathScene
 
 
@@ -87,25 +87,27 @@ _DTYPES = (float, float, complex, complex, float, float)   # _build's columns
 
 
 def _crb(geom: ArrayGeometry, theta, alpha_d, k, sigma_w2):
-    """Steering at theta, |alpha_d|^2, E_Adot and the CRB of 1-D columns; the SNR
-    enters as a mantissa, its binary exponent undone after the reciprocal."""
-    s_t = steering(geom, theta)
-    p_d, e_dot = np.abs(alpha_d) ** 2, e_adot(s_t)
+    """|alpha_d|^2, E_Adot = ||da_r||^2 + ||da_t||^2 = (2 pi cos theta)^2
+    (mean p_r^2 + mean p_t^2), exact for unit-modulus steering entries, and the
+    CRB of 1-D columns; the SNR enters as a mantissa, its binary exponent undone
+    after the reciprocal."""
+    p_d, rx, tx = np.abs(alpha_d) ** 2, geom.rx_positions, geom.tx_positions
+    e_dot = (TWO_PI * np.cos(theta)) ** 2 * (rx @ rx / rx.size + tx @ tx / tx.size)
     snr, j_s = np.frexp(p_d / sigma_w2)
     with np.errstate(divide="ignore", over="ignore"):
         crb = np.ldexp(1.0 / (2.0 * snr * k * e_dot), -j_s)
-    return s_t, p_d, e_dot, crb
+    return p_d, e_dot, crb
 
 
 def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, sigma_w2) -> _Model:
-    """Steering, CRB and zeta3..zeta5 from 1-D columns of scenes on ``geom``,
-    two steering calls in all.  Does not check E_Adot (:func:`_informative`)."""
+    """A_d, A_i, CRB and zeta3..zeta5 from 1-D columns of scenes on ``geom``; the
+    traces tr(d^k A_d^H A_i), k = 0, 1, 2, are the :func:`_projection_derivs` of
+    Y = A_i at theta.  Does not check E_Adot (:func:`_informative`)."""
     theta, psi, alpha_d, alpha_i, k, sigma_w2 = map(
         np.asarray, (theta, psi, alpha_d, alpha_i, k, sigma_w2), _DTYPES)
-    s_t, p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, sigma_w2)
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, _vectors(geom, psi))
-    t2, t0, t1 = (np.einsum("tmn,tmn->t", x.conj(), A_i)   # tr(X^H A_i) per row
-                  for x in (ddA_d, A_d, dA_d))
+    A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
+    p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, sigma_w2)
+    t0, t1, t2 = _projection_derivs(geom, A_i, theta)
     return _Model(geom, theta, alpha_d, alpha_i, A_d, A_i, e_dot,
                   2.0 * k / sigma_w2, crb,
                   p_d * e_dot - (np.conj(alpha_d) * alpha_i * t2).real,
@@ -136,8 +138,8 @@ def _informative(e_dot):
 
 def crb_theta(scene: MultipathScene) -> float:
     """Matched-model DOA bound 1/(2*SNR*K*E_Adot), rad^2, by :func:`_crb`."""
-    _, _, e_dot, (crb,) = _crb(scene.geom, [scene.theta], scene.alpha_d,
-                               scene.k_pulses, scene.sigma_w2)
+    _, e_dot, (crb,) = _crb(scene.geom, [scene.theta], scene.alpha_d,
+                            scene.k_pulses, scene.sigma_w2)
     _informative(e_dot)
     return float(crb)
 
@@ -188,14 +190,16 @@ _DEFAULT_SEARCH = SearchConfig()
 
 
 def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
-    """c_k = <vec d^k A(phi_t), vec Y_t>, k = 0, 1, 2, per statistic: on the
-    virtual array q = p_r + p_t, dA = u A and ddA = (u^2 - v) A with
-    u = j 2 pi q cos(phi), v = j 2 pi q sin(phi) (``arrays._steer_one``), so
-    the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2."""
+    """c_k = <vec d^k A(phi_t), vec Y_t> = tr(d^k A^H(phi_t) Y_t), k = 0, 1, 2, per
+    statistic, the package's one derivative of A: on the virtual array
+    q = p_r + p_t, A has entries exp(j 2 pi q sin(phi))/sqrt(M_r M_t), so
+    dA = u A and ddA = (u^2 - v) A with u = j 2 pi q cos(phi), v = j 2 pi q
+    sin(phi), and the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2.
+    Any number of rows, zero too."""
     s, n, m_r = np.sin(phi), len(y), geom.m_r
     pos, root, moments = _geometry_consts(geom.key())
     e = _phasors(pos, -s, root)
-    w = (e[:m_r].T[:, :, None] * y * e[m_r:].T[:, None, :]).reshape(n, 1, -1)
+    w = (e[:m_r].T[:, :, None] * y * e[m_r:].T[:, None, :]).reshape(n, 1, len(moments))
     m0, m1, m2 = (w @ moments)[:, 0].T
     k = TWO_PI * np.cos(phi)
     return m0, -1j * k * m1, 1j * TWO_PI * s * m1 - k * k * m2

@@ -23,7 +23,8 @@ import numpy as np
 from .arrays import ArrayGeometry
 from .bounds import (BoundBreakdown, SearchConfig, _breakdowns,
                      mcrb_theta_closed_columns)
-from .scene import _ANGLE_REFUSAL, _POWER_REFUSAL, MultipathScene, _powers_ok, wrap_phase
+from .scene import (_ANGLE_REFUSAL, _COUNT_REFUSAL, _POWER_REFUSAL, MultipathScene,
+                    _count_refused, _powers_ok, wrap_phase)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class GroundScenario:
             raise ValueError("require eps_r >= 1 and gamma_cond >= 0")
         if not (self.r_res > 0.0 and self.v_res > 0.0 and abs(self.v) < math.inf):
             raise ValueError("require r_res > 0, v_res > 0 and a finite v")
+        if _count_refused(self.k_pulses):
+            raise ValueError(_COUNT_REFUSAL)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass, replace
@@ -24,11 +25,19 @@ _HALF_PLANE = math.pi / 2
 # the scene's two refusals, which ground.range_columns repeats per range
 _ANGLE_REFUSAL = "theta and psi must lie strictly inside (-pi/2, pi/2)"
 _POWER_REFUSAL = "require sigma_w2 > 0, k_pulses >= 1"
+_COUNT_REFUSAL = "k_pulses must be an int or a numpy integer"   # GroundScenario's too
 
 
 def _powers_ok(sigma_w2, k_pulses) -> bool:
     """The rule of _POWER_REFUSAL, which NaN fails; ground checks it per range."""
     return sigma_w2 > 0.0 and k_pulses >= 1
+
+
+def _count_refused(k_pulses) -> bool:
+    """A pulse count of at least 1 that is a float (2.0 too) or a bool; NaN and
+    counts below 1 are left to the power rule and its message."""
+    return k_pulses >= 1 and (isinstance(k_pulses, bool)
+                              or not isinstance(k_pulses, numbers.Integral))
 
 
 def wrap_phase(x):
@@ -55,6 +64,8 @@ class MultipathScene:
             raise ValueError(_ANGLE_REFUSAL)
         if not _powers_ok(self.sigma_w2, self.k_pulses):
             raise ValueError(_POWER_REFUSAL)
+        if _count_refused(self.k_pulses):
+            raise ValueError(_COUNT_REFUSAL)
 
 
 def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,

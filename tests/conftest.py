@@ -2,9 +2,11 @@
 
 These deliberately re-derive quantities from raw element positions (plain
 loops / explicit outer products) so they stay independent of the package's
-own linear-algebra paths.  The matched-model FIM, the paper-form pseudo-true
-angle, the scalar path coefficients and the scene power ratios are reference
-forms that only the tests use.
+own linear-algebra paths.  The product-rule steering derivatives, MIMO
+matrices and traces, the matched-model FIM, the paper-form pseudo-true angle,
+the scalar path coefficients and the scene power ratios are reference forms
+that only the tests use; the package takes its derivatives of the MIMO
+steering matrix from virtual-array moments instead.
 """
 
 import cmath
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mpcrb import MultipathScene, SearchConfig, e_adot, steering, wrap_phase
+from mpcrb import MultipathScene, SearchConfig, wrap_phase
 from mpcrb.bounds import _informative, _model, _pseudo_true
 
 
@@ -39,6 +41,44 @@ def raw_mimo(geom, theta, psi):
     return a_d, a_i
 
 
+def raw_steering_derivs(positions, theta):
+    """a, da/dtheta and d2a/dtheta2 by the product rule, from raw positions;
+    one row per angle for a 1-D array of angles."""
+    pos = np.asarray(positions, dtype=float)
+    th = np.asarray(theta, dtype=float)[..., None]
+    a = np.exp(2j * np.pi * pos * np.sin(th)) / np.sqrt(pos.size)
+    slope = 2j * np.pi * pos * np.cos(th)
+    return a, slope * a, (slope * slope - 2j * np.pi * pos * np.sin(th)) * a
+
+
+def raw_mimo_derivs(geom, theta, psi):
+    """(A_d, A_i, dA_d, ddA_d), the derivatives with respect to the target
+    angle, by the product rule on explicit outer products; one matrix per row
+    for arrays of angles."""
+    def outer(u, v):
+        return u[..., :, None] * v[..., None, :]
+
+    ar, dar, ddar = raw_steering_derivs(geom.rx_positions, theta)
+    at, dat, ddat = raw_steering_derivs(geom.tx_positions, theta)
+    br, bt = (raw_steering_derivs(pos, psi)[0]
+              for pos in (geom.rx_positions, geom.tx_positions))
+    return (outer(ar, at), outer(br, at) + outer(ar, bt),
+            outer(dar, at) + outer(ar, dat),
+            outer(ddar, at) + 2.0 * outer(dar, dat) + outer(ar, ddat))
+
+
+def raw_e_adot(geom, theta):
+    """E_Adot = ||da_r||^2 + ||da_t||^2 of the product-rule derivatives."""
+    return sum(np.sum(np.abs(raw_steering_derivs(pos, theta)[1]) ** 2, axis=-1)
+               for pos in (geom.rx_positions, geom.tx_positions))
+
+
+def raw_traces(geom, theta, psi):
+    """tr(A_d^H A_i), tr(dA_d^H A_i) and tr(ddA_d^H A_i) per row, by einsum."""
+    A_d, A_i, dA_d, ddA_d = raw_mimo_derivs(geom, theta, psi)
+    return tuple(np.einsum("...mn,...mn->...", x.conj(), A_i) for x in (A_d, dA_d, ddA_d))
+
+
 def projection_objective(geom, scene_mean, angle):
     """|tr(A^H(angle) M)|^2 evaluated directly from raw steering vectors."""
     a_r = raw_steering(geom.rx_positions, angle)
@@ -58,7 +98,7 @@ def fim(scene: MultipathScene, f_tau: float = 1.0, f_omega: float = 1.0) -> np.n
     |a|^2 F_tau, |a|^2 F_omega, |a|^2 E_Adot), pulse energy 1."""
     if f_tau <= 0.0 or f_omega <= 0.0:
         raise ValueError("f_tau and f_omega must be positive")
-    e_dot = _informative(e_adot(steering(scene.geom, scene.theta)))
+    e_dot = _informative(raw_e_adot(scene.geom, scene.theta))
     a2 = abs(scene.alpha_d) ** 2
     pref = 2.0 * scene.k_pulses / scene.sigma_w2
     return np.diag(pref * np.array([1.0, 1.0, a2 * f_tau, a2 * f_omega, a2 * e_dot]))

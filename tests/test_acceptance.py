@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fd_steering_derivative
+from conftest import raw_steering
 
 from mpcrb import (ArrayGeometry, ConditioningError, DegenerateBoundError,
-                   SearchConfig, crb_theta, e_adot, mcrb_sandwich,
-                   mcrb_theta_closed, mimo_matrices, multipath_free,
-                   range_point, scene_from_ratios, standard_virtual_ula,
-                   steering, theta_a, virtual_hpbw, wrap_phase)
+                   SearchConfig, crb_theta, mcrb_sandwich, mcrb_theta_closed,
+                   multipath_free, range_point, scene_from_ratios,
+                   standard_virtual_ula, theta_a, virtual_hpbw, wrap_phase)
+from mpcrb.arrays import _direct_indirect, _vectors
+from mpcrb.bounds import _crb, _projection_derivs
 from mpcrb.cli import load_preset
 from mpcrb.experiments import run_fig2, run_fig3, run_fig4, run_fig5, run_scenario
 from mpcrb.ground import GroundScenario
@@ -80,9 +81,19 @@ def test_criterion_02_multipath_free_limit():
 def test_criterion_03_array_identities():
     """200 random centered geometries/angles: derivative-orthogonality and
     curvature traces hold, analytic derivatives match central differences.
-    Seconds."""
+    The traces are the c_k = tr(d^k A^H(theta) Y) of the bounds' one derivative
+    of A: c1 = 0 and c2 = -E_Adot on Y = A(theta), and c1 on Y = A_i against a
+    central difference of c0 built from raw steering vectors.  Seconds."""
     rng = np.random.default_rng(42)
     worst_i3 = worst_i4 = worst_fd = 0.0
+
+    def derivs(geom, y, theta):
+        return [c[0] for c in _projection_derivs(geom, y, np.array([theta]))]
+
+    def raw_c0(geom, y, phi):
+        return np.vdot(np.outer(raw_steering(geom.rx_positions, phi),
+                                raw_steering(geom.tx_positions, phi)), y)
+
     for _ in range(200):
         m_t = int(rng.integers(1, 6))
         m_r = int(rng.integers(2, 10))
@@ -90,19 +101,19 @@ def test_criterion_03_array_identities():
                              rx_positions=rng.uniform(-4, 4, m_r))
         theta = float(rng.uniform(-1.3, 1.3))
         psi = float(rng.uniform(-1.3, 1.3))
-        s_t, s_r = steering(geom, theta), steering(geom, psi)
-        a_d, _, da_d, dda_d = mimo_matrices(s_t, s_r)
-        e = e_adot(s_t)
-        worst_i3 = max(worst_i3, abs(np.trace(da_d @ a_d.conj().T)))
+        a_d, a_i = _direct_indirect(_vectors(geom, [theta]), _vectors(geom, [psi]))
+        _, c1, c2 = derivs(geom, a_d, theta)
+        e = _crb(geom, np.array([theta]), 1.0, 1, 1.0)[1][0]
+        worst_i3 = max(worst_i3, abs(c1))
         if e > 0:
-            worst_i4 = max(worst_i4,
-                           abs(np.trace(dda_d.conj().T @ a_d) + e) / e)
-        fd = fd_steering_derivative(geom.rx_positions, theta)
-        scale = max(np.abs(fd).max(), 1e-9)
-        worst_fd = max(worst_fd, np.abs(s_t.da_r - fd).max() / scale)
+            worst_i4 = max(worst_i4, abs(c2 + e) / e)
+        h = 1e-6
+        fd = (raw_c0(geom, a_i[0], theta + h) - raw_c0(geom, a_i[0], theta - h)) / (2 * h)
+        scale = max(abs(fd), 1e-9)
+        worst_fd = max(worst_fd, abs(derivs(geom, a_i, theta)[1] - fd) / scale)
     ok = _report(3, "array trace identities", worst_i3 < 1e-12
                  and worst_i4 < 1e-10 and worst_fd < 1e-6,
-                 f"max |tr(dA A^H)| = {worst_i3:.2e} (tol 1e-12), max rel "
+                 f"max |tr(dA^H A)| = {worst_i3:.2e} (tol 1e-12), max rel "
                  f"curvature-trace residual = {worst_i4:.2e} (tol 1e-10), "
                  f"max FD mismatch = {worst_fd:.2e} (tol 1e-6)")
     assert ok

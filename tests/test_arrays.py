@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import fd_steering_derivative
+from conftest import fd_steering_derivative, raw_mimo, raw_steering
 
-from mpcrb import (ArrayGeometry, beampattern, e_adot, mimo_matrices,
-                   standard_virtual_ula, steering, virtual_hpbw)
+from mpcrb import ArrayGeometry, beampattern, standard_virtual_ula, virtual_hpbw
+from mpcrb.arrays import _direct_indirect, _vectors
+from mpcrb.bounds import _crb, _projection_derivs
 
 RNG = np.random.default_rng(101)
 
@@ -58,92 +59,118 @@ def test_geometry_recentering():
     np.testing.assert_allclose(g.rx_positions, [-0.5, 0.5])
 
 
+def _derivs(g, y, theta):
+    """c0, c1, c2 of one statistic ``y`` at one angle."""
+    return [c[0] for c in _projection_derivs(g, np.asarray(y)[None], np.array([theta]))]
+
+
+def _a(g, theta):
+    """A(theta) by the package's own steering vectors."""
+    s = _vectors(g, [theta])
+    return _direct_indirect(s, s)[0][0]
+
+
+def _e_adot(g, theta):
+    return _crb(g, np.array([theta]), 1.0, 1, 1.0)[1][0]
+
+
 def test_steering_broadside():
     g = standard_virtual_ula(1, 4)
-    s = steering(g, 0.0)
-    np.testing.assert_allclose(s.a_r, 0.5 * np.ones(4))
+    np.testing.assert_allclose(_vectors(g, 0.0).a_r, 0.5 * np.ones(4))
 
 
 def test_steering_quarter_wavelength_endfire_limit():
     # endfire limit, taken just inside the open angle domain
     g = ArrayGeometry(tx_positions=[0.0], rx_positions=[-0.25, 0.25])
-    s = steering(g, np.pi / 2 - 1e-12)
+    s = _vectors(g, np.pi / 2 - 1e-12)
     np.testing.assert_allclose(s.a_r, np.array([-1j, 1j]) / np.sqrt(2), atol=1e-9)
     with pytest.raises(ValueError):
-        steering(g, np.pi / 2)
+        _vectors(g, np.pi / 2)
 
 
 def test_steering_normalization_and_centering():
+    # |a| = 1 per array, and on A itself c0 = tr(A^H A) = 1, c1 = tr(dA^H A) = 0
     for _ in range(50):
         g = random_geometry()
         theta = float(RNG.uniform(-1.4, 1.4))
-        s = steering(g, theta)
+        s = _vectors(g, theta)
         assert abs(np.linalg.norm(s.a_r) - 1.0) < 1e-12
         assert abs(np.linalg.norm(s.a_t) - 1.0) < 1e-12
-        assert abs(np.vdot(s.a_r, s.da_r)) < 1e-12 * max(1.0, np.linalg.norm(s.da_r))
+        c0, c1, _ = _derivs(g, _a(g, theta), theta)
+        assert abs(c0 - 1.0) < 1e-12
+        assert abs(c1) < 1e-12 * max(1.0, np.sqrt(_e_adot(g, theta)))
 
 
-def test_steering_derivative_matches_finite_differences():
+def test_projection_derivs_match_finite_differences():
+    # c1 and c2 against central differences of c0(phi) = tr(A^H(phi) Y) and of
+    # p(phi) = |c0|^2, all from raw steering vectors, on random statistics Y
+    h = 1e-4
     for _ in range(30):
         g = random_geometry()
         theta = float(RNG.uniform(-1.2, 1.2))
-        s = steering(g, theta)
-        fd = fd_steering_derivative(g.rx_positions, theta)
-        scale = max(np.abs(fd).max(), 1.0)
-        assert np.abs(s.da_r - fd).max() < 1e-6 * scale
+        y = RNG.normal(size=(g.m_r, g.m_t)) + 1j * RNG.normal(size=(g.m_r, g.m_t))
+        c0_raw = [np.vdot(np.outer(raw_steering(g.rx_positions, phi),
+                                   raw_steering(g.tx_positions, phi)), y)
+                  for phi in (theta - h, theta, theta + h)]
+        p = np.abs(c0_raw) ** 2
+        c0, c1, c2 = _derivs(g, y, theta)
+        scale = np.abs(y).sum() * (1.0 + 2 * np.pi * 7.0) ** 2
+        assert abs(c0 - c0_raw[1]) < 1e-16 * scale
+        assert abs(c1 - (c0_raw[2] - c0_raw[0]) / (2 * h)) < 5e-8 * scale
+        assert abs(c2 - (c0_raw[2] - 2 * c0_raw[1] + c0_raw[0]) / h ** 2) < 1e-6 * scale
+        assert abs(2 * (c0.conjugate() * c1).real
+                   - (p[2] - p[0]) / (2 * h)) < 1e-10 * scale ** 2
+        assert abs(2 * (abs(c1) ** 2 + (c0.conjugate() * c2).real)
+                   - (p[2] - 2 * p[1] + p[0]) / h ** 2) < 1e-9 * scale ** 2
 
 
-def test_mimo_matrices_collapse_and_traces():
+def test_direct_indirect_collapse_and_traces():
     g = standard_virtual_ula(3, 4)
-    theta = 0.21
-    s_t = steering(g, theta)
-    a_d, a_i, da_d, dda_d = mimo_matrices(s_t, s_t)
+    s_t = _vectors(g, 0.21)
+    a_d, a_i = _direct_indirect(s_t, s_t)
     np.testing.assert_allclose(a_i, 2.0 * a_d, atol=1e-15)
     for _ in range(20):
         th = float(RNG.uniform(-1.2, 1.2))
         ps = float(RNG.uniform(-1.2, 1.2))
-        s1, s2 = steering(g, th), steering(g, ps)
-        a_d, a_i, da_d, dda_d = mimo_matrices(s1, s2)
-        assert abs(np.trace(a_d @ a_d.conj().T) - 1.0) < 1e-12
-        assert abs(np.trace(da_d @ a_d.conj().T)) < 1e-12
+        a_d, a_i = _direct_indirect(_vectors(g, th), _vectors(g, ps))
+        want_d, want_i = raw_mimo(g, th, ps)
+        np.testing.assert_allclose(a_d, want_d, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a_i, want_i, rtol=0, atol=1e-15)
+        c0, c1, _ = _derivs(g, a_d, th)
+        assert abs(c0 - 1.0) < 1e-12 and abs(c1) < 1e-12
 
 
 def test_e_adot_values_and_identity():
-    g1 = standard_virtual_ula(1, 1)
-    assert e_adot(steering(g1, 0.3)) == 0.0
+    assert _e_adot(standard_virtual_ula(1, 1), 0.3) == 0.0
 
     g = standard_virtual_ula(3, 4)
-    s = steering(g, 0.0)
     # independent finite-difference evaluation of ||da||^2 + analytic formula
     fd_r = fd_steering_derivative(g.rx_positions, 0.0)
     fd_t = fd_steering_derivative(g.tx_positions, 0.0)
     e_fd = np.sum(np.abs(fd_r) ** 2) + np.sum(np.abs(fd_t) ** 2)
     e_formula = (2 * np.pi) ** 2 * (np.sum(g.rx_positions ** 2) / 4
                                     + np.sum(g.tx_positions ** 2) / 3)
-    assert e_adot(s) == pytest.approx(e_fd, rel=1e-8)
-    assert e_adot(s) == pytest.approx(e_formula, rel=1e-12)
-    assert e_adot(s) == pytest.approx(117.6128, rel=1e-4)
+    assert _e_adot(g, 0.0) == pytest.approx(e_fd, rel=1e-8)
+    assert _e_adot(g, 0.0) == pytest.approx(e_formula, rel=1e-12)
+    assert _e_adot(g, 0.0) == pytest.approx(117.6128, rel=1e-4)
 
 
 def test_e_adot_curvature_identity():
+    # c2 = tr(ddA^H A) = -E_Adot on A itself
     for _ in range(30):
         g = random_geometry()
         theta = float(RNG.uniform(-1.2, 1.2))
-        s = steering(g, theta)
-        a_d, _, _, dda_d = mimo_matrices(s, s)
-        e = e_adot(s)
+        e = _e_adot(g, theta)
         if e == 0.0:
             continue
-        assert abs(np.trace(dda_d.conj().T @ a_d) + e) < 1e-10 * e
+        assert abs(_derivs(g, _a(g, theta), theta)[2] + e) < 1e-10 * e
 
 
 def test_e_adot_tx_rx_exchange():
     g = random_geometry(m_t=3, m_r=5)
     swapped = ArrayGeometry(tx_positions=g.rx_positions,
                             rx_positions=g.tx_positions)
-    th = 0.4
-    assert e_adot(steering(g, th)) == pytest.approx(
-        e_adot(steering(swapped, th)), rel=1e-14)
+    assert _e_adot(g, 0.4) == pytest.approx(_e_adot(swapped, 0.4), rel=1e-14)
 
 
 def test_beampattern_unity_at_steer_and_bounded():

@@ -6,14 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import (dense_grid_argmax, fim, raw_mimo, raw_steering,
+from conftest import (dense_grid_argmax, fim, raw_e_adot, raw_mimo,
+                      raw_mimo_derivs, raw_steering, raw_traces,
                       theta_a_paper_form)
 
 from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
                    SingularInformationError, compressed_mean, crb_theta,
-                   e_adot, mcrb_sandwich, mcrb_theta_closed, mimo_matrices,
-                   scene_from_ratios, standard_virtual_ula, steering, theta_a)
+                   mcrb_sandwich, mcrb_theta_closed, scene_from_ratios,
+                   standard_virtual_ula, theta_a)
 from mpcrb import bounds, experiments
 from mpcrb.bounds import (_breakdowns, _curvature, _informative, _model,
                           _pseudo_true, _sandwich, mcrb_theta_closed_columns)
@@ -110,7 +111,7 @@ def test_zeta_multipath_free():
                         alpha_d=2.0 + 0j, alpha_i=0.0 + 0j,
                         sigma_w2=sc.sigma_w2)
     z = _model([sc])
-    e = e_adot(steering(GEOM, 0.0))
+    e = raw_e_adot(GEOM, 0.0)
     assert z.zeta4 == 0 and z.zeta5 == 0
     assert z.zeta3 == pytest.approx(4.0 * e, rel=1e-12)
 
@@ -118,7 +119,7 @@ def test_zeta_multipath_free():
 def test_zeta_coherent_triples_curvature():
     sc = scene_from_ratios(GEOM, 0.0, 0.0, 10.0, 0.0, 0.0)
     z = _model([sc])
-    e = e_adot(steering(GEOM, 0.0))
+    e = raw_e_adot(GEOM, 0.0)
     assert z.zeta3 == pytest.approx(3.0 * e, rel=1e-12)
 
 
@@ -141,6 +142,34 @@ def test_zeta5_against_raw_trace_oracle():
     trace = sum(np.conj(da_d[m, n]) * a_i[m, n]
                 for m in range(4) for n in range(3))
     assert z.zeta5 == pytest.approx(alpha_i * trace, rel=1e-6)
+
+
+def test_build_entries_match_the_product_rule_oracle():
+    # E_Adot and zeta3..zeta5 from the virtual-array moments against explicit
+    # product-rule matrices and einsum traces: 203 geometries, the three preset
+    # ULAs and 200 random non-uniform ones, a quarter of them with M_t = 1;
+    # each within 1e-12 of the oracle, relative to the larger of the value and
+    # a bound on the magnitudes of its terms, which may cancel
+    rng = np.random.default_rng(2323)
+    geoms = [standard_virtual_ula(3, m_r) for m_r in (4, 8, 16)]
+    geoms += [ArrayGeometry(tx_positions=rng.uniform(-5, 5, 1 if i % 4 == 0
+                                                     else int(rng.integers(2, 6))),
+                            rx_positions=rng.uniform(-4, 4, int(rng.integers(1, 10))))
+              for i in range(200)]
+    assert sum(g.m_t == 1 for g in geoms) == 50
+    for geom in geoms:
+        theta, psi = rng.uniform(-1.3, 1.3, (2, 5))
+        alpha_d, alpha_i = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        mod = bounds._build(geom, theta, psi, alpha_d, alpha_i, 1, 1.0)
+        e_dot = raw_e_adot(geom, theta)
+        t0, t1, t2 = raw_traces(geom, theta, psi)
+        p_d, cross = np.abs(alpha_d) ** 2, np.conj(alpha_d) * alpha_i * t2
+        for got, want, scale in (
+                (mod.e_dot, e_dot, e_dot),
+                (mod.zeta3, p_d * e_dot - cross.real, p_d * e_dot + np.abs(cross)),
+                (mod.zeta4, alpha_i * t0, 2.0 * np.abs(alpha_i)),   # |t0| <= 2
+                (mod.zeta5, alpha_i * t1, 2.0 * np.abs(alpha_i) * np.sqrt(e_dot))):
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale)).all()
 
 
 def _entries(zeta3, zeta4, zeta5):
@@ -473,10 +502,8 @@ def _legacy_closed_m(scenes, eps_den_factor=1e-9):
     theta = np.array([sc.theta for sc in scenes])
     ad = np.array([sc.alpha_d for sc in scenes], dtype=complex)
     ai = np.array([sc.alpha_i for sc in scenes], dtype=complex)
-    s_t = steering(geom, theta)
-    s_r = steering(geom, [sc.psi for sc in scenes])
-    A_d, A_i, dA_d, ddA_d = mimo_matrices(s_t, s_r)
-    e_dot = e_adot(s_t)
+    A_d, A_i, dA_d, ddA_d = raw_mimo_derivs(geom, theta, [sc.psi for sc in scenes])
+    e_dot = raw_e_adot(geom, theta)
     k = np.array([sc.k_pulses for sc in scenes], dtype=float)
     sigma_w2 = np.array([sc.sigma_w2 for sc in scenes])
     p_d = np.abs(ad) ** 2
@@ -510,10 +537,8 @@ def _oracle_scenes(geom, rng, n):
         dphis = [float(rng.uniform(-math.pi, math.pi))]
         if kind == 3:
             # Re{t2 e^{-j dphi}} = sqrt(SMR) E_Adot at dphi = arg t2 -+ acos(.)
-            s_t = steering(geom, theta)
-            _, a_i, _, dda_d = mimo_matrices(s_t, steering(geom, psi))
-            t2 = np.sum(dda_d.conj() * a_i)
-            c = 10 ** (smr_db / 20) * e_adot(s_t) / abs(t2)
+            t2 = raw_traces(geom, theta, psi)[2]
+            c = 10 ** (smr_db / 20) * raw_e_adot(geom, theta) / abs(t2)
             if c >= 1.0:
                 continue
             root = cmath.phase(t2) + math.copysign(math.acos(c), rng.uniform(-1, 1))

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from mpcrb import bounds, svgplot
-from mpcrb.arrays import mimo_matrices
 from mpcrb.cli import _RUNNERS, build_parser, load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
@@ -188,11 +187,13 @@ def test_bounds_runner(tmp_path):
 
 
 def _perturb_steering_curvature(monkeypatch):
-    """Add 1e-3 to every entry of the selftest's analytic ddA_d."""
-    def perturbed(s_target, s_reflect):
-        A_d, A_i, dA_d, ddA_d = mimo_matrices(s_target, s_reflect)
-        return A_d, A_i, dA_d, ddA_d + 1e-3
-    monkeypatch.setattr(ex, "mimo_matrices", perturbed)
+    """Add 1e-3 to every c2 = tr(ddA^H Y) of the selftest's identity checks."""
+    real = ex._projection_derivs
+
+    def perturbed(geom, y, phi):
+        c0, c1, c2 = real(geom, y, phi)
+        return c0, c1, c2 + 1e-3
+    monkeypatch.setattr(ex, "_projection_derivs", perturbed)
 
 
 def test_selftest_passes_and_fault_injection_trips(monkeypatch):
@@ -642,23 +643,25 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_monte_carlo_runs_do_not_import_numpy_random(tmp_path):
-    # the noise comes from the standard library's MT19937: a fresh process
-    # that runs both Monte-Carlo recipes never loads numpy.random
+    # the noise and the selftest's draws come from the standard library's
+    # MT19937: a fresh process that runs both Monte-Carlo recipes and the
+    # selftest never loads numpy.random
     src = Path(mpcrb.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     code = (f"import sys\n"
-            f"from mpcrb.cli import load_preset\n"
+            f"from mpcrb.cli import load_preset, main\n"
             f"from mpcrb.experiments import run_fig2, run_montecarlo\n"
             f"run_montecarlo(load_preset('montecarlo'), {str(tmp_path / 'mc')!r})\n"
             f"fig2 = load_preset('fig2')\n"
             f"fig2['trials'] = 20\n"
             f"run_fig2(fig2, {str(tmp_path / 'fig2')!r})\n"
+            f"assert main(['selftest']) == 0\n"
             f"print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "mc" / "montecarlo.csv").exists()
     assert (tmp_path / "fig2" / "fig2.csv").exists()
 

@@ -19,23 +19,23 @@ CSV_SHA256 = {
     "beampattern/beampattern.csv":
         "6871bff4677c44fe8a3657d89adf5542e6075519c85b8118fb81c4b265132921",
     "bounds/bounds.csv":
-        "3f84c01101da988b8a0cb51aecc6c5bffe07a12e09f2304d048389bb533cd292",
+        "871c4abb83e3830f433d9d7d0c483e0ee088649f4150067eb8279ae4772f5d74",
     "fig2/fig2.csv":
-        "e924ba4ae35a1b6fe89c8b874edc496e421e25eaaac17a4884c250d1885a05c7",
+        "4d1a631d52fc90a00b34eff0687b4541858c505777eb556e92e11871177907c5",
     "fig3/fig3.csv":
-        "9b0fca505c40a0c6ac6e7b83ccf0bd8828e0bd917c21fc48a263a96635e6e994",
+        "876b9189561ab448e664ba2af45b726a74b34af0b6a1ca5cea4e4d1822ef1247",
     "fig3/fig3_beampattern.csv":
         "6871bff4677c44fe8a3657d89adf5542e6075519c85b8118fb81c4b265132921",
     "fig4/fig4.csv":
-        "0a3148bacd79ce3d5887ec49eb0dfa02242d6d1adde06e7405fbce0336b53aad",
+        "8b86cb4283a78837d85f7bfe0bd7fdfc7b094db1bf3cd659afbae7d082005ab6",
     "fig5/fig5.csv":
-        "4ef30d80e5096afc3e1e103b4807b1817e061a138bba3a0bb9fe69e6c8036dbe",
+        "b3390f7521a0f3f2143fdab9d1d11c464eaf0acb512d5b8e400248fd3519a547",
     "montecarlo/montecarlo.csv":
         "dd4af499daeb18d4898579dddad92dcaf4db4ee32ac362833f0a2ddd56ac64e8",
     "scenario/scenario.csv":
-        "ef955e182bac00960da8e0d6c4596aa25618cbf1b5ee356a7a4a2edbfdebb92b",
+        "33387edbf11770f7097af92ce827b165f8d0a85196e333ed1fa75ffd61b1cd8d",
 }
-SELFTEST_SHA256 = "2477d486ca1674544841f74757dbd6a7edabc97257cf0181d3ebf2ded2119130"
+SELFTEST_SHA256 = "be25cde0ba0eb1b57d02507e5f594622cf566af53ebb9c285bdcc36d80293252"
 
 
 def _sha256(data: bytes) -> str:

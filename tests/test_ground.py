@@ -243,6 +243,13 @@ def test_range_columns_match_the_scalar_physics(theta_deg, h_r, stop, v_res):
     assert np.all(np.abs(gap) <= phase_tol)
 
 
+@pytest.mark.parametrize("k", [1.5, 256.0, True])
+def test_scenario_refuses_a_pulse_count_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="k_pulses must be an int or a numpy integer"):
+        asphalt([10.0, 20.0], k_pulses=k)
+    assert asphalt([10.0, 20.0], k_pulses=np.int64(256)).k_pulses == 256
+
+
 def _first_scalar_refusal(scn):
     for r in scn.range_grid.tolist():
         try:

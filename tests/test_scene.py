@@ -155,6 +155,22 @@ def test_scene_refuses_nan_powers(field):
     assert str(err.value) == "require sigma_w2 > 0, k_pulses >= 1"
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, np.float64(3.0), True, np.bool_(True)],
+                         ids=["2.5", "2.0", "float64", "True", "bool_"])
+def test_scene_refuses_a_pulse_count_that_is_not_an_integer(k):
+    # crb_theta gave a bound for K = 2.5 (and K = 1 for True) before
+    with pytest.raises(ValueError, match="k_pulses must be an int or a numpy integer"):
+        MultipathScene(geom=GEOM, theta=0.0, psi=0.1, alpha_d=1, alpha_i=0.5, k_pulses=k)
+    with pytest.raises(ValueError, match="k_pulses must be an int or a numpy integer"):
+        scene_from_ratios(GEOM, 0.0, 0.1, 10.0, 0.0, 0.0, k)
+
+
+def test_scene_takes_ints_and_numpy_integers_as_pulse_counts():
+    for k in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        assert MultipathScene(geom=GEOM, theta=0.0, psi=0.1, alpha_d=1, alpha_i=0.5,
+                              k_pulses=k).k_pulses == 3
+
+
 def test_synthesis_deterministic_and_near_noise_free():
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 0.0, 0.0, 4)
     y1 = synthesize_compressed(sc, 42)
