@@ -10,7 +10,7 @@ expressions rely on.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,31 +18,55 @@ TWO_PI = 2.0 * np.pi
 
 
 def _as_centered_positions(positions, label: str) -> np.ndarray:
-    pos = np.atleast_1d(np.asarray(positions, dtype=float)).copy()
+    pos = np.atleast_1d(np.asarray(positions, dtype=float))
     if pos.ndim != 1 or pos.size < 1:
         raise ValueError(f"{label}: need a non-empty 1-D position list")
     if not np.all(np.isfinite(pos)):
         raise ValueError(f"{label}: positions must be finite")
-    pos -= pos.mean()
-    pos.flags.writeable = False
-    return pos
+    return pos - pos.mean()
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
+class _Value:
+    """Value ``==`` and hash for a frozen dataclass: fields compare as a tuple, a
+    numpy array field as the tuple of its entries."""
+
+    def _value(self) -> tuple:
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        same_type = type(other) is type(self)
+        return self._value() == other._value() if same_type else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayGeometry(_Value):
     """Transmit/receive element positions along the array axis, in wavelengths.
 
-    Positions are re-centered to zero mean at construction.
+    Positions are re-centered to zero mean at construction.  A geometry is a
+    value (``==`` and hash over its positions) and carries the constants of its
+    :func:`_phasors`, made once here and read-only: the rx then tx positions,
+    their sqrt(M) divisors and the virtual moments [1, q, q^2] of q = p_r + p_t.
     """
 
     tx_positions: np.ndarray
     rx_positions: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tx_positions",
-                           _as_centered_positions(self.tx_positions, "tx_positions"))
-        object.__setattr__(self, "rx_positions",
-                           _as_centered_positions(self.rx_positions, "rx_positions"))
+        tx = _as_centered_positions(self.tx_positions, "tx_positions")
+        rx = _as_centered_positions(self.rx_positions, "rx_positions")
+        q = (rx[:, None] + tx).ravel()   # no Python-level numpy helpers: their first
+        moments = np.empty((q.size, 3), dtype=complex)   # call in a fork costs more
+        moments[:, 0], moments[:, 1] = 1.0, q             # than the arithmetic
+        moments[:, 2] = q * q
+        root = np.sqrt(np.array([rx.size] * rx.size + [tx.size] * tx.size, dtype=float))
+        vars(self).update(tx_positions=tx, rx_positions=rx, _pos=np.concatenate((rx, tx)),
+                          _root=root, _moments=moments)
+        for value in vars(self).values():
+            value.flags.writeable = False
 
     @property
     def m_t(self) -> int:
@@ -51,12 +75,6 @@ class ArrayGeometry:
     @property
     def m_r(self) -> int:
         return self.rx_positions.size
-
-    def key(self) -> tuple:
-        """Hashable identity of the positions: the cache key of the argmax
-        kernel's per-geometry constants and the same-geometry check that a
-        bound batch and a Monte-Carlo sweep share."""
-        return (tuple(self.tx_positions), tuple(self.rx_positions))
 
 
 _Vectors = namedtuple("_Vectors", "a_r a_t")   # receive and transmit steering vectors
@@ -76,31 +94,26 @@ def standard_virtual_ula(m_t: int, m_r: int) -> ArrayGeometry:
     return ArrayGeometry(tx_positions=tx, rx_positions=rx)
 
 
-def _phasors(positions: np.ndarray, sines, root=None) -> np.ndarray:
-    """exp(j*2*pi*p_m*sin(phi))/root_m, one column per entry of ``sines``; ``root``
-    is sqrt(M) by default, or a column of per-position divisors.  One exp call,
-    built in place."""
-    e = 1j * TWO_PI * np.multiply.outer(positions, sines)
+def _phasors(geom: ArrayGeometry, sines) -> np.ndarray:
+    """The package's one steering phasor exp(j*2*pi*p_m*sin(phi))/sqrt(M): one row
+    per position of ``geom``, rx then tx (M = M_r or M_t), then the axes of
+    ``sines``; each entry of modulus 1/sqrt(M).  One exp call, built in place."""
+    e = 1j * TWO_PI * np.multiply.outer(geom._pos, sines)
     np.exp(e, out=e)
-    return np.divide(e, np.sqrt(positions.size) if root is None else root, out=e)
-
-
-def _steer_a(positions: np.ndarray, theta):
-    """The steering vector exp(j*2*pi*p_m*sin(theta))/sqrt(M), each entry of
-    modulus 1/sqrt(M); its angular derivatives are taken on the virtual array
-    by ``bounds._projection_derivs``."""
-    return np.exp(1j * (TWO_PI * positions * np.sin(theta))) / np.sqrt(positions.size)
+    np.divide(e.T, geom._root, out=e.T)   # one divisor per position, any sines shape
+    return e
 
 
 def _vectors(geom: ArrayGeometry, theta) -> _Vectors:
     """Receive and transmit steering vectors at ``theta`` (radians from
-    broadside): one row per angle for a 1-D array of angles, shape (n, M).
-    ValueError unless |theta| < pi/2."""
+    broadside), the :func:`_phasors` of ``geom`` split into a_r and a_t: one row
+    per angle for a 1-D array of angles, shape (n, M).  ValueError unless
+    |theta| < pi/2."""
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.abs(theta) < np.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2")
-    col = theta[..., None]
-    return _Vectors(_steer_a(geom.rx_positions, col), _steer_a(geom.tx_positions, col))
+    e = _phasors(geom, np.sin(theta)).T
+    return _Vectors(e[..., :geom.m_r], e[..., geom.m_r:])
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -120,9 +133,8 @@ def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np
 
     gain(phi) = 20*log10 |a^H(steer) a(phi)| per array; 0 dB at phi == steer.
     """
-    s0, sines = _vectors(geom, steer), np.sin(np.asarray(grid, dtype=float))
-    gains = [np.abs(a0.conj() @ _phasors(pos, sines))
-             for pos, a0 in ((geom.tx_positions, s0.a_t), (geom.rx_positions, s0.a_r))]
+    s0, e = _vectors(geom, steer), _phasors(geom, np.sin(np.asarray(grid, dtype=float)))
+    gains = [np.abs(s0.a_t.conj() @ e[geom.m_r:]), np.abs(s0.a_r.conj() @ e[:geom.m_r])]
     return tuple(20.0 * np.log10(np.maximum(g, 1e-300)) for g in gains)
 
 
@@ -131,11 +143,10 @@ def virtual_hpbw(geom: ArrayGeometry) -> float:
 
     Uses the N*d-equivalent aperture of the virtual array (extent scaled by
     n/(n-1)), which reproduces 0.886/(N*d) for uniform virtual ULAs.  The
-    virtual positions are all pairwise sums of transmit and receive positions.
+    virtual positions q are all pairwise sums of transmit and receive positions.
     """
-    vpos = np.sort((geom.tx_positions[:, None] + geom.rx_positions[None, :]).ravel())
-    n = vpos.size
-    extent = float(vpos[-1] - vpos[0])
+    q, n = geom._moments[:, 1].real, len(geom._moments)
+    extent = float(q.max() - q.min())
     if n < 2 or extent <= 0.0:
         raise ValueError("beamwidth undefined for a single-element virtual array")
     return 0.886 / (extent * n / (n - 1))

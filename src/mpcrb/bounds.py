@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -100,11 +99,9 @@ def _crb(geom: ArrayGeometry, theta, alpha_d, k, sigma_w2):
 
 
 def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, sigma_w2) -> _Model:
-    """A_d, A_i, CRB and zeta3..zeta5 from 1-D columns of scenes on ``geom``; the
-    traces tr(d^k A_d^H A_i), k = 0, 1, 2, are the :func:`_projection_derivs` of
-    Y = A_i at theta.  Does not check E_Adot (:func:`_informative`)."""
-    theta, psi, alpha_d, alpha_i, k, sigma_w2 = map(
-        np.asarray, (theta, psi, alpha_d, alpha_i, k, sigma_w2), _DTYPES)
+    """A_d, A_i, CRB and zeta3..zeta5 from 1-D arrays (``_DTYPES``) of scenes on
+    ``geom``; the traces tr(d^k A_d^H A_i), k = 0, 1, 2, are the
+    :func:`_projection_derivs` of Y = A_i at theta.  Does not check E_Adot."""
     A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
     p_d, e_dot, crb = _crb(geom, theta, alpha_d, k, sigma_w2)
     t0, t1, t2 = _projection_derivs(geom, A_i, theta)
@@ -115,18 +112,17 @@ def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, sigma_w2) -> _M
 
 
 def _one_geometry(scenes: Sequence[MultipathScene]) -> ArrayGeometry:
-    """The one geometry of a batch or sweep of scenes; ValueError if mixed."""
-    geom, key = scenes[0].geom, scenes[0].geom.key()
-    if any(sc.geom is not geom and sc.geom.key() != key for sc in scenes):
+    """The one geometry, by value, of a batch or sweep of scenes; ValueError if mixed."""
+    if len({sc.geom for sc in scenes}) > 1:
         raise ValueError("all scenes of a batch must share one array geometry")
-    return geom
+    return scenes[0].geom
 
 
 def _model(scenes: Sequence[MultipathScene]) -> _Model:
     """:func:`_build` on the columns gathered from scenes on one geometry."""
-    return _build(_one_geometry(scenes), *zip(*[
+    return _build(_one_geometry(scenes), *map(np.asarray, zip(*[
         (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.sigma_w2)
-        for sc in scenes]))
+        for sc in scenes]), _DTYPES))
 
 
 def _informative(e_dot):
@@ -152,30 +148,16 @@ _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 _COND_THRESHOLD = 1e12   # the sandwich's gate on the curvature's condition number
 
 
-@lru_cache(maxsize=32)
-def _geometry_consts(geom_key: tuple):
-    """The argmax kernel's per-geometry constants: the rx then tx positions, a
-    column of their sqrt(M) divisors and the moments [1, q, q^2] of q = p_r + p_t."""
-    tx, rx = map(np.asarray, geom_key)
-    root = np.sqrt(np.array([rx.size] * rx.size + [tx.size] * tx.size, dtype=float))
-    q = (rx[:, None] + tx).ravel()   # no Python-level numpy helpers: their first
-    moments = np.empty((q.size, 3), dtype=complex)   # call in a fork costs more
-    moments[:, 0], moments[:, 1] = 1.0, q             # than the arithmetic
-    moments[:, 2] = q * q
-    return np.concatenate((rx, tx)), root[:, None], moments
-
-
 def _grid(geom: ArrayGeometry, lo: float, hi: float, n: int):
     """Grid angles (``np.linspace(lo, hi, n)`` bit for bit) and a generator
     function of (cols, V[:, cols]) tiles of V = conj(a_r) (x) conj(a_t), at most
-    ``_TILE_BYTES`` each (one column at least), formed from phasors built here:
-    the row Y.reshape(-1) @ V[:, cols] holds tr(A^H(phi) Y) over those angles."""
+    ``_TILE_BYTES`` each (one column at least), from the geometry's phasors at
+    the grid, built here: Y.reshape(-1) @ V[:, cols] holds tr(A^H(phi) Y) there."""
     angles = np.arange(n, dtype=float)
     angles *= (hi - lo) / (n - 1)
     angles += lo
     angles[-1] = hi
-    pos, root, _ = _geometry_consts(geom.key())
-    e = _phasors(pos, np.sin(angles), root)   # every rx and tx row in one exp call
+    e = _phasors(geom, np.sin(angles))
     np.conjugate(e, out=e)
     m_r, m = geom.m_r, geom.m_r * geom.m_t
     width = max(1, _TILE_BYTES // (16 * m))
@@ -194,11 +176,11 @@ def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
     statistic, the package's one derivative of A: on the virtual array
     q = p_r + p_t, A has entries exp(j 2 pi q sin(phi))/sqrt(M_r M_t), so
     dA = u A and ddA = (u^2 - v) A with u = j 2 pi q cos(phi), v = j 2 pi q
-    sin(phi), and the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2.
-    Any number of rows, zero too."""
+    sin(phi), and the c_k follow from the moments sum q^j conj(A) Y, j = 0, 1, 2,
+    with the [1, q, q^2] the geometry carries.  Any number of rows, zero too."""
     s, n, m_r = np.sin(phi), len(y), geom.m_r
-    pos, root, moments = _geometry_consts(geom.key())
-    e = _phasors(pos, -s, root)
+    e = _phasors(geom, -s)
+    moments = geom._moments
     w = (e[:m_r].T[:, :, None] * y * e[m_r:].T[:, None, :]).reshape(n, 1, len(moments))
     m0, m1, m2 = (w @ moments)[:, 0].T
     k = TWO_PI * np.cos(phi)
@@ -333,18 +315,21 @@ def _closed(mod: _Model, search: SearchConfig | None):
 def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
                               k_pulses, sigma_w2,
                               search: SearchConfig | None = None):
-    """:func:`mcrb_theta_closed` on 1-D columns of scenes on ``geom``: the arrays
+    """:func:`mcrb_theta_closed` on columns of scenes on ``geom``: the 1-D arrays
     ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.
-    Scalar arguments apply to every row.  The rows are evaluated in blocks of
-    a whole number of ``_BLOCK`` rows, in which one stacked complex M_r x M_t
-    matrix takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``), so memory does
-    not grow with the row count."""
-    cols = list(map(np.asarray, (theta, psi, alpha_d, alpha_i, k_pulses,
-                                 sigma_w2), _DTYPES))
+    The arguments broadcast, scalars to every row; the rows are the broadcast
+    shape in row-major order, evaluated in blocks of a whole number of ``_BLOCK``
+    rows, in which one stacked complex M_r x M_t matrix takes at most
+    ``_MODEL_BYTES`` (or one ``_BLOCK``), so memory does not grow with the rows."""
+    args = (theta, psi, alpha_d, alpha_i, k_pulses, sigma_w2)
+    shape = np.broadcast(*args).shape
+    cols = [np.empty(math.prod(shape), dtype) for dtype in _DTYPES]
+    for col, arg in zip(cols, args):
+        col.reshape(shape)[...] = arg
     rows = max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
-    starts = range(0, max(c.size for c in cols) or 1, rows)   # no rows: one empty block
-    parts = [_closed(_build(geom, *(c[i:i + rows] if c.ndim else c for c in cols)),
-                     search)[0] for i in starts]
+    starts = range(0, len(cols[0]) or 1, rows)   # no rows: one empty block
+    parts = [_closed(_build(geom, *(c[i:i + rows] for c in cols)), search)[0]
+             for i in starts]
     return _Columns(*map(np.concatenate, zip(*parts)))
 
 

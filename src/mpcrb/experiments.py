@@ -262,16 +262,13 @@ def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
         vals = np.asarray(axes.get(key, args[key]), dtype=float)
         return np.array([expr(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
 
-    psi = np.asarray(axes.get("psi_rad", base.psi))
     alpha_i = (swept("smr_db", lambda smr: 10.0 ** (-smr / 20.0))
                * swept("dphi", lambda dphi: cmath.exp(-1j * dphi)))
     sigma_w2 = swept("snr_db", lambda snr: _pow10(-snr / 10.0, "sweep.snr_db", snr,
                                                   zero_ok=False))
-    shape = np.broadcast(psi, alpha_i, sigma_w2).shape
-    return mcrb_theta_closed_columns(geom, *(
-        np.full(shape, v).ravel() for v in (
-            base.theta, psi, base.alpha_d, alpha_i, base.k_pulses,
-            sigma_w2)), search=search)
+    return mcrb_theta_closed_columns(geom, base.theta, axes.get("psi_rad", base.psi),
+                                     base.alpha_d, alpha_i, base.k_pulses, sigma_w2,
+                                     search=search)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +507,6 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
              for name in config["geometries"]}
     phys = range_columns(scn)
     n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
-    theta = np.full(n, scn.theta)
     args = (scn.k_pulses, phys.sigma_w2)
     table = {"r_d_m": phys.r_d.tolist(), "psi_deg": np.degrees(phys.psi).tolist(),
              "smr_db": [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
@@ -518,9 +514,9 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
              "same_cell": phys.same_cell.tolist()}
     series, valid = {}, []
     for name, geom in geoms.items():
-        crb = _crb(geom, theta[:1], phys.alpha_d, *args)[2]   # theta is one value
+        crb = _crb(geom, scn.theta, phys.alpha_d, *args)[2]
         closed = mcrb_theta_closed_columns(
-            geom, theta[in_cell], phys.psi[in_cell], phys.alpha_d[in_cell],
+            geom, scn.theta, phys.psi[in_cell], phys.alpha_d[in_cell],
             phys.alpha_i[in_cell], *args, search=search)
         mcrb, ok = np.full(n, np.nan), np.zeros(n, dtype=bool)
         mcrb[in_cell], ok[in_cell] = closed.mcrb, closed.valid

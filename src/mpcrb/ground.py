@@ -20,16 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayGeometry
+from .arrays import ArrayGeometry, _Value
 from .bounds import (BoundBreakdown, SearchConfig, _breakdowns,
                      mcrb_theta_closed_columns)
 from .scene import (_ANGLE_REFUSAL, _COUNT_REFUSAL, _POWER_REFUSAL, MultipathScene,
                     _count_refused, _powers_ok, wrap_phase)
 
 
-@dataclass(frozen=True)
-class GroundScenario:
-    """Flat-road multipath scenario evaluated over a range grid."""
+@dataclass(frozen=True, eq=False)
+class GroundScenario(_Value):
+    """Flat-road multipath scenario over a range grid; a value, like ArrayGeometry."""
 
     h_r: float                      # radar height above the road, m
     wavelength: float               # carrier wavelength, m
@@ -167,6 +167,6 @@ def range_point(scn: GroundScenario, r_d: float,
     scene = MultipathScene(geom, scn.theta, head[2], head[8], head[9],
                            scn.k_pulses, cols.sigma_w2)
     bound = _breakdowns(mcrb_theta_closed_columns(
-        geom, [scn.theta], cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
+        geom, scn.theta, cols.psi, cols.alpha_d, cols.alpha_i, scn.k_pulses,
         cols.sigma_w2, search=search))[0] if head[7] else None   # same cell
     return RangePoint(*head[:8], scene=scene, bound=bound)

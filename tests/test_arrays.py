@@ -3,7 +3,7 @@ import pytest
 from conftest import fd_steering_derivative, raw_mimo, raw_steering
 
 from mpcrb import ArrayGeometry, beampattern, standard_virtual_ula, virtual_hpbw
-from mpcrb.arrays import _direct_indirect, _vectors
+from mpcrb.arrays import _direct_indirect, _phasors, _vectors
 from mpcrb.bounds import _crb, _projection_derivs
 
 RNG = np.random.default_rng(101)
@@ -57,6 +57,50 @@ def test_geometry_recentering():
     g = ArrayGeometry(tx_positions=[0.0, 2.0, 4.0], rx_positions=[1.0, 2.0])
     np.testing.assert_allclose(g.tx_positions, [-2.0, 0.0, 2.0])
     np.testing.assert_allclose(g.rx_positions, [-0.5, 0.5])
+
+
+def test_geometries_are_values():
+    # == raised ValueError and hash() TypeError for two or more elements
+    a, b = standard_virtual_ula(3, 4), standard_virtual_ula(3, 4)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    # positions compare after re-centring
+    assert ArrayGeometry([0.0, 2.0], [1.0, 2.0]) == ArrayGeometry([5.0, 7.0], [-1.0, 0.0])
+    for other in (standard_virtual_ula(4, 3), standard_virtual_ula(3, 8),
+                  ArrayGeometry(a.tx_positions, a.rx_positions + [0.0, 0.0, 0.0, 1e-9])):
+        assert a != other and not a == other
+    assert a != (a.tx_positions, a.rx_positions) and a != None   # noqa: E711
+
+
+def test_geometry_carries_its_kernel_constants_read_only():
+    g = random_geometry(m_t=3, m_r=5)
+    assert np.array_equal(g._pos, np.concatenate((g.rx_positions, g.tx_positions)))
+    assert np.array_equal(g._root, np.sqrt([5.0] * 5 + [3.0] * 3))
+    q = np.add.outer(g.rx_positions, g.tx_positions).ravel()
+    assert np.array_equal(g._moments, np.stack([np.ones_like(q), q, q * q], axis=1))
+    for arr in (g.tx_positions, g.rx_positions, g._pos, g._root, g._moments):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("m_t, m_r", [(1, 4), (3, 4), (2, 7), (4, 2)])
+def test_vectors_are_the_kernel_phasors_bitwise(m_t, m_r):
+    # one phasor formula: a_r and a_t are the rx and tx rows of _phasors
+    rng = np.random.default_rng(m_t * 10 + m_r)
+    g = random_geometry(rng, m_t, m_r)
+    theta = np.concatenate(([0.0, -0.0], rng.uniform(-1.4, 1.4, 9)))
+    e = _phasors(g, np.sin(theta))
+    rows = _vectors(g, theta)
+    assert rows.a_r.shape == (theta.size, m_r) and rows.a_t.shape == (theta.size, m_t)
+    assert rows.a_r.tobytes() == np.ascontiguousarray(e[:m_r].T).tobytes()
+    assert rows.a_t.tobytes() == np.ascontiguousarray(e[m_r:].T).tobytes()
+    for t, th in enumerate(theta):   # a scalar angle is its row
+        one = _vectors(g, float(th))
+        assert one.a_r.shape == (m_r,) and one.a_t.shape == (m_t,)
+        assert one.a_r.tobytes() == e[:m_r, t].tobytes()
+        assert one.a_t.tobytes() == e[m_r:, t].tobytes()
+    zero = _vectors(g, 0.0)   # broadside: every entry exactly 1/sqrt(M)
+    assert np.array_equal(zero.a_r, np.full(m_r, 1.0 / np.sqrt(m_r)))
+    assert np.array_equal(zero.a_t, np.full(m_t, 1.0 / np.sqrt(m_t)))
 
 
 def _derivs(g, y, theta):

@@ -719,6 +719,31 @@ def test_closed_columns_equal_scalar_calls_bitwise(geom):
     assert np.array_equal(cols.crb, _model(scenes).crb)
 
 
+def test_closed_columns_broadcast_every_argument():
+    # scalar alpha_d and alpha_i raised IndexError, a scalar theta with 2-row
+    # columns ValueError ("non-broadcastable output operand")
+    full = mcrb_theta_closed_columns(GEOM, [0.0, 0.0], [0.1, 0.2], [1.0, 1.0],
+                                     [0.5, 0.5], [1, 1], [1.0, 1.0])
+    for args in ([[0.0, 0.0], [0.1, 0.2], 1.0, 0.5, 1, 1.0],
+                 [0.0, [0.1, 0.2], [1.0, 1.0], [0.5, 0.5], [1, 1], [1.0, 1.0]],
+                 [0.0, np.array([0.1, 0.2]), 1.0, 0.5, 1, 1.0]):
+        cols = mcrb_theta_closed_columns(GEOM, *args)
+        assert all(c.tobytes() == f.tobytes() and c.shape == (2,)
+                   for c, f in zip(cols, full))
+    one = mcrb_theta_closed_columns(GEOM, 0.0, 0.1, 1.0, 0.5, 1, 1.0)   # one row
+    assert all(c.tobytes() == f[:1].tobytes() for c, f in zip(one, full))
+    # a grid broadcasts outer axis first, as its full columns raveled
+    psi, dphi = np.array([0.1, 0.2, 0.3])[:, None], np.array([0.0, 1.0])
+    alpha_i = 0.5 * np.exp(-1j * dphi)
+    grid = mcrb_theta_closed_columns(GEOM, 0.0, psi, 1.0, alpha_i, 4, [0.5])
+    flat = mcrb_theta_closed_columns(GEOM, np.zeros(6), np.repeat(psi.ravel(), 2),
+                                     np.ones(6), np.tile(alpha_i, 3), np.full(6, 4),
+                                     np.full(6, 0.5))
+    assert all(g.tobytes() == f.tobytes() for g, f in zip(grid, flat))
+    with pytest.raises(ValueError):
+        mcrb_theta_closed_columns(GEOM, [0.0, 0.0], [0.1, 0.2, 0.3], 1.0, 0.5, 1, 1.0)
+
+
 def test_overflowing_multipath_ratio_is_degenerate():
     # |alpha_i| / |alpha_d| ~ 1e155: zeta3^2 and |zeta5|^2 overflow, and the
     # pseudo-true angle still follows the indirect-dominated limit

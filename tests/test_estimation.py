@@ -206,9 +206,13 @@ def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
 
 
 def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():
-    # equal positions on another object count as one geometry
+    # equal positions on another object count as one geometry, in a bound
+    # batch and in a sweep
     same = scene_from_ratios(standard_virtual_ula(3, 4), 0.0, 0.01, 5.0, 3.0, 0.4)
+    assert same.geom is not GEOM and same.geom == GEOM
+    assert bounds._model([fig2_scene(), same]).geom is GEOM
     assert monte_carlo_rmse([fig2_scene(), same], None, 2, 1).trials == 2
+    assert monte_carlo_rmse([same, fig2_scene()], None, 2, 1).trials == 2
     mixed = [fig2_scene(), scene_from_ratios(standard_virtual_ula(3, 8), 0.0,
                                              0.01, 5.0, 3.0, 0.4)]
     with pytest.raises(ValueError) as batch:
@@ -410,11 +414,12 @@ def _phasors(positions, sines):
     return np.exp(1j * TWO_PI * np.outer(positions, sines)) / np.sqrt(positions.size)
 
 
-def _uncached_steering_grid(geom_key, lo, hi, n):
+def _uncached_steering_grid(geom, lo, hi, n):
     """The kernel's grid and whole virtual steering matrix V before its set-up
-    was cached and V tiled, kept verbatim as an oracle."""
+    was cached and V tiled, kept as an oracle."""
     angles = np.linspace(lo, hi, n)
-    tx, rx = (_phasors(np.asarray(pos), np.sin(angles)).conj() for pos in geom_key)
+    tx, rx = (_phasors(pos, np.sin(angles)).conj()
+              for pos in (geom.tx_positions, geom.rx_positions))
     return angles, (rx[:, None, :] * tx[None, :, :]).reshape(-1, n)
 
 
@@ -443,7 +448,7 @@ def test_grid_tiles_equal_linspace_and_kronecker_bitwise(n):
     for geom in _KERNEL_GEOMS:
         for lo, hi in spans:
             angles, tiles = bounds._grid(geom, lo, hi, n)
-            want_angles, want_v = _uncached_steering_grid(geom.key(), lo, hi, n)
+            want_angles, want_v = _uncached_steering_grid(geom, lo, hi, n)
             assert _same_bits(angles, np.linspace(lo, hi, n))
             assert _same_bits(angles, want_angles)
             done = 0

@@ -23,19 +23,19 @@ CSV_SHA256 = {
     "fig2/fig2.csv":
         "4d1a631d52fc90a00b34eff0687b4541858c505777eb556e92e11871177907c5",
     "fig3/fig3.csv":
-        "876b9189561ab448e664ba2af45b726a74b34af0b6a1ca5cea4e4d1822ef1247",
+        "a1f299fc0d7ccec0bf555452a4347e20ec9eee59d448ef9209d1f5ae9856f835",
     "fig3/fig3_beampattern.csv":
         "6871bff4677c44fe8a3657d89adf5542e6075519c85b8118fb81c4b265132921",
     "fig4/fig4.csv":
         "8b86cb4283a78837d85f7bfe0bd7fdfc7b094db1bf3cd659afbae7d082005ab6",
     "fig5/fig5.csv":
-        "b3390f7521a0f3f2143fdab9d1d11c464eaf0acb512d5b8e400248fd3519a547",
+        "668a7aedd677f3b402369276d0d60c9ce7fd991e76ae7ae02a0df737034ca1ff",
     "montecarlo/montecarlo.csv":
         "dd4af499daeb18d4898579dddad92dcaf4db4ee32ac362833f0a2ddd56ac64e8",
     "scenario/scenario.csv":
-        "33387edbf11770f7097af92ce827b165f8d0a85196e333ed1fa75ffd61b1cd8d",
+        "059dd5227b8bfad89189974d757e99a81cd69f44dde8a2405602f072b0ad8039",
 }
-SELFTEST_SHA256 = "be25cde0ba0eb1b57d02507e5f594622cf566af53ebb9c285bdcc36d80293252"
+SELFTEST_SHA256 = "e43d982f572a149a6a7a157f3c8e80f7f7e4b9a47947d88e019f20c85dbeb2d9"
 
 
 def _sha256(data: bytes) -> str:

@@ -127,6 +127,15 @@ def test_range_sweep_two_geometries_ordering():
     assert [p.smr_db for p in out["a"]] == [p.smr_db for p in out["b"]]
 
 
+def test_scenarios_are_values():
+    # == raised ValueError (the range grid is an array) and hash() TypeError
+    a, b = asphalt([5.0, 6.0, 7.5]), asphalt((5.0, 6.0, 7.5))
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != asphalt([5.0, 6.0, 7.0]) and a != asphalt([5.0, 6.0])
+    assert a != asphalt([5.0, 6.0, 7.5], h_r=1.5)
+    assert asphalt([5.0]) == asphalt(5.0)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         asphalt([5.0, 4.0])

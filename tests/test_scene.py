@@ -135,6 +135,17 @@ def test_ratios_invariant_under_common_rotation():
                                atol=1e-14)
 
 
+def test_scenes_on_equal_geometries_are_equal_values():
+    # == raised ValueError and hash() TypeError once the geometries were
+    # distinct objects
+    a = MultipathScene(standard_virtual_ula(3, 4), 0.0, 0.1, 1.0, 0.5, 2, 0.3)
+    b = MultipathScene(standard_virtual_ula(3, 4), 0.0, 0.1, 1.0, 0.5, 2, 0.3)
+    assert a.geom is not b.geom and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != MultipathScene(standard_virtual_ula(3, 8), 0.0, 0.1, 1.0, 0.5, 2, 0.3)
+    assert a != MultipathScene(standard_virtual_ula(3, 4), 0.0, 0.1, 1.0, 0.4, 2, 0.3)
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         MultipathScene(geom=GEOM, theta=1.6, psi=0.0, alpha_d=1, alpha_i=0)
