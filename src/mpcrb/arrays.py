@@ -132,9 +132,10 @@ def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np
     """Transmit and receive array gains in dB over ``grid`` for one steering angle.
 
     gain(phi) = 20*log10 |a^H(steer) a(phi)| per array; 0 dB at phi == steer.
+    The steering angle and the grid are checked as :func:`_vectors` checks them.
     """
-    s0, e = _vectors(geom, steer), _phasors(geom, np.sin(np.asarray(grid, dtype=float)))
-    gains = [np.abs(s0.a_t.conj() @ e[geom.m_r:]), np.abs(s0.a_r.conj() @ e[:geom.m_r])]
+    s0, s = _vectors(geom, steer), _vectors(geom, grid)
+    gains = [np.abs(s0.a_t.conj() @ s.a_t.T), np.abs(s0.a_r.conj() @ s.a_r.T)]
     return tuple(20.0 * np.log10(np.maximum(g, 1e-300)) for g in gains)
 
 

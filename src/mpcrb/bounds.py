@@ -64,7 +64,7 @@ class BoundBreakdown:
 @dataclass(frozen=True)
 class SearchConfig:
     """Grid-then-safeguarded-Newton argmax settings, shared by the pseudo-true
-    angle and the MML estimator."""
+    angle and the MML estimator; a refine_tol below ulp(pi/2) is not a step."""
 
     span: tuple[float, float] = (-math.pi / 3, math.pi / 3)
     refine_tol: float = 1e-7
@@ -75,6 +75,8 @@ class SearchConfig:
             raise ValueError("span must be an interval inside (-pi/2, pi/2)")
         if not self.refine_tol > 0.0:
             raise ValueError("refine_tol must be positive")
+        if not math.ulp(math.pi / 2) <= self.refine_tol < math.inf:
+            raise ValueError("refine_tol must be finite and >= ulp(pi/2) = 2.2e-16")
 
 
 # Model arrays of scenes on one geometry, one row per scene; s is the
@@ -166,9 +168,6 @@ def _grid(geom: ArrayGeometry, lo: float, hi: float, n: int):
         for cols in (slice(c, c + width) for c in range(0, n, width)):
             yield cols, (e[:m_r, None, cols] * e[None, m_r:, cols]).reshape(m, -1)
     return angles, tiles
-
-
-_DEFAULT_SEARCH = SearchConfig()
 
 
 def _projection_derivs(geom: ArrayGeometry, y: np.ndarray, phi: np.ndarray):
@@ -266,7 +265,7 @@ def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
     y = (np.reshape(w_d, (-1, 1, 1)) * model.A_d[rows]
          + np.reshape(w_i, (-1, 1, 1)) * model.A_i[rows])
     theta = model.theta[rows]
-    search = search or _DEFAULT_SEARCH
+    search = search or SearchConfig()
     lo, hi = search.span
     if not ((lo <= theta) & (theta <= hi)).all():
         raise ValueError("search span must contain the true theta")

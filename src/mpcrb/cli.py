@@ -96,8 +96,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
         ok, lines = run_selftest()
-        for line in lines:
-            print(line)
+        print(*lines, sep="\n")
         print("selftest:", "all checks passed" if ok else "FAILURES present")
         return 0 if ok else 1
     opts = {key: getattr(args, key) for key in _TAKES[args.command]}

@@ -37,10 +37,10 @@ class RmseCurve:
 
 def mml_doa(y: np.ndarray, geom: ArrayGeometry,
             cfg: SearchConfig | None = None) -> float:
-    """DOA estimate maximizing the direct-only projection of one statistic."""
-    if y.shape != (geom.m_r, geom.m_t):
-        raise ValueError(f"statistic shape {y.shape} does not match geometry "
-                         f"({geom.m_r}, {geom.m_t})")
+    """DOA estimate maximizing the direct-only projection of one finite statistic."""
+    if y.shape != (geom.m_r, geom.m_t) or not np.isfinite(y).all():
+        raise ValueError(f"statistic of shape {y.shape}: need finite entries and "
+                         f"the geometry's shape ({geom.m_r}, {geom.m_t})")
     return float(_argmax_projection(y[None, :, :], geom, cfg or MML_SEARCH)[0])
 
 
@@ -86,7 +86,7 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
 
     fill = 0
     for idx, (scene, mean) in enumerate(zip(scene_sweep, means)):
-        rng = _stream((int(base_seed), idx))
+        rng = _stream((base_seed, idx))
         left = trials
         while left:
             take = min(left, len(buf) - fill)

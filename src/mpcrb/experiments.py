@@ -102,6 +102,7 @@ _REMOVED = {
     "e_p": "the pulse energy E_p is 1; it scales the SNR, so set the SNR instead",
     "coarse_step_deg": "the coarse search step is the virtual-array beamwidth / 20",
     "delta_phis_rad": "fig4's phase differences are fixed at 0 and 2pi/3",
+    "estimator": "the estimator searches search.span_deg at 1e-6 rad",
 }
 
 
@@ -112,9 +113,10 @@ def _refuse_removed(cfg: dict, path: str) -> None:
                           f"{_REMOVED[path.rsplit('.', 1)[-1]]}")
 
 
-def _angle(cfg: dict, path: str) -> float:
-    """The angle at ``path`` (deg, default 0) in radians, inside (-90, 90) deg."""
-    deg = _get_num(cfg, path, default=0.0)
+def _angle(cfg: dict, path: str, deg: float | None = None) -> float:
+    """The angle ``deg``, by default the one at ``path`` (deg, default 0), in
+    radians, inside (-90, 90) deg."""
+    deg = _get_num(cfg, path, default=0.0) if deg is None else deg
     if abs(deg) >= 90.0:
         raise ConfigError(f"{path}: must lie inside (-90, 90), got {deg!r}")
     return math.radians(deg)
@@ -182,27 +184,25 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
     return geom
 
 
-def _search_config(cfg: dict, path: str, refine_tol: float) -> SearchConfig:
-    """Search settings at ``path``; ``refine_tol`` is the default tolerance."""
-    if not isinstance(_get(cfg, path, default={}), dict):
-        raise ConfigError(f"{path}: expected an object")
-    _refuse_removed(cfg, f"{path}.coarse_step_deg")
-    span_deg = _get_num(cfg, f"{path}.span_deg", default=60.0, positive=True)
-    tol = _get_num(cfg, f"{path}.refine_tol_rad", default=refine_tol,
+def search_from_config(cfg: dict) -> SearchConfig:
+    """The run's one search: its span bounds theta_A and the MML, its tolerance theta_A."""
+    if not isinstance(_get(cfg, "search", default={}), dict):
+        raise ConfigError("search: expected an object")
+    _refuse_removed(cfg, "search.coarse_step_deg")
+    span_deg = _get_num(cfg, "search.span_deg", default=60.0, positive=True)
+    tol = _get_num(cfg, "search.refine_tol_rad", default=SearchConfig.refine_tol,
                    positive=True)
     try:
         return SearchConfig(span=(-math.radians(span_deg), math.radians(span_deg)),
                             refine_tol=tol)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"search: {exc}") from exc
 
 
 def estimator_from_config(cfg: dict) -> SearchConfig:
-    return _search_config(cfg, "estimator", MML_SEARCH.refine_tol)
-
-
-def search_from_config(cfg: dict) -> SearchConfig:
-    return _search_config(cfg, "search", SearchConfig().refine_tol)
+    """The MML's search: the run's span at ``MML_SEARCH``'s tolerance."""
+    _refuse_removed(cfg, "estimator")
+    return SearchConfig(search_from_config(cfg).span, MML_SEARCH.refine_tol)
 
 
 def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
@@ -363,13 +363,17 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
 # ---------------------------------------------------------------------------
 # figure recipes
 
-def _mc_sweep(config: dict, bounds: bool):
-    """The Monte-Carlo SNR sweep's geometry, estimator, bound search (with
-    ``bounds``, else None), trials, seed, SNR axis and one scene per SNR,
+def _mc_sweep(config: dict):
+    """The Monte-Carlo SNR sweep's geometry, estimator and bound search (one span,
+    which must hold the target angle), trials, seed, SNR axis and one scene per SNR,
     parsed in that order: trials is checked before any scene is built."""
     geom = geometry_from_config(config)
     est = estimator_from_config(config)
-    search = search_from_config(config) if bounds else None
+    search = search_from_config(config)
+    theta, (lo, hi) = _angle(config, "scene.theta_deg"), search.span
+    if not lo <= theta <= hi:
+        raise ConfigError(f"scene.theta_deg: must lie inside +-search.span_deg = "
+                          f"+-{math.degrees(hi):g}, got {math.degrees(theta):g}")
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
     snrs = _grid(config, "sweep.snr_db")
@@ -379,7 +383,7 @@ def _mc_sweep(config: dict, bounds: bool):
 
 def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
-    geom, est, search, trials, seed, snrs, scenes = _mc_sweep(config, bounds=True)
+    geom, est, search, trials, seed, snrs, scenes = _mc_sweep(config)
     cols = _sweep_bounds(config, geom, search, snr_db=snrs)
     mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
@@ -402,6 +406,7 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     theta = _angle(config, "scene.theta_deg")
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
+    _angle(config, "beampattern_grid_deg", max(bp_grid_deg, key=abs))
     cols = _sweep_bounds(config, geom, search, psi_rad=[
         _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
     rcrb, rmcrb, _ = _root_columns(cols)
@@ -536,7 +541,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
                    workers: int = 1) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
-    _, est, _, trials, seed, snrs, scenes = _mc_sweep(config, bounds=False)
+    _, est, _, trials, seed, snrs, scenes = _mc_sweep(config)
     curve = monte_carlo_rmse(scenes, est, trials, seed)
     table = {"snr_db": snrs,
              "rmse_mml_deg": [math.degrees(r) for r in curve.rmse_rad],
@@ -550,7 +555,9 @@ def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
     geom = geometry_from_config(config)
     steer = _angle(config, "steer_deg")
-    table = _beampattern(geom, steer, _grid(config, "grid_deg"))
+    grid_deg = _grid(config, "grid_deg")
+    _angle(config, "grid_deg", max(grid_deg, key=abs))
+    table = _beampattern(geom, steer, grid_deg)
     plot = _lines(table, {"tx": "tx_gain_db", "rx": "rx_gain_db"}, "phi [deg]",
                   "gain [dB]", "Beampatterns", ylog=False)
     return _write_outputs("beampattern", config, out_dir, svg, table, plot)
@@ -624,9 +631,8 @@ def run_selftest():
     ok &= _check(lines, "coherent-ninth-limit-sandwich", rel < 1e-10,
                  f"sandwich rel err = {rel:.2e}")
 
-    free = scene_from_ratios(geom, 0.0, np.deg2rad(12.0), 10.0, 0.0, 0.0)
-    free = multipath_free(free)
-    fb = mcrb_theta_closed(free)
+    fb = mcrb_theta_closed(multipath_free(
+        scene_from_ratios(geom, 0.0, np.deg2rad(12.0), 10.0, 0.0, 0.0)))
     ok &= _check(lines, "multipath-free-limit",
                  fb.mcrb_theta == fb.crb_theta and fb.theta_a == 0.0,
                  "MCRB == CRB and theta_A == theta for alpha_i = 0")

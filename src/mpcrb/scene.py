@@ -21,7 +21,6 @@ import numpy as np
 
 from .arrays import ArrayGeometry, _direct_indirect, _vectors
 
-_HALF_PLANE = math.pi / 2
 # the scene's two refusals, which ground.range_columns repeats per range
 _ANGLE_REFUSAL = "theta and psi must lie strictly inside (-pi/2, pi/2)"
 _POWER_REFUSAL = "require sigma_w2 > 0, k_pulses >= 1"
@@ -60,7 +59,7 @@ class MultipathScene:
     sigma_w2: float = 1.0
 
     def __post_init__(self):
-        if not (abs(self.theta) < _HALF_PLANE and abs(self.psi) < _HALF_PLANE):
+        if not (abs(self.theta) < math.pi / 2 and abs(self.psi) < math.pi / 2):
             raise ValueError(_ANGLE_REFUSAL)
         if not _powers_ok(self.sigma_w2, self.k_pulses):
             raise ValueError(_POWER_REFUSAL)

@@ -39,16 +39,12 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 class _Frame:
     def __init__(self, xlim, ylim, ylog=False):
-        self.x0, self.x1 = xlim
+        """Axis limits, y in log10 with ``ylog``; an axis of length 0 gets length 1."""
         self.ylog = ylog
-        y0, y1 = ylim
         if ylog:
-            y0, y1 = math.log10(y0), math.log10(y1)
-        self.y0, self.y1 = y0, y1
-        if self.x1 == self.x0:
-            self.x1 = self.x0 + 1.0
-        if self.y1 == self.y0:
-            self.y1 = self.y0 + 1.0
+            ylim = (math.log10(ylim[0]), math.log10(ylim[1]))
+        (self.x0, self.x1), (self.y0, self.y1) = (
+            (lo, hi if hi != lo else lo + 1.0) for lo, hi in (xlim, ylim))
 
     def px(self, x: float) -> float:
         return _ML + (x - self.x0) / (self.x1 - self.x0) * (_W - _ML - _MR)

@@ -241,6 +241,14 @@ def test_beampattern_rx_first_null_near_30deg():
     assert abs(null_at - 30.0) < 0.01
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.pi / 2], [-np.pi / 2], [1.0, 2.0],
+                                  [0.0, np.nan]])
+def test_beampattern_refuses_grid_angles_outside_the_half_plane(grid):
+    # sin folds 95 deg onto 85 deg: the gain there repeated the 85 deg one
+    with pytest.raises(ValueError, match=r"\|theta\| < pi/2"):
+        beampattern(standard_virtual_ula(3, 4), 0.0, grid)
+
+
 def test_virtual_hpbw_matches_ula_rule():
     g = standard_virtual_ula(3, 4)
     assert virtual_hpbw(g) == pytest.approx(0.886 / 6.0, rel=1e-12)

@@ -39,6 +39,46 @@ def test_search_config_refuses_nan_with_the_existing_messages(fields, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("tol", [math.inf, 1e-320, 5e-324,
+                                 math.nextafter(math.ulp(math.pi / 2), 0.0)])
+def test_search_config_refuses_a_tolerance_below_the_angle_spacing(tol):
+    # a step below the float spacing of angles near pi/2 cannot be told from 0:
+    # 1e-320 overflowed the kernel's round cap, and inf failed in theta_a with
+    # "math domain error"
+    with pytest.raises(ValueError) as err:
+        SearchConfig(refine_tol=tol)
+    assert str(err.value) == "refine_tol must be finite and >= ulp(pi/2) = 2.2e-16"
+
+
+def test_smallest_search_tolerance_runs():
+    cfg = SearchConfig(refine_tol=math.ulp(math.pi / 2))
+    sc = fig2_scene()
+    assert abs(theta_a(sc, cfg) - theta_a(sc)) < 1e-7
+    assert abs(mml_doa(compressed_mean(sc), GEOM, cfg) - theta_a(sc)) < 1e-7
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_mml_refuses_a_statistic_that_is_not_finite(bad):
+    # it returned -1.0435 rad, with RuntimeWarnings
+    y = compressed_mean(fig2_scene()).copy()
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="need finite entries"):
+        mml_doa(y, GEOM)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+def test_monte_carlo_refuses_a_seed_that_is_not_an_integer(seed):
+    # 1.5 ran seed 1's noise and recorded base_seed = 1.5
+    with pytest.raises(TypeError):
+        monte_carlo_rmse([fig2_scene()], None, 2, seed)
+
+
+def test_monte_carlo_takes_numpy_integer_seeds():
+    sc = fig2_scene()
+    assert (monte_carlo_rmse([sc], None, 3, np.int64(7)).rmse_rad
+            == monte_carlo_rmse([sc], None, 3, 7).rmse_rad)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         mml_doa(np.zeros((2, 2), dtype=complex), GEOM)

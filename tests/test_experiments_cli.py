@@ -408,7 +408,8 @@ REMOVED_SETTINGS = {
     "e_p": (["scenario"], 2.0, "the pulse energy E_p is 1"),
     "search.coarse_step_deg": (["bounds", "fig2", "fig3", "fig4", "fig5", "scenario"],
                                0.5, _STEP),
-    "estimator.coarse_step_deg": (["fig2", "montecarlo"], 0.5, _STEP),
+    "estimator": (["fig2", "montecarlo"], {"coarse_step_deg": 0.5},
+                  "the estimator searches search.span_deg at 1e-6 rad"),
     "delta_phis_rad": (["fig4"], [1.0, 2.5],
                        "fig4's phase differences are fixed at 0 and 2pi/3"),
 }
@@ -429,6 +430,102 @@ def test_cli_refuses_a_removed_setting_by_its_key(tmp_path, capsys, recipe, key)
     assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: no longer a setting: {reason}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig2", "montecarlo"])
+@pytest.mark.parametrize("block", [
+    {}, {"span_deg": 10.0}, {"span_deg": 60.0, "refine_tol_rad": 1e-6},
+    {"refine_tol_rad": 1e-9}, None, 5], ids=["empty", "span", "preset-values", "tol",
+                                             "null", "number"])
+def test_estimator_block_is_refused_by_key(tmp_path, capsys, name, block):
+    # the MML searches the run's one span, search.span_deg, at 1e-6 rad; an
+    # estimator span of 10 deg with theta at 30 deg gave an RMSE of about 28 deg
+    # under exit 0
+    cfg = load_preset(name)
+    cfg["estimator"] = block
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([name, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: estimator: no longer a setting: the estimator searches "
+        "search.span_deg at 1e-6 rad\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig2", "montecarlo"])
+def test_estimator_search_keeps_the_presets_value(name):
+    # span 60 deg and tolerance 1e-6 rad, the removed estimator blocks' values
+    want = bounds.SearchConfig((-math.radians(60.0), math.radians(60.0)), 1e-6)
+    assert "estimator" not in load_preset(name)
+    assert ex.estimator_from_config(load_preset(name)) == want
+    cfg = load_preset(name)
+    cfg["search"] = {"span_deg": 20.0, "refine_tol_rad": 1e-9}
+    assert ex.estimator_from_config(cfg) == replace(want, span=(
+        -math.radians(20.0), math.radians(20.0)))
+
+
+@pytest.mark.parametrize("name", ["fig2", "montecarlo"])
+@pytest.mark.parametrize("theta", [30.0, -10.5])
+def test_mc_target_outside_the_search_span_is_refused(tmp_path, capsys, name,
+                                                      theta):
+    # the MML cannot converge to an angle outside the span it searches
+    cfg = load_preset(name)
+    cfg["scene"]["theta_deg"], cfg["search"] = theta, {"span_deg": 10.0}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([name, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: scene.theta_deg: must lie inside +-search.span_deg = "
+        f"+-10, got {theta:g}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["fig2", "montecarlo"])
+def test_mc_target_on_the_search_span_edge_runs(tmp_path, name):
+    cfg = thinned_preset(name, points=2, trials=3)
+    cfg["scene"]["theta_deg"], cfg["search"] = -10.0, {"span_deg": 10.0}
+    header, rows = read_csv(getattr(ex, f"run_{name}")(cfg, tmp_path)["csv"])
+    assert len(rows) == 2 and header[1] in ("rcrb_deg", "rmse_mml_deg")
+
+
+@pytest.mark.parametrize("recipe, key, start, stop, bad", [
+    ("beampattern", "grid_deg", 80.0, 135.0, 135.0),
+    ("beampattern", "grid_deg", -90.0, 0.0, -90.0),
+    ("fig3", "beampattern_grid_deg", -95.0, 85.0, -95.0),
+    ("fig3", "beampattern_grid_deg", 0.0, 90.0, 90.0)])
+def test_beampattern_grid_outside_the_half_plane_names_its_key(tmp_path, capsys,
+                                                               recipe, key, start,
+                                                               stop, bad):
+    # a 95 deg row repeated the 85 deg row under exit 0; the angle furthest
+    # from broadside is named
+    cfg = load_preset(recipe)
+    cfg[key] = {"start": start, "stop": stop, "step": 5.0}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {key}: must lie inside (-90, 90), got {bad!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [1e-320, 5e-324, 1e-16, math.inf])
+def test_cli_refuses_a_search_tolerance_below_the_angle_spacing(tmp_path, capsys,
+                                                                tol):
+    # 1e-320 overflowed the kernel's round cap: an OverflowError traceback
+    cfg = load_preset("bounds")
+    cfg["search"]["refine_tol_rad"] = tol
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: search.refine_tol_rad: expected a finite"
+                          if tol == math.inf else "config error: search: refine_tol "
+                          "must be finite and >= ulp(pi/2)")
     assert not out.exists()
 
 
@@ -819,17 +916,18 @@ def _set_leaf(cfg, path, value):
 
 
 def test_config_mutations_return_or_raise_a_mapped_error(tmp_path):
-    # every number of every preset at +-1e300 and +-4000, on 3-point axes and
-    # 5 trials, and every integer at 10**400, beyond the float range.  The
-    # other values are floats, so no integer field builds a 4,000-element
-    # array.  cli.main maps ConfigError, BoundsError and ValueError to exit 1
-    # or 2; any other exception is a traceback.
+    # every number of every preset at +-1e300, +-4000 and the smallest
+    # subnormal, on 3-point axes and 5 trials, and every integer at 10**400,
+    # beyond the float range.  The other values are floats, so no integer
+    # field builds a 4,000-element array.  cli.main maps ConfigError,
+    # BoundsError and ValueError to exit 1 or 2; any other exception is a
+    # traceback.
     failures = []
     for name, run in _RUNNERS.items():
         base = thinned_preset(name, points=3, trials=5)
         for path in _numeric_leaves(base):
             huge = [10 ** 400] if isinstance(_leaf(base, path), int) else []
-            for value in [1e300, -1e300, 4000.0, -4000.0] + huge:
+            for value in [1e300, -1e300, 4000.0, -4000.0, 5e-324] + huge:
                 cfg = copy.deepcopy(base)
                 _set_leaf(cfg, path, value)
                 try:
