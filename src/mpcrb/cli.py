@@ -23,21 +23,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from . import experiments
 from .bounds import BoundsError, DegenerateBoundError
-from .experiments import (ConfigError, run_beampattern, run_bounds, run_fig2,
-                          run_fig3, run_fig4, run_fig5, run_montecarlo,
-                          run_scenario, run_selftest)
+from .experiments import ConfigError
 
-_RUNNERS = {
-    "bounds": run_bounds,
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "scenario": run_scenario,
-    "montecarlo": run_montecarlo,
-    "beampattern": run_beampattern,
-}
 _OPTIONS = {   # add_argument keywords; trials and seed override the config
     "trials": {"type": int, "help": "override trial count"},
     "seed": {"type": int, "help": "override base seed"},
@@ -53,6 +42,7 @@ _TAKES = {   # the options each subcommand registers and main passes on
     "montecarlo": ("trials", "seed", "svg"),
     "beampattern": ("svg",),
 }
+_RUNNERS = {name: getattr(experiments, f"run_{name}") for name in _TAKES}
 
 
 def load_preset(name: str) -> dict:
@@ -95,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
-        ok, lines = run_selftest()
+        ok, lines = experiments.run_selftest()
         print(*lines, sep="\n")
         print("selftest:", "all checks passed" if ok else "FAILURES present")
         return 0 if ok else 1

@@ -41,12 +41,26 @@ class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
 
 
+# Settings that were removed, by key, with what holds in their place.  Any object that
+# _get walks and still sets one is refused: ignored, e_p != 1 would give wrong bounds.
+_REMOVED = {
+    "e_p": "the pulse energy E_p is 1; it scales the SNR, so set the SNR instead",
+    "coarse_step_deg": "the coarse search step is the virtual-array beamwidth / 20",
+    "delta_phis_rad": "fig4's phase differences are fixed at 0 and 2pi/3",
+    "estimator": "the estimator searches search.span_deg at 1e-6 rad",
+}
+
 _REQUIRED = object()
 
 
 def _get(cfg: dict, path: str, default=_REQUIRED):
-    node = cfg
-    for part in path.split("."):
+    """The value at the dotted ``path``, reached past no ``_REMOVED`` key."""
+    node, parts = cfg, path.split(".")
+    for i, part in enumerate(parts):
+        removed = [key for key in _REMOVED if isinstance(node, dict) and key in node]
+        if removed:
+            key = ".".join(parts[:i] + removed[:1])
+            raise ConfigError(f"{key}: no longer a setting: {_REMOVED[removed[0]]}")
         if not isinstance(node, dict) or part not in node:
             if default is _REQUIRED:
                 raise ConfigError(f"{path}: required field is missing")
@@ -94,23 +108,6 @@ _MAX_TRIALS = 100_000
 MAX_PULSES = 2 ** 53
 # Elements per array, four times the largest preset array (16).
 MAX_ELEMENTS = 64
-
-
-# Settings that were removed, by key, with what holds in their place.  A config
-# that still sets one is refused: ignored, e_p != 1 would give wrong bounds.
-_REMOVED = {
-    "e_p": "the pulse energy E_p is 1; it scales the SNR, so set the SNR instead",
-    "coarse_step_deg": "the coarse search step is the virtual-array beamwidth / 20",
-    "delta_phis_rad": "fig4's phase differences are fixed at 0 and 2pi/3",
-    "estimator": "the estimator searches search.span_deg at 1e-6 rad",
-}
-
-
-def _refuse_removed(cfg: dict, path: str) -> None:
-    """ConfigError naming ``path`` where ``cfg`` still sets that removed key."""
-    if _get(cfg, path, _REMOVED) is not _REMOVED:   # the default: not set
-        raise ConfigError(f"{path}: no longer a setting: "
-                          f"{_REMOVED[path.rsplit('.', 1)[-1]]}")
 
 
 def _angle(cfg: dict, path: str, deg: float | None = None) -> float:
@@ -188,20 +185,30 @@ def search_from_config(cfg: dict) -> SearchConfig:
     """The run's one search: its span bounds theta_A and the MML, its tolerance theta_A."""
     if not isinstance(_get(cfg, "search", default={}), dict):
         raise ConfigError("search: expected an object")
-    _refuse_removed(cfg, "search.coarse_step_deg")
     span_deg = _get_num(cfg, "search.span_deg", default=60.0, positive=True)
     tol = _get_num(cfg, "search.refine_tol_rad", default=SearchConfig.refine_tol,
                    positive=True)
     try:
         return SearchConfig(span=(-math.radians(span_deg), math.radians(span_deg)),
                             refine_tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"search: {exc}") from exc
+    except ValueError as exc:   # SearchConfig names its field first
+        leaf = "span_deg" if str(exc).startswith("span") else "refine_tol_rad"
+        raise ConfigError(f"search.{leaf}: {exc}") from exc
+
+
+def _search_and_target(cfg: dict, path: str = "scene.theta_deg"):
+    """The run's search and the target angle at ``path`` (rad), which the search
+    span must hold: the MCRB is taken about the maximizer over that span."""
+    search = search_from_config(cfg)
+    theta, (lo, hi) = _angle(cfg, path), search.span
+    if not lo <= theta <= hi:
+        raise ConfigError(f"{path}: must lie inside +-search.span_deg = "
+                          f"+-{math.degrees(hi):g}, got {math.degrees(theta):g}")
+    return search, theta
 
 
 def estimator_from_config(cfg: dict) -> SearchConfig:
     """The MML's search: the run's span at ``MML_SEARCH``'s tolerance."""
-    _refuse_removed(cfg, "estimator")
     return SearchConfig(search_from_config(cfg).span, MML_SEARCH.refine_tol)
 
 
@@ -221,7 +228,6 @@ def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
                  dphi=None, psi_rad=None):
     """scene_from_config's scene and the scene_from_ratios arguments it took.
     A given snr_db or smr_db comes from the axis sweep.<name>, start first."""
-    _refuse_removed(cfg, "scene.e_p")
     theta = _angle(cfg, "scene.theta_deg")
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
@@ -364,16 +370,11 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
 # figure recipes
 
 def _mc_sweep(config: dict):
-    """The Monte-Carlo SNR sweep's geometry, estimator and bound search (one span,
-    which must hold the target angle), trials, seed, SNR axis and one scene per SNR,
-    parsed in that order: trials is checked before any scene is built."""
+    """The Monte-Carlo SNR sweep's geometry, estimator and bound search, trials, seed,
+    SNR axis and one scene per SNR, in that order: trials is checked before any scene."""
     geom = geometry_from_config(config)
     est = estimator_from_config(config)
-    search = search_from_config(config)
-    theta, (lo, hi) = _angle(config, "scene.theta_deg"), search.span
-    if not lo <= theta <= hi:
-        raise ConfigError(f"scene.theta_deg: must lie inside +-search.span_deg = "
-                          f"+-{math.degrees(hi):g}, got {math.degrees(theta):g}")
+    search = _search_and_target(config)[0]
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
     snrs = _grid(config, "sweep.snr_db")
@@ -402,8 +403,7 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """DOA-separation sweep of the bounds, plus the array beampatterns."""
     geom = geometry_from_config(config)
-    search = search_from_config(config)
-    theta = _angle(config, "scene.theta_deg")
+    search, theta = _search_and_target(config)
     dthetas = _grid(config, "sweep.delta_theta_deg")
     bp_grid_deg = _grid(config, "beampattern_grid_deg")
     _angle(config, "beampattern_grid_deg", max(bp_grid_deg, key=abs))
@@ -422,10 +422,8 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SMR sweep at a constructive and a destructive phase difference."""
     geom = geometry_from_config(config)
-    search = search_from_config(config)
-    theta = _angle(config, "scene.theta_deg")
+    search, theta = _search_and_target(config)
     psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
-    _refuse_removed(config, "delta_phis_rad")
     smrs = _grid(config, "sweep.smr_db")
     cols = _sweep_bounds(config, geom, search, psi_rad=psi,
                          smr_db=np.array(smrs)[:, None], dphi=[_FIG4_PHASES])
@@ -444,8 +442,7 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """Ratio RMCRB/RCRB on a (delta_phi x delta_theta) grid, long CSV format."""
     geom = geometry_from_config(config)
-    search = search_from_config(config)
-    theta = _angle(config, "scene.theta_deg")
+    search, theta = _search_and_target(config)
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
     cols = _sweep_bounds(config, geom, search, psi_rad=np.array(psis)[:, None],
@@ -469,7 +466,6 @@ def scenario_from_config(config: dict) -> GroundScenario:
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
     theta = _angle(config, "theta_deg")
-    _refuse_removed(config, "e_p")
     try:
         scn = GroundScenario(
             h_r=_get_num(config, "h_r_m", positive=True),
@@ -507,7 +503,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     one range_columns call, then per geometry one batched CRB over every
     range and one closed-form call over the in-cell ranges."""
     scn = scenario_from_config(config)
-    search = search_from_config(config)
+    search = _search_and_target(config, "theta_deg")[0]
     geoms = {name: geometry_from_config(config, f"geometries.{name}")
              for name in config["geometries"]}
     phys = range_columns(scn)
@@ -563,14 +559,13 @@ def run_beampattern(config: dict, out_dir, svg: bool = False,
     return _write_outputs("beampattern", config, out_dir, svg, table, plot)
 
 
-def run_bounds(config: dict, out_dir, svg: bool = False,
-               workers: int = 1) -> dict:
-    """Single-scene bound breakdown.  Degenerate scenes raise."""
+def run_bounds(config: dict, out_dir, workers: int = 1) -> dict:
+    """Single-scene bound breakdown, without a plot.  Degenerate scenes raise."""
     geom = geometry_from_config(config)
-    search = search_from_config(config)
+    search = _search_and_target(config)[0]
     scene = scene_from_config(config, geom)
     bb = mcrb_theta_closed(scene, search=search)
-    return _write_outputs("bounds", config, out_dir, svg, {
+    return _write_outputs("bounds", config, out_dir, False, {
         "crb_rad2": [bb.crb_theta], "m_rad2": [bb.m_theta_theta],
         "b_rad2": [bb.b_theta_theta], "mcrb_rad2": [bb.mcrb_theta],
         "theta_a_deg": [math.degrees(bb.theta_a)],

@@ -65,7 +65,7 @@ PARAMETERS = {
     "experiments.scene_from_config": ("cfg", "geom", "snr_db", "dphi", "psi_rad"),
     "experiments.search_from_config": ("cfg",),
     "experiments.run_beampattern": RECIPE,
-    "experiments.run_bounds": RECIPE,
+    "experiments.run_bounds": ("config", "out_dir", "workers"),   # no plot
     "experiments.run_fig2": RECIPE,
     "experiments.run_fig3": RECIPE,
     "experiments.run_fig4": RECIPE,
@@ -112,7 +112,7 @@ def test_public_parameters_are_pinned():
                 if name.endswith("_from_config") or name.startswith("run_")})
     got["cli.main"] = _parameters(cli.main)
     assert got == PARAMETERS
-    assert sum(len(names or ()) for names in PARAMETERS.values()) == 133
+    assert sum(len(names or ()) for names in PARAMETERS.values()) == 132
 
 
 def test_cli_options_are_pinned():
@@ -130,4 +130,4 @@ def test_source_lines_stay_within_their_budget():
     # ceiling, lowered as code goes
     lines = sum(path.read_bytes().count(b"\n")
                 for path in Path(mpcrb.__file__).parent.glob("*.py"))
-    assert lines <= 2000, lines
+    assert lines <= 1985, lines

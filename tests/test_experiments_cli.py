@@ -387,7 +387,9 @@ def thinned_preset(name, points=5, trials=10):
 @pytest.mark.parametrize("svg", [False, True])
 @pytest.mark.parametrize("name", list(RECIPE_AXES))
 def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
-    result = getattr(ex, f"run_{name}")(thinned_preset(name), tmp_path, svg=svg)
+    # bounds writes no plot and takes no svg
+    kwargs = {} if name == "bounds" else {"svg": svg}
+    result = getattr(ex, f"run_{name}")(thinned_preset(name), tmp_path, **kwargs)
     keys = ["csv", "manifest"]
     if name == "fig3":
         keys.insert(1, "beampattern_csv")
@@ -401,16 +403,17 @@ def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
 
 
 _STEP = "the coarse search step is the virtual-array beamwidth / 20"
-# each removed setting: the recipes that read it, a value and the reason given
+_SEARCHING = ["bounds", "fig2", "fig3", "fig4", "fig5", "scenario", "montecarlo"]
+# each removed setting: the recipes whose config reaches the object holding it
+# (every recipe reads the top level), a value and the reason given
 REMOVED_SETTINGS = {
     "scene.e_p": (["bounds", "fig2", "fig3", "fig4", "fig5", "montecarlo"], 2.0,
                   "the pulse energy E_p is 1"),
-    "e_p": (["scenario"], 2.0, "the pulse energy E_p is 1"),
-    "search.coarse_step_deg": (["bounds", "fig2", "fig3", "fig4", "fig5", "scenario"],
-                               0.5, _STEP),
-    "estimator": (["fig2", "montecarlo"], {"coarse_step_deg": 0.5},
+    "e_p": (list(RECIPE_AXES), 2.0, "the pulse energy E_p is 1"),
+    "search.coarse_step_deg": (_SEARCHING, 0.5, _STEP),
+    "estimator": (list(RECIPE_AXES), {"coarse_step_deg": 0.5},
                   "the estimator searches search.span_deg at 1e-6 rad"),
-    "delta_phis_rad": (["fig4"], [1.0, 2.5],
+    "delta_phis_rad": (list(RECIPE_AXES), [1.0, 2.5],
                        "fig4's phase differences are fixed at 0 and 2pi/3"),
 }
 
@@ -423,7 +426,11 @@ def test_cli_refuses_a_removed_setting_by_its_key(tmp_path, capsys, recipe, key)
     # scene.e_p = 2 would give bounds for E_p = 1 under exit 0
     _, value, reason = REMOVED_SETTINGS[key]
     cfg = load_preset(recipe)
-    _set_leaf(cfg, key.split("."), value)
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:   # montecarlo's preset has no search block
+        node = node.setdefault(part, {})
+    node[leaf] = value
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -512,20 +519,43 @@ def test_beampattern_grid_outside_the_half_plane_names_its_key(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", [1e-320, 5e-324, 1e-16, math.inf])
+_TOL = "refine_tol must be finite and >= ulp(pi/2) = 2.2e-16"
+
+
+@pytest.mark.parametrize("leaf, value, reason", [
+    ("refine_tol_rad", 1e-320, _TOL), ("refine_tol_rad", 5e-324, _TOL),
+    ("refine_tol_rad", 1e-16, _TOL),
+    ("refine_tol_rad", math.inf, "expected a finite number, got inf"),
+    ("span_deg", 95.0, "span must be an interval inside (-pi/2, pi/2)")],
+    ids=["1e-320", "5e-324", "1e-16", "inf", "span-95"])
 def test_cli_refuses_a_search_tolerance_below_the_angle_spacing(tmp_path, capsys,
-                                                                tol):
-    # 1e-320 overflowed the kernel's round cap: an OverflowError traceback
+                                                                leaf, value, reason):
+    # 1e-320 overflowed the kernel's round cap: an OverflowError traceback; a
+    # SearchConfig refusal names the leaf that caused it
     cfg = load_preset("bounds")
-    cfg["search"]["refine_tol_rad"] = tol
+    cfg["search"][leaf] = value
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["bounds", "--config", str(p), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: search.refine_tol_rad: expected a finite"
-                          if tol == math.inf else "config error: search: refine_tol "
-                          "must be finite and >= ulp(pi/2)")
+    assert capsys.readouterr().err == f"config error: search.{leaf}: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", _SEARCHING)
+def test_target_outside_the_default_search_span_is_refused(tmp_path, capsys, name):
+    # the MCRB is taken about the maximizer over the span; bounds, fig4 and fig5
+    # refused at run time without a key, scenario ran under exit 0
+    cfg = load_preset(name)
+    key = "theta_deg" if name == "scenario" else "scene.theta_deg"
+    _set_leaf(cfg, key.split("."), 70.0)
+    cfg.get("search", {}).pop("span_deg", None)   # the default, +-60 deg
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([name, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {key}: must lie inside +-search.span_deg = +-60, got 70\n")
     assert not out.exists()
 
 
