@@ -62,6 +62,8 @@ def _load_config(config_path, name: str, overrides: dict) -> dict:
         config = load_preset(name)
     if not isinstance(config, dict):
         raise ConfigError("--config: top level must be a JSON object")
+    if config.get("kind", name) != name:
+        raise ConfigError(f"kind: {config['kind']!r} is not the subcommand {name!r}")
     config.update((key, value) for key, value in overrides.items()
                   if value is not None)
     return config

@@ -20,6 +20,7 @@ import math
 import platform
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -318,52 +319,49 @@ def _beampattern(geom: ArrayGeometry, steer: float, grid_deg: list[float]) -> di
 
 def _lines(table: dict, series: dict, xlabel: str, ylabel: str, title: str,
            ylog: bool = True):
-    """SVG writer plotting each {label: column name} of ``series`` against the
+    """SVG builder plotting each {label: column name} of ``series`` against the
     table's first column."""
-    def plot(path):
-        xs = next(iter(table.values()))
-        svgplot.line_plot(path, [(label, xs, table[col])
-                                 for label, col in series.items()],
-                          xlabel, ylabel, title, ylog=ylog)
-    return plot
+    xs = next(iter(table.values()))
+    return partial(svgplot.line_plot, [(label, xs, table[col])
+                                       for label, col in series.items()],
+                   xlabel, ylabel, title, ylog=ylog)
 
 
 def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
                    plot=None, extra: dict | None = None,
                    beampattern: dict | None = None) -> dict:
     """Write ``<name>.csv`` from ``table``, ``<name>_beampattern.csv`` from
-    ``beampattern`` when given, ``<name>.svg`` through ``plot`` when ``svg``
-    is set, and the manifest over all of them.  A table maps each CSV header
-    to its column, in order.  Returns the runner's result paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ``beampattern`` when given, ``<name>.svg`` from ``plot()`` when ``svg`` is
+    set, and the manifest over all of them, each built before any is written.
+    A table maps each CSV header to its column, in order.  Returns the paths by key."""
     tables = {"csv": (f"{name}.csv", table)}
     if beampattern is not None:
         tables["beampattern_csv"] = (f"{name}_beampattern.csv", beampattern)
-    result, hashes = {}, {}
+    files = {}
     for key, (file_name, columns) in tables.items():
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(columns)
         writer.writerows([_cell(v) for v in row] for row in zip(*columns.values()))
-        data = buf.getvalue().encode("utf-8")
-        result[key] = out / file_name
-        result[key].write_bytes(data)
-        hashes[file_name] = hashlib.sha256(data).hexdigest()
-    if svg and plot is not None:
-        plot(svg_path := out / f"{name}.svg")
-        hashes[svg_path.name] = hashlib.sha256(svg_path.read_bytes()).hexdigest()
+        files[key] = (file_name, buf.getvalue().encode("utf-8"))
+    if svg:
+        files["svg"] = (f"{name}.svg", plot().encode("utf-8"))
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     manifest = {"experiment": name, "config": config,
                 "config_sha256": hashlib.sha256(blob).hexdigest(),
-                "seed": config.get("seed"), "outputs": hashes,
+                "seed": config.get("seed"),
+                "outputs": {file_name: hashlib.sha256(data).hexdigest()
+                            for file_name, data in files.values()},
                 "versions": {"mpcrb": __version__, "numpy": np.__version__,
                              "python": platform.python_version()},
                 **(extra or {})}
-    result["manifest"] = out / f"{name}_manifest.json"
-    result["manifest"].write_text(json.dumps(manifest, indent=2, sort_keys=True)
-                                  + "\n", encoding="utf-8", newline="\n")
-    return result
+    files["manifest"] = (f"{name}_manifest.json", (
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for file_name, data in files.values():
+        (out / file_name).write_bytes(data)
+    return {key: out / file_name for key, (file_name, _) in files.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +448,8 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     table = {"delta_phi_rad": dphis * len(dthetas),
              "delta_theta_deg": np.repeat(dthetas, len(dphis)).tolist(),
              "rmcrb_over_rcrb": _root_columns(cols)[2]}
-
-    def plot(path):
-        svgplot.heatmap(path, dphis, dthetas, table["rmcrb_over_rcrb"],
-                        "delta phi [rad]", "delta theta [deg]",
-                        "RMCRB / RCRB (contour at 1)")
-
+    plot = partial(svgplot.heatmap, dphis, dthetas, table["rmcrb_over_rcrb"],
+                   "delta phi [rad]", "delta theta [deg]", "RMCRB / RCRB (contour at 1)")
     return _write_outputs("fig5", config, out_dir, svg, table, plot,
                           _bound_counts(cols.valid))
 
@@ -465,6 +459,8 @@ def scenario_from_config(config: dict) -> GroundScenario:
     geom_names = _get(config, "geometries")
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
+    if any("." in name for name in geom_names):
+        raise ConfigError("geometries: a geometry name must not contain '.'")
     theta = _angle(config, "theta_deg")
     try:
         scn = GroundScenario(

@@ -15,7 +15,6 @@ import numbers
 import operator
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -115,12 +114,10 @@ def _stream(seed) -> random.Random:
     return random.Random(repr(ints if isinstance(seed, tuple) else ints[0]))
 
 
-@lru_cache(maxsize=1)
-def _unit_phasors():
-    """exp(j*2*pi*k/2^b) for the bit fields of a 32-bit angle word: its top 11
-    bits (b = 11), the next 11 (b = 22) and the last 10 (b = 32)."""
-    return tuple(np.exp(1j * (2.0 * math.pi / 2.0 ** b) * np.arange(n))
-                 for b, n in ((11, 2048), (22, 2048), (32, 1024)))
+# exp(j*2*pi*k/2^b) for the bit fields of a 32-bit angle word: its top 11
+# bits (b = 11), the next 11 (b = 22) and the last 10 (b = 32)
+_UNIT_PHASORS = tuple(np.exp(1j * (2.0 * math.pi / 2.0 ** b) * np.arange(n))
+                      for b, n in ((11, 2048), (22, 2048), (32, 1024)))
 
 
 def _noise(rng: random.Random, n: int, var: float) -> np.ndarray:
@@ -131,7 +128,7 @@ def _noise(rng: random.Random, n: int, var: float) -> np.ndarray:
     most var * 33 ln 2, a cut at the 2^-33 tail of its exponential law."""
     w = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
     u, a = w[0::2], w[1::2]
-    hi, mid, lo = _unit_phasors()
+    hi, mid, lo = _UNIT_PHASORS
     z = hi.take(a >> 21)
     z *= mid.take((a >> 10) & 0x7FF)
     z *= lo.take(a & 0x3FF)

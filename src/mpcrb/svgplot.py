@@ -1,8 +1,8 @@
 """Minimal standalone SVG rendering for experiment outputs.
 
-Deliberately dependency-free: CSV is the canonical output and these plots
-are quick-look companions.  Output is deterministic (no timestamps, fixed
-float formatting).
+Deliberately dependency-free: CSV is the canonical output and these plots,
+quick-look companions, return their SVG text and open no file.  Output is
+deterministic (no timestamps, fixed float formatting).
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def _bad(y, ylog: bool) -> bool:
     return y is None or (isinstance(y, float) and math.isnan(y)) or (ylog and y <= 0)
 
 
-def line_plot(path, series, xlabel: str, ylabel: str, title: str,
-              ylog: bool = False) -> None:
-    """Write a multi-series line plot; None/NaN samples break the line."""
+def line_plot(series, xlabel: str, ylabel: str, title: str,
+              ylog: bool = False) -> str:
+    """A multi-series line plot's SVG text; None/NaN samples break the line."""
     good = [(xv, yv) for _, x, y in series for xv, yv in zip(x, y)
             if not _bad(yv, ylog)]
     if not good:
@@ -118,17 +118,16 @@ def line_plot(path, series, xlabel: str, ylabel: str, title: str,
         parts.append(f'<text x="{_W - _MR - 100}" y="{ly}" '
                      f'font-size="11">{name}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 _CONTOUR = 1.0   # heatmap contour level: the RMCRB/RCRB = 1 line of fig5
 
 
-def heatmap(path, x, y, z, xlabel: str, ylabel: str, title: str) -> None:
-    """Cell heatmap of z[i * len(x) + j] over (y[i], x[j]) (row-major, the
-    order of fig5's long CSV), with the level-1 contour drawn on the cell edges
-    where the value crosses it."""
+def heatmap(x, y, z, xlabel: str, ylabel: str, title: str) -> str:
+    """SVG text of the cell heatmap of z[i * len(x) + j] over (y[i], x[j])
+    (row-major, the order of fig5's long CSV), with the level-1 contour drawn
+    on the cell edges where the value crosses it."""
     finite = [v for v in z if v is not None and math.isfinite(v)]
     if not finite:
         raise ValueError("nothing to plot")
@@ -163,5 +162,4 @@ def heatmap(path, x, y, z, xlabel: str, ylabel: str, title: str) -> None:
                                  f'stroke="black" stroke-width="1.2"/>')
     _axes(parts, frame, xlabel, ylabel, title)
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -2,6 +2,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -393,13 +394,81 @@ def test_recipe_manifest_lists_exactly_the_files_written(tmp_path, name, svg):
     keys = ["csv", "manifest"]
     if name == "fig3":
         keys.insert(1, "beampattern_csv")
+    if svg and name != "bounds":
+        keys.insert(-1, "svg")
     assert list(result) == keys
+    assert sorted(result.values()) == sorted(tmp_path.iterdir())
     manifest = json.loads(result["manifest"].read_text())
     written = {p.name for p in tmp_path.iterdir()} - {result["manifest"].name}
     assert set(manifest["outputs"]) == written
     for file_name, digest in manifest["outputs"].items():
         assert hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest() == digest
     assert (tmp_path / f"{name}.svg").exists() == (svg and name != "bounds")
+
+
+def test_a_run_that_fails_after_its_tables_writes_nothing(tmp_path, capsys):
+    # every file, the manifest too, is built before the first is written: an
+    # all-degenerate sweep with nothing to plot, or a config the manifest cannot
+    # hold, left fig3.csv and fig3_beampattern.csv behind
+    cfg = load_preset("fig3")
+    cfg["sweep"]["delta_theta_deg"] = {"start": 0.0, "stop": 0.0, "step": 1.0}
+    cfg["scene"].update(smr_db=20.0 * math.log10(2.0), delta_phi_rad=math.pi)
+    p = tmp_path / "fig3.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["fig3", "--config", str(p), "--out", str(out), "--svg"]) == 1
+    assert capsys.readouterr().err == "invalid input: nothing to plot\n"
+    assert not out.exists()
+    cfg = load_preset("fig3")
+    cfg["geometry"] = {"tx_positions": np.array([0.0, 2.0]),
+                       "rx_positions": [0.0, 0.5, 1.0]}
+    with pytest.raises(TypeError, match="JSON serializable"):
+        ex.run_fig3(cfg, out)
+    assert not out.exists()
+
+
+def test_plots_return_their_svg_text_and_open_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    plots = [svgplot.line_plot([("a", [0.0, 1.0], [1.0, 2.0])], "x", "y", "t"),
+             svgplot.heatmap([0.0, 1.0], [0.0, 1.0], [0.5, 1.5, 2.0, None],
+                             "x", "y", "t")]
+    for text in plots:
+        assert type(text) is str
+        assert text.startswith("<svg xmlns=") and text.endswith("</svg>\n")
+    for plot in (svgplot.line_plot, svgplot.heatmap):
+        assert "path" not in inspect.signature(plot).parameters
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_refuses_a_config_of_another_kind(tmp_path, capsys):
+    # each subcommand given each other's preset: montecarlo ran fig5's under
+    # exit 0, and fig4 read fig3's as missing scene.delta_theta_deg
+    out = tmp_path / "out"
+    for name, other in ((a, b) for a in _RUNNERS for b in _RUNNERS if a != b):
+        p = tmp_path / f"{other}.json"
+        p.write_text(json.dumps(load_preset(other)))
+        assert main([name, "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: kind: {other!r} is not the subcommand {name!r}\n")
+    assert not out.exists()
+    cfg = load_preset("bounds")
+    del cfg["kind"]   # a config without a kind runs as the subcommand
+    p.write_text(json.dumps(cfg))
+    assert main(["bounds", "--config", str(p), "--out", str(out)]) == 0
+
+
+def test_cli_refuses_a_geometry_name_with_a_dot(tmp_path, capsys):
+    # each geometry is read at the path geometries.<name>, which splits on
+    # dots: "3.8" was reported as a missing field although it was given
+    cfg = load_preset("scenario")
+    cfg["geometries"] = {"3x4": {"m_t": 3, "m_r": 4}, "3.8": {"m_t": 3, "m_r": 8}}
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["scenario", "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: geometries: a geometry name must not contain '.'\n")
+    assert not out.exists()
 
 
 _STEP = "the coarse search step is the virtual-array beamwidth / 20"
