@@ -144,8 +144,8 @@ def crb_theta(scene: MultipathScene) -> float:
 
 _BLOCK = 64    # statistics per block of the argmax kernel's coarse scan
 _TILE_BYTES = 1 << 18   # V per tile of the coarse scan: a 3x4 grid is one tile
-_MODEL_BYTES = 1 << 21   # one stacked M_r x M_t matrix per row block of the closed
-                         # form, a few of which _build holds: every preset is one block
+_MODEL_BYTES = 3 << 18   # one stacked M_r x M_t matrix per batch of _rows: 4,096
+                         # statistics on a 3x4 array, 64 at M = 4,096
 _EPS_DEN_FACTOR = 1e-9   # degeneracy threshold on the closed-form denominator
 _COND_THRESHOLD = 1e12   # the sandwich's gate on the curvature's condition number
 
@@ -311,21 +311,27 @@ def _closed(mod: _Model, search: SearchConfig | None):
     return _bound_columns(mod, m, valid, search), den, threshold
 
 
+def _rows(geom: ArrayGeometry) -> int:
+    """Rows per batch of the closed form and of the Monte-Carlo engine on
+    ``geom``: a whole number of ``_BLOCK``s in which one stacked complex
+    M_r x M_t matrix takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``)."""
+    return max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
+
+
 def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
                               k_pulses, sigma_w2,
                               search: SearchConfig | None = None):
     """:func:`mcrb_theta_closed` on columns of scenes on ``geom``: the 1-D arrays
     ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.
     The arguments broadcast, scalars to every row; the rows are the broadcast
-    shape in row-major order, evaluated in blocks of a whole number of ``_BLOCK``
-    rows, in which one stacked complex M_r x M_t matrix takes at most
-    ``_MODEL_BYTES`` (or one ``_BLOCK``), so memory does not grow with the rows."""
+    shape in row-major order, evaluated in blocks of :func:`_rows` rows, so
+    memory does not grow with the rows."""
     args = (theta, psi, alpha_d, alpha_i, k_pulses, sigma_w2)
     shape = np.broadcast(*args).shape
     cols = [np.empty(math.prod(shape), dtype) for dtype in _DTYPES]
     for col, arg in zip(cols, args):
         col.reshape(shape)[...] = arg
-    rows = max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
+    rows = _rows(geom)
     starts = range(0, len(cols[0]) or 1, rows)   # no rows: one empty block
     parts = [_closed(_build(geom, *(c[i:i + rows] for c in cols)), search)[0]
              for i in starts]

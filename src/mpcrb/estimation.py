@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _one_geometry
+from .bounds import SearchConfig, _argmax_projection, _one_geometry, _rows
 from .scene import MultipathScene, _means, _statistics, _stream
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
-_MC_CHUNK = 4096   # statistics per estimator call of the Monte-Carlo engine
 
 
 @dataclass(frozen=True)
@@ -61,40 +60,33 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     ``trials`` statistics in order from its own stream, the one that
     ``synthesize_compressed`` starts from the seed (base_seed, i).
     Consecutive scenes are packed into estimator calls of at most
-    ``_MC_CHUNK`` statistics, a scene split across calls where needed, so
-    memory is bounded by the chunk.  Trial t of scene i is the
-    same statistic whatever the packing, and the reduction uses exact
-    compensated summation, so the curve does not depend on the chunk size
-    and ``trials`` = n is a prefix of any larger count.
+    ``bounds._rows(geom)`` statistics, the closed form's batch, a scene split
+    across calls where needed; their means are built one such batch of scenes
+    at a time, so memory grows neither with ``trials`` nor with the sweep.
+    Trial t of scene i is the same statistic whatever the packing, and the
+    reduction uses exact compensated summation, so the curve does not depend
+    on the batch size and ``trials`` = n is a prefix of any larger count.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not scene_sweep:
         return RmseCurve((), (), trials, base_seed)
     geom = _one_geometry(scene_sweep)
-    means = _means(geom, scene_sweep)
-    buf = np.empty((min(_MC_CHUNK, trials * len(means)),) + means.shape[1:],
-                   dtype=complex)
-    results, est = [], np.empty(0)   # est: estimates not yet reduced, in order
-
-    def flush(y):   # the next scene is complete once its trials estimates are in
-        nonlocal est
-        est = np.concatenate((est, _argmax_projection(y, geom, cfg or MML_SEARCH)))
-        while len(est) >= trials:
-            results.append(_reduce(est[:trials] - scene_sweep[len(results)].theta))
-            est = est[trials:]
-
-    fill = 0
-    for idx, (scene, mean) in enumerate(zip(scene_sweep, means)):
-        rng = _stream((base_seed, idx))
-        left = trials
+    n = min(_rows(geom), trials * len(scene_sweep))
+    buf = np.empty((n, geom.m_r, geom.m_t), dtype=complex)
+    results, est, fill = [], np.empty(0), 0   # est: estimates not yet reduced
+    for idx, scene in enumerate(scene_sweep):
+        if idx % n == 0:
+            means = _means(geom, scene_sweep[idx:idx + n])
+        rng, left = _stream((base_seed, idx)), trials
         while left:
-            take = min(left, len(buf) - fill)
-            _statistics(rng, scene, mean, take, out=buf[fill:fill + take])
+            take = min(left, n - fill)
+            _statistics(rng, scene, means[idx % n], take, out=buf[fill:fill + take])
             fill, left = fill + take, left - take
-            if fill == len(buf):
-                flush(buf)
-                fill = 0
-    if fill:
-        flush(buf[:fill])
+            if fill == n or (not left and idx == len(scene_sweep) - 1):
+                y, fill = buf[:fill], 0
+                est = np.concatenate((est, _argmax_projection(y, geom, cfg or MML_SEARCH)))
+                while len(est) >= trials:   # the next scene's estimates are all in
+                    results.append(_reduce(est[:trials] - scene_sweep[len(results)].theta))
+                    est = est[trials:]
     return RmseCurve(*zip(*results), trials=trials, base_seed=base_seed)

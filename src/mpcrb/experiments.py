@@ -67,6 +67,8 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
                 raise ConfigError(f"{path}: required field is missing")
             return default
         node = node[part]
+    if not isinstance(node, (dict, list, tuple, str, int, float, type(None))):
+        raise ConfigError(f"{path}: expected a JSON value, got {type(node).__name__}")
     return node
 
 
@@ -95,7 +97,7 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
 
 # Sweep size caps.  The largest packaged axis is the 1,781-point beampattern
 # grid and the largest sweep the 97 x 81 fig5 map; a bound sweep is evaluated
-# in row blocks of bounded memory (bounds._MODEL_BYTES).
+# in row blocks of bounded memory (bounds._rows).
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
 # Points of the coarse search grid over pi rad (1,136 on the 3x16 array): a cap

@@ -20,8 +20,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -130,4 +130,4 @@ def test_source_lines_stay_within_their_budget():
     # ceiling, lowered as code goes
     lines = sum(path.read_bytes().count(b"\n")
                 for path in Path(mpcrb.__file__).parent.glob("*.py"))
-    assert lines <= 1978, lines
+    assert lines <= 1976, lines

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -219,8 +220,29 @@ def test_curve_does_not_depend_on_the_chunk_size(monkeypatch):
                   for s in snrs]
         whole = monte_carlo_rmse(scenes, None, 10, 31337)
         with monkeypatch.context() as m:
-            m.setattr(estimation, "_MC_CHUNK", 7)
+            m.setattr(estimation, "_rows", lambda geom: 7)
             assert monte_carlo_rmse(scenes, None, 10, 31337) == whole
+
+
+def test_engine_memory_stays_flat_past_one_batch(monkeypatch):
+    # 64-statistic batches on 8x8: four times the trials hold about the same
+    # memory, where a fixed 4,096-statistic chunk grew with them
+    geom = standard_virtual_ula(8, 8)
+    monkeypatch.setattr(bounds, "_MODEL_BYTES", 16 * 64 * 64)
+    scenes = [scene_from_ratios(geom, 0.0, np.deg2rad(1.0), s, 3.0, 0.4, 8)
+              for s in (10.0, 20.0)]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert len(monte_carlo_rmse(scenes, None, trials, 5).rmse_rad) == 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)   # first-call imports and caches
+    one, four = peak(256), peak(1024)
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
@@ -228,7 +250,7 @@ def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
     # of 5 splits scenes of 3 trials across estimator calls
     monkeypatch.setattr(scene, "_noise",
                         lambda rng, n, var: np.full(n, complex(-0.0, -0.0)))
-    monkeypatch.setattr(estimation, "_MC_CHUNK", 5)
+    monkeypatch.setattr(estimation, "_rows", lambda geom: 5)
     seen = []
     monkeypatch.setattr(estimation, "_argmax_projection",
                         lambda y, geom, cfg: seen.extend(y.copy()) or np.zeros(len(y)))
@@ -243,6 +265,26 @@ def test_noise_free_statistics_are_each_scenes_compressed_mean(monkeypatch):
         monte_carlo_rmse(scenes, None, 3, 5)
         assert [y.tobytes() for y in seen] == [compressed_mean(sc).tobytes()
                                               for sc in scenes for _ in range(3)]
+
+
+def test_a_sweep_past_one_batch_builds_its_means_one_batch_at_a_time(monkeypatch):
+    # batches of 2 statistics: the 5 scenes' means come in 3 blocks of scenes,
+    # and every noise-free statistic is still its own scene's mean, bit for bit
+    monkeypatch.setattr(scene, "_noise",
+                        lambda rng, n, var: np.full(n, complex(-0.0, -0.0)))
+    monkeypatch.setattr(estimation, "_rows", lambda geom: 2)
+    blocks, means = [], scene._means
+    monkeypatch.setattr(estimation, "_means", lambda geom, scenes:
+                        blocks.append(len(scenes)) or means(geom, scenes))
+    seen = []
+    monkeypatch.setattr(estimation, "_argmax_projection",
+                        lambda y, geom, cfg: seen.extend(y.copy()) or np.zeros(len(y)))
+    scenes = [scene_from_ratios(GEOM, 0.0, np.deg2rad(d), 10.0, 0.0, 0.0, 8)
+              for d in (0.5, 1.0, 2.0, 4.0, 8.0)]
+    monte_carlo_rmse(scenes, None, 3, 5)
+    assert blocks == [2, 2, 1]
+    assert [y.tobytes() for y in seen] == [compressed_mean(sc).tobytes()
+                                          for sc in scenes for _ in range(3)]
 
 
 def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():

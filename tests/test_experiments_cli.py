@@ -422,9 +422,66 @@ def test_a_run_that_fails_after_its_tables_writes_nothing(tmp_path, capsys):
     cfg = load_preset("fig3")
     cfg["geometry"] = {"tx_positions": np.array([0.0, 2.0]),
                        "rx_positions": [0.0, 0.5, 1.0]}
-    with pytest.raises(TypeError, match="JSON serializable"):
+    with pytest.raises(ConfigError, match="^geometry.tx_positions: expected a "
+                                          "JSON value, got ndarray$"):
         ex.run_fig3(cfg, out)
     assert not out.exists()
+
+
+_BAD_JSON = ("invalid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)")
+
+
+@pytest.mark.parametrize("name, text, err", [
+    ("bounds", "{not json", f"config error: --config: {_BAD_JSON}"),
+    ("bounds", "[1, 2]", "config error: --config: top level must be a JSON object"),
+    ("bounds", {"geometry": [3, 4]}, "config error: geometry: expected an object"),
+    ("bounds", {"search": 60}, "config error: search: expected an object"),
+    ("scenario", {"geometries": {}},
+     "config error: geometries: expected a non-empty object"),
+], ids=["json", "top-level", "geometry", "search", "geometries"])
+def test_cli_refuses_a_config_of_the_wrong_shape(tmp_path, capsys, name, text,
+                                                 err):
+    if isinstance(text, dict):   # one key of the preset replaced
+        text = json.dumps({**load_preset(name), **text})
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert main([name, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, code, err", [
+    ("bounds", 2, "bound evaluation failed: single-element arrays carry no DOA "
+                  "information (E_Adot = 0)"),
+    ("fig2", 2, "bound evaluation failed: single-element arrays carry no DOA "
+                "information (E_Adot = 0)"),
+    ("montecarlo", 1, "invalid input: beamwidth undefined for a single-element "
+                      "virtual array"),
+], ids=["bounds", "fig2", "montecarlo"])
+def test_cli_refuses_a_single_element_array(tmp_path, capsys, name, code, err):
+    cfg = load_preset(name)
+    cfg["geometry"] = {"m_t": 1, "m_r": 1}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([name, "--config", str(p), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err + "\n"
+    assert not out.exists()
+
+
+def test_line_plot_draws_an_isolated_sample_as_a_dot():
+    text = svgplot.line_plot([("a", [0.0, 1.0, 2.0, 3.0], [1.0, None, 2.0, 3.0])],
+                             "x", "y", "t")
+    assert text.count("<circle") == 1 and text.count("<polyline") == 1
+
+
+def test_heatmap_of_no_finite_value_raises_and_of_one_value_renders():
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        svgplot.heatmap([0.0, 1.0], [0.0, 1.0], [None] * 4, "x", "y", "t")
+    text = svgplot.heatmap([0.0, 1.0], [0.0, 1.0], [2.0] * 4, "x", "y", "t")
+    assert text.count('fill="rgb(0,96,255)"') == 4
 
 
 def test_plots_return_their_svg_text_and_open_no_file(tmp_path, monkeypatch):
