@@ -116,16 +116,12 @@ def _vectors(geom: ArrayGeometry, theta) -> _Vectors:
     return _Vectors(e[..., :geom.m_r], e[..., geom.m_r:])
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :]
-
-
 def _direct_indirect(s_target: _Vectors, s_reflect: _Vectors):
     """MIMO steering matrices ``A_d = a_r(theta) a_t(theta)^T`` and ``A_i =
     a_r(psi) a_t(theta)^T + a_r(theta) a_t(psi)^T`` from the :func:`_vectors` of
     the target and the reflection, one matrix per row, shape (n, M_r, M_t)."""
-    a_r, a_t = s_target.a_r, s_target.a_t
-    return _outer(a_r, a_t), _outer(s_reflect.a_r, a_t) + _outer(a_r, s_reflect.a_t)
+    a_r, a_t = s_target.a_r[..., :, None], s_target.a_t[..., None, :]
+    return a_r * a_t, s_reflect.a_r[..., :, None] * a_t + a_r * s_reflect.a_t[..., None, :]
 
 
 def beampattern(geom: ArrayGeometry, steer: float, grid) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,17 @@ def _get(cfg: dict, path: str, default=_REQUIRED):
     return node
 
 
+def _object(cfg: dict, path: str, keys, default=_REQUIRED) -> dict:
+    """The object at ``path``: a key outside ``keys`` refused, a _REMOVED one by _get."""
+    node = _get(cfg, path, default)
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected an object")
+    for key in node:
+        if key not in keys and key not in _REMOVED:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    return node
+
+
 def _get_num(cfg: dict, path: str, default=_REQUIRED, positive=False) -> float:
     val = _get(cfg, path, default)
     # the bound on abs(val) also refuses nan and integers beyond the float range
@@ -100,7 +111,7 @@ def _get_int(cfg: dict, path: str, default=_REQUIRED, minimum=None,
 # in row blocks of bounded memory (bounds._rows).
 MAX_AXIS_POINTS = 4096
 MAX_SWEEP_POINTS = 65536
-# Points of the coarse search grid over pi rad (1,136 on the 3x16 array): a cap
+# Points of the coarse search grid over pi rad (1,703 on the 3x16 array): a cap
 # on the virtual aperture, as the grid's step is its beamwidth / 20.
 MAX_COARSE_POINTS = 65536
 # fig4's constructive and destructive phase differences, rad
@@ -147,15 +158,10 @@ def _grids(cfg: dict, *paths: str) -> list[list[float]]:
     return [[start + i * step for i in range(n)] for start, step, n in axes]
 
 
-def _grid(cfg: dict, path: str) -> list[float]:
-    return _grids(cfg, path)[0]
-
-
 def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
-    """The array at ``path``: element counts and virtual aperture capped."""
-    node = _get(cfg, path)
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object")
+    """The array at ``path``, from its m_t and m_r or its tx_positions and
+    rx_positions, its only keys: element counts and virtual aperture capped."""
+    node = _object(cfg, path, ("m_t", "m_r", "tx_positions", "rx_positions"))
     if "m_t" in node:
         m_t = _get_int(cfg, f"{path}.m_t", minimum=1, maximum=MAX_ELEMENTS)
         m_r = _get_int(cfg, f"{path}.m_r", minimum=1, maximum=MAX_ELEMENTS)
@@ -185,9 +191,9 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
 
 
 def search_from_config(cfg: dict) -> SearchConfig:
-    """The run's one search: its span bounds theta_A and the MML, its tolerance theta_A."""
-    if not isinstance(_get(cfg, "search", default={}), dict):
-        raise ConfigError("search: expected an object")
+    """The run's one search, its only keys: search.span_deg bounds theta_A and the
+    MML, search.refine_tol_rad is theta_A's tolerance."""
+    _object(cfg, "search", ("span_deg", "refine_tol_rad"), default={})
     span_deg = _get_num(cfg, "search.span_deg", default=60.0, positive=True)
     tol = _get_num(cfg, "search.refine_tol_rad", default=SearchConfig.refine_tol,
                    positive=True)
@@ -229,8 +235,13 @@ def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
 
 def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
                  dphi=None, psi_rad=None):
-    """scene_from_config's scene and the scene_from_ratios arguments it took.
-    A given snr_db or smr_db comes from the axis sweep.<name>, start first."""
+    """scene_from_config's scene and the scene_from_ratios arguments it took.  The
+    scene's keys are theta_deg, k_pulses, and psi_deg (delta_theta_deg once psi_rad
+    is given), snr_db, smr_db and delta_phi_rad unless given.  A given snr_db or
+    smr_db comes from the axis sweep.<name>, start first."""
+    swept = {"psi_deg": psi_rad, "snr_db": snr_db, "smr_db": smr_db, "delta_phi_rad": dphi}
+    keys = [key for key, val in swept.items() if val is None] + ["theta_deg", "k_pulses"]
+    _object(cfg, "scene", keys if psi_rad is None else keys + ["delta_theta_deg"], {})
     theta = _angle(cfg, "scene.theta_deg")
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
@@ -377,7 +388,7 @@ def _mc_sweep(config: dict):
     search = _search_and_target(config)[0]
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
-    snrs = _grid(config, "sweep.snr_db")
+    snrs = _grids(config, "sweep.snr_db")[0]
     return (geom, est, search, trials, seed, snrs,
             [scene_from_config(config, geom, snr_db=s) for s in snrs])
 
@@ -404,8 +415,8 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     """DOA-separation sweep of the bounds, plus the array beampatterns."""
     geom = geometry_from_config(config)
     search, theta = _search_and_target(config)
-    dthetas = _grid(config, "sweep.delta_theta_deg")
-    bp_grid_deg = _grid(config, "beampattern_grid_deg")
+    dthetas = _grids(config, "sweep.delta_theta_deg")[0]
+    bp_grid_deg = _grids(config, "beampattern_grid_deg")[0]
     _angle(config, "beampattern_grid_deg", max(bp_grid_deg, key=abs))
     cols = _sweep_bounds(config, geom, search, psi_rad=[
         _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
@@ -424,7 +435,7 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     geom = geometry_from_config(config)
     search, theta = _search_and_target(config)
     psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
-    smrs = _grid(config, "sweep.smr_db")
+    smrs = _grids(config, "sweep.smr_db")[0]
     cols = _sweep_bounds(config, geom, search, psi_rad=psi,
                          smr_db=np.array(smrs)[:, None], dphi=[_FIG4_PHASES])
     rmcrb = _root_columns(cols)[1]   # row-major: SMR, then phase
@@ -457,7 +468,7 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 
 
 def scenario_from_config(config: dict) -> GroundScenario:
-    grid = _grid(config, "range_grid_m")
+    grid = _grids(config, "range_grid_m")[0]
     geom_names = _get(config, "geometries")
     if not isinstance(geom_names, dict) or not geom_names:
         raise ConfigError("geometries: expected a non-empty object")
@@ -549,7 +560,7 @@ def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
     geom = geometry_from_config(config)
     steer = _angle(config, "steer_deg")
-    grid_deg = _grid(config, "grid_deg")
+    grid_deg = _grids(config, "grid_deg")[0]
     _angle(config, "grid_deg", max(grid_deg, key=abs))
     table = _beampattern(geom, steer, grid_deg)
     plot = _lines(table, {"tx": "tx_gain_db", "rx": "rx_gain_db"}, "phi [deg]",

@@ -13,6 +13,8 @@ from itertools import groupby
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+_PAGE = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">\n'
+         f'<rect width="{_W}" height="{_H}" fill="white"/>\n{{}}\n</svg>\n')
 
 
 def _fmt(v: float) -> str:
@@ -22,13 +24,9 @@ def _fmt(v: float) -> str:
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= m * mag:
-            step = m * mag
-            break
-    start = math.ceil(lo / step) * step
+    step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag)
     out = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
         out.append(t)
         t += step
@@ -62,8 +60,7 @@ def _axes(parts: list[str], frame: _Frame, xlabel: str, ylabel: str, title: str)
                      f'y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{_H - _MB + 18}" font-size="11" '
                      f'text-anchor="middle">{_fmt(t)}</text>')
-    yt = _ticks(frame.y0, frame.y1)
-    for t in yt:
+    for t in _ticks(frame.y0, frame.y1):
         yv = 10.0 ** t if frame.ylog else t
         py = frame.py(yv)
         label = _fmt(yv) if not frame.ylog else f"1e{_fmt(t)}"
@@ -94,8 +91,7 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
         raise ValueError("nothing to plot")
     xs, ys = zip(*good)
     frame = _Frame((min(xs), max(xs)), (min(ys), max(ys)), ylog=ylog)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    parts = []
     _axes(parts, frame, xlabel, ylabel, title)
     for i, (name, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
@@ -115,8 +111,7 @@ def line_plot(series, xlabel: str, ylabel: str, title: str,
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{_W - _MR - 100}" y="{ly}" '
                      f'font-size="11">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _PAGE.format("\n".join(parts))
 
 
 _CONTOUR = 1.0   # heatmap contour level: the RMCRB/RCRB = 1 line of fig5
@@ -136,8 +131,7 @@ def heatmap(x, y, z, xlabel: str, ylabel: str, title: str) -> str:
     cw = (_W - _ML - _MR) / nx
     ch = (_H - _MT - _MB) / ny
     frame = _Frame((min(x), max(x)), (min(y), max(y)))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    parts = []
     for k, v in enumerate(z):
         i, j = divmod(k, nx)
         if v is None or not math.isfinite(v):
@@ -159,5 +153,4 @@ def heatmap(x, y, z, xlabel: str, ylabel: str, title: str) -> str:
                                  f'x2="{_fmt(px + di * cw)}" y2="{_fmt(py + dj * ch)}" '
                                  f'stroke="black" stroke-width="1.2"/>')
     _axes(parts, frame, xlabel, ylabel, title)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _PAGE.format("\n".join(parts))

@@ -66,7 +66,7 @@ def test_criterion_06_dips_sit_where_the_pseudo_true_bias_changes_sign():
     geom = ex.geometry_from_config(cfg)
     search = ex.search_from_config(cfg)
     theta = math.radians(cfg["scene"]["theta_deg"])
-    dths = np.array(ex._grid(cfg, "sweep.delta_theta_deg"))
+    dths = np.array(ex._grids(cfg, "sweep.delta_theta_deg")[0])
     cols = ex._sweep_bounds(cfg, geom, search, psi_rad=theta - np.radians(dths))
     ratio, sign = cols.mcrb / cols.crb, np.sign(theta - cols.theta_a)
     for lo, hi in ((20.0, 40.0), (-40.0, -20.0)):

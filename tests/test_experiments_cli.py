@@ -309,10 +309,10 @@ def test_sweep_axis_cap_by_size_arithmetic():
     # is built; the message names the field path
     cfg = {"sweep": {"snr_db": {"start": 0.0, "stop": 1.0, "step": 1e-9}}}
     with pytest.raises(ConfigError, match=r"sweep\.snr_db: .*cap"):
-        ex._grid(cfg, "sweep.snr_db")
+        ex._grids(cfg, "sweep.snr_db")[0]
     cfg["sweep"]["snr_db"] = {"start": -1e308, "stop": 1e308, "step": 1e-300}
     with pytest.raises(ConfigError, match=r"sweep\.snr_db"):
-        ex._grid(cfg, "sweep.snr_db")
+        ex._grids(cfg, "sweep.snr_db")[0]
     top = ex.MAX_AXIS_POINTS - 1
     cfg["sweep"]["snr_db"] = {"start": 0.0, "stop": float(top), "step": 1.0}
     assert ex._axis(cfg, "sweep.snr_db")[2] == ex.MAX_AXIS_POINTS
@@ -334,7 +334,7 @@ def test_sweep_product_cap_and_presets_fit():
         run_fig5(cfg, "unused")
     for name, paths in RECIPE_AXES.items():
         for path in paths:
-            ex._grid(load_preset(name), path)
+            ex._grids(load_preset(name), path)[0]
     ex._grids(load_preset("fig5"), "grid.delta_phi_rad", "grid.delta_theta_deg")
 
 
@@ -564,6 +564,55 @@ def test_cli_refuses_a_removed_setting_by_its_key(tmp_path, capsys, recipe, key)
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: no longer a setting: {reason}")
     assert not out.exists()
+
+
+def _unknown_keys():
+    """(recipe, dotted key) for a sibling <leaf>x of every leaf of each preset's
+    search, geometry or geometries.<name> and scene objects, for each scene key
+    its recipe sweeps, and for fig4's search.span, a misspelled span_deg."""
+    for recipe in RECIPE_AXES:
+        cfg = load_preset(recipe)
+        paths = ["search", "geometry", "scene"] + [
+            f"geometries.{name}" for name in cfg.get("geometries", ())]
+        for path in paths:
+            node = cfg
+            for part in path.split("."):
+                node = node.get(part, {})
+            yield from ((recipe, f"{path}.{leaf}x") for leaf in node)
+    yield from [("fig2", "scene.snr_db"), ("montecarlo", "scene.snr_db"),
+                ("fig3", "scene.psi_deg"), ("fig4", "scene.smr_db"),
+                ("fig4", "scene.delta_phi_rad"), ("fig5", "scene.delta_phi_rad"),
+                ("fig4", "search.span")]
+
+
+@pytest.mark.parametrize("recipe, key", list(_unknown_keys()))
+def test_cli_refuses_a_key_its_object_does_not_read(tmp_path, capsys, recipe, key):
+    # ignored, a misspelled key ran on its default: fig4 with search.span = 10
+    # wrote the +-60 deg preset's CSV byte for byte under exit 0; a swept scene
+    # key was overwritten by its axis.  Refused before any computation.
+    cfg = load_preset(recipe)
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = 10.0
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+    assert not out.exists()
+
+
+def test_swept_scene_parses_stay_accepted():
+    # the per-point parses of bench/check.py and test_fig4_cells_match_per_scene_bounds
+    fig5, fig2 = load_preset("fig5"), load_preset("fig2")
+    geom = ex.geometry_from_config(fig5)
+    scene = ex.scene_from_config(fig5, geom, dphi=1.0, psi_rad=-0.1)
+    assert (scene.psi, scene.sigma_w2) == (-0.1, 0.1)
+    assert ex.scene_from_config(fig2, geom, snr_db=20.0).sigma_w2 == 0.01
+    fig4 = load_preset("fig4")   # fig4 reads scene.delta_theta_deg into psi_rad itself
+    assert ex._parse_scene(fig4, geom, smr_db=0.0, dphi=0.0, psi_rad=0.0)[0].psi == 0.0
 
 
 @pytest.mark.parametrize("name", ["fig2", "montecarlo"])
@@ -1183,7 +1232,7 @@ def test_mc_rmse_of_statistics_near_the_float_limit():
     cfg = small_fig2_config()
     geom, est = ex.geometry_from_config(cfg), ex.estimator_from_config(cfg)
     scenes = [ex.scene_from_config(cfg, geom, snr_db=s)
-              for s in ex._grid(cfg, "sweep.snr_db")]
+              for s in ex._grids(cfg, "sweep.snr_db")[0]]
     big = [replace(sc, alpha_d=1e300 * sc.alpha_d, alpha_i=1e300 * sc.alpha_i,
                    sigma_w2=1e300 * sc.sigma_w2) for sc in scenes]
     mml = mpcrb.monte_carlo_rmse(big, est, 40, 7)
