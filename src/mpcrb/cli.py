@@ -7,9 +7,9 @@ Example:
 
 A subcommand registers only the options that can change its run (``_TAKES``):
 ``--trials`` and ``--seed`` on fig2 and montecarlo, which draw random numbers,
-and ``--svg`` on every recipe but bounds, which has no plot.  The recipes'
-``workers`` keyword, which they ignore, has no option: only the benchmark
-passes it (as 1).
+and ``--svg`` on every recipe but bounds, which has no plot; the recipes' ignored
+``workers`` keyword has none.  The config, ``--config``'s file or a copy of the
+packaged preset, goes with the overrides to its recipe, which checks keys and kind.
 
 Exit codes: 0 success, 1 invalid input or unwritable output, 2 numerical
 degeneracy in a single-point bound request or an unregistered option.
@@ -18,9 +18,9 @@ degeneracy in a single-point bound request or an unregistered option.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import experiments
@@ -46,8 +46,7 @@ _RUNNERS = {name: getattr(experiments, f"run_{name}") for name in _TAKES}
 
 
 def load_preset(name: str) -> dict:
-    ref = resources.files("mpcrb").joinpath("presets", f"{name}.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return copy.deepcopy(experiments._PRESETS[name])
 
 
 def _load_config(config_path, name: str, overrides: dict) -> dict:
@@ -62,8 +61,6 @@ def _load_config(config_path, name: str, overrides: dict) -> dict:
         config = load_preset(name)
     if not isinstance(config, dict):
         raise ConfigError("--config: top level must be a JSON object")
-    if config.get("kind", name) != name:
-        raise ConfigError(f"kind: {config['kind']!r} is not the subcommand {name!r}")
     config.update((key, value) for key, value in overrides.items()
                   if value is not None)
     return config

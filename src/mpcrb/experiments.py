@@ -1,12 +1,12 @@
 """Experiment recipes: figure sweeps, scenario sweep, self-test, manifests.
 
-Each runner takes a JSON-style config dict, writes CSV (canonical output,
-RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
-versions, and optionally a standalone SVG.  Angles are degrees in all
-human-facing columns and radians internally; degenerate bound points are
-emitted as empty cells.  Every runner accepts a ``workers`` keyword and
-ignores it: all work runs in one thread.  Only the benchmark passes it (as 1);
-the command line has no ``--workers``.
+Each runner takes a JSON-style config dict, refuses what its packaged preset lacks
+(``_walk``; the ``*_from_config`` parsers only read values), writes CSV (canonical
+output, RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
+versions, and optionally a standalone SVG.  Angles are degrees in all human-facing
+columns and radians internally; degenerate bound points are empty cells.  Every
+runner accepts a ``workers`` keyword and ignores it: all work runs in one thread.
+Only the benchmark passes it (as 1); the command line has no ``--workers``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import platform
 import random
 import sys
 from functools import partial
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -42,44 +43,52 @@ class ConfigError(Exception):
     """Invalid experiment configuration; message carries the field path."""
 
 
-# Settings that were removed, by key, with what holds in their place.  Any object that
-# _get walks and still sets one is refused: ignored, e_p != 1 would give wrong bounds.
+# Settings that were removed, by key, with what holds in their place.  _walk refuses
+# one in any object of a config: ignored, e_p != 1 would give wrong bounds.
 _REMOVED = {
     "e_p": "the pulse energy E_p is 1; it scales the SNR, so set the SNR instead",
     "coarse_step_deg": "the coarse search step is the virtual-array beamwidth / 20",
     "delta_phis_rad": "fig4's phase differences are fixed at 0 and 2pi/3",
     "estimator": "the estimator searches search.span_deg at 1e-6 rad",
 }
-
+# Each recipe's packaged preset, read once, at import: also its schema (see _walk).
+_PRESETS = {ref.name.removesuffix(".json"): json.loads(ref.read_text(encoding="utf-8"))
+            for ref in resources.files(__package__).joinpath("presets").iterdir()}
+_GEOMETRY = dict.fromkeys(("m_t", "m_r", "tx_positions", "rx_positions"))
 _REQUIRED = object()
 
 
+def _walk(node, schema, path: str = ""):
+    """``node``, refused by dotted path where it holds a key its preset ``schema``
+    lacks (a _REMOVED one by its reason), another kind, a non-object for an object
+    or a value JSON cannot hold.  A geometry takes _GEOMETRY, geometries any name."""
+    if isinstance(schema, dict) and not isinstance(node, dict):
+        raise ConfigError(f"{path or 'the config'}: expected an object")
+    if not isinstance(node, (dict, list, tuple, str, int, float, type(None))):
+        raise ConfigError(f"{path}: expected a JSON value, got {type(node).__name__}")
+    for key, val in (node.items() if isinstance(node, dict) else
+                     enumerate(node) if isinstance(node, (list, tuple)) else ()):
+        at = f"{path}.{key}" if path else key
+        sub = (_GEOMETRY if path == "geometries" or at == "geometry" and key in schema
+               else schema.get(key, _REQUIRED) if isinstance(schema, dict) else None)
+        if sub is _REQUIRED:
+            raise ConfigError(f"{at}: no longer a setting: {_REMOVED[key]}"
+                              if key in _REMOVED else f"{at}: unknown key")
+        if at == "kind" and val != sub:
+            raise ConfigError(f"kind: {val!r} is not the subcommand {sub!r}")
+        _walk(val, sub, at)
+    return node
+
+
 def _get(cfg: dict, path: str, default=_REQUIRED):
-    """The value at the dotted ``path``, reached past no ``_REMOVED`` key."""
-    node, parts = cfg, path.split(".")
-    for i, part in enumerate(parts):
-        removed = [key for key in _REMOVED if isinstance(node, dict) and key in node]
-        if removed:
-            key = ".".join(parts[:i] + removed[:1])
-            raise ConfigError(f"{key}: no longer a setting: {_REMOVED[removed[0]]}")
+    """The value at the dotted ``path``."""
+    node = cfg
+    for part in path.split("."):
         if not isinstance(node, dict) or part not in node:
             if default is _REQUIRED:
                 raise ConfigError(f"{path}: required field is missing")
             return default
         node = node[part]
-    if not isinstance(node, (dict, list, tuple, str, int, float, type(None))):
-        raise ConfigError(f"{path}: expected a JSON value, got {type(node).__name__}")
-    return node
-
-
-def _object(cfg: dict, path: str, keys, default=_REQUIRED) -> dict:
-    """The object at ``path``: a key outside ``keys`` refused, a _REMOVED one by _get."""
-    node = _get(cfg, path, default)
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected an object")
-    for key in node:
-        if key not in keys and key not in _REMOVED:
-            raise ConfigError(f"{path}.{key}: unknown key")
     return node
 
 
@@ -160,21 +169,20 @@ def _grids(cfg: dict, *paths: str) -> list[list[float]]:
 
 def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
     """The array at ``path``, from its m_t and m_r or its tx_positions and
-    rx_positions, its only keys: element counts and virtual aperture capped."""
-    node = _object(cfg, path, ("m_t", "m_r", "tx_positions", "rx_positions"))
+    rx_positions: element counts and virtual aperture capped."""
+    node = _get(cfg, path)
     if "m_t" in node:
         m_t = _get_int(cfg, f"{path}.m_t", minimum=1, maximum=MAX_ELEMENTS)
         m_r = _get_int(cfg, f"{path}.m_r", minimum=1, maximum=MAX_ELEMENTS)
         geom = standard_virtual_ula(m_t, m_r)
     elif "tx_positions" in node or "rx_positions" in node:
-        tx = _get(cfg, f"{path}.tx_positions")
-        rx = _get(cfg, f"{path}.rx_positions")
-        for key, pos in (("tx_positions", tx), ("rx_positions", rx)):
-            if isinstance(pos, list) and len(pos) > MAX_ELEMENTS:
-                raise ConfigError(f"{path}.{key}: {len(pos)} elements exceed the "
+        pos = {key: _get(cfg, f"{path}.{key}") for key in ("tx_positions", "rx_positions")}
+        for key, val in pos.items():
+            if isinstance(val, list) and len(val) > MAX_ELEMENTS:
+                raise ConfigError(f"{path}.{key}: {len(val)} elements exceed the "
                                   f"cap of {MAX_ELEMENTS} per array")
         try:
-            geom = ArrayGeometry(tx_positions=tx, rx_positions=rx)
+            geom = ArrayGeometry(**pos)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     else:
@@ -191,34 +199,36 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
 
 
 def search_from_config(cfg: dict) -> SearchConfig:
-    """The run's one search, its only keys: search.span_deg bounds theta_A and the
-    MML, search.refine_tol_rad is theta_A's tolerance."""
-    _object(cfg, "search", ("span_deg", "refine_tol_rad"), default={})
-    span_deg = _get_num(cfg, "search.span_deg", default=60.0, positive=True)
+    """theta_A's search: the MML's span at search.refine_tol_rad."""
+    span = estimator_from_config(cfg).span
     tol = _get_num(cfg, "search.refine_tol_rad", default=SearchConfig.refine_tol,
                    positive=True)
     try:
-        return SearchConfig(span=(-math.radians(span_deg), math.radians(span_deg)),
-                            refine_tol=tol)
-    except ValueError as exc:   # SearchConfig names its field first
-        leaf = "span_deg" if str(exc).startswith("span") else "refine_tol_rad"
-        raise ConfigError(f"search.{leaf}: {exc}") from exc
+        return SearchConfig(span, tol)
+    except ValueError as exc:
+        raise ConfigError(f"search.refine_tol_rad: {exc}") from exc
 
 
-def _search_and_target(cfg: dict, path: str = "scene.theta_deg"):
-    """The run's search and the target angle at ``path`` (rad), which the search
+def estimator_from_config(cfg: dict) -> SearchConfig:
+    """The MML's search: search.span_deg, which bounds theta_A too, at ``MML_SEARCH``'s
+    tolerance."""
+    span_deg = _get_num(cfg, "search.span_deg", default=60.0, positive=True)
+    try:
+        return SearchConfig((-math.radians(span_deg), math.radians(span_deg)),
+                            MML_SEARCH.refine_tol)
+    except ValueError as exc:
+        raise ConfigError(f"search.span_deg: {exc}") from exc
+
+
+def _search_and_target(cfg: dict, path="scene.theta_deg", parse=search_from_config):
+    """The search ``parse`` reads and the target angle at ``path`` (rad), which its
     span must hold: the MCRB is taken about the maximizer over that span."""
-    search = search_from_config(cfg)
+    search = parse(cfg)
     theta, (lo, hi) = _angle(cfg, path), search.span
     if not lo <= theta <= hi:
         raise ConfigError(f"{path}: must lie inside +-search.span_deg = "
                           f"+-{math.degrees(hi):g}, got {math.degrees(theta):g}")
     return search, theta
-
-
-def estimator_from_config(cfg: dict) -> SearchConfig:
-    """The MML's search: the run's span at ``MML_SEARCH``'s tolerance."""
-    return SearchConfig(search_from_config(cfg).span, MML_SEARCH.refine_tol)
 
 
 def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
@@ -235,13 +245,8 @@ def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
 
 def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
                  dphi=None, psi_rad=None):
-    """scene_from_config's scene and the scene_from_ratios arguments it took.  The
-    scene's keys are theta_deg, k_pulses, and psi_deg (delta_theta_deg once psi_rad
-    is given), snr_db, smr_db and delta_phi_rad unless given.  A given snr_db or
-    smr_db comes from the axis sweep.<name>, start first."""
-    swept = {"psi_deg": psi_rad, "snr_db": snr_db, "smr_db": smr_db, "delta_phi_rad": dphi}
-    keys = [key for key, val in swept.items() if val is None] + ["theta_deg", "k_pulses"]
-    _object(cfg, "scene", keys if psi_rad is None else keys + ["delta_theta_deg"], {})
+    """scene_from_config's scene and the scene_from_ratios arguments it took.  A
+    given snr_db or smr_db comes from the axis sweep.<name>, start first."""
     theta = _angle(cfg, "scene.theta_deg")
     if psi_rad is None:
         psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
@@ -325,7 +330,10 @@ def _psi(theta: float, delta_theta_deg: float, path: str) -> float:
     return psi
 
 
-def _beampattern(geom: ArrayGeometry, steer: float, grid_deg: list[float]) -> dict:
+def _beampattern(cfg: dict, path: str, geom: ArrayGeometry, steer: float) -> dict:
+    """Tx and rx gains (dB) at ``steer`` over the grid at ``path``, inside +-90 deg."""
+    grid_deg = _grids(cfg, path)[0]
+    _angle(cfg, path, max(grid_deg, key=abs))
     tx_db, rx_db = beampattern(geom, steer, np.radians(grid_deg))
     return {"phi_deg": grid_deg, "tx_gain_db": tx_db, "rx_gain_db": rx_db}
 
@@ -380,23 +388,22 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
 # ---------------------------------------------------------------------------
 # figure recipes
 
-def _mc_sweep(config: dict):
-    """The Monte-Carlo SNR sweep's geometry, estimator and bound search, trials, seed,
-    SNR axis and one scene per SNR, in that order: trials is checked before any scene."""
-    geom = geometry_from_config(config)
-    est = estimator_from_config(config)
-    search = _search_and_target(config)[0]
+def _mc_sweep(config: dict, name: str):
+    """The Monte-Carlo SNR sweep's geometry, estimator, trials, seed, SNR axis and one
+    scene per SNR, in that order: trials is checked before any scene."""
+    geom = geometry_from_config(_walk(config, _PRESETS[name]))
+    est = _search_and_target(config, parse=estimator_from_config)[0]
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
     snrs = _grids(config, "sweep.snr_db")[0]
-    return (geom, est, search, trials, seed, snrs,
+    return (geom, est, trials, seed, snrs,
             [scene_from_config(config, geom, snr_db=s) for s in snrs])
 
 
 def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
-    geom, est, search, trials, seed, snrs, scenes = _mc_sweep(config)
-    cols = _sweep_bounds(config, geom, search, snr_db=snrs)
+    geom, est, trials, seed, snrs, scenes = _mc_sweep(config, "fig2")
+    cols = _sweep_bounds(config, geom, search_from_config(config), snr_db=snrs)
     mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
                           seed + 1)
@@ -413,11 +420,10 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 
 def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """DOA-separation sweep of the bounds, plus the array beampatterns."""
-    geom = geometry_from_config(config)
+    geom = geometry_from_config(_walk(config, _PRESETS["fig3"]))
     search, theta = _search_and_target(config)
     dthetas = _grids(config, "sweep.delta_theta_deg")[0]
-    bp_grid_deg = _grids(config, "beampattern_grid_deg")[0]
-    _angle(config, "beampattern_grid_deg", max(bp_grid_deg, key=abs))
+    bp = _beampattern(config, "beampattern_grid_deg", geom, theta)
     cols = _sweep_bounds(config, geom, search, psi_rad=[
         _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
     rcrb, rmcrb, _ = _root_columns(cols)
@@ -426,13 +432,12 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
                   "delta theta [deg]", "root bound [deg]",
                   "Bounds vs DOA separation")
     return _write_outputs("fig3", config, out_dir, svg, table, plot,
-                          _bound_counts(cols.valid),
-                          _beampattern(geom, theta, bp_grid_deg))
+                          _bound_counts(cols.valid), bp)
 
 
 def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SMR sweep at a constructive and a destructive phase difference."""
-    geom = geometry_from_config(config)
+    geom = geometry_from_config(_walk(config, _PRESETS["fig4"]))
     search, theta = _search_and_target(config)
     psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
     smrs = _grids(config, "sweep.smr_db")[0]
@@ -452,7 +457,7 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
 
 def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """Ratio RMCRB/RCRB on a (delta_phi x delta_theta) grid, long CSV format."""
-    geom = geometry_from_config(config)
+    geom = geometry_from_config(_walk(config, _PRESETS["fig5"]))
     search, theta = _search_and_target(config)
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
@@ -511,7 +516,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     """Automotive range sweep for each configured array geometry, on columns:
     one range_columns call, then per geometry one batched CRB over every
     range and one closed-form call over the in-cell ranges."""
-    scn = scenario_from_config(config)
+    scn = scenario_from_config(_walk(config, _PRESETS["scenario"]))
     search = _search_and_target(config, "theta_deg")[0]
     geoms = {name: geometry_from_config(config, f"geometries.{name}")
              for name in config["geometries"]}
@@ -546,7 +551,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
                    workers: int = 1) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
-    _, est, _, trials, seed, snrs, scenes = _mc_sweep(config)
+    _, est, trials, seed, snrs, scenes = _mc_sweep(config, "montecarlo")
     curve = monte_carlo_rmse(scenes, est, trials, seed)
     table = {"snr_db": snrs,
              "rmse_mml_deg": [math.degrees(r) for r in curve.rmse_rad],
@@ -558,11 +563,9 @@ def run_montecarlo(config: dict, out_dir, svg: bool = False,
 
 def run_beampattern(config: dict, out_dir, svg: bool = False,
                     workers: int = 1) -> dict:
-    geom = geometry_from_config(config)
+    geom = geometry_from_config(_walk(config, _PRESETS["beampattern"]))
     steer = _angle(config, "steer_deg")
-    grid_deg = _grids(config, "grid_deg")[0]
-    _angle(config, "grid_deg", max(grid_deg, key=abs))
-    table = _beampattern(geom, steer, grid_deg)
+    table = _beampattern(config, "grid_deg", geom, steer)
     plot = _lines(table, {"tx": "tx_gain_db", "rx": "rx_gain_db"}, "phi [deg]",
                   "gain [dB]", "Beampatterns", ylog=False)
     return _write_outputs("beampattern", config, out_dir, svg, table, plot)
@@ -570,7 +573,7 @@ def run_beampattern(config: dict, out_dir, svg: bool = False,
 
 def run_bounds(config: dict, out_dir, workers: int = 1) -> dict:
     """Single-scene bound breakdown, without a plot.  Degenerate scenes raise."""
-    geom = geometry_from_config(config)
+    geom = geometry_from_config(_walk(config, _PRESETS["bounds"]))
     search = _search_and_target(config)[0]
     scene = scene_from_config(config, geom)
     bb = mcrb_theta_closed(scene, search=search)

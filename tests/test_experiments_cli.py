@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from mpcrb import bounds, svgplot
-from mpcrb.cli import _RUNNERS, build_parser, load_preset, main
+from mpcrb.cli import _RUNNERS, _TAKES, build_parser, load_preset, main
 from mpcrb.experiments import (ConfigError, run_beampattern, run_bounds,
                                run_fig2, run_fig4, run_fig5, run_montecarlo,
                                run_selftest)
@@ -508,6 +508,11 @@ def test_cli_refuses_a_config_of_another_kind(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"config error: kind: {other!r} is not the subcommand {name!r}\n")
     assert not out.exists()
+    for name, other in ((a, b) for a in _RUNNERS for b in _RUNNERS if a != b):
+        with pytest.raises(ConfigError, match=(
+                f"^kind: {other!r} is not the subcommand {name!r}$")):
+            _RUNNERS[name](load_preset(other), out)   # the recipe refuses it too
+    assert not out.exists()
     cfg = load_preset("bounds")
     del cfg["kind"]   # a config without a kind runs as the subcommand
     p.write_text(json.dumps(cfg))
@@ -566,23 +571,45 @@ def test_cli_refuses_a_removed_setting_by_its_key(tmp_path, capsys, recipe, key)
     assert not out.exists()
 
 
+def _siblings(node, path=""):
+    """A dotted sibling <key>x of every key of every object of a JSON tree, but
+    of the names in geometries, which may be any name."""
+    for key, val in node.items():
+        at = f"{path}.{key}" if path else key
+        if path != "geometries":
+            yield f"{at}x"
+        if isinstance(val, dict):
+            yield from _siblings(val, at)
+
+
 def _unknown_keys():
-    """(recipe, dotted key) for a sibling <leaf>x of every leaf of each preset's
-    search, geometry or geometries.<name> and scene objects, for each scene key
-    its recipe sweeps, and for fig4's search.span, a misspelled span_deg."""
+    """(recipe, dotted key) for a sibling <key>x of every key at every depth of
+    each preset (the top level, search, geometry or geometries.<name>, scene,
+    sweep, grid and each axis), for each scene key its recipe sweeps, and for
+    fig4's search.span, a misspelled span_deg."""
     for recipe in RECIPE_AXES:
-        cfg = load_preset(recipe)
-        paths = ["search", "geometry", "scene"] + [
-            f"geometries.{name}" for name in cfg.get("geometries", ())]
-        for path in paths:
-            node = cfg
-            for part in path.split("."):
-                node = node.get(part, {})
-            yield from ((recipe, f"{path}.{leaf}x") for leaf in node)
+        yield from ((recipe, key) for key in _siblings(load_preset(recipe)))
     yield from [("fig2", "scene.snr_db"), ("montecarlo", "scene.snr_db"),
                 ("fig3", "scene.psi_deg"), ("fig4", "scene.smr_db"),
                 ("fig4", "scene.delta_phi_rad"), ("fig5", "scene.delta_phi_rad"),
                 ("fig4", "search.span")]
+
+
+def _assert_refused_as_unknown(tmp_path, capsys, recipe, key, value):
+    """``recipe`` run on its preset with ``key`` set to ``value`` exits 1 with
+    the unknown-key refusal and writes nothing."""
+    cfg = load_preset(recipe)
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("recipe, key", list(_unknown_keys()))
@@ -590,18 +617,24 @@ def test_cli_refuses_a_key_its_object_does_not_read(tmp_path, capsys, recipe, ke
     # ignored, a misspelled key ran on its default: fig4 with search.span = 10
     # wrote the +-60 deg preset's CSV byte for byte under exit 0; a swept scene
     # key was overwritten by its axis.  Refused before any computation.
-    cfg = load_preset(recipe)
-    *parents, leaf = key.split(".")
-    node = cfg
-    for part in parents:
-        node = node[part]
-    node[leaf] = 10.0
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
-    assert not out.exists()
+    _assert_refused_as_unknown(tmp_path, capsys, recipe, key, 10.0)
+
+
+@pytest.mark.parametrize("recipe, key, value", [
+    ("fig4", "serach", {"span_deg": 10.0}),
+    ("fig2", "sweep.snr_db.stpe", 1.0),
+    ("fig2", "sweep.snrdb", {"start": 0.0, "stop": 10.0, "step": 5.0}),
+    ("fig5", "grid.x", 1.0),
+    ("fig3", "scene.delta_theta_deg", 3.0),
+    ("fig5", "scene.delta_theta_deg", 3.0)],
+    ids=["fig4-top-level", "fig2-inside-an-axis", "fig2-sweep", "fig5-grid",
+         "fig3-scene-separation", "fig5-scene-separation"])
+def test_cli_refuses_a_misspelled_key_that_ran_under_exit_0(tmp_path, capsys,
+                                                            recipe, key, value):
+    # each ran on its defaults and exited 0: fig4 searched +-60 deg, fig2 and
+    # fig5 ran their preset axes, and fig3 and fig5 took their separations from
+    # their own axes
+    _assert_refused_as_unknown(tmp_path, capsys, recipe, key, value)
 
 
 def test_swept_scene_parses_stay_accepted():
@@ -922,6 +955,72 @@ def test_every_preset_key_is_read_by_its_recipe(tmp_path, monkeypatch, name):
     _RUNNERS[name](cfg, tmp_path)
     assert [leaf for leaf in _config_leaves(cfg)
             if leaf not in read and leaf not in ("kind", "seed")] == []
+
+
+def _in_tree(node, path):
+    """Whether the dotted ``path`` names a key, at any depth, of a JSON tree."""
+    for part in path.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return False
+        node = node[part]
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(_RUNNERS))
+def test_every_key_a_recipe_reads_is_in_its_preset(tmp_path, monkeypatch, name):
+    # the reverse of the test above: a key read but missing from the preset
+    # would be refused as unknown.  montecarlo read search.span_deg and
+    # search.refine_tol_rad, which its preset lacked; the second changed nothing
+    read = set()
+
+    def get(cfg, path, default=ex._REQUIRED, _get=ex._get):
+        read.add(path)
+        return _get(cfg, path, default)
+    monkeypatch.setattr(ex, "_get", get)
+    cfg = thinned_preset(name, points=2, trials=2)
+    _RUNNERS[name](cfg, tmp_path)
+    geometry = re.compile(r"^(geometry|geometries\.[^.]+)\."
+                          r"(m_t|m_r|tx_positions|rx_positions)$")
+    assert sorted(path for path in read
+                  if not _in_tree(cfg, path) and not geometry.match(path)) == []
+
+
+def test_load_preset_returns_an_independent_copy():
+    # the presets are read once, at import; a caller's edit stays its own
+    first = load_preset("scenario")
+    first["geometries"]["3x8"]["m_r"] = 4
+    first["search"].clear()
+    assert load_preset("scenario")["geometries"]["3x8"]["m_r"] == 8
+    assert ex._PRESETS["scenario"]["geometries"]["3x8"]["m_r"] == 8
+    assert load_preset("scenario")["search"] == ex._PRESETS["scenario"]["search"] != {}
+
+
+def test_every_subcommand_has_exactly_one_preset():
+    # a subcommand without a preset, or a stray preset file, shows up here
+    assert sorted(ex._PRESETS) == sorted(_TAKES)
+    assert all(preset["kind"] == name for name, preset in ex._PRESETS.items())
+
+
+def test_a_value_json_cannot_hold_inside_a_list_is_refused_by_its_key(tmp_path,
+                                                                      monkeypatch):
+    # np.int64 positions ran every bound, then json.dumps raised a bare
+    # TypeError from _write_outputs
+    def no_bounds(*args, **kwargs):
+        raise AssertionError("a bound was computed before the config was checked")
+
+    monkeypatch.setattr(ex, "mcrb_theta_closed", no_bounds)
+    cfg = load_preset("bounds")
+    cfg["geometry"] = {"tx_positions": [np.int64(0), np.int64(2)],
+                       "rx_positions": [0.0, 0.5]}
+    with pytest.raises(ConfigError, match=r"^geometry\.tx_positions\.0: expected "
+                                          r"a JSON value, got int64$"):
+        run_bounds(cfg, tmp_path / "out")
+    cfg = load_preset("fig3")   # any depth, a key no parser reads too
+    cfg["seed"] = {"nested": [1, (2, np.float32(3.0))]}
+    with pytest.raises(ConfigError, match=r"^seed\.nested\.1\.1: expected a JSON "
+                                          r"value, got float32$"):
+        ex.run_fig3(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_manifest_hashes_the_written_bytes(tmp_path):
