@@ -1,8 +1,8 @@
 """Estimation error bounds for the target DOA under ignored multipath.
 
-Both routes to the misspecified bound reduce the same columns of one batched
-model (CRB and the reduced curvature entries zeta3..zeta5) and differ only in
-the reduction: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
+Both routes to the misspecified bound run one core (``_bounds``): per row block it
+builds the model (CRB and the reduced curvature entries zeta3..zeta5), searches
+theta_A, then reduces: the closed form M = CRB * I (|zeta5|^2 + I) / zeta3^2, with
 I = |alpha_d|^2 E_Adot, versus the inverse of the full 5x5 curvature matrix
 (ordering ``[Re alpha_d, Im alpha_d, tau_d, omega_Dd, theta]``) in the
 sandwich.  The CRB of the matched model lives here too.
@@ -120,11 +120,16 @@ def _one_geometry(scenes: Sequence[MultipathScene]) -> ArrayGeometry:
     return scenes[0].geom
 
 
-def _model(scenes: Sequence[MultipathScene]) -> _Model:
-    """:func:`_build` on the columns gathered from scenes on one geometry."""
-    return _build(_one_geometry(scenes), *map(np.asarray, zip(*[
+def _scene_columns(scenes: Sequence[MultipathScene]) -> tuple:
+    """The columns theta, psi, alpha_d, alpha_i, K, sigma_w2 (``_DTYPES``) of scenes."""
+    return tuple(map(np.asarray, zip(*[
         (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.sigma_w2)
         for sc in scenes]), _DTYPES))
+
+
+def _model(scenes: Sequence[MultipathScene]) -> _Model:
+    """:func:`_build` on the columns gathered from scenes on one geometry."""
+    return _build(_one_geometry(scenes), *_scene_columns(scenes))
 
 
 def _informative(e_dot):
@@ -276,18 +281,7 @@ def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     """Pseudo-true DOA: argmax of the projection of the true compressed mean
     onto the assumed (direct-only) steering matrix, amplitude concentrated,
     by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta."""
-    return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i,
-                              search)[0])
-
-
-def _bound_columns(mod: _Model, m: np.ndarray, valid: np.ndarray,
-                   search: SearchConfig | None) -> _Columns:
-    """Bound columns with M ``m``; theta_A searched where alpha_i != 0 and ``valid``."""
-    th_a = mod.theta.copy()
-    rows = np.flatnonzero((mod.alpha_i != 0) & valid)
-    th_a[rows] = _pseudo_true(mod, mod.alpha_d[rows], mod.alpha_i[rows], search, rows)
-    b = (mod.theta - th_a) ** 2
-    return _Columns(mod.crb, m, th_a, b, m + b, valid)
+    return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i, search)[0])
 
 
 def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:
@@ -296,64 +290,17 @@ def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:
             for row in zip(*(c.tolist() for c in cols))]
 
 
-def _closed(mod: _Model, search: SearchConfig | None):
-    """Closed-form columns, valid where M is finite and zeta3^2 reaches 1e-9 * I^2,
-    plus both.  I and zeta3 are scaled by 2^-2k, zeta5 by 2^-k (k: binary exponent
+def _closed(mod: _Model, theta_a: np.ndarray):
+    """Closed form at theta: M, valid where M is finite and zeta3^2 reaches 1e-9 * I^2,
+    and both.  I and zeta3 are scaled by 2^-2k, zeta5 by 2^-k (k: binary exponent
     of |alpha_d|): exact, with finite squares up to |alpha_i|/|alpha_d| ~ 1e150."""
-    _informative(mod.e_dot)
     k = np.frexp(np.abs(mod.alpha_d))[1]
     info = np.ldexp(np.abs(mod.alpha_d) ** 2 * mod.e_dot, -2 * k)   # I = |a_d|^2 E_Adot
     z3, z5 = np.ldexp(mod.zeta3, -2 * k), mod.zeta5 * np.ldexp(1.0, -k)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         den, threshold = z3 * z3, _EPS_DEN_FACTOR * info * info
         m = mod.crb * (info * (np.abs(z5) ** 2 + info) / den)
-    valid = (den >= threshold) & np.isfinite(m)
-    return _bound_columns(mod, m, valid, search), den, threshold
-
-
-def _rows(geom: ArrayGeometry) -> int:
-    """Rows per batch of the closed form and of the Monte-Carlo engine on
-    ``geom``: a whole number of ``_BLOCK``s in which one stacked complex
-    M_r x M_t matrix takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``)."""
-    return max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
-
-
-def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i,
-                              k_pulses, sigma_w2,
-                              search: SearchConfig | None = None):
-    """:func:`mcrb_theta_closed` on columns of scenes on ``geom``: the 1-D arrays
-    ``(crb, m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.
-    The arguments broadcast, scalars to every row; the rows are the broadcast
-    shape in row-major order, evaluated in blocks of :func:`_rows` rows, so
-    memory does not grow with the rows."""
-    args = (theta, psi, alpha_d, alpha_i, k_pulses, sigma_w2)
-    shape = np.broadcast(*args).shape
-    cols = [np.empty(math.prod(shape), dtype) for dtype in _DTYPES]
-    for col, arg in zip(cols, args):
-        col.reshape(shape)[...] = arg
-    rows = _rows(geom)
-    starts = range(0, len(cols[0]) or 1, rows)   # no rows: one empty block
-    parts = [_closed(_build(geom, *(c[i:i + rows] for c in cols)), search)[0]
-             for i in starts]
-    return _Columns(*map(np.concatenate, zip(*parts)))
-
-
-def mcrb_theta_closed(scene: MultipathScene,
-                      search: SearchConfig | None = None) -> BoundBreakdown:
-    """Closed-form misspecified bound on the target DOA.
-
-    M component: CRB(theta) * I (|zeta5|^2 + I) / zeta3^2 with
-    I = |alpha_d|^2 E_Adot, which equals CRB at alpha_i = 0.  The bias
-    component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
-    One row of :func:`mcrb_theta_closed_columns`, raising where it is not valid.
-    """
-    cols, (den,), (threshold,) = _closed(_model([scene]), search)
-    if not cols.valid[0]:
-        raise DegenerateBoundError(
-            "near-destructive paths: closed-form denominator below threshold"
-            if den < threshold else "closed-form bound is not finite",
-            denominator=float(den), threshold=float(threshold))
-    return _breakdowns(cols)[0]
+    return m, (den >= threshold) & np.isfinite(m), den, threshold
 
 
 def _curvature(mod: _Model) -> np.ndarray:
@@ -371,12 +318,11 @@ def _curvature(mod: _Model) -> np.ndarray:
     return z
 
 
-def _sandwich(mod: _Model, search: SearchConfig | None):
-    """Sandwich matrices C_D^{-1} J C_D^{-1} (void where Z is ill-conditioned),
-    bound columns with M their (theta, theta) element, valid where the gate
-    cond(Z) <= ``_COND_THRESHOLD`` passes, and condition numbers.  The gate reads
-    Z of the amplitude-normalised scene (alpha_d, alpha_i over |alpha_d|,
-    zeta2 = 1), free of the amplitude unit."""
+def _sandwich(mod: _Model, theta_a: np.ndarray):
+    """Sandwich at theta: the (theta, theta) elements M of C_D^{-1} J C_D^{-1}, valid
+    where the gate cond(Z) <= ``_COND_THRESHOLD`` passes, the matrices (void where
+    Z is ill-conditioned) and the condition numbers.  The gate reads Z of the
+    amplitude-normalised scene (alpha_d, alpha_i over |alpha_d|, zeta2 = 1)."""
     z = _curvature(mod)
     u = np.ones((len(z), 5))
     u[:, 3:] = 1.0 / np.where(mod.alpha_d == 0, 1.0, np.abs(mod.alpha_d))[:, None]
@@ -384,12 +330,65 @@ def _sandwich(mod: _Model, search: SearchConfig | None):
     z_unit[:, 3, 3] = 1.0
     cond = np.linalg.cond(z_unit)
     ok = np.isfinite(cond) & (cond <= _COND_THRESHOLD)
-    _informative(mod.e_dot[ok])
     j = np.ones((len(z), 5))   # diagonal of J: (1, 1, 1, 1, I)
     j[:, 4] = np.abs(mod.alpha_d) ** 2 * mod.e_dot
     z_inv = np.linalg.inv(np.where(ok[:, None, None], z, np.eye(5)))  # singular Z raises
     m = (z_inv * j[:, None, :]) @ z_inv / mod.s[:, None, None]
-    return m, _bound_columns(mod, m[:, 4, 4], ok, search), cond
+    return m[:, 4, 4], ok, m, cond
+
+
+def _rows(geom: ArrayGeometry) -> int:
+    """Rows per batch of the bounds and of the Monte-Carlo engine on ``geom``: a
+    whole number of ``_BLOCK``s in which one stacked complex M_r x M_t matrix
+    takes at most ``_MODEL_BYTES`` (or one ``_BLOCK``)."""
+    return max(1, _MODEL_BYTES // (16 * geom.m_r * geom.m_t * _BLOCK)) * _BLOCK
+
+
+def _bounds(reduction, search: SearchConfig | None, geom: ArrayGeometry, *args):
+    """The one bound path: bound columns, then ``reduction``'s extras, of the scene
+    columns ``args`` on ``geom`` (as :func:`mcrb_theta_closed_columns` takes them).  Per
+    block: the model; E_Adot = 0 refused; theta_A searched where alpha_i != 0, theta
+    elsewhere; then ``reduction(model, theta_a) -> (m, valid, *extras)``."""
+    cols = [a.astype(t).ravel() for a, t in zip(np.broadcast_arrays(*args), _DTYPES)]
+    rows, parts = _rows(geom), []
+    for start in range(0, len(cols[0]) or 1, rows):   # no rows: one empty block
+        mod = _build(geom, *(c[start:start + rows] for c in cols))
+        _informative(mod.e_dot)
+        th_a, i = mod.theta.copy(), np.flatnonzero(mod.alpha_i != 0)
+        th_a[i] = _pseudo_true(mod, mod.alpha_d[i], mod.alpha_i[i], search, i)
+        m, valid, *extras = reduction(mod, th_a)
+        b = (mod.theta - th_a) ** 2
+        parts.append((mod.crb, m, th_a, b, m + b, valid, *extras))
+    crb, m, th_a, b, mcrb, valid, *extras = map(np.concatenate, zip(*parts))
+    return (_Columns(crb, m, th_a, b, mcrb, valid), *extras)
+
+
+def mcrb_theta_closed_columns(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k_pulses,
+                              sigma_w2, search: SearchConfig | None = None):
+    """:func:`mcrb_theta_closed` on columns of scenes on ``geom``: the 1-D arrays ``(crb,
+    m, theta_a, bias, mcrb, valid)``, ``valid`` False where degenerate.  The arguments
+    broadcast, scalars to every row; the rows are the broadcast shape in row-major
+    order, evaluated in blocks of :func:`_rows` rows, so memory does not grow with them."""
+    return _bounds(_closed, search, geom, theta, psi, alpha_d, alpha_i, k_pulses,
+                   sigma_w2)[0]
+
+
+def mcrb_theta_closed(scene: MultipathScene,
+                      search: SearchConfig | None = None) -> BoundBreakdown:
+    """Closed-form misspecified bound on the target DOA.
+
+    M component: CRB(theta) * I (|zeta5|^2 + I) / zeta3^2 with
+    I = |alpha_d|^2 E_Adot, which equals CRB at alpha_i = 0.  The bias
+    component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
+    One row of :func:`mcrb_theta_closed_columns`, raising where it is not valid.
+    """
+    cols, (den,), (thr,) = _bounds(_closed, search, scene.geom, *_scene_columns([scene]))
+    if not cols.valid[0]:
+        raise DegenerateBoundError(
+            "near-destructive paths: closed-form denominator below threshold"
+            if den < thr else "closed-form bound is not finite",
+            denominator=float(den), threshold=float(thr))
+    return _breakdowns(cols)[0]
 
 
 def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None):
@@ -402,9 +401,9 @@ def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None):
     scale, the convention on which the (theta, theta) element depends.
     One row of :func:`_sandwich`, raising where it is not valid.
     """
-    m, cols, (cond,) = _sandwich(_model([scene]), search)
+    cols, (m,), (cond,) = _bounds(_sandwich, search, scene.geom, *_scene_columns([scene]))
     if not cols.valid[0]:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {_COND_THRESHOLD:.1e}",
             condition=float(cond))
-    return m[0], _breakdowns(cols)[0]
+    return m, _breakdowns(cols)[0]

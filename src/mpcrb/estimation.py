@@ -60,7 +60,7 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     ``trials`` statistics in order from its own stream, the one that
     ``synthesize_compressed`` starts from the seed (base_seed, i).
     Consecutive scenes are packed into estimator calls of at most
-    ``bounds._rows(geom)`` statistics, the closed form's batch, a scene split
+    ``bounds._rows(geom)`` statistics, the bounds' batch, a scene split
     across calls where needed; their means are built one such batch of scenes
     at a time, so memory grows neither with ``trials`` nor with the sweep.
     Trial t of scene i is the same statistic whatever the packing, and the

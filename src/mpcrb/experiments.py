@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, _direct_indirect, _vectors, beampattern,
                      standard_virtual_ula, virtual_hpbw)
-from .bounds import (SearchConfig, _closed, _crb, _curvature, _default_step,
-                     _model, _projection_derivs, _pseudo_true, _sandwich,
+from .bounds import (SearchConfig, _bounds, _closed, _crb, _curvature, _default_step,
+                     _model, _projection_derivs, _pseudo_true, _sandwich, _scene_columns,
                      mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_columns)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import (GroundScenario, _reflection, indirect_geometry,
@@ -59,9 +59,9 @@ _REQUIRED = object()
 
 
 def _walk(node, schema, path: str = ""):
-    """``node``, refused by dotted path where it holds a key its preset ``schema``
-    lacks (a _REMOVED one by its reason), another kind, a non-object for an object
-    or a value JSON cannot hold.  A geometry takes _GEOMETRY, geometries any name."""
+    """``node``, refused by dotted path where it holds a key its preset ``schema`` lacks
+    (a _REMOVED one by its reason), another kind, a non-object for an object, a
+    non-str key or a non-JSON value.  A geometry takes _GEOMETRY, geometries any name."""
     if isinstance(schema, dict) and not isinstance(node, dict):
         raise ConfigError(f"{path or 'the config'}: expected an object")
     if not isinstance(node, (dict, list, tuple, str, int, float, type(None))):
@@ -69,6 +69,8 @@ def _walk(node, schema, path: str = ""):
     for key, val in (node.items() if isinstance(node, dict) else
                      enumerate(node) if isinstance(node, (list, tuple)) else ()):
         at = f"{path}.{key}" if path else key
+        if isinstance(node, dict) and not isinstance(key, str):
+            raise ConfigError(f"{at}: expected a string key, got {type(key).__name__}")
         sub = (_GEOMETRY if path == "geometries" or at == "geometry" and key in schema
                else schema.get(key, _REQUIRED) if isinstance(schema, dict) else None)
         if sub is _REQUIRED:
@@ -652,11 +654,10 @@ def run_selftest():
 
     hpbw = virtual_hpbw(geom)
     scenes = draw(1000, (-10, 30), 2 * hpbw, np.pi)
-    batch = _model(scenes)
-    closed = _closed(batch, None)[0]
-    m, sandwich, _ = _sandwich(batch, None)
+    closed, sandwich = (_bounds(reduction, None, geom, *_scene_columns(scenes))[0]
+                        for reduction in (_closed, _sandwich))
     both = closed.valid & sandwich.valid
-    devs = np.abs(closed.m[both] - m[both, 4, 4]) / np.abs(m[both, 4, 4])
+    devs = np.abs(closed.m[both] - sandwich.m[both]) / np.abs(sandwich.m[both])
     lines.append(
         "INFO closed-form-vs-sandwich: max rel dev = %.3e, median = %.3e "
         "over %d scenes (%d degenerate/ill-conditioned skipped); the closed "
@@ -690,7 +691,7 @@ def run_selftest():
     ok &= _check(lines, "synthesis-determinism", bool(np.array_equal(y1, y2)),
                  "same seed gives identical noise")
 
-    cd = _curvature(batch)
+    cd = _curvature(mod)
     ok &= _check(lines, "curvature-matrix-symmetry",
                  bool(np.array_equal(cd, cd.transpose(0, 2, 1))), "C_D is symmetric")
 

@@ -14,10 +14,10 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
                    SingularInformationError, compressed_mean, crb_theta,
                    mcrb_sandwich, mcrb_theta_closed, scene_from_ratios,
-                   standard_virtual_ula, theta_a)
+                   standard_virtual_ula, theta_a, virtual_hpbw)
 from mpcrb import bounds, experiments
-from mpcrb.bounds import (_breakdowns, _curvature, _informative, _model,
-                          _pseudo_true, _sandwich, mcrb_theta_closed_columns)
+from mpcrb.bounds import (_bounds, _breakdowns, _closed, _curvature, _informative,
+                          _model, _pseudo_true, _sandwich, mcrb_theta_closed_columns)
 from mpcrb.cli import load_preset
 from mpcrb.experiments import run_fig5, run_scenario
 
@@ -67,6 +67,10 @@ def test_fim_rejects_singular_information():
         fim(sc, 1.0, 1.0)
     with pytest.raises(SingularInformationError):
         crb_theta(sc)
+    # refused before the search; its coarse grid once raised "beamwidth undefined"
+    for bound in (mcrb_theta_closed, mcrb_sandwich):
+        with pytest.raises(SingularInformationError):
+            bound(sc)
 
 
 def test_crb_unit_and_scaling():
@@ -317,6 +321,11 @@ def test_mcrb_closed_degenerate_denominator():
     with pytest.raises(DegenerateBoundError) as err:
         mcrb_theta_closed(sc)
     assert err.value.denominator < err.value.threshold
+    # theta_A is searched before the reduction, so a target outside the span is
+    # refused first, even on a degenerate row
+    outside = scene_from_ratios(GEOM, 1.2, 1.2, 10.0, 0.0, 2.0 * math.pi / 3.0)
+    with pytest.raises(ValueError, match="search span must contain the true theta"):
+        mcrb_theta_closed(outside)
 
 
 def test_mcrb_phase_rotation_invariance():
@@ -477,7 +486,7 @@ def test_closed_many_rejects_mixed_geometries_and_takes_empty():
     # the scene-list gather refuses mixed geometries; empty columns give empty columns
     other = scene_from_ratios(standard_virtual_ula(3, 8), 0.0, 0.1, 10.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="geometry"):
-        _sandwich(_model([fig2_scene(), other]), None)
+        _model([fig2_scene(), other])
     cols = mcrb_theta_closed_columns(GEOM, *[[]] * 7)
     assert [c.shape for c in cols] == [(0,)] * len(cols)
 
@@ -647,12 +656,12 @@ def test_curvature_equals_legacy_layout_bitwise():
 def test_sandwich_batch_matches_legacy_scalar_sandwich(monkeypatch):
     counts = {"scenes": 0, "ill": 0}
     for i, scenes in enumerate(_legacy_batches()):
-        mod = _model(scenes)
         cond_threshold = 1e12
         if i == 2:      # half the batch ill-conditioned
-            cond_threshold = float(np.median(_sandwich(mod, None)[2]))
+            mod = _model(scenes)
+            cond_threshold = float(np.median(_sandwich(mod, mod.theta)[3]))
         monkeypatch.setattr(bounds, "_COND_THRESHOLD", cond_threshold)
-        ms, cols, _ = _sandwich(mod, None)
+        cols, ms, _ = _bounds(_sandwich, None, scenes[0].geom, *_scene_columns(scenes))
         for sc, m, bb in zip(scenes, ms, _breakdowns(cols)):
             try:
                 want_m, want = _legacy_sandwich(sc, None, cond_threshold)
@@ -682,17 +691,107 @@ def test_sandwich_gate_free_of_amplitude_unit():
                               float(rng.uniform(-math.pi, math.pi)),
                               int(rng.integers(1, 9)))
             for _ in range(200)]
-    want = _breakdowns(_sandwich(_model(base), None)[1])
-    assert all(bb is not None for bb in want)
+    mod = _model(base)
+    want, ok = _sandwich(mod, mod.theta)[:2]
+    assert ok.all()
     for amp in (1e-8, 1e5, 1e6, 1e10):
         scaled = [MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                                  alpha_d=amp * sc.alpha_d, alpha_i=amp * sc.alpha_i,
                                  sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses)
                   for sc in base]
-        got = _breakdowns(_sandwich(_model(scaled), None)[1])
-        assert all(bb is not None for bb in got)
-        for g, w in zip(got, want):
-            assert g.m_theta_theta == pytest.approx(w.m_theta_theta, rel=1e-12)
+        mod = _model(scaled)
+        got, ok = _sandwich(mod, mod.theta)[:2]
+        assert ok.all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the reductions on their own, and the one bound core under metamorphic moves
+
+def _scalar_sandwich(mod):
+    """(|zeta5|^2 + I) / (s (zeta3 - |zeta5|^2)^2), I = |alpha_d|^2 E_Adot: the
+    sandwich's (theta, theta) element wherever Im(conj(zeta4) zeta5) = 0."""
+    info, z5 = np.abs(mod.alpha_d) ** 2 * mod.e_dot, np.abs(mod.zeta5) ** 2
+    return (z5 + info) / (mod.s * (mod.zeta3 - z5) ** 2)
+
+
+def _sandwich_m(geom, theta, seed):
+    """The sandwich reduction's M and valid on 100 criterion-04-like scenes at
+    ``theta``, and their model."""
+    rng, hpbw = np.random.default_rng(seed), virtual_hpbw(geom)
+    mod = _model([scene_from_ratios(geom, theta, theta - float(rng.uniform(-2, 2)) * hpbw,
+                                    float(rng.uniform(-5, 25)), float(rng.uniform(-10, 30)),
+                                    float(rng.uniform(-math.pi, math.pi)),
+                                    int(rng.integers(1, 9)))
+                  for _ in range(100)])
+    return (*_sandwich(mod, mod.theta)[:2], mod)
+
+
+@pytest.mark.parametrize("m_t, m_r", [(3, 4), (3, 8), (2, 5)])
+@pytest.mark.parametrize("theta_deg", [0.0, 20.0])
+def test_sandwich_is_scalar_on_arrays_symmetric_about_their_centre(m_t, m_r,
+                                                                   theta_deg):
+    m, ok, mod = _sandwich_m(standard_virtual_ula(m_t, m_r), math.radians(theta_deg),
+                             11 * m_t + m_r)
+    assert ok.all()
+    np.testing.assert_allclose(m, _scalar_sandwich(mod), rtol=1e-10, atol=0.0)
+
+
+def test_sandwich_is_not_scalar_on_an_irregular_array():
+    # zeta4 feeds the (theta, theta) element through Im(conj(zeta4) zeta5)
+    geom = ArrayGeometry(tx_positions=[-1.3, 0.1, 1.9],
+                         rx_positions=[-1.1, 0.2, 0.5, 2.2, 2.9])
+    for theta_deg in (0.0, 20.0):
+        m, ok, mod = _sandwich_m(geom, math.radians(theta_deg), 35)
+        assert np.abs(_scalar_sandwich(mod)[ok] / m[ok] - 1.0).max() > 0.1
+
+
+def _both_routes(mod, theta_a):
+    """A reduction with the closed form's M and valid, then as extras the
+    sandwich's and the condition numbers of its curvature matrices."""
+    return (*_closed(mod, theta_a)[:2], *_sandwich(mod, theta_a)[:2],
+            np.linalg.cond(_curvature(mod)))
+
+
+def _metamorphic_columns():
+    """40 random geometries, each with 50 rows of scene columns, the first 5
+    degenerate for both routes (coherent, SMR 0 dB, phase 2 pi/3)."""
+    rng = np.random.default_rng(5150)
+    for _ in range(40):
+        geom = ArrayGeometry(tx_positions=rng.uniform(-4, 4, int(rng.integers(1, 5))),
+                             rx_positions=rng.uniform(-3, 3, int(rng.integers(2, 9))))
+        theta = rng.uniform(-0.5, 0.5, 50)
+        psi = theta - rng.uniform(-2, 2, 50) * virtual_hpbw(geom)
+        alpha_d = 10 ** (rng.uniform(-5, 25, 50) / 20) * np.exp(1j * rng.uniform(-3, 3, 50))
+        alpha_i = alpha_d * 10 ** (-rng.uniform(-10, 30, 50) / 20) * np.exp(
+            -1j * rng.uniform(-math.pi, math.pi, 50))
+        psi[:5], alpha_i[:5] = theta[:5], alpha_d[:5] * np.exp(-2j * math.pi / 3)
+        yield geom, (theta, np.clip(psi, -1.5, 1.5), alpha_d, alpha_i,
+                     rng.integers(1, 9, 50), rng.uniform(0.1, 10.0, 50))
+
+
+@pytest.mark.parametrize("move", ["swap tx and rx", "scale K and sigma_w2"])
+def test_core_is_invariant_under_metamorphic_moves(move):
+    # valid identical on both routes; the closed form's crb, m and mcrb within
+    # 1e-12, the sandwich's M within the inverse's own rounding, 16 eps cond(Z)
+    # where that exceeds 1e-12 (|zeta4| near 1 makes Z nearly singular)
+    invalid = 0
+    for geom, cols in _metamorphic_columns():
+        want, want_m, want_ok, cond = _bounds(_both_routes, None, geom, *cols)
+        if move == "swap tx and rx":
+            geom = ArrayGeometry(tx_positions=geom.rx_positions,
+                                 rx_positions=geom.tx_positions)
+        else:
+            cols = (*cols[:4], 3 * cols[4], 3.0 * cols[5])
+        got, got_m, got_ok, _ = _bounds(_both_routes, None, geom, *cols)
+        assert np.array_equal(got.valid, want.valid) and np.array_equal(got_ok, want_ok)
+        for field in ("crb", "m", "mcrb"):
+            g, w = getattr(got, field)[want.valid], getattr(want, field)[want.valid]
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+        rtol = np.maximum(1e-12, 16 * np.finfo(float).eps * cond[want_ok])
+        assert (np.abs(got_m - want_m)[want_ok] <= rtol * want_m[want_ok]).all()
+        invalid += np.count_nonzero(~want.valid) + np.count_nonzero(~want_ok)
+    assert invalid >= 2 * 5 * 40
 
 
 # ---------------------------------------------------------------------------

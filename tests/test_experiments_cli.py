@@ -1023,6 +1023,28 @@ def test_a_value_json_cannot_hold_inside_a_list_is_refused_by_its_key(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, value, match", [
+    ("seed", {1: 2, "a": 3}, r"^seed\.1: expected a string key, got int$"),
+    ("seed", {"a": [{(1,): 0}]}, r"^seed\.a\.0\.\(1,\): expected a string key, "
+                                 r"got tuple$"),
+    ("search", {"span_deg": 60.0, True: 1}, r"^search\.True: expected a string key, "
+                                            r"got bool$"),
+    (2.5, 0, r"^2\.5: expected a string key, got float$")])
+def test_a_non_string_key_is_refused_by_its_path(tmp_path, monkeypatch, where,
+                                                 value, match):
+    # seed = {1: 2, "a": 3} computed the bound, then json.dumps(..., sort_keys=True)
+    # raised a bare TypeError from _write_outputs
+    def no_bounds(*args, **kwargs):
+        raise AssertionError("a bound was computed before the config was checked")
+
+    monkeypatch.setattr(ex, "mcrb_theta_closed", no_bounds)
+    cfg = load_preset("bounds")
+    cfg[where] = value
+    with pytest.raises(ConfigError, match=match):
+        run_bounds(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_hashes_the_written_bytes(tmp_path):
     cfg = load_preset("fig3")
     cfg["sweep"] = {"delta_theta_deg": {"start": 0.0, "stop": 2.0, "step": 1.0}}
