@@ -113,23 +113,15 @@ def _build(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k, sigma_w2) -> _M
                   alpha_i * t0, alpha_i * t1)   # zeta4: slow-time scale folded to 1
 
 
-def _one_geometry(scenes: Sequence[MultipathScene]) -> ArrayGeometry:
-    """The one geometry, by value, of a batch or sweep of scenes; ValueError if mixed."""
+def _scene_columns(scenes: Sequence[MultipathScene]) -> tuple:
+    """:func:`_build`'s arguments from a batch or sweep of scenes: their one geometry, by
+    value (ValueError if mixed), then the columns theta, psi, alpha_d, alpha_i, K,
+    sigma_w2 (``_DTYPES``)."""
     if len({sc.geom for sc in scenes}) > 1:
         raise ValueError("all scenes of a batch must share one array geometry")
-    return scenes[0].geom
-
-
-def _scene_columns(scenes: Sequence[MultipathScene]) -> tuple:
-    """The columns theta, psi, alpha_d, alpha_i, K, sigma_w2 (``_DTYPES``) of scenes."""
-    return tuple(map(np.asarray, zip(*[
+    return (scenes[0].geom, *map(np.asarray, zip(*[
         (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.sigma_w2)
         for sc in scenes]), _DTYPES))
-
-
-def _model(scenes: Sequence[MultipathScene]) -> _Model:
-    """:func:`_build` on the columns gathered from scenes on one geometry."""
-    return _build(_one_geometry(scenes), *_scene_columns(scenes))
 
 
 def _informative(e_dot):
@@ -281,7 +273,8 @@ def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     """Pseudo-true DOA: argmax of the projection of the true compressed mean
     onto the assumed (direct-only) steering matrix, amplitude concentrated,
     by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta."""
-    return float(_pseudo_true(_model([scene]), scene.alpha_d, scene.alpha_i, search)[0])
+    mod = _build(*_scene_columns([scene]))
+    return float(_pseudo_true(mod, scene.alpha_d, scene.alpha_i, search)[0])
 
 
 def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:
@@ -382,7 +375,7 @@ def mcrb_theta_closed(scene: MultipathScene,
     component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
     One row of :func:`mcrb_theta_closed_columns`, raising where it is not valid.
     """
-    cols, (den,), (thr,) = _bounds(_closed, search, scene.geom, *_scene_columns([scene]))
+    cols, (den,), (thr,) = _bounds(_closed, search, *_scene_columns([scene]))
     if not cols.valid[0]:
         raise DegenerateBoundError(
             "near-destructive paths: closed-form denominator below threshold"
@@ -401,7 +394,7 @@ def mcrb_sandwich(scene: MultipathScene, search: SearchConfig | None = None):
     scale, the convention on which the (theta, theta) element depends.
     One row of :func:`_sandwich`, raising where it is not valid.
     """
-    cols, (m,), (cond,) = _bounds(_sandwich, search, scene.geom, *_scene_columns([scene]))
+    cols, (m,), (cond,) = _bounds(_sandwich, search, *_scene_columns([scene]))
     if not cols.valid[0]:
         raise ConditioningError(
             f"curvature matrix condition {cond:.3e} exceeds {_COND_THRESHOLD:.1e}",

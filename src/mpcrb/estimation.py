@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _one_geometry, _rows
+from .bounds import SearchConfig, _argmax_projection, _rows, _scene_columns
 from .scene import MultipathScene, _means, _statistics, _stream
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
@@ -71,7 +71,7 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
         raise ValueError("trials must be at least 1")
     if not scene_sweep:
         return RmseCurve((), (), trials, base_seed)
-    geom = _one_geometry(scene_sweep)
+    geom = _scene_columns(scene_sweep)[0]
     n = min(_rows(geom), trials * len(scene_sweep))
     buf = np.empty((n, geom.m_r, geom.m_t), dtype=complex)
     results, est, fill = [], np.empty(0), 0   # est: estimates not yet reduced

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, _direct_indirect, _vectors, beampattern,
                      standard_virtual_ula, virtual_hpbw)
-from .bounds import (SearchConfig, _bounds, _closed, _crb, _curvature, _default_step,
-                     _model, _projection_derivs, _pseudo_true, _sandwich, _scene_columns,
+from .bounds import (SearchConfig, _bounds, _build, _closed, _crb, _curvature, _default_step,
+                     _projection_derivs, _pseudo_true, _sandwich, _scene_columns,
                      mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_columns)
 from .estimation import MML_SEARCH, monte_carlo_rmse
 from .ground import (GroundScenario, _reflection, indirect_geometry,
@@ -652,12 +652,14 @@ def run_selftest():
                  for _ in range(n)]
         return [scene_from_ratios(geom, 0.0, -d, 10.0, s, p) for s, d, p in draws]
 
+    def routes(mod, th_a):   # one theta_A search: both routes and the curvature stack
+        return (*_closed(mod, th_a)[:2], *_sandwich(mod, th_a)[:2], _curvature(mod))
+
     hpbw = virtual_hpbw(geom)
     scenes = draw(1000, (-10, 30), 2 * hpbw, np.pi)
-    closed, sandwich = (_bounds(reduction, None, geom, *_scene_columns(scenes))[0]
-                        for reduction in (_closed, _sandwich))
-    both = closed.valid & sandwich.valid
-    devs = np.abs(closed.m[both] - sandwich.m[both]) / np.abs(sandwich.m[both])
+    closed, sandwich, sandwich_ok, cd = _bounds(routes, None, *_scene_columns(scenes))
+    both = closed.valid & sandwich_ok
+    devs = np.abs(closed.m[both] - sandwich[both]) / np.abs(sandwich[both])
     lines.append(
         "INFO closed-form-vs-sandwich: max rel dev = %.3e, median = %.3e "
         "over %d scenes (%d degenerate/ill-conditioned skipped); the closed "
@@ -665,7 +667,7 @@ def run_selftest():
         "only where tr(dA_d^H A_i) -> 0" % (devs.max(), np.median(devs),
                                             devs.size, len(scenes) - devs.size))
 
-    mod = _model(draw(50, (-6, 20), hpbw, 2.0))
+    mod = _build(*_scene_columns(draw(50, (-6, 20), hpbw, 2.0)))
     ad, ai = mod.alpha_d, mod.alpha_i      # paper form undefined where ad + ai ~ 0
     rows = np.flatnonzero(np.abs(ad + ai) >= 1e-12 * (np.abs(ad) + np.abs(ai)))
     gaps = np.abs(_pseudo_true(mod, ad[rows], ai[rows], None, rows)
@@ -691,7 +693,6 @@ def run_selftest():
     ok &= _check(lines, "synthesis-determinism", bool(np.array_equal(y1, y2)),
                  "same seed gives identical noise")
 
-    cd = _curvature(mod)
     ok &= _check(lines, "curvature-matrix-symmetry",
                  bool(np.array_equal(cd, cd.transpose(0, 2, 1))), "C_D is symmetric")
 

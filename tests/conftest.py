@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mpcrb import MultipathScene, SearchConfig, wrap_phase
-from mpcrb.bounds import _informative, _model, _pseudo_true
+from mpcrb.bounds import _build, _informative, _pseudo_true, _scene_columns
 
 
 def raw_steering(positions, theta):
@@ -116,7 +116,7 @@ def theta_a_paper_form(scene: MultipathScene,
     if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
         raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
                          "alpha_d + alpha_i ~ 0")
-    return float(_pseudo_true(_model([scene]), 1.0, ai / denom, search)[0])
+    return float(_pseudo_true(_build(*_scene_columns([scene])), 1.0, ai / denom, search)[0])
 
 
 @dataclass(frozen=True)

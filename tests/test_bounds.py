@@ -16,8 +16,9 @@ from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    mcrb_sandwich, mcrb_theta_closed, scene_from_ratios,
                    standard_virtual_ula, theta_a, virtual_hpbw)
 from mpcrb import bounds, experiments
-from mpcrb.bounds import (_bounds, _breakdowns, _closed, _curvature, _informative,
-                          _model, _pseudo_true, _sandwich, mcrb_theta_closed_columns)
+from mpcrb.bounds import (_bounds, _breakdowns, _build, _closed, _curvature, _informative,
+                          _pseudo_true, _sandwich, _scene_columns,
+                          mcrb_theta_closed_columns)
 from mpcrb.cli import load_preset
 from mpcrb.experiments import run_fig5, run_scenario
 
@@ -114,7 +115,7 @@ def test_zeta_multipath_free():
     sc = MultipathScene(geom=GEOM, theta=sc.theta, psi=sc.psi,
                         alpha_d=2.0 + 0j, alpha_i=0.0 + 0j,
                         sigma_w2=sc.sigma_w2)
-    z = _model([sc])
+    z = _build(*_scene_columns([sc]))
     e = raw_e_adot(GEOM, 0.0)
     assert z.zeta4 == 0 and z.zeta5 == 0
     assert z.zeta3 == pytest.approx(4.0 * e, rel=1e-12)
@@ -122,7 +123,7 @@ def test_zeta_multipath_free():
 
 def test_zeta_coherent_triples_curvature():
     sc = scene_from_ratios(GEOM, 0.0, 0.0, 10.0, 0.0, 0.0)
-    z = _model([sc])
+    z = _build(*_scene_columns([sc]))
     e = raw_e_adot(GEOM, 0.0)
     assert z.zeta3 == pytest.approx(3.0 * e, rel=1e-12)
 
@@ -132,7 +133,7 @@ def test_zeta5_against_raw_trace_oracle():
     alpha_i = 0.7 * cmath.exp(0.9j)
     sc = MultipathScene(geom=GEOM, theta=theta, psi=psi, alpha_d=1.2 + 0.4j,
                         alpha_i=alpha_i, sigma_w2=0.3)
-    z = _model([sc])
+    z = _build(*_scene_columns([sc]))
     # independent trace built from raw steering vectors and explicit sums
     h = 1e-7
     ar = raw_steering(GEOM.rx_positions, theta)
@@ -201,7 +202,7 @@ def test_cd_matrix_against_finite_difference_curvature():
     sc = scene_from_ratios(GEOM, theta, psi, 10.0, 3.0, 0.8, 2)
     k, sig2 = sc.k_pulses, sc.sigma_w2
     scale = 2.0 * k / sig2
-    cd = scale * _curvature(_model([sc]))[0]
+    cd = scale * _curvature(_build(*_scene_columns([sc])))[0]
 
     _, a_i = raw_mimo(GEOM, theta, psi)
     res = k * sc.alpha_i * a_i.ravel()
@@ -418,17 +419,10 @@ def _mixed_scenes():
     return scenes
 
 
-def _scene_columns(scenes):
-    return [np.array([getattr(sc, name) for sc in scenes])
-            for name in ("theta", "psi", "alpha_d", "alpha_i", "k_pulses",
-                         "sigma_w2")]
-
-
 def _closed_rows(scenes):
     """The closed-form columns of the scenes' gathered columns, one breakdown
     per scene (None where not valid)."""
-    return _breakdowns(mcrb_theta_closed_columns(scenes[0].geom,
-                                                 *_scene_columns(scenes)))
+    return _breakdowns(mcrb_theta_closed_columns(*_scene_columns(scenes)))
 
 
 def _scalar_or_none(scene):
@@ -480,13 +474,18 @@ def test_closed_many_out_of_span_theta_raises():
         mcrb_theta_closed(outside)
     with pytest.raises(ValueError, match="span"):
         _closed_rows(_mixed_scenes() + [outside])
+    # theta_A is searched before the reduction, so a degenerate row outside the span
+    # raises too, where it came back not valid
+    degenerate = scene_from_ratios(GEOM, 1.2, 1.2, 10.0, 0.0, 2.0 * math.pi / 3.0)
+    with pytest.raises(ValueError, match="search span must contain the true theta"):
+        _closed_rows([fig2_scene(), degenerate])
 
 
 def test_closed_many_rejects_mixed_geometries_and_takes_empty():
     # the scene-list gather refuses mixed geometries; empty columns give empty columns
     other = scene_from_ratios(standard_virtual_ula(3, 8), 0.0, 0.1, 10.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="geometry"):
-        _model([fig2_scene(), other])
+        _scene_columns([fig2_scene(), other])
     cols = mcrb_theta_closed_columns(GEOM, *[[]] * 7)
     assert [c.shape for c in cols] == [(0,)] * len(cols)
 
@@ -615,7 +614,7 @@ def _legacy_sandwich(scene, search=None, cond_threshold=1e12):
     """The sandwich as it was written one scene at a time, before it became
     a batch of one, with its zeta helper and the 5x5 layout inlined (zeta1
     and zeta2 folded to 1); kept as an oracle."""
-    model = _model([scene])
+    model = _build(*_scene_columns([scene]))
     z1 = z2 = 1.0
     z = _legacy_curvature(model, z1, z2)
     cond = float(np.linalg.cond(z))
@@ -648,8 +647,8 @@ def _legacy_batches():
 
 def test_curvature_equals_legacy_layout_bitwise():
     for scenes in _legacy_batches():
-        want = np.array([_legacy_curvature(_model([sc])) for sc in scenes])
-        got = _curvature(_model(scenes))
+        want = np.array([_legacy_curvature(_build(*_scene_columns([sc]))) for sc in scenes])
+        got = _curvature(_build(*_scene_columns(scenes)))
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -658,10 +657,10 @@ def test_sandwich_batch_matches_legacy_scalar_sandwich(monkeypatch):
     for i, scenes in enumerate(_legacy_batches()):
         cond_threshold = 1e12
         if i == 2:      # half the batch ill-conditioned
-            mod = _model(scenes)
+            mod = _build(*_scene_columns(scenes))
             cond_threshold = float(np.median(_sandwich(mod, mod.theta)[3]))
         monkeypatch.setattr(bounds, "_COND_THRESHOLD", cond_threshold)
-        cols, ms, _ = _bounds(_sandwich, None, scenes[0].geom, *_scene_columns(scenes))
+        cols, ms, _ = _bounds(_sandwich, None, *_scene_columns(scenes))
         for sc, m, bb in zip(scenes, ms, _breakdowns(cols)):
             try:
                 want_m, want = _legacy_sandwich(sc, None, cond_threshold)
@@ -691,7 +690,7 @@ def test_sandwich_gate_free_of_amplitude_unit():
                               float(rng.uniform(-math.pi, math.pi)),
                               int(rng.integers(1, 9)))
             for _ in range(200)]
-    mod = _model(base)
+    mod = _build(*_scene_columns(base))
     want, ok = _sandwich(mod, mod.theta)[:2]
     assert ok.all()
     for amp in (1e-8, 1e5, 1e6, 1e10):
@@ -699,7 +698,7 @@ def test_sandwich_gate_free_of_amplitude_unit():
                                  alpha_d=amp * sc.alpha_d, alpha_i=amp * sc.alpha_i,
                                  sigma_w2=amp ** 2 * sc.sigma_w2, k_pulses=sc.k_pulses)
                   for sc in base]
-        mod = _model(scaled)
+        mod = _build(*_scene_columns(scaled))
         got, ok = _sandwich(mod, mod.theta)[:2]
         assert ok.all()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -719,11 +718,11 @@ def _sandwich_m(geom, theta, seed):
     """The sandwich reduction's M and valid on 100 criterion-04-like scenes at
     ``theta``, and their model."""
     rng, hpbw = np.random.default_rng(seed), virtual_hpbw(geom)
-    mod = _model([scene_from_ratios(geom, theta, theta - float(rng.uniform(-2, 2)) * hpbw,
-                                    float(rng.uniform(-5, 25)), float(rng.uniform(-10, 30)),
-                                    float(rng.uniform(-math.pi, math.pi)),
-                                    int(rng.integers(1, 9)))
-                  for _ in range(100)])
+    mod = _build(*_scene_columns([
+        scene_from_ratios(geom, theta, theta - float(rng.uniform(-2, 2)) * hpbw,
+                          float(rng.uniform(-5, 25)), float(rng.uniform(-10, 30)),
+                          float(rng.uniform(-math.pi, math.pi)), int(rng.integers(1, 9)))
+        for _ in range(100)]))
     return (*_sandwich(mod, mod.theta)[:2], mod)
 
 
@@ -802,7 +801,7 @@ def test_core_is_invariant_under_metamorphic_moves(move):
                         rx_positions=[-1.1, -0.4, 0.35, 1.6, 2.2])])
 def test_closed_columns_equal_scalar_calls_bitwise(geom):
     scenes = _oracle_scenes(geom, np.random.default_rng(717), 240)
-    cols = mcrb_theta_closed_columns(geom, *_scene_columns(scenes))
+    cols = mcrb_theta_closed_columns(*_scene_columns(scenes))
     many = [_scalar_or_none(sc) for sc in scenes]
     assert cols.valid.tolist() == [bb is not None for bb in many]
     # mixed K and sigma_w2, multipath-free and degenerate rows
@@ -815,7 +814,7 @@ def test_closed_columns_equal_scalar_calls_bitwise(geom):
                                        cols.bias[t], cols.mcrb[t])
     free = np.array([sc.alpha_i == 0 for sc in scenes])
     assert np.array_equal(cols.theta_a[free], [sc.theta for sc in scenes if sc.alpha_i == 0])
-    assert np.array_equal(cols.crb, _model(scenes).crb)
+    assert np.array_equal(cols.crb, _build(*_scene_columns(scenes)).crb)
 
 
 def test_closed_columns_broadcast_every_argument():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mpcrb import beampattern, scene_from_ratios, standard_virtual_ula, virtual_hpbw
-from mpcrb.bounds import _closed, _model, _sandwich
+from mpcrb.bounds import _build, _closed, _sandwich, _scene_columns
 from mpcrb.cli import load_preset
 import mpcrb.experiments as ex
 
@@ -35,7 +35,7 @@ def _criterion_04_model():
         dth = float(rng.uniform(-2 * hpbw, 2 * hpbw))
         dphi = float(rng.uniform(-math.pi, math.pi))
         scenes.append(scene_from_ratios(geom, 0.0, -dth, 10.0, smr_db, dphi))
-    return _model(scenes)
+    return _build(*_scene_columns(scenes))
 
 
 def _closed_vs_sandwich(mod):

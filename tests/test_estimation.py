@@ -292,13 +292,13 @@ def test_mixed_geometry_sweep_is_refused_like_a_bound_batch():
     # batch and in a sweep
     same = scene_from_ratios(standard_virtual_ula(3, 4), 0.0, 0.01, 5.0, 3.0, 0.4)
     assert same.geom is not GEOM and same.geom == GEOM
-    assert bounds._model([fig2_scene(), same]).geom is GEOM
+    assert bounds._scene_columns([fig2_scene(), same])[0] is GEOM
     assert monte_carlo_rmse([fig2_scene(), same], None, 2, 1).trials == 2
     assert monte_carlo_rmse([same, fig2_scene()], None, 2, 1).trials == 2
     mixed = [fig2_scene(), scene_from_ratios(standard_virtual_ula(3, 8), 0.0,
                                              0.01, 5.0, 3.0, 0.4)]
     with pytest.raises(ValueError) as batch:
-        bounds._model(mixed)
+        bounds._scene_columns(mixed)
     with pytest.raises(ValueError) as sweep:
         monte_carlo_rmse(mixed, None, 2, 1)
     assert str(sweep.value) == str(batch.value) == (
