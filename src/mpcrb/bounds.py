@@ -272,9 +272,9 @@ def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
 def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
     """Pseudo-true DOA: argmax of the projection of the true compressed mean
     onto the assumed (direct-only) steering matrix, amplitude concentrated,
-    by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta."""
-    mod = _build(*_scene_columns([scene]))
-    return float(_pseudo_true(mod, scene.alpha_d, scene.alpha_i, search)[0])
+    by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta.
+    One row of the core (:func:`_bounds`): theta itself where alpha_i = 0."""
+    return float(_bounds(_closed, search, *_scene_columns([scene]))[0].theta_a[0])
 
 
 def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:

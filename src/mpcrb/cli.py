@@ -111,7 +111,3 @@ def main(argv=None) -> int:
     for key, path in result.items():
         print(f"{key}: {path}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -55,14 +55,14 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
                      base_seed: int) -> RmseCurve:
     """RMSE and mean bias of the misspecified estimator per swept scene.
 
-    Every scene of a sweep is on one geometry; a mixed sweep is refused
-    with the same ValueError as a mixed bound batch.  Scene ``i`` draws its
+    The sweep becomes scene columns once, by ``bounds._scene_columns``, which
+    refuses mixed geometries as for a bound batch.  Scene ``i`` draws its
     ``trials`` statistics in order from its own stream, the one that
     ``synthesize_compressed`` starts from the seed (base_seed, i).
     Consecutive scenes are packed into estimator calls of at most
     ``bounds._rows(geom)`` statistics, the bounds' batch, a scene split
-    across calls where needed; their means are built one such batch of scenes
-    at a time, so memory grows neither with ``trials`` nor with the sweep.
+    across calls where needed; their means are built from the column slices of
+    one such batch at a time, so memory grows neither with ``trials`` nor with the sweep.
     Trial t of scene i is the same statistic whatever the packing, and the
     reduction uses exact compensated summation, so the curve does not depend
     on the batch size and ``trials`` = n is a prefix of any larger count.
@@ -71,22 +71,23 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
         raise ValueError("trials must be at least 1")
     if not scene_sweep:
         return RmseCurve((), (), trials, base_seed)
-    geom = _scene_columns(scene_sweep)[0]
-    n = min(_rows(geom), trials * len(scene_sweep))
+    geom, *cols, sigma_w2 = _scene_columns(scene_sweep)   # theta, psi, alpha_d, alpha_i, K
+    theta, var = cols[0], cols[4] * sigma_w2
+    n = min(_rows(geom), trials * len(theta))
     buf = np.empty((n, geom.m_r, geom.m_t), dtype=complex)
     results, est, fill = [], np.empty(0), 0   # est: estimates not yet reduced
-    for idx, scene in enumerate(scene_sweep):
+    for idx in range(len(theta)):
         if idx % n == 0:
-            means = _means(geom, scene_sweep[idx:idx + n])
+            means = _means(geom, *(c[idx:idx + n] for c in cols))
         rng, left = _stream((base_seed, idx)), trials
         while left:
             take = min(left, n - fill)
-            _statistics(rng, scene, means[idx % n], take, out=buf[fill:fill + take])
+            _statistics(rng, var[idx], means[idx % n], take, out=buf[fill:fill + take])
             fill, left = fill + take, left - take
-            if fill == n or (not left and idx == len(scene_sweep) - 1):
+            if fill == n or (not left and idx == len(theta) - 1):
                 y, fill = buf[:fill], 0
                 est = np.concatenate((est, _argmax_projection(y, geom, cfg or MML_SEARCH)))
                 while len(est) >= trials:   # the next scene's estimates are all in
-                    results.append(_reduce(est[:trials] - scene_sweep[len(results)].theta))
+                    results.append(_reduce(est[:trials] - theta[len(results)]))
                     est = est[trials:]
     return RmseCurve(*zip(*results), trials=trials, base_seed=base_seed)

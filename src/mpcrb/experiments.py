@@ -6,7 +6,7 @@ output, RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
 versions, and optionally a standalone SVG.  Angles are degrees in all human-facing
 columns and radians internally; degenerate bound points are empty cells.  Every
 runner accepts a ``workers`` keyword and ignores it: all work runs in one thread.
-Only the benchmark passes it (as 1); the command line has no ``--workers``.
+The benchmark and the rerun tests pass it; the command line has no ``--workers``.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ def scene_from_config(cfg: dict, geom: ArrayGeometry, snr_db: float | None = Non
 
 
 def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
-    """Closed-form bound columns over a row-major grid of scenes.  ``axes`` maps
-    scene_from_config keywords (psi_rad, snr_db, smr_db, dphi) to values that
+    """Closed-form bound columns of fig3 to fig5 over a row-major grid of scenes at the
+    scene block's SNR.  ``axes`` maps keywords (psi_rad, smr_db, dphi) to values that
     broadcast, outer axis first.  The scene block is parsed and checked once, at
     the first values; each value then takes scene_from_ratios' expression once."""
     base, args = _parse_scene(cfg, geom, **{
@@ -291,10 +291,8 @@ def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
 
     alpha_i = (swept("smr_db", lambda smr: 10.0 ** (-smr / 20.0))
                * swept("dphi", lambda dphi: cmath.exp(-1j * dphi)))
-    sigma_w2 = swept("snr_db", lambda snr: _pow10(-snr / 10.0, "sweep.snr_db", snr,
-                                                  zero_ok=False))
     return mcrb_theta_closed_columns(geom, base.theta, axes.get("psi_rad", base.psi),
-                                     base.alpha_d, alpha_i, base.k_pulses, sigma_w2,
+                                     base.alpha_d, alpha_i, base.k_pulses, base.sigma_w2,
                                      search=search)
 
 
@@ -391,21 +389,22 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
 # figure recipes
 
 def _mc_sweep(config: dict, name: str):
-    """The Monte-Carlo SNR sweep's geometry, estimator, trials, seed, SNR axis and one
-    scene per SNR, in that order: trials is checked before any scene."""
+    """The Monte-Carlo SNR sweep's estimator, trials, seed, SNR axis and one scene per
+    SNR, in that order (trials is checked before any scene): the one scene list that
+    fig2's bound and both its estimators read."""
     geom = geometry_from_config(_walk(config, _PRESETS[name]))
     est = _search_and_target(config, parse=estimator_from_config)[0]
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
     snrs = _grids(config, "sweep.snr_db")[0]
-    return (geom, est, trials, seed, snrs,
-            [scene_from_config(config, geom, snr_db=s) for s in snrs])
+    return est, trials, seed, snrs, [scene_from_config(config, geom, snr_db=s) for s in snrs]
 
 
 def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
-    geom, est, trials, seed, snrs, scenes = _mc_sweep(config, "fig2")
-    cols = _sweep_bounds(config, geom, search_from_config(config), snr_db=snrs)
+    est, trials, seed, snrs, scenes = _mc_sweep(config, "fig2")
+    cols = mcrb_theta_closed_columns(*_scene_columns(scenes),
+                                     search=search_from_config(config))
     mml = monte_carlo_rmse(scenes, est, trials, seed)
     ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
                           seed + 1)
@@ -553,7 +552,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
                    workers: int = 1) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
-    _, est, trials, seed, snrs, scenes = _mc_sweep(config, "montecarlo")
+    est, trials, seed, snrs, scenes = _mc_sweep(config, "montecarlo")
     curve = monte_carlo_rmse(scenes, est, trials, seed)
     table = {"snr_db": snrs,
              "rmse_mml_deg": [math.degrees(r) for r in curve.rmse_rad],

@@ -87,15 +87,13 @@ def multipath_free(scene: MultipathScene) -> MultipathScene:
 
 def compressed_mean(scene: MultipathScene) -> np.ndarray:
     """Noise-free compressed statistic K*(alpha_d*A_d + alpha_i*A_i)."""
-    return _means(scene.geom, [scene])[0]
+    return _means(scene.geom, *(np.array([v]) for v in (
+        scene.theta, scene.psi, scene.alpha_d, scene.alpha_i, scene.k_pulses)))[0]
 
 
-def _means(geom: ArrayGeometry, scenes) -> np.ndarray:
-    """:func:`compressed_mean` of each scene on ``geom``, stacked (n, M_r, M_t),
-    each entry bit for bit the scene's alone; the engine's means too."""
-    theta, psi, alpha_d, alpha_i, k = (np.array(c) for c in zip(*[
-        (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses)
-        for sc in scenes]))
+def _means(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k) -> np.ndarray:
+    """:func:`compressed_mean` of each row of 1-D scene columns on ``geom``, stacked
+    (n, M_r, M_t), each bit for bit its scene's alone; the engine's, by column slice."""
     A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
     return k[:, None, None] * (alpha_d[:, None, None] * A_d
                                  + alpha_i[:, None, None] * A_i)
@@ -153,13 +151,13 @@ def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
     A negative seed raises ValueError, one that is not an int or a tuple of
     ints TypeError.
     """
-    return _statistics(_stream(noise_seed), scene, compressed_mean(scene), 1)[0]
+    return _statistics(_stream(noise_seed), scene.k_pulses * scene.sigma_w2,
+                       compressed_mean(scene), 1)[0]
 
 
-def _statistics(rng: random.Random, scene: MultipathScene, mean: np.ndarray,
-                n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``n`` statistics ``mean`` + noise of ``scene`` drawn in turn from ``rng``,
-    stacked (n, M_r, M_t) into ``out`` if given; the engine draws through it."""
-    var = scene.k_pulses * scene.sigma_w2
+def _statistics(rng: random.Random, var: float, mean: np.ndarray, n: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """``n`` statistics ``mean`` + noise of variance ``var`` drawn in turn from
+    ``rng``, stacked (n, M_r, M_t) into ``out`` if given; the engine draws through it."""
     noise = _noise(rng, n * mean.size, var).reshape((n,) + mean.shape)
     return np.add(mean, noise, out=out)

@@ -13,8 +13,8 @@ from conftest import (dense_grid_argmax, fim, raw_e_adot, raw_mimo,
 from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
                    SingularInformationError, compressed_mean, crb_theta,
-                   mcrb_sandwich, mcrb_theta_closed, scene_from_ratios,
-                   standard_virtual_ula, theta_a, virtual_hpbw)
+                   mcrb_sandwich, mcrb_theta_closed, multipath_free,
+                   scene_from_ratios, standard_virtual_ula, theta_a, virtual_hpbw)
 from mpcrb import bounds, experiments
 from mpcrb.bounds import (_bounds, _breakdowns, _build, _closed, _curvature, _informative,
                           _pseudo_true, _sandwich, _scene_columns,
@@ -69,7 +69,7 @@ def test_fim_rejects_singular_information():
     with pytest.raises(SingularInformationError):
         crb_theta(sc)
     # refused before the search; its coarse grid once raised "beamwidth undefined"
-    for bound in (mcrb_theta_closed, mcrb_sandwich):
+    for bound in (mcrb_theta_closed, mcrb_sandwich, theta_a):
         with pytest.raises(SingularInformationError):
             bound(sc)
 
@@ -286,6 +286,8 @@ def test_theta_a_span_must_contain_theta():
     sc = fig2_scene()
     with pytest.raises(ValueError):
         theta_a(sc, SearchConfig(span=(0.1, 0.5)))
+    # without multipath there is no search, as in the bounds: theta itself
+    assert theta_a(multipath_free(sc), SearchConfig(span=(0.1, 0.5))) == sc.theta
 
 
 def test_theta_a_paper_form_differs_in_general():
@@ -769,21 +771,28 @@ def _metamorphic_columns():
                      rng.integers(1, 9, 50), rng.uniform(0.1, 10.0, 50))
 
 
-@pytest.mark.parametrize("move", ["swap tx and rx", "scale K and sigma_w2"])
+@pytest.mark.parametrize("move", ["swap tx and rx", "scale K and sigma_w2", "mirror"])
 def test_core_is_invariant_under_metamorphic_moves(move):
     # valid identical on both routes; the closed form's crb, m and mcrb within
     # 1e-12, the sandwich's M within the inverse's own rounding, 16 eps cond(Z)
-    # where that exceeds 1e-12 (|zeta4| near 1 makes Z nearly singular)
+    # where that exceeds 1e-12 (|zeta4| near 1 makes Z nearly singular); theta_A
+    # within 1e-12 rad, negated by the mirror (p -> -p, theta -> -theta, psi -> -psi)
     invalid = 0
     for geom, cols in _metamorphic_columns():
         want, want_m, want_ok, cond = _bounds(_both_routes, None, geom, *cols)
         if move == "swap tx and rx":
             geom = ArrayGeometry(tx_positions=geom.rx_positions,
                                  rx_positions=geom.tx_positions)
+        elif move == "mirror":
+            geom = ArrayGeometry(tx_positions=-geom.tx_positions,
+                                 rx_positions=-geom.rx_positions)
+            cols = (-cols[0], -cols[1], *cols[2:])
         else:
             cols = (*cols[:4], 3 * cols[4], 3.0 * cols[5])
         got, got_m, got_ok, _ = _bounds(_both_routes, None, geom, *cols)
         assert np.array_equal(got.valid, want.valid) and np.array_equal(got_ok, want_ok)
+        th_a = -got.theta_a if move == "mirror" else got.theta_a
+        np.testing.assert_allclose(th_a, want.theta_a, rtol=0.0, atol=1e-12)
         for field in ("crb", "m", "mcrb"):
             g, w = getattr(got, field)[want.valid], getattr(want, field)[want.valid]
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
@@ -814,6 +823,8 @@ def test_closed_columns_equal_scalar_calls_bitwise(geom):
                                        cols.bias[t], cols.mcrb[t])
     free = np.array([sc.alpha_i == 0 for sc in scenes])
     assert np.array_equal(cols.theta_a[free], [sc.theta for sc in scenes if sc.alpha_i == 0])
+    # theta_a is one row of the core: theta itself where alpha_i = 0
+    assert [theta_a(sc) for sc in scenes] == cols.theta_a.tolist()
     assert np.array_equal(cols.crb, _build(*_scene_columns(scenes)).crb)
 
 

@@ -274,8 +274,8 @@ def test_a_sweep_past_one_batch_builds_its_means_one_batch_at_a_time(monkeypatch
                         lambda rng, n, var: np.full(n, complex(-0.0, -0.0)))
     monkeypatch.setattr(estimation, "_rows", lambda geom: 2)
     blocks, means = [], scene._means
-    monkeypatch.setattr(estimation, "_means", lambda geom, scenes:
-                        blocks.append(len(scenes)) or means(geom, scenes))
+    monkeypatch.setattr(estimation, "_means", lambda geom, *cols:
+                        blocks.append(len(cols[0])) or means(geom, *cols))
     seen = []
     monkeypatch.setattr(estimation, "_argmax_projection",
                         lambda y, geom, cfg: seen.extend(y.copy()) or np.zeros(len(y)))
