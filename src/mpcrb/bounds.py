@@ -119,9 +119,14 @@ def _scene_columns(scenes: Sequence[MultipathScene]) -> tuple:
     sigma_w2 (``_DTYPES``)."""
     if len({sc.geom for sc in scenes}) > 1:
         raise ValueError("all scenes of a batch must share one array geometry")
-    return (scenes[0].geom, *map(np.asarray, zip(*[
+    return (scenes[0].geom, *_columns(*zip(*[
         (sc.theta, sc.psi, sc.alpha_d, sc.alpha_i, sc.k_pulses, sc.sigma_w2)
-        for sc in scenes]), _DTYPES))
+        for sc in scenes])))
+
+
+def _columns(*args) -> list:
+    """The scene columns ``args`` broadcast, flattened row-major, cast to ``_DTYPES``."""
+    return [a.astype(t).ravel() for a, t in zip(np.broadcast_arrays(*args), _DTYPES)]
 
 
 def _informative(e_dot):
@@ -342,7 +347,7 @@ def _bounds(reduction, search: SearchConfig | None, geom: ArrayGeometry, *args):
     columns ``args`` on ``geom`` (as :func:`mcrb_theta_closed_columns` takes them).  Per
     block: the model; E_Adot = 0 refused; theta_A searched where alpha_i != 0, theta
     elsewhere; then ``reduction(model, theta_a) -> (m, valid, *extras)``."""
-    cols = [a.astype(t).ravel() for a, t in zip(np.broadcast_arrays(*args), _DTYPES)]
+    cols = _columns(*args)
     rows, parts = _rows(geom), []
     for start in range(0, len(cols[0]) or 1, rows):   # no rows: one empty block
         mod = _build(geom, *(c[start:start + rows] for c in cols))

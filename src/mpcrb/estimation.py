@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import ArrayGeometry
-from .bounds import SearchConfig, _argmax_projection, _rows, _scene_columns
+from .bounds import SearchConfig, _argmax_projection, _columns, _rows, _scene_columns
 from .scene import MultipathScene, _means, _statistics, _stream
 
 MML_SEARCH = SearchConfig(refine_tol=1e-6)   # the estimator's default search
@@ -56,9 +56,9 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
     """RMSE and mean bias of the misspecified estimator per swept scene.
 
     The sweep becomes scene columns once, by ``bounds._scene_columns``, which
-    refuses mixed geometries as for a bound batch.  Scene ``i`` draws its
-    ``trials`` statistics in order from its own stream, the one that
-    ``synthesize_compressed`` starts from the seed (base_seed, i).
+    refuses mixed geometries as for a bound batch, and runs through :func:`_rmse`.
+    Scene ``i`` draws its ``trials`` statistics in order from its own stream, the
+    one that ``synthesize_compressed`` starts from the seed (base_seed, i).
     Consecutive scenes are packed into estimator calls of at most
     ``bounds._rows(geom)`` statistics, the bounds' batch, a scene split
     across calls where needed; their means are built from the column slices of
@@ -71,7 +71,14 @@ def monte_carlo_rmse(scene_sweep: Sequence[MultipathScene],
         raise ValueError("trials must be at least 1")
     if not scene_sweep:
         return RmseCurve((), (), trials, base_seed)
-    geom, *cols, sigma_w2 = _scene_columns(scene_sweep)   # theta, psi, alpha_d, alpha_i, K
+    return _rmse(cfg, trials, base_seed, *_scene_columns(scene_sweep))
+
+
+def _rmse(cfg: SearchConfig | None, trials: int, base_seed: int, geom: ArrayGeometry,
+          *columns) -> RmseCurve:
+    """The engine of :func:`monte_carlo_rmse` on scene columns on ``geom`` as
+    ``bounds.mcrb_theta_closed_columns`` takes them: one or more rows, trials >= 1."""
+    *cols, sigma_w2 = _columns(*columns)   # theta, psi, alpha_d, alpha_i, K
     theta, var = cols[0], cols[4] * sigma_w2
     n = min(_rows(geom), trials * len(theta))
     buf = np.empty((n, geom.m_r, geom.m_t), dtype=complex)

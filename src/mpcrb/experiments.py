@@ -32,7 +32,7 @@ from .arrays import (ArrayGeometry, _direct_indirect, _vectors, beampattern,
 from .bounds import (SearchConfig, _bounds, _build, _closed, _crb, _curvature, _default_step,
                      _projection_derivs, _pseudo_true, _sandwich, _scene_columns,
                      mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_columns)
-from .estimation import MML_SEARCH, monte_carlo_rmse
+from .estimation import MML_SEARCH, _rmse
 from .ground import (GroundScenario, _reflection, indirect_geometry,
                      range_columns, reflection_coefficient)
 from .scene import (MultipathScene, multipath_free, scene_from_ratios,
@@ -245,55 +245,44 @@ def _pow10(x: float, path: str, db: float, zero_ok: bool = True) -> float:
     return val
 
 
-def _parse_scene(cfg: dict, geom: ArrayGeometry, snr_db=None, smr_db=None,
-                 dphi=None, psi_rad=None):
-    """scene_from_config's scene and the scene_from_ratios arguments it took.  A
-    given snr_db or smr_db comes from the axis sweep.<name>, start first."""
+def _scene_grid(cfg: dict, **axes) -> tuple:
+    """mcrb_theta_closed_columns' scene arguments (theta, psi, alpha_d, alpha_i, K,
+    sigma_w2) from the scene block over the row-major grid of the ``axes`` given
+    (snr_db, smr_db, dphi, psi_rad: a list sweeps, outer first; a number does not;
+    None reads the scene block).  Each SNR and SMR is checked by _pow10 under its own
+    key, sweep.<name> where given, and each value takes scene_from_ratios' expression."""
     theta = _angle(cfg, "scene.theta_deg")
-    if psi_rad is None:
-        psi_rad = math.radians(_get_num(cfg, "scene.psi_deg"))
-    snr_key = "scene.snr_db" if snr_db is None else "sweep.snr_db"
-    smr_key = "scene.smr_db" if smr_db is None else "sweep.smr_db"
-    if snr_db is None:
-        snr_db = _get_num(cfg, snr_key)
-    if smr_db is None:
-        smr_db = _get_num(cfg, smr_key)
-    if dphi is None:
-        dphi = _get_num(cfg, "scene.delta_phi_rad", default=0.0)
+    if axes.get("psi_rad") is None:
+        axes["psi_rad"] = _angle(cfg, "scene.psi_deg", _get_num(cfg, "scene.psi_deg"))
+    keys = {name: "scene." + name if axes.get(name) is None else "sweep." + name
+            for name in ("snr_db", "smr_db")}
+    axes.update({name: _get_num(cfg, key) for name, key in keys.items()
+                 if axes.get(name) is None})
+    if axes.get("dphi") is None:
+        axes["dphi"] = _get_num(cfg, "scene.delta_phi_rad", default=0.0)
     k = _get_int(cfg, "scene.k_pulses", default=1, minimum=1, maximum=MAX_PULSES)
-    _pow10(-snr_db / 10.0, snr_key, snr_db, zero_ok=False)   # sigma_w2
-    _pow10(-smr_db / 20.0, smr_key, smr_db)   # |alpha_i|, 0 without multipath
-    args = dict(theta=theta, psi=psi_rad, snr_db=snr_db, smr_db=smr_db,
-                dphi=dphi, k_pulses=k)
-    try:
-        return scene_from_ratios(geom, **args), args
-    except ValueError as exc:
-        raise ConfigError(f"scene: {exc}") from exc
+    swept = [name for name, vals in axes.items() if np.ndim(vals)]
+
+    def grid(name, expr):   # expr of each value of ``name``, on its axis of the grid
+        return np.reshape([expr(v) for v in np.ravel(axes[name]).tolist()],
+                          [-1 if n == name else 1 for n in swept])
+
+    sigma_w2 = grid("snr_db", lambda snr: _pow10(-snr / 10.0, keys["snr_db"], snr,
+                                                 zero_ok=False))
+    alpha_i = (grid("smr_db", lambda smr: _pow10(-smr / 20.0, keys["smr_db"], smr))
+               * grid("dphi", lambda dphi: cmath.exp(-1j * dphi)))   # 0: no multipath
+    return theta, grid("psi_rad", float), 1.0 + 0.0j, alpha_i, k, sigma_w2
 
 
 def scene_from_config(cfg: dict, geom: ArrayGeometry, snr_db: float | None = None,
                       dphi: float | None = None,
                       psi_rad: float | None = None) -> MultipathScene:
-    return _parse_scene(cfg, geom, snr_db=snr_db, dphi=dphi, psi_rad=psi_rad)[0]
-
-
-def _sweep_bounds(cfg: dict, geom: ArrayGeometry, search: SearchConfig, **axes):
-    """Closed-form bound columns of fig3 to fig5 over a row-major grid of scenes at the
-    scene block's SNR.  ``axes`` maps keywords (psi_rad, smr_db, dphi) to values that
-    broadcast, outer axis first.  The scene block is parsed and checked once, at
-    the first values; each value then takes scene_from_ratios' expression once."""
-    base, args = _parse_scene(cfg, geom, **{
-        key: float(np.ravel(vals)[0]) for key, vals in axes.items()})
-
-    def swept(key, expr):
-        vals = np.asarray(axes.get(key, args[key]), dtype=float)
-        return np.array([expr(v) for v in vals.ravel().tolist()]).reshape(vals.shape)
-
-    alpha_i = (swept("smr_db", lambda smr: 10.0 ** (-smr / 20.0))
-               * swept("dphi", lambda dphi: cmath.exp(-1j * dphi)))
-    return mcrb_theta_closed_columns(geom, base.theta, axes.get("psi_rad", base.psi),
-                                     base.alpha_d, alpha_i, base.k_pulses, base.sigma_w2,
-                                     search=search)
+    """The one row of :func:`_scene_grid` at the values given, as a scene."""
+    try:
+        return MultipathScene(geom, *(np.ravel(c).item() for c in _scene_grid(
+            cfg, snr_db=snr_db, dphi=dphi, psi_rad=psi_rad)))
+    except ValueError as exc:
+        raise ConfigError(f"scene: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +378,23 @@ def _write_outputs(name: str, config: dict, out_dir, svg: bool, table: dict,
 # figure recipes
 
 def _mc_sweep(config: dict, name: str):
-    """The Monte-Carlo SNR sweep's estimator, trials, seed, SNR axis and one scene per
-    SNR, in that order (trials is checked before any scene): the one scene list that
-    fig2's bound and both its estimators read."""
+    """The Monte-Carlo SNR sweep's estimator, trials, seed, SNR axis, geometry and
+    scene columns, one row per SNR, in that order (trials is checked before any
+    scene): the one set of columns that fig2's bound and both its estimators read."""
     geom = geometry_from_config(_walk(config, _PRESETS[name]))
     est = _search_and_target(config, parse=estimator_from_config)[0]
     trials = _get_int(config, "trials", minimum=1, maximum=_MAX_TRIALS)
     seed = _get_int(config, "seed", minimum=0)
     snrs = _grids(config, "sweep.snr_db")[0]
-    return est, trials, seed, snrs, [scene_from_config(config, geom, snr_db=s) for s in snrs]
+    return est, trials, seed, snrs, geom, _scene_grid(config, snr_db=snrs)
 
 
 def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
     """SNR sweep: root bounds plus Monte-Carlo RMSE of the MML and matched ML."""
-    est, trials, seed, snrs, scenes = _mc_sweep(config, "fig2")
-    cols = mcrb_theta_closed_columns(*_scene_columns(scenes),
-                                     search=search_from_config(config))
-    mml = monte_carlo_rmse(scenes, est, trials, seed)
-    ml = monte_carlo_rmse([multipath_free(sc) for sc in scenes], est, trials,
-                          seed + 1)
+    est, trials, seed, snrs, geom, scenes = _mc_sweep(config, "fig2")
+    cols = mcrb_theta_closed_columns(geom, *scenes, search=search_from_config(config))
+    mml = _rmse(est, trials, seed, geom, *scenes)
+    ml = _rmse(est, trials, seed + 1, geom, *scenes[:3], 0.0, *scenes[4:])   # alpha_i 0
     rcrb, rmcrb, _ = _root_columns(cols)
     table = {"snr_db": snrs, "rcrb_deg": rcrb, "rmcrb_deg": rmcrb,
              "rmse_mml_deg": np.degrees(mml.rmse_rad).tolist(),
@@ -425,8 +412,8 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     search, theta = _search_and_target(config)
     dthetas = _grids(config, "sweep.delta_theta_deg")[0]
     bp = _beampattern(config, "beampattern_grid_deg", geom, theta)
-    cols = _sweep_bounds(config, geom, search, psi_rad=[
-        _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas])
+    cols = mcrb_theta_closed_columns(geom, *_scene_grid(config, psi_rad=[
+        _psi(theta, dth, "sweep.delta_theta_deg") for dth in dthetas]), search=search)
     rcrb, rmcrb, _ = _root_columns(cols)
     table = {"delta_theta_deg": dthetas, "rcrb_deg": rcrb, "rmcrb_deg": rmcrb}
     plot = _lines(table, {"RCRB": "rcrb_deg", "RMCRB": "rmcrb_deg"},
@@ -442,8 +429,8 @@ def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     search, theta = _search_and_target(config)
     psi = _psi(theta, _get_num(config, "scene.delta_theta_deg"), "scene.delta_theta_deg")
     smrs = _grids(config, "sweep.smr_db")[0]
-    cols = _sweep_bounds(config, geom, search, psi_rad=psi,
-                         smr_db=np.array(smrs)[:, None], dphi=[_FIG4_PHASES])
+    cols = mcrb_theta_closed_columns(geom, *_scene_grid(
+        config, psi_rad=psi, smr_db=smrs, dphi=_FIG4_PHASES), search=search)
     rmcrb = _root_columns(cols)[1]   # row-major: SMR, then phase
     rcrb = math.degrees(math.sqrt(cols.crb[0]))   # depends on neither SMR nor phase
     table = {"smr_db": smrs, "rmcrb_dphi_0_deg": rmcrb[0::2],
@@ -462,8 +449,8 @@ def run_fig5(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
     search, theta = _search_and_target(config)
     dphis, dthetas = _grids(config, "grid.delta_phi_rad", "grid.delta_theta_deg")
     psis = [_psi(theta, dth, "grid.delta_theta_deg") for dth in dthetas]
-    cols = _sweep_bounds(config, geom, search, psi_rad=np.array(psis)[:, None],
-                         dphi=[dphis])
+    cols = mcrb_theta_closed_columns(geom, *_scene_grid(config, psi_rad=psis,
+                                                        dphi=dphis), search=search)
     table = {"delta_phi_rad": dphis * len(dthetas),
              "delta_theta_deg": np.repeat(dthetas, len(dphis)).tolist(),
              "rmcrb_over_rcrb": _root_columns(cols)[2]}
@@ -514,46 +501,41 @@ def scenario_from_config(config: dict) -> GroundScenario:
 
 def run_scenario(config: dict, out_dir, svg: bool = False,
                  workers: int = 1) -> dict:
-    """Automotive range sweep for each configured array geometry, on columns:
-    one range_columns call, then per geometry one batched CRB over every
-    range and one closed-form call over the in-cell ranges."""
+    """Automotive range sweep for each configured array geometry, on columns: one
+    range_columns call, then per geometry one closed-form call over every range with
+    alpha_i 0 out of cell (no search there, M = CRB); MCRB cells and counts: in cell."""
     scn = scenario_from_config(_walk(config, _PRESETS["scenario"]))
     search = _search_and_target(config, "theta_deg")[0]
     geoms = {name: geometry_from_config(config, f"geometries.{name}")
              for name in config["geometries"]}
     phys = range_columns(scn)
-    n, in_cell = len(phys.r_d), np.flatnonzero(phys.same_cell)
-    args = (scn.k_pulses, phys.sigma_w2)
+    alpha_i = np.where(phys.same_cell, phys.alpha_i, 0.0)
     table = {"r_d_m": phys.r_d.tolist(), "psi_deg": np.degrees(phys.psi).tolist(),
              "smr_db": [v if math.isfinite(v) else None for v in phys.smr_db.tolist()],
              "delta_phi_rad": phys.delta_phi.tolist(),
              "same_cell": phys.same_cell.tolist()}
     series, valid = {}, []
     for name, geom in geoms.items():
-        crb = _crb(geom, scn.theta, phys.alpha_d, *args)[2]
-        closed = mcrb_theta_closed_columns(
-            geom, scn.theta, phys.psi[in_cell], phys.alpha_d[in_cell],
-            phys.alpha_i[in_cell], *args, search=search)
-        mcrb, ok = np.full(n, np.nan), np.zeros(n, dtype=bool)
-        mcrb[in_cell], ok[in_cell] = closed.mcrb, closed.valid
-        table[f"rcrb_deg_{name}"] = np.degrees(np.sqrt(crb)).tolist()
+        cols = mcrb_theta_closed_columns(geom, scn.theta, phys.psi, phys.alpha_d, alpha_i,
+                                         scn.k_pulses, phys.sigma_w2, search=search)
+        table[f"rcrb_deg_{name}"] = np.degrees(np.sqrt(cols.crb)).tolist()
         table[f"rmcrb_deg_{name}"], table[f"ratio_{name}"] = _root_columns(
-            closed._replace(crb=crb, mcrb=mcrb, valid=ok))[1:]
+            cols._replace(valid=cols.valid & phys.same_cell))[1:]
         series[f"RMCRB {name}"] = f"rmcrb_deg_{name}"
         series[f"RCRB {name}"] = f"rcrb_deg_{name}"
-        valid.append(closed.valid)
+        valid.append(cols.valid[phys.same_cell])
     plot = _lines(table, series, "range [m]", "root bound [deg]",
                   "Ground multipath vs range")
     counts = _bound_counts(np.concatenate(valid))
-    counts["out_of_cell_points"] = (n - len(in_cell)) * len(geoms)
+    counts["out_of_cell_points"] = int(np.count_nonzero(~phys.same_cell)) * len(geoms)
     return _write_outputs("scenario", config, out_dir, svg, table, plot, counts)
 
 
 def run_montecarlo(config: dict, out_dir, svg: bool = False,
                    workers: int = 1) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
-    est, trials, seed, snrs, scenes = _mc_sweep(config, "montecarlo")
-    curve = monte_carlo_rmse(scenes, est, trials, seed)
+    est, trials, seed, snrs, geom, scenes = _mc_sweep(config, "montecarlo")
+    curve = _rmse(est, trials, seed, geom, *scenes)
     table = {"snr_db": snrs,
              "rmse_mml_deg": [math.degrees(r) for r in curve.rmse_rad],
              "bias_mml_deg": [math.degrees(b) for b in curve.bias_rad]}

@@ -79,6 +79,7 @@ class RangePoint:
 
 _REFUSALS = ("grazing angle must lie in (0, pi/2]", "require r_i >= r_d > 0",
              _ANGLE_REFUSAL, _POWER_REFUSAL,
+             "sigma_w2 must be finite: snr_ref_db is too low",
              "path amplitudes must be finite: r_ref / r_d is too large")
 # range_columns' columns; the first eight are RangePoint's leading fields
 _RangeColumns = namedtuple("_RangeColumns", "r_d r_i psi gamma_r smr_db delta_phi "
@@ -130,12 +131,12 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
     the path length), SMR, phase difference and SNR (dB, rad in (-pi, pi], dB)
     and the same-cell gate; ``sigma_w2`` is one float, set so that snr_ref_db
     is the SNR at r_ref.  Raises ValueError at the first range out of model,
-    with the message that range's scene inputs give."""
+    with the message that range's scene inputs give, and where sigma_w2 is infinite."""
     r_d = scn.range_grid
     r_i, psi = _image_path(r_d, scn.theta, scn.h_r)
     gamma_r = _reflection(-psi, scn.eps_r, scn.gamma_cond, scn.wavelength)
-    sigma_w2 = 1.0 / (10.0 ** (scn.snr_ref_db / 10.0))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma_w2 = float(1.0 / np.float64(10.0) ** (scn.snr_ref_db / 10.0))
         alpha_d = ((scn.r_ref / r_d) ** 2
                    * np.exp(1j * (2.0 * math.pi * r_d / scn.wavelength)))
         alpha_i = ((scn.r_ref / r_i) ** 2 * np.abs(gamma_r) * np.exp(
@@ -147,6 +148,7 @@ def range_columns(scn: GroundScenario) -> _RangeColumns:
         ~((-math.pi / 2 <= psi) & (psi < 0.0)), ~(r_i >= r_d),
         ~((abs(scn.theta) < math.pi / 2) & (psi > -math.pi / 2)),
         np.full(r_d.shape, not _powers_ok(sigma_w2, scn.k_pulses)),
+        np.full(r_d.shape, sigma_w2 == math.inf),
         ~(np.isfinite(alpha_d) & np.isfinite(alpha_i))])
     if failed.any():
         raise ValueError(_REFUSALS[failed[:, failed.any(axis=0).argmax()].argmax()])

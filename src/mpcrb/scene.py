@@ -74,8 +74,11 @@ def scene_from_ratios(geom: ArrayGeometry, theta: float, psi: float,
     difference arg(alpha_d) - arg(alpha_i), which is placed on alpha_i.
     """
     alpha_d = 1.0 + 0.0j
-    sigma_w2 = 10.0 ** (-snr_db / 10.0)
-    alpha_i = 10.0 ** (-smr_db / 20.0) * cmath.exp(-1j * dphi)
+    try:
+        sigma_w2 = 10.0 ** (-snr_db / 10.0)
+        alpha_i = 10.0 ** (-smr_db / 20.0) * cmath.exp(-1j * dphi)
+    except OverflowError:   # below about -3,083 dB of SNR or -6,166 dB of SMR
+        raise ValueError("snr_db or smr_db overflows sigma_w2 or |alpha_i|") from None
     return MultipathScene(geom=geom, theta=theta, psi=psi, alpha_d=alpha_d,
                           alpha_i=alpha_i, k_pulses=k_pulses, sigma_w2=sigma_w2)
 

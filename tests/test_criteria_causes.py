@@ -69,7 +69,8 @@ def test_criterion_06_dips_sit_where_the_pseudo_true_bias_changes_sign():
     search = ex.search_from_config(cfg)
     theta = math.radians(cfg["scene"]["theta_deg"])
     dths = np.array(ex._grids(cfg, "sweep.delta_theta_deg")[0])
-    cols = ex._sweep_bounds(cfg, geom, search, psi_rad=theta - np.radians(dths))
+    cols = ex.mcrb_theta_closed_columns(
+        geom, *ex._scene_grid(cfg, psi_rad=theta - np.radians(dths)), search=search)
     ratio, sign = cols.mcrb / cols.crb, np.sign(theta - cols.theta_a)
     for lo, hi in ((20.0, 40.0), (-40.0, -20.0)):
         inside = np.flatnonzero((lo < dths) & (dths < hi))

@@ -3,6 +3,7 @@ import copy
 import csv
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -645,7 +646,7 @@ def test_swept_scene_parses_stay_accepted():
     assert (scene.psi, scene.sigma_w2) == (-0.1, 0.1)
     assert ex.scene_from_config(fig2, geom, snr_db=20.0).sigma_w2 == 0.01
     fig4 = load_preset("fig4")   # fig4 reads scene.delta_theta_deg into psi_rad itself
-    assert ex._parse_scene(fig4, geom, smr_db=0.0, dphi=0.0, psi_rad=0.0)[0].psi == 0.0
+    assert ex._scene_grid(fig4, smr_db=0.0, dphi=0.0, psi_rad=0.0)[1] == 0.0
 
 
 @pytest.mark.parametrize("name", ["fig2", "montecarlo"])
@@ -779,7 +780,7 @@ def test_trials_cap_is_checked_before_any_scene(tmp_path, monkeypatch, capsys,
     def no_scenes(*args, **kwargs):
         raise AssertionError("a scene was built before the trials check")
 
-    monkeypatch.setattr(ex, "scene_from_config", no_scenes)
+    monkeypatch.setattr(ex, "_scene_grid", no_scenes)
     with pytest.raises(ConfigError, match=r"^trials: must be <= "):
         getattr(ex, f"run_{name}")(cfg, tmp_path)
     # the CLI override goes through the same check
@@ -842,8 +843,8 @@ def test_fig4_cells_match_per_scene_bounds(tmp_path):
     geom, search = ex.geometry_from_config(cfg), ex.search_from_config(cfg)
     empty = 0
     for row in rows:
-        scenes = [ex._parse_scene(cfg, geom, smr_db=float(row[0]), dphi=dphi,
-                                  psi_rad=0.0)[0]
+        scenes = [mpcrb.scene_from_ratios(geom, 0.0, 0.0, cfg["scene"]["snr_db"],
+                                          float(row[0]), dphi, cfg["scene"]["k_pulses"])
                   for dphi in (0.0, 2.0 * math.pi / 3.0)]
         for cell, scene in zip(row[1:3], scenes):
             bb = _scalar_bound(scene, search)
@@ -915,14 +916,58 @@ def test_out_of_range_psi_names_its_axis(tmp_path, recipe, axis):
 @pytest.mark.parametrize("recipe, key, value", [
     ("fig3", "scene.theta_deg", 90.0), ("fig4", "scene.theta_deg", -90.0),
     ("fig5", "scene.theta_deg", 95.0), ("bounds", "scene.theta_deg", 90.0),
-    ("beampattern", "steer_deg", 90.0)])
+    ("beampattern", "steer_deg", 90.0), ("bounds", "scene.psi_deg", 95.0),
+    ("fig2", "scene.psi_deg", 95.0), ("montecarlo", "scene.psi_deg", -95.0)])
 def test_out_of_range_angle_names_its_own_key(tmp_path, recipe, key, value):
-    # fig3-5 blamed their psi axis, bounds "scene", beampattern "theta"
+    # fig3-5 blamed their psi axis, bounds "scene", beampattern "theta"; bounds,
+    # fig2 and montecarlo blamed "scene" for scene.psi_deg
     cfg = load_preset(recipe)
     _set_leaf(cfg, key.split("."), value)
     with pytest.raises(ConfigError) as err:
         getattr(ex, f"run_{recipe}")(cfg, tmp_path)
     assert str(err.value) == f"{key}: must lie inside (-90, 90), got {value!r}"
+
+
+def _thinned_scene_grid(name):
+    """A thinned preset of ``name`` and the axes its recipe passes to _scene_grid."""
+    cfg = load_preset(name)
+    theta = math.radians(cfg["scene"]["theta_deg"])
+    if name == "fig2":
+        cfg["sweep"]["snr_db"]["step"] = 6.25
+        return cfg, {"snr_db": ex._grids(cfg, "sweep.snr_db")[0]}
+    if name == "fig4":
+        cfg["sweep"]["smr_db"]["step"] = 3.75
+        return cfg, {"psi_rad": theta - math.radians(cfg["scene"]["delta_theta_deg"]),
+                     "smr_db": ex._grids(cfg, "sweep.smr_db")[0], "dphi": ex._FIG4_PHASES}
+    cfg["grid"]["delta_phi_rad"]["step"] *= 8
+    cfg["grid"]["delta_theta_deg"]["step"] = 2.5
+    dphis, dths = ex._grids(cfg, "grid.delta_phi_rad", "grid.delta_theta_deg")
+    return cfg, {"psi_rad": [theta - math.radians(d) for d in dths], "dphi": dphis}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4", "fig5"])
+def test_scene_grid_rows_are_the_scenes_of_scene_from_ratios(name):
+    # _scene_grid copies scene_from_ratios' dB arithmetic; each row must be its
+    # scene's fields bit for bit, in row-major order of the axes, outer first
+    cfg, axes = _thinned_scene_grid(name)
+    geom, scene = ex.geometry_from_config(cfg), cfg["scene"]
+    theta, psi, alpha_d, alpha_i, k, sigma_w2 = (
+        c.ravel() for c in np.broadcast_arrays(*ex._scene_grid(cfg, **axes)))
+    swept = [key for key, vals in axes.items() if np.ndim(vals)]
+    rows = list(itertools.product(*(axes[key] for key in swept)))
+    assert len(theta) == len(rows) > 1
+    for i, row in enumerate(rows):
+        args = {"psi_rad": math.radians(scene.get("psi_deg", 0.0)),
+                "snr_db": scene.get("snr_db"), "smr_db": scene.get("smr_db"),
+                "dphi": scene.get("delta_phi_rad", 0.0)}
+        args.update((key, val) for key, val in axes.items() if key not in swept)
+        args.update(zip(swept, row))
+        want = mpcrb.scene_from_ratios(
+            geom, math.radians(scene["theta_deg"]), args["psi_rad"], args["snr_db"],
+            args["smr_db"], args["dphi"], scene["k_pulses"])
+        assert (theta[i], psi[i], sigma_w2[i], alpha_i[i].real, alpha_i[i].imag) == (
+            want.theta, want.psi, want.sigma_w2, want.alpha_i.real, want.alpha_i.imag)
+        assert (alpha_d[i], k[i]) == (want.alpha_d, want.k_pulses)
 
 
 def test_fig4_out_of_range_psi_names_its_key(tmp_path):

@@ -287,6 +287,19 @@ def test_range_columns_refuse_as_the_scalar_physics(overrides, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("snr_ref_db, message", [
+    (4000.0, "require sigma_w2 > 0, k_pulses >= 1"),   # as inf: OverflowError before
+    (-4000.0, "sigma_w2 must be finite: snr_ref_db is too low"),   # ZeroDivisionError
+    (-3085.0, "sigma_w2 must be finite: snr_ref_db is too low"),   # sigma_w2 = inf ran
+])
+def test_range_columns_refuse_a_noise_power_out_of_range(snr_ref_db, message):
+    scn = asphalt(np.arange(5.0, 60.0, 5.0), snr_ref_db=snr_ref_db)
+    for call in (range_columns, lambda s: range_point(s, 40.0, geom=GEOM)):
+        with pytest.raises(ValueError) as err:
+            call(scn)
+        assert str(err.value) == message
+
+
 def test_range_columns_refuse_overflowing_amplitudes():
     scn = asphalt([2.0, 60.0], r_ref=1e160)
     with pytest.raises(OverflowError):      # what the scalar physics did

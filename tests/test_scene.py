@@ -120,6 +120,14 @@ def test_scene_from_ratios_round_trip():
         assert got_dphi == pytest.approx(dphi, abs=1e-12)
 
 
+@pytest.mark.parametrize("snr_db, smr_db", [(-4000.0, 0.0), (-3085.0, 0.0), (0.0, -7000.0)])
+def test_scene_from_ratios_refuses_powers_that_overflow(snr_db, smr_db):
+    # 10^(-snr_db / 10) and 10^(-smr_db / 20) raised a bare OverflowError
+    with pytest.raises(ValueError) as err:
+        scene_from_ratios(GEOM, 0.0, 0.1, snr_db, smr_db, 0.0)
+    assert str(err.value) == "snr_db or smr_db overflows sigma_w2 or |alpha_i|"
+
+
 def test_ratios_invariant_under_common_rotation():
     sc = scene_from_ratios(GEOM, 0.0, 0.02, 7.0, 3.0, 1.1)
     rot = cmath.exp(0.77j)
