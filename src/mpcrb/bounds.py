@@ -259,27 +259,18 @@ def _argmax_projection(y: np.ndarray, geom: ArrayGeometry, search: SearchConfig,
     return phi
 
 
-def _pseudo_true(model: _Model, w_d, w_i, search: SearchConfig | None,
-                 rows=slice(None)) -> np.ndarray:
-    """Argmax of the direct-only projection of w_d*A_d + w_i*A_i (weights scalar or
-    per row) for the model's ``rows``, coarse ties toward each row's true theta,
-    which the span must contain."""
-    y = (np.reshape(w_d, (-1, 1, 1)) * model.A_d[rows]
-         + np.reshape(w_i, (-1, 1, 1)) * model.A_i[rows])
+def _pseudo_true(model: _Model, search: SearchConfig | None, rows) -> np.ndarray:
+    """theta_A of the model's ``rows``: the argmax of the direct-only projection of
+    their noise-free alpha_d*A_d + alpha_i*A_i, amplitude concentrated, coarse ties
+    toward each row's true theta, which the span must contain."""
+    y = (model.alpha_d[rows, None, None] * model.A_d[rows]
+         + model.alpha_i[rows, None, None] * model.A_i[rows])
     theta = model.theta[rows]
     search = search or SearchConfig()
     lo, hi = search.span
     if not ((lo <= theta) & (theta <= hi)).all():
         raise ValueError("search span must contain the true theta")
     return _argmax_projection(y, model.geom, search, prefer=theta)
-
-
-def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
-    """Pseudo-true DOA: argmax of the projection of the true compressed mean
-    onto the assumed (direct-only) steering matrix, amplitude concentrated,
-    by the grid-then-safeguarded-Newton kernel; coarse ties go toward theta.
-    One row of the core (:func:`_bounds`): theta itself where alpha_i = 0."""
-    return float(_bounds(_closed, search, *_scene_columns([scene]))[0].theta_a[0])
 
 
 def _breakdowns(cols: _Columns) -> list[BoundBreakdown | None]:
@@ -353,7 +344,7 @@ def _bounds(reduction, search: SearchConfig | None, geom: ArrayGeometry, *args):
         mod = _build(geom, *(c[start:start + rows] for c in cols))
         _informative(mod.e_dot)
         th_a, i = mod.theta.copy(), np.flatnonzero(mod.alpha_i != 0)
-        th_a[i] = _pseudo_true(mod, mod.alpha_d[i], mod.alpha_i[i], search, i)
+        th_a[i] = _pseudo_true(mod, search, i)
         m, valid, *extras = reduction(mod, th_a)
         b = (mod.theta - th_a) ** 2
         parts.append((mod.crb, m, th_a, b, m + b, valid, *extras))
@@ -377,7 +368,8 @@ def mcrb_theta_closed(scene: MultipathScene,
 
     M component: CRB(theta) * I (|zeta5|^2 + I) / zeta3^2 with
     I = |alpha_d|^2 E_Adot, which equals CRB at alpha_i = 0.  The bias
-    component is (theta - theta_A)^2 with theta_A from :func:`theta_a`.
+    component is (theta - theta_A)^2 with theta_A, the pseudo-true DOA, searched
+    by :func:`_pseudo_true` (theta itself where alpha_i = 0).
     One row of :func:`mcrb_theta_closed_columns`, raising where it is not valid.
     """
     cols, (den,), (thr,) = _bounds(_closed, search, *_scene_columns([scene]))

@@ -7,8 +7,8 @@ Example:
 
 A subcommand registers only the options that can change its run (``_TAKES``):
 ``--trials`` and ``--seed`` on fig2 and montecarlo, which draw random numbers,
-and ``--svg`` on every recipe but bounds, which has no plot; the recipes' ignored
-``workers`` keyword has none.  The config, ``--config``'s file or a copy of the
+and ``--svg`` on every recipe but bounds, which has no plot; the ignored ``workers``
+keyword of fig2, fig5 and scenario has none.  The config, ``--config``'s file or a copy of the
 packaged preset, goes with the overrides to its recipe, which checks keys and kind.
 
 Exit codes: 0 success, 1 invalid input or unwritable output, 2 numerical

@@ -4,9 +4,9 @@ Each runner takes a JSON-style config dict, refuses what its packaged preset lac
 (``_walk``; the ``*_from_config`` parsers only read values), writes CSV (canonical
 output, RFC 4180, '.' decimal) plus a manifest with the config hash, seed and
 versions, and optionally a standalone SVG.  Angles are degrees in all human-facing
-columns and radians internally; degenerate bound points are empty cells.  Every
-runner accepts a ``workers`` keyword and ignores it: all work runs in one thread.
-The benchmark and the rerun tests pass it; the command line has no ``--workers``.
+columns and radians internally; degenerate bound points are empty cells.  All work
+runs in one thread: fig2, fig5 and scenario ignore their ``workers`` keyword, which
+the benchmark passes, and the command line has no ``--workers``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__, svgplot
 from .arrays import (ArrayGeometry, _direct_indirect, _vectors, beampattern,
                      standard_virtual_ula, virtual_hpbw)
-from .bounds import (SearchConfig, _bounds, _build, _closed, _crb, _curvature, _default_step,
-                     _projection_derivs, _pseudo_true, _sandwich, _scene_columns,
-                     mcrb_sandwich, mcrb_theta_closed, mcrb_theta_closed_columns)
+from .bounds import (SearchConfig, _bounds, _closed, _crb, _curvature, _default_step,
+                     _projection_derivs, _sandwich, _scene_columns, mcrb_sandwich,
+                     mcrb_theta_closed, mcrb_theta_closed_columns)
 from .estimation import MML_SEARCH, _rmse
 from .ground import (GroundScenario, _reflection, indirect_geometry,
                      range_columns, reflection_coefficient)
@@ -145,14 +145,15 @@ def _angle(cfg: dict, path: str, deg: float | None = None) -> float:
 
 
 def _axis(cfg: dict, path: str) -> tuple[float, float, int]:
-    """(start, step, point count) of a sweep axis, counted without building it."""
+    """(start, step, point count) of a sweep axis, counted without building it: its
+    last point is the last whole step from start up to stop, within 1e-9 of a step."""
     start = _get_num(cfg, f"{path}.start")
     stop = _get_num(cfg, f"{path}.stop")
     step = _get_num(cfg, f"{path}.step", positive=True)
     if stop < start:
         raise ConfigError(f"{path}: stop must be >= start")
     cells = (stop - start) / step
-    n = int(round(cells)) + 1 if cells < MAX_AXIS_POINTS else math.inf
+    n = math.floor(cells + 1e-9) + 1 if cells < MAX_AXIS_POINTS else math.inf
     if n > MAX_AXIS_POINTS:
         raise ConfigError(f"{path}: {cells + 1:.4g} points exceed the cap of "
                           f"{MAX_AXIS_POINTS} per axis")
@@ -173,7 +174,9 @@ def geometry_from_config(cfg: dict, path: str = "geometry") -> ArrayGeometry:
     """The array at ``path``, from its m_t and m_r or its tx_positions and
     rx_positions: element counts and virtual aperture capped."""
     node = _get(cfg, path)
-    if "m_t" in node:
+    if "m_t" in node or "m_r" in node:
+        if "tx_positions" in node or "rx_positions" in node:
+            raise ConfigError(f"{path}: give m_t/m_r or explicit positions, not both")
         m_t = _get_int(cfg, f"{path}.m_t", minimum=1, maximum=MAX_ELEMENTS)
         m_r = _get_int(cfg, f"{path}.m_r", minimum=1, maximum=MAX_ELEMENTS)
         geom = standard_virtual_ula(m_t, m_r)
@@ -406,7 +409,7 @@ def run_fig2(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
                           _bound_counts(cols.valid))
 
 
-def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
+def run_fig3(config: dict, out_dir, svg: bool = False) -> dict:
     """DOA-separation sweep of the bounds, plus the array beampatterns."""
     geom = geometry_from_config(_walk(config, _PRESETS["fig3"]))
     search, theta = _search_and_target(config)
@@ -423,7 +426,7 @@ def run_fig3(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict
                           _bound_counts(cols.valid), bp)
 
 
-def run_fig4(config: dict, out_dir, svg: bool = False, workers: int = 1) -> dict:
+def run_fig4(config: dict, out_dir, svg: bool = False) -> dict:
     """SMR sweep at a constructive and a destructive phase difference."""
     geom = geometry_from_config(_walk(config, _PRESETS["fig4"]))
     search, theta = _search_and_target(config)
@@ -531,8 +534,7 @@ def run_scenario(config: dict, out_dir, svg: bool = False,
     return _write_outputs("scenario", config, out_dir, svg, table, plot, counts)
 
 
-def run_montecarlo(config: dict, out_dir, svg: bool = False,
-                   workers: int = 1) -> dict:
+def run_montecarlo(config: dict, out_dir, svg: bool = False) -> dict:
     """Plain Monte-Carlo RMSE sweep of the misspecified estimator over SNR."""
     est, trials, seed, snrs, geom, scenes = _mc_sweep(config, "montecarlo")
     curve = _rmse(est, trials, seed, geom, *scenes)
@@ -544,8 +546,7 @@ def run_montecarlo(config: dict, out_dir, svg: bool = False,
     return _write_outputs("montecarlo", config, out_dir, svg, table, plot)
 
 
-def run_beampattern(config: dict, out_dir, svg: bool = False,
-                    workers: int = 1) -> dict:
+def run_beampattern(config: dict, out_dir, svg: bool = False) -> dict:
     geom = geometry_from_config(_walk(config, _PRESETS["beampattern"]))
     steer = _angle(config, "steer_deg")
     table = _beampattern(config, "grid_deg", geom, steer)
@@ -554,7 +555,7 @@ def run_beampattern(config: dict, out_dir, svg: bool = False,
     return _write_outputs("beampattern", config, out_dir, svg, table, plot)
 
 
-def run_bounds(config: dict, out_dir, workers: int = 1) -> dict:
+def run_bounds(config: dict, out_dir) -> dict:
     """Single-scene bound breakdown, without a plot.  Degenerate scenes raise."""
     geom = geometry_from_config(_walk(config, _PRESETS["bounds"]))
     search = _search_and_target(config)[0]
@@ -648,11 +649,12 @@ def run_selftest():
         "only where tr(dA_d^H A_i) -> 0" % (devs.max(), np.median(devs),
                                             devs.size, len(scenes) - devs.size))
 
-    mod = _build(*_scene_columns(draw(50, (-6, 20), hpbw, 2.0)))
-    ad, ai = mod.alpha_d, mod.alpha_i      # paper form undefined where ad + ai ~ 0
-    rows = np.flatnonzero(np.abs(ad + ai) >= 1e-12 * (np.abs(ad) + np.abs(ai)))
-    gaps = np.abs(_pseudo_true(mod, ad[rows], ai[rows], None, rows)
-                  - _pseudo_true(mod, 1.0, ai[rows] / (ad + ai)[rows], None, rows))
+    _, *cols = _scene_columns(draw(50, (-6, 20), hpbw, 2.0))
+    ad, ai = cols[2:4]      # paper form undefined where ad + ai ~ 0
+    keep = np.abs(ad + ai) >= 1e-12 * (np.abs(ad) + np.abs(ai))
+    th, psi, ad, ai, k, s2 = cols = [c[keep] for c in cols]
+    gaps = np.abs(_bounds(_closed, None, geom, *cols)[0].theta_a - _bounds(
+        _closed, None, geom, th, psi, 1.0, ai / (ad + ai), k, s2)[0].theta_a)
     lines.append("INFO theta-a-projection-vs-paper-form: max |gap| = %.3e rad "
                  "over %d scenes (the two weightings differ by an alpha_i "
                  "cross term)" % (gaps.max(), gaps.size))

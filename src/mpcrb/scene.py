@@ -88,27 +88,20 @@ def multipath_free(scene: MultipathScene) -> MultipathScene:
     return replace(scene, alpha_i=0.0 + 0.0j)
 
 
-def compressed_mean(scene: MultipathScene) -> np.ndarray:
-    """Noise-free compressed statistic K*(alpha_d*A_d + alpha_i*A_i)."""
-    return _means(scene.geom, *(np.array([v]) for v in (
-        scene.theta, scene.psi, scene.alpha_d, scene.alpha_i, scene.k_pulses)))[0]
-
-
 def _means(geom: ArrayGeometry, theta, psi, alpha_d, alpha_i, k) -> np.ndarray:
-    """:func:`compressed_mean` of each row of 1-D scene columns on ``geom``, stacked
-    (n, M_r, M_t), each bit for bit its scene's alone; the engine's, by column slice."""
+    """The noise-free compressed statistics K*(alpha_d*A_d + alpha_i*A_i) of 1-D scene
+    columns on ``geom``, stacked (n, M_r, M_t), each bit for bit its scene's alone;
+    the engine's, by column slice, and one row for :func:`synthesize_compressed`."""
     A_d, A_i = _direct_indirect(_vectors(geom, theta), _vectors(geom, psi))
     return k[:, None, None] * (alpha_d[:, None, None] * A_d
                                  + alpha_i[:, None, None] * A_i)
 
 
 def _stream(seed) -> random.Random:
-    """The noise stream of ``seed``: a random.Random itself, else a new MT19937
-    stream seeded with the decimal text of the int or of the tuple of ints,
-    ``'7'`` or ``'(7, 0)'``, so distinct seeds start distinct streams.  Members
-    must be non-negative: ValueError if not, TypeError if not integers."""
-    if isinstance(seed, random.Random):
-        return seed
+    """The noise stream of ``seed``: a new MT19937 stream seeded with the decimal
+    text of the int or of the tuple of ints, ``'7'`` or ``'(7, 0)'``, so distinct
+    seeds start distinct streams.  Members must be non-negative: ValueError if
+    not, TypeError if not integers."""
     ints = tuple(map(operator.index, seed if isinstance(seed, tuple) else (seed,)))
     if any(i < 0 for i in ints):
         raise ValueError(f"noise seed {seed!r}: integers must be non-negative")
@@ -144,18 +137,18 @@ def _noise(rng: random.Random, n: int, var: float) -> np.ndarray:
 def synthesize_compressed(scene: MultipathScene, noise_seed) -> np.ndarray:
     """One realization of the compressed statistic Y (shape M_r x M_t).
 
-    ``noise_seed`` is a non-negative int, a tuple of them, or a random.Random
-    stream that the call continues; an int or tuple starts a fresh MT19937
-    stream, distinct for distinct seeds (``5`` and ``(5,)`` differ), so the
-    same seed always yields the same noise.  Noise entries are independent
-    circular complex Gaussians with variance K*sigma_w2, drawn by
-    Box-Muller from two 32-bit words each, in row-major order, so calls on
-    one stream give the statistics that the Monte-Carlo engine draws in turn.
-    A negative seed raises ValueError, one that is not an int or a tuple of
-    ints TypeError.
+    ``noise_seed`` is a non-negative int or a tuple of them; it starts a fresh
+    MT19937 stream, distinct for distinct seeds (``5`` and ``(5,)`` differ), so
+    the same seed always yields the same noise.  Noise entries are independent
+    circular complex Gaussians with variance K*sigma_w2, drawn by Box-Muller
+    from two 32-bit words each, in row-major order: the first statistic that
+    the Monte-Carlo engine draws from the same stream.  The mean is
+    :func:`_means` of the scene's one-row columns.  A negative seed raises
+    ValueError, one that is not an int or a tuple of ints TypeError.
     """
-    return _statistics(_stream(noise_seed), scene.k_pulses * scene.sigma_w2,
-                       compressed_mean(scene), 1)[0]
+    mean = _means(scene.geom, *(np.array([v]) for v in (
+        scene.theta, scene.psi, scene.alpha_d, scene.alpha_i, scene.k_pulses)))[0]
+    return _statistics(_stream(noise_seed), scene.k_pulses * scene.sigma_w2, mean, 1)[0]
 
 
 def _statistics(rng: random.Random, var: float, mean: np.ndarray, n: int,

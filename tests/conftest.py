@@ -6,17 +6,34 @@ own linear-algebra paths.  The product-rule steering derivatives, MIMO
 matrices and traces, the matched-model FIM, the paper-form pseudo-true angle,
 the scalar path coefficients and the scene power ratios are reference forms
 that only the tests use; the package takes its derivatives of the MIMO
-steering matrix from virtual-array moments instead.
+steering matrix from virtual-array moments instead.  A scene's pseudo-true
+angle and noise-free mean have no public entry; ``theta_a`` and
+``compressed_mean`` read them from the package's column paths.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from mpcrb import MultipathScene, SearchConfig, wrap_phase
-from mpcrb.bounds import _build, _informative, _pseudo_true, _scene_columns
+from mpcrb.bounds import _informative, _scene_columns, mcrb_theta_closed_columns
+from mpcrb.scene import _means
+
+
+def theta_a(scene: MultipathScene, search: SearchConfig | None = None) -> float:
+    """The scene's pseudo-true DOA: its row of the closed-form columns, which holds
+    theta_A whether or not the bound there is valid (theta itself for alpha_i = 0)."""
+    return float(mcrb_theta_closed_columns(*_scene_columns([scene]),
+                                           search=search).theta_a[0])
+
+
+def compressed_mean(scene: MultipathScene) -> np.ndarray:
+    """The scene's noise-free statistic K*(alpha_d*A_d + alpha_i*A_i): the one
+    row of ``scene._means`` on its columns, as ``synthesize_compressed`` takes it."""
+    return _means(scene.geom, *(np.array([v]) for v in (
+        scene.theta, scene.psi, scene.alpha_d, scene.alpha_i, scene.k_pulses)))[0]
 
 
 def raw_steering(positions, theta):
@@ -116,7 +133,7 @@ def theta_a_paper_form(scene: MultipathScene,
     if abs(denom) < 1e-12 * (abs(ad) + abs(ai)):
         raise ValueError("weight alpha_i/(alpha_d + alpha_i) undefined: "
                          "alpha_d + alpha_i ~ 0")
-    return float(_pseudo_true(_build(*_scene_columns([scene])), 1.0, ai / denom, search)[0])
+    return theta_a(replace(scene, alpha_d=1.0, alpha_i=ai / denom), search)
 
 
 @dataclass(frozen=True)

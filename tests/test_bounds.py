@@ -6,15 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import (dense_grid_argmax, fim, raw_e_adot, raw_mimo,
-                      raw_mimo_derivs, raw_steering, raw_traces,
-                      theta_a_paper_form)
+from conftest import (compressed_mean, dense_grid_argmax, fim, raw_e_adot,
+                      raw_mimo, raw_mimo_derivs, raw_steering, raw_traces,
+                      theta_a, theta_a_paper_form)
 
 from mpcrb import (ArrayGeometry, BoundBreakdown, ConditioningError,
                    DegenerateBoundError, MultipathScene, SearchConfig,
-                   SingularInformationError, compressed_mean, crb_theta,
-                   mcrb_sandwich, mcrb_theta_closed, multipath_free,
-                   scene_from_ratios, standard_virtual_ula, theta_a, virtual_hpbw)
+                   SingularInformationError, crb_theta, mcrb_sandwich,
+                   mcrb_theta_closed, multipath_free, scene_from_ratios,
+                   standard_virtual_ula, virtual_hpbw)
 from mpcrb import bounds, experiments
 from mpcrb.bounds import (_bounds, _breakdowns, _build, _closed, _curvature, _informative,
                           _pseudo_true, _sandwich, _scene_columns,
@@ -69,7 +69,7 @@ def test_fim_rejects_singular_information():
     with pytest.raises(SingularInformationError):
         crb_theta(sc)
     # refused before the search; its coarse grid once raised "beamwidth undefined"
-    for bound in (mcrb_theta_closed, mcrb_sandwich, theta_a):
+    for bound in (mcrb_theta_closed, mcrb_sandwich):
         with pytest.raises(SingularInformationError):
             bound(sc)
 
@@ -631,7 +631,7 @@ def _legacy_sandwich(scene, search=None, cond_threshold=1e12):
     m_matrix = (z_inv * j_diag) @ z_inv / model.s[0]
     m_tt = float(m_matrix[4, 4])
     th_a = scene.theta if scene.alpha_i == 0 else float(
-        _pseudo_true(model, scene.alpha_d, scene.alpha_i, search)[0])
+        _pseudo_true(model, search, [0])[0])
     b = (scene.theta - th_a) ** 2
     return m_matrix, BoundBreakdown(float(model.crb[0]), m_tt, th_a, b, m_tt + b)
 

@@ -4,14 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import compressed_mean, theta_a
 
-from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, compressed_mean,
-                   mcrb_theta_closed, mml_doa, monte_carlo_rmse,
-                   multipath_free, scene_from_ratios, standard_virtual_ula,
-                   synthesize_compressed, theta_a, virtual_hpbw)
+from mpcrb import (ArrayGeometry, SearchConfig, crb_theta, mcrb_theta_closed,
+                   mml_doa, monte_carlo_rmse, multipath_free, scene_from_ratios,
+                   standard_virtual_ula, synthesize_compressed, virtual_hpbw)
 from mpcrb import bounds, estimation, scene
 from mpcrb.arrays import TWO_PI
-from mpcrb.scene import _stream
+from mpcrb.scene import _statistics, _stream
 from mpcrb.bounds import _argmax_projection, _coarse_winner, _projection_derivs
 from mpcrb.estimation import MML_SEARCH
 
@@ -198,8 +198,8 @@ def test_trials_follow_the_single_statistic_path(monkeypatch):
     trials = 70          # past one coarse block of the kernel
     got = _engine_errors(monkeypatch, scenes, trials, 4242)
     for i, sc in enumerate(scenes):
-        stream = _stream((4242, i))
-        ys = [synthesize_compressed(sc, stream) for _ in range(trials)]
+        ys = _statistics(_stream((4242, i)), sc.k_pulses * sc.sigma_w2,
+                         compressed_mean(sc), trials)
         want = [mml_doa(ys[t], GEOM) - sc.theta for t in range(trials)]
         assert got[i].tolist() == want
 

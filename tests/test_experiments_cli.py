@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -104,8 +106,8 @@ def test_fig2_rerun_byte_identical_any_workers(tmp_path):
 def test_montecarlo_rerun_byte_identical(tmp_path):
     cfg = load_preset("montecarlo")
     cfg["trials"] = 20
-    a = run_montecarlo(cfg, tmp_path / "a", workers=1)
-    b = run_montecarlo(cfg, tmp_path / "b", workers=3)
+    a = run_montecarlo(cfg, tmp_path / "a")
+    b = run_montecarlo(cfg, tmp_path / "b")
     assert a["csv"].read_bytes() == b["csv"].read_bytes()
 
 
@@ -324,6 +326,88 @@ def test_sweep_axis_cap_by_size_arithmetic():
     fig3["sweep"]["delta_theta_deg"]["step"] = 1e-6
     with pytest.raises(ConfigError, match=r"sweep\.delta_theta_deg"):
         ex.run_fig3(fig3, "unused")
+
+
+def _workloads(monkeypatch):
+    """The benchmark's workload definitions, read from their file (no bytecode is
+    written there) and registered for this test alone: its dataclass looks its
+    module up."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+def test_grids_give_the_benchmark_grid_values(monkeypatch):
+    # every benchmark workload at both sizes, at the default seed and at
+    # seeds whose grid shifts leave (stop - start) / step a rounded integer
+    wl = _workloads(monkeypatch)
+    for w in wl.WORKLOADS.values():
+        for size in wl.SIZES:
+            for seed in (wl.DEFAULT_SEED, 1, 2, 3, 57, 199):
+                cfg = wl.config_for_seed(w, load_preset(w.preset), seed, size=size)
+                for path in w.grids:
+                    assert ex._grids(cfg, path)[0] == wl.grid_values(cfg, path), (
+                        w.name, size, seed, path)
+
+
+def test_swept_values_stay_inside_start_and_stop():
+    # an axis takes every whole step up to stop, within 1e-9 of a step, and no
+    # point past it: int(round(cells)) + 1 points went up to half a step over
+    rng = random.Random(4711)
+    for draw in range(2000):
+        start, step = rng.uniform(-100.0, 100.0), 10.0 ** rng.uniform(-3.0, 1.0)
+        cells = rng.randint(0, 300) if draw % 2 else rng.uniform(0.0, 300.0)
+        stop = start + cells * step
+        values = ex._grids({"a": {"start": start, "stop": stop, "step": step}}, "a")[0]
+        assert all(start <= v <= stop + 1e-9 * step for v in values), (start, stop, step)
+        assert start + len(values) * step > stop, (start, stop, step)
+        if draw % 2:
+            assert len(values) == cells + 1
+
+
+@pytest.mark.parametrize("recipe, key, axis, column, want", [
+    ("fig2", "sweep.snr_db", (0.0, 1.0, 0.6), "snr_db", [0.0, 0.6]),
+    ("scenario", "range_grid_m", (2.0, 3.0, 0.6), "r_d_m", [2.0, 2.6]),
+    ("beampattern", "grid_deg", (-89.0, 89.9, 1.3), "phi_deg", None)])
+def test_sweep_axis_stops_at_its_last_whole_step(tmp_path, recipe, key, axis, column,
+                                                 want):
+    # fig2 wrote a 1.2 dB row, scenario a 3.2 m row, and beampattern refused
+    # its grid with "grid_deg: must lie inside (-90, 90), got 90.4"
+    cfg = load_preset(recipe)
+    if "trials" in cfg:
+        cfg["trials"] = 2
+    node = cfg
+    for part in key.split(".")[:-1]:
+        node = node[part]
+    node[key.split(".")[-1]] = dict(zip(("start", "stop", "step"), axis))
+    header, rows = read_csv(getattr(ex, f"run_{recipe}")(cfg, tmp_path)["csv"])
+    got = [float(row[header.index(column)]) for row in rows]
+    assert got == (want or [-89.0 + i * 1.3 for i in range(138)])
+    assert got[-1] <= axis[1]
+
+
+@pytest.mark.parametrize("recipe, path", [("bounds", "geometry"),
+                                          ("scenario", "geometries.3x8")])
+@pytest.mark.parametrize("count", ["m_t", "m_r"])
+def test_geometry_given_both_ways_is_refused(tmp_path, capsys, recipe, path, count):
+    # counts and positions together ran the standard ULA under exit 0 and
+    # ignored the positions
+    cfg = load_preset(recipe)
+    node = cfg
+    for part in path.split("."):
+        node = node[part]
+    node.clear()
+    node.update({count: 4, "tx_positions": [-1.0, 0.0, 1.0],
+                 "rx_positions": [-0.25, 0.25]})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([recipe, "--config", str(p), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {path}: give m_t/m_r or explicit positions, not both\n")
+    assert not out.exists()
 
 
 def test_sweep_product_cap_and_presets_fit():

@@ -4,13 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from conftest import (PathGeometryInputs, path_coefficients, raw_mimo,
-                      scene_ratios)
+from conftest import (PathGeometryInputs, compressed_mean, path_coefficients,
+                      raw_mimo, scene_ratios)
 
-from mpcrb import (MultipathScene, compressed_mean, scene_from_ratios,
-                   standard_virtual_ula, synthesize_compressed, wrap_phase)
-from mpcrb import scene
-from mpcrb.scene import _noise, _stream
+from mpcrb import (MultipathScene, scene_from_ratios, standard_virtual_ula,
+                   synthesize_compressed, wrap_phase)
+from mpcrb.scene import _noise, _statistics, _stream
 
 GEOM = standard_virtual_ula(3, 4)
 RNG = np.random.default_rng(202)
@@ -206,43 +205,40 @@ def test_synthesis_deterministic_and_near_noise_free():
     np.testing.assert_allclose(y, 4 * a_d_raw, atol=1e-12)
 
 
-def test_synthesis_moments(monkeypatch):
-    # 1e5 draws: per-entry mean within 4 standard errors, variance within 5%.
-    # The mean is computed once, not per draw: the same values, 10x faster
+def test_synthesis_moments():
+    # 1e5 draws in turn from one stream: per-entry mean within 4 standard
+    # errors, variance within 5%
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 3.0, 2.0, 0.7, 2)
     mean = compressed_mean(sc)
-    monkeypatch.setattr(scene, "compressed_mean", lambda _: mean)
     n = 100_000
-    rng = random.Random(2026)
-    y = np.array([synthesize_compressed(sc, rng) for _ in range(n)])
     var_expected = sc.k_pulses * sc.sigma_w2
+    y = _statistics(random.Random(2026), var_expected, mean, n)
     se = math.sqrt(var_expected / n)
     assert np.abs(y.mean(axis=0) - mean).max() < 4.0 * se
     np.testing.assert_allclose((np.abs(y - mean) ** 2).mean(axis=0),
                                var_expected, rtol=0.05)
 
 
-def test_synthesis_from_a_stream_continues_it():
+def test_synthesis_is_the_first_statistic_of_its_seeds_stream():
     # a seed starts a fresh stream, distinct for an int and a tuple; a stream
     # is drawn on in turn, each statistic taking its entries in row-major order
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4, 4)
+    var, mean = sc.k_pulses * sc.sigma_w2, compressed_mean(sc)
     np.testing.assert_array_equal(synthesize_compressed(sc, 42),
-                                  synthesize_compressed(sc, _stream(42)))
+                                  _statistics(_stream(42), var, mean, 1)[0])
     np.testing.assert_array_equal(synthesize_compressed(sc, (42, 0)),
-                                  synthesize_compressed(sc, _stream((42, 0))))
+                                  _statistics(_stream((42, 0)), var, mean, 1)[0])
     assert not np.array_equal(synthesize_compressed(sc, 5),
                               synthesize_compressed(sc, (5,)))
-    stream = _stream(5)
-    singles = [synthesize_compressed(sc, stream) for _ in range(3)]
-    var = sc.k_pulses * sc.sigma_w2
+    three = _statistics(_stream(5), var, mean, 3)
+    np.testing.assert_array_equal(three[0], synthesize_compressed(sc, 5))
     w = _noise(_stream(5), 3 * GEOM.m_r * GEOM.m_t, var)
-    np.testing.assert_array_equal(
-        np.array(singles), compressed_mean(sc) + w.reshape(3, GEOM.m_r, GEOM.m_t))
+    np.testing.assert_array_equal(three, mean + w.reshape(3, GEOM.m_r, GEOM.m_t))
 
 
 @pytest.mark.parametrize("seed, error", [
     (-1, ValueError), ((3, -1), ValueError), (1.5, TypeError), ("7", TypeError),
-    ((1, 2.0), TypeError)])
+    ((1, 2.0), TypeError), (random.Random(5), TypeError)])   # no stream is continued
 def test_synthesis_refuses_what_is_not_a_seed(seed, error):
     sc = scene_from_ratios(GEOM, 0.0, np.deg2rad(0.5), 10.0, 3.0, 0.4)
     with pytest.raises(error):
